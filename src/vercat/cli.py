@@ -25,6 +25,7 @@ import math
 import os
 import random
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -265,8 +266,16 @@ class ResultCache:
             "checksum": self._checksum(value),
             "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
-        with open(self._path(key), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+        # write a temporary file next to the entry, then rename it over the
+        # entry: a write that fails midway leaves the old entry intact
+        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def open_cache(args) -> ResultCache | None:

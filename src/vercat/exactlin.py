@@ -4,6 +4,10 @@ Matrices over GF(p) are stored as least nonnegative residues in int64
 arrays; matrices over the rationals hold `fractions.Fraction` entries in
 object arrays.  Every operation is exact and deterministic.
 
+GF(p) is accepted only for p <= MAX_PRIME = 65537.  Then (p-1)^2 <= 2^32,
+so a dot product of fewer than 2^31 residues, and hence every int64
+matrix product this package forms, is exact before it is reduced mod p.
+
 Basis convention for tensor products: lexicographic with the left factor
 varying slowest, i.e. basis vector (i, j) of X (x) Y sits at index
 i * dim(Y) + j.  `Mat.kron` and every module in this package share this
@@ -26,6 +30,9 @@ import numpy as np
 class BudgetExceeded(Exception):
     """A computation would materialize more matrix entries than allowed."""
 
+
+#: Largest characteristic accepted by `Field`; see the module docstring.
+MAX_PRIME = 65537
 
 #: Default cap on the number of entries of any dense matrix materialized
 #: by the symmetric-power and invariant-algebra routines.
@@ -66,8 +73,10 @@ class Field:
         p = self.characteristic
         if p == 0:
             return
-        if p < 0 or p >= 2**64 or not _is_prime(p):
-            raise ValueError(f"characteristic must be 0 or a prime < 2**64, got {p}")
+        if p < 0 or p > MAX_PRIME or not _is_prime(p):
+            raise ValueError(
+                f"characteristic must be 0 or a prime <= {MAX_PRIME}, got {p}"
+            )
 
     @property
     def is_modular(self) -> bool:

@@ -15,9 +15,20 @@ Hom spaces in Ver_p are Hom(A, B) modulo the radical of the trace
 pairing (f, u) -> tr(f u).  For a map into a single Jordan block J_j an
 intertwiner is determined by its first row w (the remaining rows are
 w N, w N^2, ...), and the pairing against Hom(J_j, A) reduces to
-j * (w N^(j-1) v) on kernel vectors v of N^j.  All quotient-category
-computations below run on that first-row representation, block by
-block, which keeps them fast.
+j * (w N^(j-1) v) on kernel vectors v of N^j.  In Jordan normal
+coordinates only the size-j summands pair, so the class of w is read off
+its coordinates at the tops of those summands.
+
+Every module the symmetric-power tower meets is built from tensor
+products J_a (x) J_b of literal Jordan blocks.  Each such pair gets one
+exact, cached change of basis T to a direct sum of Jordan blocks
+(`_pair_basis`); their sizes are the fusion rule plus (a+b-p)^+ copies
+of J_p.  Hom classes, cokernel chains [w, wN, ...] and sections are then
+rows and columns of T^-1 and T picked by index, with no powers of N.
+The first-row route on arbitrary blocks (`_ver_cokernel`, `_HomClasses`,
+`_SolveData`, `_matpow`) is the independent anchor: only
+`_ver_sym_power_direct` and `quotient_from_blocks` use it, and the tests
+hold the two routes to the same answers.
 
 Symmetric powers inside Ver_p are computed degreewise: S^m is the
 cokernel, taken in the quotient category, of the degree-m relations
@@ -255,6 +266,7 @@ def ver_hom(a: ZpModule, b: ZpModule) -> VerHom:
 
 
 def _matpow(a: np.ndarray, k: int, p: int) -> np.ndarray:
+    """a^k mod p by repeated products (part of the independent anchor)."""
     out = np.eye(a.shape[0], dtype=np.int64)
     for _ in range(k):
         out = (out @ a) % p
@@ -316,7 +328,8 @@ def _np_kernel(a: np.ndarray, p: int) -> np.ndarray:
 
 
 class _SolveData:
-    """Precomputed exact solver for A x = b with A of full column rank."""
+    """Precomputed exact solver for A x = b with A of full column rank
+    (part of the independent anchor route)."""
 
     __slots__ = ("top", "bottom", "rank")
 
@@ -340,9 +353,11 @@ class _SolveData:
 class _HomClasses:
     """Hom(B, J_j) modulo negligibles, in the first-row representation.
 
-    `reps` holds one full-length row vector per class; `reduce` takes the
-    first rows of arbitrary intertwiners into J_j and returns their class
-    coordinates over `reps`.
+    This is the independent anchor for the Jordan-normal route: it works
+    on any block-diagonal module through powers of N.  `reps` holds one
+    full-length row vector per class; `reduce` takes the first rows of
+    arbitrary intertwiners into J_j and returns their class coordinates
+    over `reps`.
     """
 
     __slots__ = ("j", "p", "reps", "_per_block", "total")
@@ -413,6 +428,10 @@ def _ver_cokernel(
     projection matrix B -> C representing the quotient class.  Rows of
     the projection are grouped per block, ordered [w, wN, ..., wN^(j-1)]
     for the class row w.
+
+    This first-row route is the independent anchor for
+    `_jordan_cokernel`, which `SymTower` uses; only
+    `_ver_sym_power_direct` and `quotient_from_blocks` call it.
     """
     p = b_blk.p
     check_budget(b_blk.dim * b_blk.dim, max_entries, "cokernel source module")
@@ -457,6 +476,262 @@ def _swap_np(p: int, da: int, db: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Jordan-normal tensor blocks
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class _PairBasis:
+    """Exact change of basis putting J_a (x) J_b into Jordan normal form.
+
+    `tinv @ (g_a (x) g_b) @ t` is the block-diagonal unipotent Jordan
+    matrix with block sizes `sizes` (descending) starting at `tops`.
+    Inside a summand of size c at top o, column o + k of `t` is
+    N^(c-1-k) of the chain generator and row o + k of `tinv` is
+    (row o) N^k, where N = g_a (x) g_b - 1.
+    """
+
+    sizes: tuple[int, ...]
+    tops: tuple[int, ...]
+    t: np.ndarray
+    tinv: np.ndarray
+
+
+_PAIR_BASES: dict[tuple[int, int, int], _PairBasis] = {}
+
+
+def _nil_cols(v: np.ndarray, a: int, b: int, p: int) -> np.ndarray:
+    """N @ v on J_a (x) J_b for a stack of columns v (ab x t)."""
+    x = v.reshape(a, b, -1)
+    out = np.zeros_like(x)
+    out[:-1] += x[1:]
+    out[:, :-1] += x[:, 1:]
+    out[:-1, :-1] += x[1:, 1:]
+    return out.reshape(v.shape) % p
+
+
+def _nil_rows(v: np.ndarray, a: int, b: int, p: int) -> np.ndarray:
+    """v @ N on J_a (x) J_b for a stack of rows v (t x ab)."""
+    x = v.T.reshape(a, b, -1)
+    out = np.zeros_like(x)
+    out[1:] += x[:-1]
+    out[:, 1:] += x[:, :-1]
+    out[1:, 1:] += x[:-1, :-1]
+    return out.reshape(v.shape[::-1]).T % p
+
+
+def _pair_basis(p: int, a: int, b: int) -> _PairBasis:
+    """Jordan basis of J_a (x) J_b over GF(p), cached per (p, a, b).
+
+    In the basis e_i (x) e_j, the columns C = e_i (x) e_(b-1) (i < a)
+    generate the module over k[N] and the rows R = e_i (x) e_0 generate
+    its dual (e_(a-1) (x) e_j and e_0 (x) e_j when a > b): min(a, b) of
+    each, one per summand.  Summands are split off longest first.  For
+    chain length k, the pairing R N^(k-1) C, taken on the part not yet
+    split off, has rank equal to the number of size-k summands; one rref
+    of it picks the new chain generators x and dual rows y with
+    y R N^(k-1) x = 1.  A triangular correction x' = sum_e N^e x u_e makes
+    y R N^d x' vanish for d < k-1, so the new column chains (for T) and
+    row chains (for T^-1) are biorthogonal and T^-1 comes with T.  The
+    sizes come out as the fusion rule plus (a+b-p)^+ copies of p
+    (Iima-Iwamatsu); they are not assumed, and the conjugation identity
+    is asserted once.
+    """
+    key = (p, a, b)
+    hit = _PAIR_BASES.get(key)
+    if hit is not None:
+        return hit
+    n, h = a * b, min(a, b)
+    grid = np.arange(n).reshape(a, b)
+    col_gen, row_gen = (grid[:, -1], grid[:, 0]) if a <= b else (grid[-1], grid[0])
+    depth = min(p, a + b - 1)
+    kc = [np.eye(n, dtype=np.int64)[:, col_gen]]  # N^d C
+    kr = [np.eye(n, dtype=np.int64)[row_gen]]  # R N^d
+    for _ in range(1, depth):
+        kc.append(_nil_cols(kc[-1], a, b, p))
+        kr.append(_nil_rows(kr[-1], a, b, p))
+    t = np.zeros((n, 0), dtype=np.int64)
+    tinv = np.zeros((0, n), dtype=np.int64)
+
+    # projections onto the part not yet split off, along the summands
+    # already found: v -> (1 - t tinv) v for columns, v (1 - t tinv) for rows
+    def split_cols(v: np.ndarray) -> np.ndarray:
+        return (v - t @ ((tinv @ v) % p)) % p
+
+    def split_rows(v: np.ndarray) -> np.ndarray:
+        return (v - ((v @ t) % p) @ tinv) % p
+
+    sizes: list[int] = []
+    for k in range(depth, 0, -1):
+        pairing = (kr[k - 1] @ split_cols(kc[0])) % p
+        r, piv = _rref_mod(np.hstack([pairing, np.eye(h, dtype=np.int64)]), p)
+        cols = [c for c in piv if c < h]
+        m = len(cols)
+        if m == 0:
+            continue
+        y = r[:m, h:]  # y @ pairing[:, cols] = 1
+        x = [split_cols(kc[d][:, cols]) for d in range(k)]  # N^d x
+        g = [(y @ ((kr[d] @ x[0]) % p)) % p for d in range(k)]  # y R N^d x
+        # u_0 = 1, u_e = -sum_(e'<e) g_(k-1-e+e') u_e': then the corrected
+        # generators x' = sum_e N^e x u_e pair with y R N^d to delta_(d,k-1)
+        u = [np.eye(m, dtype=np.int64)]
+        for e in range(1, k):
+            acc = sum(g[k - 1 - e + f] @ u[f] for f in range(e)) % p
+            u.append((-acc) % p)
+        chain_cols = [
+            sum(x[d + e] @ u[e] for e in range(k - d)) % p for d in range(k)
+        ]  # N^d x'
+        chain_rows = [(y @ split_rows(kr[i])) % p for i in range(k)]  # y R N^i
+        new_t = np.stack(chain_cols[::-1], axis=2).reshape(n, m * k)
+        new_tinv = np.stack(chain_rows, axis=1).reshape(m * k, n)
+        t = np.hstack([t, new_t])
+        tinv = np.vstack([tinv, new_tinv])
+        sizes.extend([k] * m)
+    tops = tuple(int(o) for o in np.cumsum([0] + sizes[:-1]))
+    jordan = np.eye(n, dtype=np.int64)
+    for o, s in zip(tops, sizes):
+        jordan[o : o + s - 1, o + 1 : o + s] += np.eye(s - 1, dtype=np.int64)
+    g_t = (t + _nil_cols(t, a, b, p)) % p
+    assert sum(sizes) == n and np.array_equal((tinv @ t) % p, np.eye(n, dtype=np.int64))
+    assert np.array_equal((tinv @ g_t) % p, jordan), "pair basis is not a Jordan basis"
+    out = _PairBasis(tuple(sizes), tops, t, tinv)
+    _PAIR_BASES[key] = out
+    return out
+
+
+class _TensorFrame:
+    """V (x) X for literal Jordan-block sums V and X, with every block pair
+    J_c (x) J_n brought to Jordan normal form by its pair basis.
+
+    `pieces` holds (global indices of J_c (x) J_n inside V (x) X, pair
+    basis); `summands[j]` lists (piece number, local tops) of the size-j
+    summands, j < p.  Size-p summands are negligible and never listed.
+    """
+
+    __slots__ = ("p", "sizes_x", "dim", "pieces", "summands")
+
+    def __init__(self, p: int, sizes_v: tuple[int, ...], sizes_x: tuple[int, ...]):
+        nx = sum(sizes_x)
+        self.p = p
+        self.sizes_x = sizes_x
+        self.dim = sum(sizes_v) * nx
+        self.pieces: list[tuple[np.ndarray, _PairBasis]] = []
+        self.summands: dict[int, list[tuple[int, np.ndarray]]] = {}
+        oc = 0
+        for c in sizes_v:
+            on = 0
+            for n in sizes_x:
+                idx = ((oc + np.arange(c))[:, None] * nx + on + np.arange(n)).reshape(-1)
+                basis = _pair_basis(p, c, n)
+                for j, tops in _tops_by_size(p, basis).items():
+                    self.summands.setdefault(j, []).append((len(self.pieces), tops))
+                self.pieces.append((idx, basis))
+                on += n
+            oc += c
+
+    def count(self, j: int) -> int:
+        return sum(len(tops) for _, tops in self.summands.get(j, ()))
+
+    def rows(self, j: int, k: int, coeff: np.ndarray) -> np.ndarray:
+        """coeff @ (rows top+k of T^-1 at the size-j summands): t x dim."""
+        out = np.zeros((coeff.shape[0], self.dim), dtype=np.int64)
+        pos = 0
+        for piece, tops in self.summands[j]:
+            idx, basis = self.pieces[piece]
+            c = coeff[:, pos : pos + len(tops)]
+            out[:, idx] = (c @ basis.tinv[tops + k]) % self.p
+            pos += len(tops)
+        return out
+
+    def cols(self, j: int, k: int, coeff: np.ndarray) -> np.ndarray:
+        """(columns top+k of T at the size-j summands) @ coeff: dim x t."""
+        out = np.zeros((self.dim, coeff.shape[1]), dtype=np.int64)
+        pos = 0
+        for piece, tops in self.summands[j]:
+            idx, basis = self.pieces[piece]
+            c = coeff[pos : pos + len(tops)]
+            out[idx] = (basis.t[:, tops + k] @ c) % self.p
+            pos += len(tops)
+        return out
+
+    def tensor_tops(self) -> dict[int, list[tuple[np.ndarray, np.ndarray]]]:
+        """Top columns of a Jordan basis of (V (x) X) (x) X, per size j < p.
+
+        Each piece J_c (x) J_n is normalized by T_(c,n) (x) 1, then every
+        resulting J_e (x) J_n' (e < p) by T_(e,n'); only the columns at the
+        tops of the size-j summands of that product are formed.  Entries
+        are (global indices of a J_e (x) J_n' block, its top columns).
+        """
+        p = self.p
+        nx = sum(self.sizes_x)
+        out: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+        for idx, basis in self.pieces:
+            for o, e in zip(basis.tops, basis.sizes):
+                if e == p:
+                    continue  # J_p (x) J_n' is a sum of J_p
+                left = basis.t[:, o : o + e]
+                on = 0
+                for n2 in self.sizes_x:
+                    inner = _pair_basis(p, e, n2)
+                    gidx = (idx[:, None] * nx + on + np.arange(n2)).reshape(-1)
+                    for j, tops in _tops_by_size(p, inner).items():
+                        z = inner.t[:, tops].reshape(e, n2, len(tops))
+                        col = np.tensordot(left, z, axes=(1, 0)) % p
+                        out.setdefault(j, []).append((gidx, col.reshape(-1, len(tops))))
+                    on += n2
+        return out
+
+
+def _tops_by_size(p: int, basis: _PairBasis) -> dict[int, np.ndarray]:
+    """Local tops of the summands of size j < p, grouped by j."""
+    by_size: dict[int, list[int]] = {}
+    for o, s in zip(basis.tops, basis.sizes):
+        if s < p:
+            by_size.setdefault(s, []).append(o)
+    return {j: np.asarray(tops) for j, tops in by_size.items()}
+
+
+def _jordan_cokernel(
+    a_tops: dict[int, list[tuple[np.ndarray, np.ndarray]]],
+    a_dim: int,
+    b_frame: _TensorFrame,
+    apply_phi,
+    max_entries: int | None = None,
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Cokernel in Ver_p of the class of phi: A -> B in Jordan coordinates.
+
+    Same contract, output layout and budget checks as `_ver_cokernel`.
+    B's classes into J_j are the rows of T_B^-1 at the tops of its size-j
+    summands; the class coordinates of a first row w over A are w at the
+    top columns `a_tops[j]` of T_A; and the chain [w, wN, ...] of a kernel
+    combination is the same combination of the following T_B^-1 rows.
+    """
+    p = b_frame.p
+    check_budget(b_frame.dim * b_frame.dim, max_entries, "cokernel source module")
+    sizes: list[int] = []
+    q_rows: list[np.ndarray] = []
+    for j in range(p - 1, 0, -1):
+        count = b_frame.count(j)
+        if count == 0:
+            continue
+        if j not in a_tops or a_dim == 0:
+            kernel = np.eye(count, dtype=np.int64)
+        else:
+            check_budget(count * a_dim, max_entries, "precomposed class rows")
+            reps = b_frame.rows(j, 0, np.eye(count, dtype=np.int64))
+            pre = apply_phi(reps) % p
+            coords = np.hstack([(pre[:, idx] @ cols) % p for idx, cols in a_tops[j]])
+            kernel = _np_kernel(coords.T, p).T  # rows: kernels of precomposition
+        if kernel.shape[0] == 0:
+            continue
+        chains = np.stack([b_frame.rows(j, k, kernel) for k in range(j)], axis=1)
+        q_rows.append(chains.reshape(-1, b_frame.dim))
+        sizes.extend([j] * kernel.shape[0])
+    q = np.vstack(q_rows) if q_rows else np.zeros((0, b_frame.dim), dtype=np.int64)
+    return tuple(sizes), q
+
+
+# ---------------------------------------------------------------------------
 # symmetric powers inside Ver_p
 # ---------------------------------------------------------------------------
 
@@ -479,7 +754,6 @@ class SymTower:
         self.max_entries = max_entries
         sizes_x = x.block_sizes()
         self.nx = sum(sizes_x)
-        self.xblk = _Blocks.from_sizes(self.p, sizes_x)
         self.sizes: list[tuple[int, ...]] = [(1,)]
         self.q: list[np.ndarray | None] = [None]
         self.zero_from: int | None = None
@@ -493,6 +767,7 @@ class SymTower:
             swap = _swap_np(self.p, self.nx, self.nx)
             self._rel = (np.eye(self.nx * self.nx, dtype=np.int64) - swap) % self.p
         self._blocked_cache: dict[int, _Blocks] = {}
+        self._frames: dict[int, _TensorFrame] = {}
         self._sections: dict[int, np.ndarray] = {}
         self._mu: dict[tuple[int, int], np.ndarray] = {}
         for m in range(2, depth + 1):
@@ -512,13 +787,17 @@ class SymTower:
             mult[s - 1] += 1
         return VerObject(self.p, tuple(mult))
 
+    def _frame(self, m: int) -> _TensorFrame:
+        """V_m (x) X in Jordan-normal coordinates."""
+        if m not in self._frames:
+            self._frames[m] = _TensorFrame(self.p, self.sizes[m], self.sizes[1])
+        return self._frames[m]
+
     def _build_degree(self, m: int) -> None:
         if self.zero_from is not None:
             self.sizes.append(())
             self.q.append(np.zeros((0, self.dim(m - 1) * self.nx), dtype=np.int64))
             return
-        b_blk = self.realized(m - 1).tensor(self.xblk)
-        a_blk = self.realized(m - 2).tensor(self.xblk).tensor(self.xblk)
         p, nx = self.p, self.nx
         q_prev = self.q[m - 1]
         dim_pp = self.dim(m - 2)
@@ -534,7 +813,13 @@ class SymTower:
             out = np.einsum("tuz,zy->tuy", out, rel) % p
             return out.reshape(t, dim_pp * nx * nx)
 
-        sizes, q = _ver_cokernel(a_blk, b_blk, apply_phi, self.max_entries)
+        sizes, q = _jordan_cokernel(
+            self._frame(m - 2).tensor_tops(),
+            dim_pp * nx * nx,
+            self._frame(m - 1),
+            apply_phi,
+            self.max_entries,
+        )
         self.sizes.append(sizes)
         self.q.append(q)
         if not sizes:
@@ -543,7 +828,13 @@ class SymTower:
     # -- sections and multiplication classes --------------------------------
 
     def section(self, b: int) -> np.ndarray:
-        """A class-level section s_b: V_b -> V_(b-1) (x) X of q_b."""
+        """A class-level section s_b: V_b -> V_(b-1) (x) X of q_b.
+
+        The size-j blocks of V_b are sent onto the size-j Jordan summands
+        of V_(b-1) (x) X; the rows of q_b at those blocks, read at the
+        summand tops, are the kernel coefficients of the cokernel, and a
+        right inverse of that matrix picks the combination.
+        """
         if b in self._sections:
             return self._sections[b]
         if b == 1:
@@ -552,33 +843,20 @@ class SymTower:
             return s
         p = self.p
         field = GF(p)
-        b_blk = self.realized(b - 1).tensor(self.xblk)
-        nb = b_blk.nilpotent_full()
+        frame = self._frame(b - 1)
         qm = self.q[b]
-        s = np.zeros((b_blk.dim, self.dim(b)), dtype=np.int64)
-        sizes = self.sizes[b]
-        for j in sorted(set(sizes), reverse=True):
-            offsets = []
-            pos = 0
-            for sz in sizes:
-                if sz == j:
-                    offsets.append(pos)
-                pos += sz
-            nj = _matpow(nb, j, p)
-            ker = _np_kernel(nj, p)
-            njm1 = _matpow(nb, j - 1, p)
-            # class vector of q_b . u(v) over the size-j blocks of V_b
-            mclass = ((qm @ ((njm1 @ ker) % p)) % p)[offsets, :]
+        s = np.zeros((frame.dim, self.dim(b)), dtype=np.int64)
+        for j in sorted(set(self.sizes[b]), reverse=True):
+            offsets = np.asarray(self.block_offsets(b, j))
+            tops = frame.cols(j, 0, np.eye(frame.count(j), dtype=np.int64))
             coeff = solve(
-                Mat(field, mclass), Mat.identity(field, len(offsets))
+                Mat(field, (qm[offsets] @ tops) % p),
+                Mat.identity(field, len(offsets)),
             )
             if coeff is None:
                 raise AssertionError("projection classes are not surjective")
-            vhat = (ker @ coeff.a) % p  # one column per size-j block
-            for t, o in enumerate(offsets):
-                col = vhat[:, t]
-                for k in range(j):
-                    s[:, o + k] = (_matpow(nb, j - 1 - k, p) @ col) % p
+            for k in range(j):
+                s[:, offsets + k] = frame.cols(j, k, coeff.a)
         self._sections[b] = s
         return s
 
@@ -596,12 +874,18 @@ class SymTower:
         if b == 1:
             out = self.q[a + 1]
         else:
+            # q_(a+b) . (mu_(a,b-1) (x) 1_X) . (1_(V_a) (x) s_b), contracted
+            # over V_(b-1) without forming either Kronecker product
             prev = self.mu(a, b - 1)
-            out = (
-                self.q[a + b]
-                @ np.kron(prev, np.eye(self.nx, dtype=np.int64))
-                @ np.kron(np.eye(self.dim(a), dtype=np.int64), self.section(b))
-            ) % self.p
+            du, da = self.dim(a + b - 1), self.dim(a)
+            db1, db = self.dim(b - 1), self.dim(b)
+            lift = np.tensordot(
+                prev.reshape(du, da, db1),
+                self.section(b).reshape(db1, self.nx, db),
+                axes=(2, 0),
+            )  # (u, i, x, l)
+            lift = lift.transpose(0, 2, 1, 3).reshape(du * self.nx, da * db) % self.p
+            out = (self.q[a + b] @ lift) % self.p
         self._mu[key] = out
         return out
 
@@ -656,7 +940,8 @@ def _ver_sym_power_direct(x: VerObject, m: int) -> VerObject:
 
 
 def quotient_from_blocks(blk: _Blocks) -> VerObject:
-    """Semisimplification multiplicities of a blocked module."""
+    """Semisimplification multiplicities of a blocked module, by the
+    first-row anchor `_ver_cokernel`."""
     sizes, _ = _ver_cokernel(
         _Blocks(blk.p, 0, []),
         blk,

@@ -11,6 +11,7 @@ from vercat.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
+    ResultCache,
     UsageError,
     main,
     parse_dmodule_spec,
@@ -65,6 +66,13 @@ class TestExitCodes:
     def test_usage_error_from_argparse(self, capsys):
         code, _, _ = run(capsys, "fusion", "--p", "4", "--l", "1", "--r", "1")
         assert code == EXIT_USAGE
+
+    def test_prime_above_int64_exact_bound(self, capsys):
+        code, _, err = run(
+            capsys, "fusion", "--p", "4294967311", "--l", "1", "--r", "1"
+        )
+        assert code == EXIT_USAGE
+        assert "65537" in err
 
     def test_usage_error_from_validation(self, capsys):
         code, _, err = run(capsys, "fusion", "--p", "5", "--l", "9", "--r", "1")
@@ -250,6 +258,18 @@ class TestCache:
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
         assert json.loads(out)["results"][0]["verlinde"] == "L3"  # recomputed
+
+    def test_failed_write_keeps_old_entry(self, tmp_path, monkeypatch):
+        cache = ResultCache(str(tmp_path))
+        cache.put("k", {"verlinde": "L3"})
+        (entry,) = os.listdir(tmp_path)
+        # json.dump writes the header of the payload, then rejects the value
+        monkeypatch.setattr(ResultCache, "_checksum", staticmethod(lambda v: "x"))
+        with pytest.raises(TypeError):
+            cache.put("k", [1, 2, object()])
+        assert os.listdir(tmp_path) == [entry]  # no partial file left
+        monkeypatch.undo()
+        assert cache.get("k") == {"verlinde": "L3"}
 
     def test_env_var_location(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("VERLINDE_CACHE_DIR", str(tmp_path))

@@ -61,6 +61,16 @@ class TestField:
             with pytest.raises(ValueError):
                 Field(bad)
 
+    def test_prime_above_exact_bound_rejected(self):
+        # in int64, [[p-1]] @ [[p-1]] would come out as 4294967087, not 1
+        with pytest.raises(ValueError, match="65537"):
+            GF(4294967311)
+
+    def test_largest_prime_is_exact(self):
+        f = GF(65537)
+        m = Mat(f, [[65536]])
+        assert m @ m == Mat(f, [[1]])
+
 
 class TestRref:
     def test_empty(self):

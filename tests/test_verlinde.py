@@ -4,6 +4,7 @@ independent routes and their agreement anchors everything else."""
 
 import random
 
+import numpy as np
 import pytest
 
 from vercat.exactlin import Mat
@@ -12,6 +13,7 @@ from vercat.verlinde import (
     MultSeries,
     SymTower,
     VerObject,
+    _pair_basis,
     _ver_sym_power_direct,
     fusion,
     fusion_rule,
@@ -431,30 +433,100 @@ class TestClassicalPlethysm:
             assert dim == fusion_rule(p, i, j)[k - 1], (p, i, j, k)
 
 
+def _g_full(tw, m):
+    blk = tw.realized(m)
+    g = np.zeros((blk.dim, blk.dim), dtype=np.int64)
+    for idx, gb in blk.blocks:
+        g[np.ix_(idx, idx)] = gb
+    return g
+
+
+def _assert_mu_intertwines(tw, pairs):
+    for a, b in pairs:
+        mu = tw.mu(a, b)
+        lhs = (mu @ np.kron(_g_full(tw, a), _g_full(tw, b))) % tw.p
+        rhs = (_g_full(tw, a + b) @ mu) % tw.p
+        assert np.array_equal(lhs, rhs), (a, b)
+
+
+def _assert_sections_split(tw):
+    for b in range(2, tw.depth + 1):
+        comp = (tw.q[b] @ tw.section(b)) % tw.p
+        pos = 0
+        for sz in tw.sizes[b]:
+            assert comp[pos, pos] == 1  # identity class coefficient
+            pos += sz
+
+
 class TestSymTowerInternals:
     def test_mu_is_exact_intertwiner(self):
-        import numpy as np
-
         tw = SymTower(VerObject(5, (1, 1, 0, 0)), 6)
-
-        def g_full(m):
-            blk = tw.realized(m)
-            g = np.zeros((blk.dim, blk.dim), dtype=np.int64)
-            for idx, gb in blk.blocks:
-                g[np.ix_(idx, idx)] = gb
-            return g
-
-        for a, b in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (4, 2)]:
-            mu = tw.mu(a, b)
-            lhs = (mu @ np.kron(g_full(a), g_full(b))) % 5
-            rhs = (g_full(a + b) @ mu) % 5
-            assert np.array_equal(lhs, rhs)
+        _assert_mu_intertwines(tw, [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (4, 2)])
 
     def test_section_is_right_inverse_class(self):
-        tw = SymTower(VerObject(5, (1, 1, 0, 0)), 5)
-        for b in range(2, 6):
-            comp = (tw.q[b] @ tw.section(b)) % 5
-            pos = 0
-            for sz in tw.sizes[b]:
-                assert comp[pos, pos] == 1  # identity class coefficient
-                pos += sz
+        _assert_sections_split(SymTower(VerObject(5, (1, 1, 0, 0)), 5))
+
+    def test_mu_is_exact_intertwiner_p11_l3_l5(self):
+        tw = SymTower(L(11, 3) + L(11, 5), 4)
+        _assert_mu_intertwines(tw, [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)])
+
+    def test_section_is_right_inverse_class_p11_l3_l5(self):
+        _assert_sections_split(SymTower(L(11, 3) + L(11, 5), 4))
+
+    def test_mu_matches_kron_formula(self):
+        # mu(a, b) = q_(a+b) (mu(a, b-1) (x) 1) (1 (x) s_b), entry for entry
+        tw = SymTower(VerObject(7, (1, 0, 1, 0, 0, 0)), 5)
+        for a, b in [(1, 2), (2, 2), (1, 3), (2, 3), (1, 4)]:
+            kron = (
+                tw.q[a + b]
+                @ np.kron(tw.mu(a, b - 1), np.eye(tw.nx, dtype=np.int64))
+                @ np.kron(np.eye(tw.dim(a), dtype=np.int64), tw.section(b))
+            ) % tw.p
+            assert np.array_equal(tw.mu(a, b), kron), (a, b)
+
+
+class TestPairBasis:
+    """Jordan bases of J_a (x) J_b: sizes against the decomposition oracle
+    and against fusion plus (a+b-p)^+ projective blocks."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_sizes_match_oracle_and_fusion(self, p):
+        for a in range(1, p + 1):
+            for b in range(1, p + 1):
+                sizes = _pair_basis(p, a, b).sizes
+                oracle = jordan_type(
+                    tensor(jordan_module(p, [a]), jordan_module(p, [b]))
+                ).parts
+                assert sizes == tuple(oracle), (p, a, b)
+                fused = (
+                    VerObject(p, fusion_rule(p, a, b)).block_sizes()
+                    if a < p and b < p
+                    else ()
+                )
+                assert sizes == (p,) * max(a + b - p, 0) + fused, (p, a, b)
+
+    def test_conjugates_tensor_generator_to_jordan_form(self):
+        for p in (3, 5, 7):
+            for a in range(1, p + 1):
+                for b in range(1, p + 1):
+                    pb = _pair_basis(p, a, b)
+                    g = tensor(jordan_module(p, [a]), jordan_module(p, [b])).g.a
+                    jordan = jordan_module(p, list(pb.sizes)).g.a
+                    assert np.array_equal((pb.t @ pb.tinv) % p, np.eye(a * b))
+                    assert np.array_equal((pb.tinv @ g @ pb.t) % p, jordan)
+
+
+class TestFullTables:
+    def test_p13_vanishing_and_hermite_reciprocity(self):
+        # every n < p to depth p-n+1: S^(p-n+1)(L_n) = 0 and
+        # S^m(L_n) = S^(n-1)(L_(m+1)) whenever m+1 <= p-1
+        p = 13
+        table = {n: sym_alg_series(L(p, n), p - n + 1).degrees for n in range(1, p)}
+        for n in range(2, p):
+            assert table[n][p - n + 1].is_zero(), n
+        checked = 0
+        for n in range(1, p):
+            for m in range(min(len(table[n]), p - 1)):
+                assert table[n][m] == table[m + 1][n - 1], (m, n)
+                checked += 1
+        assert checked == 99
