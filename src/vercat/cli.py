@@ -344,13 +344,7 @@ def cmd_sympow(args) -> int:
             value["verlinde"] = str(v)
             value["verlinde_mult"] = list(v.mult)
         if args.ambient == "both":
-            parts = value.get("jordan_parts", [])
-            amb = VerObject(
-                p,
-                tuple(
-                    sum(1 for q in parts if q == i) for i in range(1, p)
-                ),
-            )
+            amb = VerObject.from_blocks(p, value["jordan_parts"])
             value["agree"] = list(amb.mult) == value["verlinde_mult"]
         if cache:
             cache.put(key, value)
@@ -488,7 +482,9 @@ def cmd_svec2(args) -> int:
         return EXIT_OK
     if args.svec2_command == "fourth-power":
         mod = parse_dmodule_spec(args.module)
-        rep = sv.fourth_power_checks(mod, args.max_degree, args.trials, args.seed)
+        rep = sv.fourth_power_checks(
+            mod, args.max_degree, args.trials, args.seed, args.max_entries
+        )
         report = Report(
             "svec2 fourth-power",
             {
@@ -498,17 +494,11 @@ def cmd_svec2(args) -> int:
             },
             versions={"seed": args.seed},
         )
-        ok = True
         for name, val in rep.items():
-            if name in ("trials", "seed"):
-                continue
-            report.add_check(name, bool(val))
-            ok = ok and bool(val)
-        if args.format == "table":
-            report.print_human()
-        else:
-            emit(report, args.format)
-        return EXIT_OK if ok else EXIT_CHECK_FAILED
+            if name not in ("trials", "seed"):
+                report.add_check(name, bool(val))
+        emit(report, args.format)
+        return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
     # injectivity
     if args.sub != "y":
         raise UsageError("only the submodule <y> of the first W factor is supported")
@@ -520,7 +510,7 @@ def cmd_svec2(args) -> int:
     u = sv.trivial(1)
     incl = Mat.zeros(GF(2), amb.dim, 1)
     incl.a[1, 0] = 1  # the y line of the leading W factor
-    fail = sv.injectivity_check(u, amb, incl, args.max_degree)
+    fail = sv.injectivity_check(u, amb, incl, args.max_degree, args.max_entries)
     report = Report(
         "svec2 injectivity",
         {"sub": args.sub, "amb": args.amb, "max_degree": args.max_degree},
@@ -770,30 +760,25 @@ def suite_invariants(report: Report, seed: int, max_entries) -> None:
     )
 
 
-def suite_svec2(report: Report, seed: int) -> None:
+def suite_svec2(report: Report, seed: int, max_entries) -> None:
     w = sv.module_w()
     u = sv.trivial(1)
     incl = Mat.zeros(GF(2), 2, 1)
     incl.a[1, 0] = 1
-    fail = sv.injectivity_check(u, w, incl, 5)
+    fail = sv.injectivity_check(u, w, incl, 5, max_entries)
     report.add_check(
         "svec2-noninjectivity <y> in W",
         fail == 2,
         f"fails first at degree {fail} (y^2 = 0)",
     )
-    alg_w = sv.sym_algebra(w, 8)
-    report.add_check("svec2 dim S^2(W) = 2", alg_w.dims[2] == 2)
-    for label, mod in (("S(W)", w), ("S(W+1)", sv.direct_sum(w, sv.trivial(1)))):
-        rep = sv.fourth_power_checks(mod, 8, 200, seed)
-        for name in (
-            "d_square_zero",
-            "d_of_fourth_power",
-            "fourth_power_central",
-            "product_fourth_power",
-            "sum_fourth_power",
-            "square_rule",
-        ):
-            report.add_check(f"svec2 {label} {name}", bool(rep[name]), "200 trials")
+    alg = sv.sym_algebra(w, 8, max_entries)
+    report.add_check("svec2 dim S^2(W) = 2", alg.dims[2] == 2)
+    labelled = (("S(W)", w), ("S(W+1)", sv.direct_sum(w, sv.trivial(1))))
+    for label, mod in labelled:
+        rep = sv.fourth_power_checks(mod, 8, 200, seed, max_entries)
+        for name, val in rep.items():
+            if name not in ("trials", "seed"):
+                report.add_check(f"svec2 {label} {name}", bool(val), "200 trials")
     rng = random.Random(seed)
     ok = True
     for _ in range(100):
@@ -816,28 +801,21 @@ def suite_svec2(report: Report, seed: int) -> None:
             ok = False
     report.add_check("svec2 braiding-symmetry", ok, "100 random pairs, seeded")
     # d-commutativity of every pair of degree-basis classes of S(W), S(W+1)
-    for label, mod in (("S(W)", w), ("S(W+1)", sv.direct_sum(w, sv.trivial(1)))):
-        alg = sv.sym_algebra(mod, 6)
+    for label, mod in labelled:
+        alg6 = sv.sym_algebra(mod, 6, max_entries)
         ok = True
         for da in range(1, 4):
             for db in range(1, 4):
-                for ka in range(alg.dims[da]):
-                    for kb in range(alg.dims[db]):
-                        ea = np.zeros(alg.dims[da], dtype=np.int64)
-                        ea[ka] = 1
-                        eb = np.zeros(alg.dims[db], dtype=np.int64)
-                        eb[kb] = 1
-                        a_el = alg.from_vector(da, ea)
-                        b_el = alg.from_vector(db, eb)
-                        comm = alg.add(
-                            alg.mul(a_el, b_el), alg.mul(b_el, a_el)
-                        )
-                        dd = alg.mul(alg.dmap(a_el), alg.dmap(b_el))
-                        if not alg.equal(comm, dd):
+                for ea in np.eye(alg6.dims[da], dtype=np.int64):
+                    for eb in np.eye(alg6.dims[db], dtype=np.int64):
+                        a_el = alg6.from_vector(da, ea)
+                        b_el = alg6.from_vector(db, eb)
+                        comm = alg6.add(alg6.mul(a_el, b_el), alg6.mul(b_el, a_el))
+                        dd = alg6.mul(alg6.dmap(a_el), alg6.dmap(b_el))
+                        if not alg6.equal(comm, dd):
                             ok = False
         report.add_check(f"svec2 {label} d-commutativity", ok, "all basis pairs")
-    # fourth powers are invariant and span a commutative subalgebra
-    alg = sv.sym_algebra(w, 8)
+    # fourth powers in S(W) are invariant and span a commutative subalgebra
     rng = random.Random(seed + 1)
     ok_inv = True
     ok_comm = True
@@ -895,7 +873,7 @@ def cmd_verify(args) -> int:
         elif name == "invariants":
             suite_invariants(report, args.seed, args.max_entries)
         elif name == "svec2":
-            suite_svec2(report, args.seed)
+            suite_svec2(report, args.seed, args.max_entries)
         elif name == "char0":
             suite_char0(report, args.max_degree)
     if args.json_out:
@@ -937,6 +915,13 @@ def _prime(text: str) -> int:
     return value
 
 
+def _degree(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"degree must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vercat",
@@ -957,7 +942,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sympow = sub.add_parser("sympow", help="symmetric power of an object")
     p_sympow.add_argument("--p", type=_prime, required=True)
     p_sympow.add_argument("--object", required=True, help="e.g. L2 or 1+L2 or 2*L3")
-    p_sympow.add_argument("--degree", type=int, required=True)
+    p_sympow.add_argument("--degree", type=_degree, required=True)
     p_sympow.add_argument(
         "--ambient", choices=("repzp", "verlinde", "both"), default="verlinde"
     )
@@ -967,7 +952,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_symalg = sub.add_parser("symalg", help="symmetric algebra reports")
     p_symalg.add_argument("--p", type=_prime, required=True)
     p_symalg.add_argument("--object", required=True)
-    p_symalg.add_argument("--max-degree", type=int, required=True)
+    p_symalg.add_argument("--max-degree", type=_degree, required=True)
     p_symalg.add_argument(
         "--report",
         choices=("hilbert", "invariants", "generators", "module-finiteness"),
@@ -980,20 +965,20 @@ def build_parser() -> argparse.ArgumentParser:
     svsub = p_sv.add_subparsers(dest="svec2_command", required=True)
     p_sv_sympow = svsub.add_parser("sympow")
     p_sv_sympow.add_argument("--module", required=True, help="e.g. W or W+1")
-    p_sv_sympow.add_argument("--degree", type=int, required=True)
+    p_sv_sympow.add_argument("--degree", type=_degree, required=True)
     _add_common(p_sv_sympow, cache=False)
     p_sv_sympow.set_defaults(func=cmd_svec2)
     p_sv_fp = svsub.add_parser("fourth-power")
     p_sv_fp.add_argument("--module", required=True)
     p_sv_fp.add_argument("--trials", type=int, default=200)
     p_sv_fp.add_argument("--seed", type=int, default=0)
-    p_sv_fp.add_argument("--max-degree", type=int, default=8)
+    p_sv_fp.add_argument("--max-degree", type=_degree, default=8)
     _add_common(p_sv_fp, cache=False)
     p_sv_fp.set_defaults(func=cmd_svec2)
     p_sv_inj = svsub.add_parser("injectivity")
     p_sv_inj.add_argument("--sub", required=True, help="submodule spec: y")
     p_sv_inj.add_argument("--amb", required=True, help="ambient spec, e.g. W or W+1")
-    p_sv_inj.add_argument("--max-degree", type=int, required=True)
+    p_sv_inj.add_argument("--max-degree", type=_degree, required=True)
     _add_common(p_sv_inj, cache=False)
     p_sv_inj.set_defaults(func=cmd_svec2)
 
@@ -1012,7 +997,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p_verify.add_argument("--p-max", type=int, default=13)
-    p_verify.add_argument("--max-degree", type=int, default=8)
+    p_verify.add_argument("--max-degree", type=_degree, default=8)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--json", dest="json_out", default=None)
     p_verify.add_argument(

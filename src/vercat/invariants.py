@@ -17,34 +17,25 @@ out.  It is the only rational-field computation in the package.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from . import graded
 from .exactlin import GF, Mat, RATIONALS
-from .repzp import jordan_block
+from .repzp import jordan_module
 from .verlinde import SymTower, VerObject, ver_sym_power
 
 
-@dataclass(frozen=True)
-class IsotypicElement:
-    """A class of maps J_i -> (realized degree-m module), by coordinates
-    over the canonical basis of literal size-i block inclusions."""
-
-    degree: int
-    simple_index: int
-    coords: tuple[int, ...]
-
-
-class InvariantAlgebra:
+class InvariantAlgebra(graded.TruncatedAlgebra):
     """The truncated invariant algebra of S(X) in Ver_p.
 
     Degree-m invariants carry the canonical basis given by the size-1
     blocks of the realized symmetric power; `basis_seed` optionally
     permutes that basis (used to check basis-independence of reported
     generator counts).  Products of basis classes are exact structure
-    constants over GF(p).
+    constants over GF(p); elements are those of `graded.TruncatedAlgebra`
+    with `dims` the invariant dimensions.
     """
 
     def __init__(
@@ -66,54 +57,21 @@ class InvariantAlgebra:
             if rng is not None:
                 rng.shuffle(offs)
             self._inv_offsets.append(offs)
+        self.dims = [len(offs) for offs in self._inv_offsets]
         if self.inv_dim(0) != 1:
             raise AssertionError("degree 0 must be one-dimensional")
         self._products: dict[tuple[int, int], np.ndarray] = {}
-        self._g_cache: dict[int, np.ndarray] = {}
 
     # -- degree data ---------------------------------------------------------
 
     def inv_dim(self, m: int) -> int:
-        return len(self._inv_offsets[m])
+        return self.dims[m]
 
     def inv_dims(self) -> list[int]:
-        return [self.inv_dim(m) for m in range(self.depth + 1)]
-
-    def degree_space_basis(self, m: int) -> Mat:
-        """Columns: representatives of the invariant classes in degree m."""
-        dim = self.tower.dim(m)
-        out = Mat.zeros(self._field, dim, self.inv_dim(m))
-        for t, off in enumerate(self._inv_offsets[m]):
-            out.a[off, t] = 1
-        return out
+        return list(self.dims)
 
     def iso_dim(self, m: int, i: int) -> int:
         return len(self.tower.block_offsets(m, i))
-
-    def isotypic_basis(self, m: int, i: int) -> list[IsotypicElement]:
-        """Canonical basis classes of the type-i multiplicity space."""
-        dim = self.iso_dim(m, i)
-        out = []
-        for k in range(dim):
-            coords = tuple(1 if t == k else 0 for t in range(dim))
-            out.append(IsotypicElement(m, i, coords))
-        return out
-
-    def module_g(self, m: int) -> np.ndarray:
-        if m not in self._g_cache:
-            blk = self.tower.realized(m)
-            g = np.zeros((blk.dim, blk.dim), dtype=np.int64)
-            for idx, gb in blk.blocks:
-                g[np.ix_(idx, idx)] = gb
-            self._g_cache[m] = g
-        return self._g_cache[m]
-
-    def inv_column(self, m: int, coords: np.ndarray) -> np.ndarray:
-        """Column vector in the realized degree-m module for invariant coords."""
-        col = np.zeros((self.tower.dim(m), 1), dtype=np.int64)
-        for t, off in enumerate(self._inv_offsets[m]):
-            col[off, 0] = coords[t] % self.p
-        return col
 
     def iso_matrix(self, m: int, i: int, coords: np.ndarray) -> np.ndarray:
         """Representative map J_i -> V_m for type-i class coordinates."""
@@ -133,87 +91,33 @@ class InvariantAlgebra:
     # -- products ------------------------------------------------------------
 
     def product_table(self, a: int, b: int) -> np.ndarray:
-        """Structure constants: table[k, l] = coords of (e_k^a) * (e_l^b)."""
+        """Structure constants: table[k, l] = coords of (e_k^a) * (e_l^b).
+
+        The invariant rows and columns of mu(a, b), read as a
+        (dim a) x (dim b) x (dim a+b) tensor.
+        """
         key = (a, b)
         if key not in self._products:
-            da, db, dc = self.inv_dim(a), self.inv_dim(b), self.inv_dim(a + b)
-            table = np.zeros((da, db, dc), dtype=np.int64)
-            mu = self.tower.mu(a, b)
-            dim_b = self.tower.dim(b)
-            for k, off_a in enumerate(self._inv_offsets[a]):
-                for l, off_b in enumerate(self._inv_offsets[b]):
-                    col = mu[:, off_a * dim_b + off_b] % self.p
-                    table[k, l] = [col[o] for o in self._inv_offsets[a + b]]
-            self._products[key] = table
+            tw, offs = self.tower, self._inv_offsets
+            mu = tw.mu(a, b).reshape(tw.dim(a + b), tw.dim(a), tw.dim(b))
+            table = mu[np.ix_(offs[a + b], offs[a], offs[b])].transpose(1, 2, 0)
+            self._products[key] = np.ascontiguousarray(table)
         return self._products[key]
 
     def multiply_coords(
         self, a: int, ca: np.ndarray, b: int, cb: np.ndarray
     ) -> np.ndarray:
-        table = self.product_table(a, b)
-        return np.einsum("k,l,klc->c", ca % self.p, cb % self.p, table) % self.p
+        p = self.p
+        return graded.contract(ca % p, cb % p, self.product_table(a, b), p)
 
-    # -- inhomogeneous elements (dicts degree -> coords) ----------------------
-
-    def zero_elem(self) -> dict[int, np.ndarray]:
-        return {}
-
-    def unit_elem(self) -> dict[int, np.ndarray]:
-        return {0: np.array([1], dtype=np.int64)}
-
-    def add_elems(self, u: dict, v: dict) -> dict:
-        out = {}
-        for m in set(u) | set(v):
-            c = (u.get(m, 0) + v.get(m, 0)) % self.p
-            if np.any(c):
-                out[m] = np.asarray(c, dtype=np.int64)
-        return out
+    def mul(self, u: dict, v: dict) -> dict:
+        # every product, powers included, enters through mul_elems, so a
+        # trace of mul_elems counts all of them
+        return self.mul_elems(u, v)
 
     def mul_elems(self, u: dict, v: dict) -> dict:
-        out: dict[int, np.ndarray] = {}
-        for a, ca in u.items():
-            for b, cb in v.items():
-                if a + b > self.depth:
-                    continue  # truncated algebra
-                c = self.multiply_coords(a, ca, b, cb)
-                if a + b in out:
-                    out[a + b] = (out[a + b] + c) % self.p
-                else:
-                    out[a + b] = c
-        return {m: c for m, c in out.items() if np.any(c)}
-
-    def pow_elem(self, u: dict, k: int) -> dict:
-        out = self.unit_elem()
-        for _ in range(k):
-            out = self.mul_elems(out, u)
-        return out
-
-    def elems_equal(self, u: dict, v: dict) -> bool:
-        for m in set(u) | set(v):
-            cu = u.get(m)
-            cv = v.get(m)
-            if cu is None:
-                if np.any(cv % self.p):
-                    return False
-            elif cv is None:
-                if np.any(cu % self.p):
-                    return False
-            elif not np.array_equal(cu % self.p, cv % self.p):
-                return False
-        return True
-
-    def random_invariant(
-        self, rng: random.Random, max_degree: int
-    ) -> dict[int, np.ndarray]:
-        out = {}
-        for m in range(min(max_degree, self.depth) + 1):
-            d = self.inv_dim(m)
-            if d == 0:
-                continue
-            c = np.array([rng.randrange(self.p) for _ in range(d)], dtype=np.int64)
-            if np.any(c):
-                out[m] = c
-        return out
+        """Product of inhomogeneous elements (dicts degree -> coords)."""
+        return graded.TruncatedAlgebra.mul(self, u, v)
 
 
 def build_invariant_algebra(
@@ -247,11 +151,7 @@ def generator_degrees(alg: InvariantAlgebra) -> list[tuple[int, int]]:
                 for k in range(alg.inv_dim(a))
                 for l in range(alg.inv_dim(m - a))
             )
-        if rows:
-            span = Mat(alg._field, np.asarray(rows, dtype=np.int64))
-            new = dim - span.rank()
-        else:
-            new = dim
+        new = dim - (Mat(alg._field, rows).rank() if rows else 0)
         out.append((m, new))
     return out
 
@@ -295,8 +195,7 @@ def module_finiteness_check(
                         h = (mu @ np.kron(phi, psi)) % p
                         rows.append(alg.iso_class_of(m, i, h))
             span_rows = [r for r in rows if np.any(r)]
-            have = Mat(field, np.asarray(span_rows, dtype=np.int64)) if span_rows else None
-            rank = have.rank() if have is not None else 0
+            rank = Mat(field, span_rows).rank() if span_rows else 0
             for k in range(dim_mi):
                 e = np.zeros(dim_mi, dtype=np.int64)
                 e[k] = 1
@@ -352,13 +251,13 @@ def isotypic_stability_check(
         cb = np.array(
             [rng.randrange(p) for _ in range(alg.iso_dim(b, i))], dtype=np.int64
         )
-        phi = alg.inv_column(a, ca)
+        phi = alg.iso_matrix(a, 1, ca)
         psi = alg.iso_matrix(b, i, cb)
         m = a + b
         h = (alg.tower.mu(a, b) @ np.kron(phi, psi)) % p
         # exact intertwiner
-        gj = jordan_block(p, i).a
-        gv = alg.module_g(m)
+        gj = jordan_module(p, [i]).g.a
+        gv = jordan_module(p, alg.tower.sizes[m]).g.a
         if not np.array_equal((h @ gj) % p, (gv @ h) % p):
             return False
         # components into blocks of size != i are negligible: pair the
@@ -372,7 +271,7 @@ def isotypic_stability_check(
                 continue
             # u: J_i -> J_s has columns [N^(i-1) v, ..., v], v in ker N_s^i;
             # tr(comp^T-pairing) must vanish for all such u.
-            nloc = (jordan_block(p, sz).a - np.eye(sz, dtype=np.int64)) % p
+            nloc = (jordan_module(p, [sz]).g.a - np.eye(sz, dtype=np.int64)) % p
             for k in range(min(i, sz)):
                 v = np.zeros((sz, 1), dtype=np.int64)
                 v[k, 0] = 1
@@ -417,15 +316,15 @@ def frobenius_check(
     rng = random.Random(seed)
     max_deg = alg.depth // p
     for _ in range(trials):
-        u = alg.random_invariant(rng, max_deg)
-        v = alg.random_invariant(rng, max_deg)
-        lhs = alg.pow_elem(alg.add_elems(u, v), p)
-        rhs = alg.add_elems(alg.pow_elem(u, p), alg.pow_elem(v, p))
-        if not alg.elems_equal(lhs, rhs):
+        u = alg.random_element(rng, max_deg)
+        v = alg.random_element(rng, max_deg)
+        lhs = alg.power(alg.add(u, v), p)
+        rhs = alg.add(alg.power(u, p), alg.power(v, p))
+        if not alg.equal(lhs, rhs):
             return False
-        lhs = alg.pow_elem(alg.mul_elems(u, v), p)
-        rhs = alg.mul_elems(alg.pow_elem(u, p), alg.pow_elem(v, p))
-        if not alg.elems_equal(lhs, rhs):
+        lhs = alg.power(alg.mul_elems(u, v), p)
+        rhs = alg.mul_elems(alg.power(u, p), alg.power(v, p))
+        if not alg.equal(lhs, rhs):
             return False
     for i in range(2, p):
         if not ver_sym_power(VerObject.simple(p, i), p).is_zero():
@@ -515,10 +414,6 @@ def char0_counterexample(depth: int) -> list[tuple[int, int]]:
                 for v in inv_bases[d - a]:
                     w = mul_vec(u, v)
                     rows.append([w.get(m, Fraction(0)) for m in basis_d])
-        if rows and dim:
-            span = Mat(RATIONALS, [[Fraction(x) for x in r] for r in rows])
-            new = dim - span.rank()
-        else:
-            new = dim
+        new = dim - (Mat(RATIONALS, rows).rank() if rows else 0)
         counts.append((d, new))
     return counts

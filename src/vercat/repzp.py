@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactlin import GF, Mat, check_budget, nilpotent_partition, quotient_basis
+from .exactlin import GF, Mat, check_budget, nilpotent_partition
+from .graded import check_degree, quotient_tower, swap
 
 
 @dataclass(frozen=True)
@@ -87,15 +88,6 @@ class HomSpace:
         return len(self.basis)
 
 
-def jordan_block(p: int, size: int) -> Mat:
-    """Unipotent upper triangular Jordan block of the given size."""
-    f = GF(p)
-    m = Mat.identity(f, size)
-    for i in range(size - 1):
-        m.a[i, i + 1] = 1
-    return m
-
-
 def jordan_module(p: int, parts: list[int] | tuple[int, ...]) -> ZpModule:
     """Direct sum of Jordan blocks J_{parts[0]} (+) J_{parts[1]} (+) ..."""
     for x in parts:
@@ -145,19 +137,10 @@ def dual(a: ZpModule) -> ZpModule:
     return ZpModule(a.p, a.dim, a.g.inverse().T)
 
 
-def swap_matrix(p: int, da: int, db: int) -> Mat:
-    """Permutation matrix of v (x) w -> w (x) v in the shared basis order."""
-    m = Mat.zeros(GF(p), da * db, da * db)
-    for i in range(da):
-        for j in range(db):
-            m.a[j * da + i, i * db + j] = 1
-    return m
-
-
 def braiding(a: ZpModule, b: ZpModule) -> Mat:
     """The braiding of Rep(Z/pZ): the plain swap A (x) B -> B (x) A."""
     _check_same_prime(a, b)
-    return swap_matrix(a.p, a.dim, b.dim)
+    return Mat(GF(a.p), swap(a.dim, b.dim))
 
 
 def hom_space(a: ZpModule, b: ZpModule) -> HomSpace:
@@ -183,53 +166,31 @@ def fixed_points(m: ZpModule) -> Mat:
     return m.nilpotent().kernel_basis()
 
 
-def tensor_power_apply(a: Mat, m: int, v: Mat) -> Mat:
-    """Compute (a^(x)m) @ v without materializing the Kronecker power."""
-    p = a.field.characteristic
-    n = a.rows
-    cols = v.cols
-    t = v.a.reshape((n,) * m + (cols,))
-    for axis in range(m):
-        t = np.tensordot(a.a, t, axes=([1], [axis]))
-        t = np.moveaxis(t, 0, axis) % p
-    return Mat(a.field, t.reshape(n**m, cols))
-
-
 def sym_power(
     m: ZpModule, degree: int, max_entries: int | None = None
 ) -> tuple[ZpModule, Mat]:
     """The symmetric power S^degree(M) and the projection X^(x)degree -> S^degree.
 
-    Returns the quotient module with its induced generator action.  The
-    projection intertwines the actions: proj @ g^(x)degree = g_S @ proj.
-    """
-    check_budget(m.dim**degree, max_entries, f"S^{degree} of a {m.dim}-dim module")
-    f = m.g.field
-    p = m.p
-    if degree == 0:
-        return trivial_module(p, 1), Mat.identity(f, 1)
-    if degree == 1:
-        return m, Mat.identity(f, m.dim)
+    Returns the quotient module with its induced generator action
+    g_S = q (g_(S^(k-1)) (x) g) lift, degree by degree, on the plain
+    quotient tower with relation 1 - swap.  The projection intertwines
+    the actions: proj @ g^(x)degree = g_S @ proj.
 
-    n = m.dim
-    rel = Mat.identity(f, n * n) - swap_matrix(p, n, n)
-    s_prev = m  # S^(k-1)
-    s_prevprev_dim = 1
-    q_prev = Mat.identity(f, n)  # S^(k-1) as quotient of S^(k-2) (x) X
-    proj = Mat.identity(f, n)  # X^(x)(k-1) -> S^(k-1)
-    for _ in range(2, degree + 1):
-        b_dim = s_prev.dim * n
-        # degree-k relations pushed into S^(k-1) (x) X
-        rho = q_prev.kron(Mat.identity(f, n)) @ Mat.identity(f, s_prevprev_dim).kron(rel)
-        rel_img = rho.image_basis()
-        reps, q = quotient_basis(Mat.identity(f, b_dim), rel_img)
-        g_b = s_prev.g.kron(m.g)
-        g_s = q @ g_b @ reps
-        s_prevprev_dim = s_prev.dim
-        s_prev = ZpModule(p, q.rows, g_s)
-        q_prev = q
-        # proj_k = q @ (proj_(k-1) (x) I): contract without the big kron
-        q3 = q.a.reshape(q.rows, s_prevprev_dim, n)
-        pr = np.einsum("itb,ta->iab", q3, proj.a).reshape(q.rows, proj.cols * n)
-        proj = Mat(f, pr % p)
-    return s_prev, proj
+    Correctness anchor: this is the ambient route, S^m taken in
+    Rep(Z/pZ) before the quotient functor; `verify --suite
+    sympow-comparison` sets it against S^m computed inside Ver_p.
+    """
+    check_degree(degree)
+    check_budget(m.dim**degree, max_entries, f"S^{degree} of a {m.dim}-dim module")
+    p, n = m.p, m.dim
+    rel = (np.eye(n * n, dtype=np.int64) - swap(n, n)) % p
+    q, lift = quotient_tower(rel, n, degree, p)
+    g = np.ones((1, 1), dtype=np.int64)
+    proj = np.ones((1, 1), dtype=np.int64)  # X^(x)k -> S^k
+    for k in range(1, degree + 1):
+        g = (q[k] @ (np.kron(g, m.g.a) @ lift[k] % p)) % p
+        # proj_k = q_k (proj_(k-1) (x) 1_X): contract without the big kron
+        q3 = q[k].reshape(q[k].shape[0], proj.shape[0], n)
+        pr = np.einsum("itb,ta->iab", q3, proj)
+        proj = pr.reshape(q3.shape[0], proj.shape[1] * n) % p
+    return ZpModule(p, g.shape[0], Mat(m.g.field, g)), Mat(m.g.field, proj)

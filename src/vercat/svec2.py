@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactlin import GF, Mat, check_budget, quotient_basis
+from . import graded
+from .exactlin import GF, Mat, _rref_mod, check_budget
 
 GF2 = GF(2)
 
@@ -67,169 +68,69 @@ def tensor(a: DModule, b: DModule) -> DModule:
     return DModule(a.dim * b.dim, a.d.kron(ib) + ia.kron(b.d))
 
 
-def _swap(da: int, db: int) -> Mat:
-    m = Mat.zeros(GF2, da * db, da * db)
-    for i in range(da):
-        for j in range(db):
-            m.a[j * da + i, i * db + j] = 1
-    return m
+def _braiding(a: DModule, b: DModule) -> np.ndarray:
+    r_action = np.eye(a.dim * b.dim, dtype=np.int64) + np.kron(a.d.a, b.d.a)
+    return (graded.swap(a.dim, b.dim) @ r_action) % 2
 
 
 def braiding(a: DModule, b: DModule) -> Mat:
     """Matrix of c: A (x) B -> B (x) A, the swap twisted by d (x) d."""
-    r_action = Mat.identity(GF2, a.dim * b.dim) + a.d.kron(b.d)
-    return _swap(a.dim, b.dim) @ r_action
+    return Mat(GF2, _braiding(a, b))
 
 
-class DGradedAlgebra:
+class DGradedAlgebra(graded.GradedTower, graded.TruncatedAlgebra):
     """The symmetric algebra of a DModule, truncated in degree.
 
-    Built degree by degree: degree m is the quotient of
-    (degree m-1) (x) X by the image of the braiding relations.  Holds
-    per-degree dimensions, the quotient and lift maps, the induced
-    derivation, and (lazily) the multiplication maps between degrees.
-    Elements of the truncated algebra are dicts degree -> coordinate
-    vector; products drop components beyond the truncation.
+    Built by `graded.quotient_tower` with the relation 1 + c: degree m is
+    the quotient of (degree m-1) (x) X by the image of the braiding
+    relations.  Holds per-degree dimensions, the quotient and lift maps,
+    the induced derivation d (x) 1 + 1 (x) d, and (lazily) the
+    multiplication maps between degrees, all as arrays over GF(2).
     """
 
     def __init__(self, x: DModule, depth: int, max_entries: int | None = None):
+        graded.check_degree(depth)
         check_budget(x.dim**depth, max_entries, f"S^{depth} of a {x.dim}-dim module")
         self.x = x
+        self.p = 2
         self.depth = depth
-        self.dims: list[int] = [1]
-        self.q: list[Mat] = [Mat.identity(GF2, 1)]
-        self.lift: list[Mat] = [Mat.identity(GF2, 1)]
-        self.dmat: list[Mat] = [Mat.zeros(GF2, 1, 1)]
-        self._mu: dict[tuple[int, int], Mat] = {}
-        if depth >= 1:
-            self.dims.append(x.dim)
-            self.q.append(Mat.identity(GF2, x.dim))
-            self.lift.append(Mat.identity(GF2, x.dim))
-            self.dmat.append(x.d.copy())
-        n = x.dim
-        if n and depth >= 2:
-            rel = Mat.identity(GF2, n * n) + braiding(x, x)
-            for m in range(2, depth + 1):
-                prev_dim = self.dims[m - 1]
-                prevprev_dim = self.dims[m - 2]
-                rho = self.q[m - 1].kron(Mat.identity(GF2, n)) @ Mat.identity(
-                    GF2, prevprev_dim
-                ).kron(rel)
-                reps, qm = quotient_basis(
-                    Mat.identity(GF2, prev_dim * n), rho.image_basis()
-                )
-                d_b = self.dmat[m - 1].kron(Mat.identity(GF2, n)) + Mat.identity(
-                    GF2, prev_dim
-                ).kron(x.d)
-                self.dims.append(qm.rows)
-                self.q.append(qm)
-                self.lift.append(reps)
-                self.dmat.append(qm @ d_b @ reps)
-        elif depth >= 2:
-            for _ in range(2, depth + 1):
-                self.dims.append(0)
-                self.q.append(Mat.zeros(GF2, 0, 0))
-                self.lift.append(Mat.zeros(GF2, 0, 0))
-                self.dmat.append(Mat.zeros(GF2, 0, 0))
+        n = self.nx = x.dim
+        rel = (np.eye(n * n, dtype=np.int64) + _braiding(x, x)) % 2
+        self.q, self.lift = graded.quotient_tower(rel, n, depth, 2)
+        self.dims: list[int] = [qm.shape[0] for qm in self.q]
+        self.dmat: list[np.ndarray] = [np.zeros((1, 1), dtype=np.int64)]
+        for m in range(1, depth + 1):
+            d_b = np.kron(self.dmat[m - 1], np.eye(n, dtype=np.int64)) + np.kron(
+                np.eye(self.dims[m - 1], dtype=np.int64), x.d.a
+            )
+            self.dmat.append((self.q[m] @ d_b @ self.lift[m]) % 2)
+        self._mu: dict[tuple[int, int], np.ndarray] = {}
+        self._tables: dict[tuple[int, int], np.ndarray] = {}
 
-    def mu(self, a: int, b: int) -> Mat:
-        """Multiplication map (degree a) (x) (degree b) -> degree a+b."""
-        if a + b > self.depth:
-            raise ValueError("product degree exceeds truncation")
-        if b == 0:
-            return Mat.identity(GF2, self.dims[a])
-        if a == 0:
-            return Mat.identity(GF2, self.dims[b])
+    def dim(self, m: int) -> int:
+        return self.dims[m]
+
+    def section(self, b: int) -> np.ndarray:
+        return self.lift[b]
+
+    def product_table(self, a: int, b: int) -> np.ndarray:
+        """mu(a, b) as the (da x db x dc) structure tensor."""
         key = (a, b)
-        if key not in self._mu:
-            if b == 1:
-                out = self.q[a + 1]
-            else:
-                prev = self.mu(a, b - 1)
-                out = (
-                    self.q[a + b]
-                    @ prev.kron(Mat.identity(GF2, self.x.dim))
-                    @ Mat.identity(GF2, self.dims[a]).kron(self.lift[b])
-                )
-            self._mu[key] = out
-        return self._mu[key]
-
-    # -- elements of the truncated algebra ------------------------------------
-
-    def zero(self) -> dict[int, np.ndarray]:
-        return {}
-
-    def one(self) -> dict[int, np.ndarray]:
-        return {0: np.array([1], dtype=np.int64)}
+        if key not in self._tables:
+            mu = self.mu(a, b).reshape(self.dims[a + b], self.dims[a], self.dims[b])
+            self._tables[key] = np.ascontiguousarray(mu.transpose(1, 2, 0))
+        return self._tables[key]
 
     def from_vector(self, degree: int, vec) -> dict[int, np.ndarray]:
         v = np.asarray(vec, dtype=np.int64) % 2
         return {degree: v} if v.any() else {}
 
-    def add(self, u: dict, v: dict) -> dict:
-        out = {}
-        for m in set(u) | set(v):
-            c = (u.get(m, 0) + v.get(m, 0)) % 2
-            if np.any(c):
-                out[m] = np.asarray(c, dtype=np.int64)
-        return out
-
-    def mul(self, u: dict, v: dict) -> dict:
-        out: dict[int, np.ndarray] = {}
-        for a, ca in u.items():
-            for b, cb in v.items():
-                if a + b > self.depth:
-                    continue
-                prod = (self.mu(a, b).a @ np.kron(ca, cb)) % 2
-                if a + b in out:
-                    out[a + b] = (out[a + b] + prod) % 2
-                else:
-                    out[a + b] = prod
-        return {m: c for m, c in out.items() if np.any(c)}
-
-    def power(self, u: dict, k: int) -> dict:
-        out = self.one()
-        for _ in range(k):
-            out = self.mul(out, u)
-        return out
-
     def dmap(self, u: dict) -> dict:
         out = {}
         for m, c in u.items():
-            dc = (self.dmat[m].a @ c) % 2
+            dc = (self.dmat[m] @ c) % 2
             if np.any(dc):
                 out[m] = dc
-        return out
-
-    def equal(self, u: dict, v: dict) -> bool:
-        for m in set(u) | set(v):
-            cu = u.get(m)
-            cv = v.get(m)
-            if cu is None:
-                if np.any(np.asarray(cv) % 2):
-                    return False
-            elif cv is None:
-                if np.any(np.asarray(cu) % 2):
-                    return False
-            elif not np.array_equal(cu % 2, cv % 2):
-                return False
-        return True
-
-    def random_element(
-        self, rng: random.Random, max_degree: int, homogeneous: bool = False
-    ) -> dict[int, np.ndarray]:
-        out = {}
-        degrees = (
-            [rng.randint(0, max_degree)]
-            if homogeneous
-            else range(min(max_degree, self.depth) + 1)
-        )
-        for m in degrees:
-            if self.dims[m] == 0:
-                continue
-            c = np.array([rng.randrange(2) for _ in range(self.dims[m])], dtype=np.int64)
-            if np.any(c):
-                out[m] = c
         return out
 
 
@@ -239,7 +140,11 @@ def sym_algebra(x: DModule, depth: int, max_entries: int | None = None) -> DGrad
 
 
 def injectivity_check(
-    u: DModule, w: DModule, inclusion: Mat, depth: int
+    u: DModule,
+    w: DModule,
+    inclusion: Mat,
+    depth: int,
+    max_entries: int | None = None,
 ) -> int | None:
     """First degree where S(U) -> S(W) fails to be injective, else None.
 
@@ -253,15 +158,13 @@ def injectivity_check(
         raise ValueError("inclusion is not an intertwiner of d")
     if inclusion.rank() != u.dim:
         raise ValueError("inclusion is not injective")
-    su = sym_algebra(u, depth)
-    sw = sym_algebra(w, depth)
-    f = Mat.identity(GF2, 1)
+    su = sym_algebra(u, depth, max_entries)
+    sw = sym_algebra(w, depth, max_entries)
+    f = np.ones((1, 1), dtype=np.int64)
     for m in range(1, depth + 1):
-        if m == 1:
-            f = inclusion.copy()
-        else:
-            f = sw.q[m] @ f.kron(inclusion) @ su.lift[m]
-        if f.rank() < su.dims[m]:
+        # S^m(U) -> S^m(W) is q_m (f_(m-1) (x) inclusion) lift_m
+        f = (sw.q[m] @ np.kron(f, inclusion.a) @ su.lift[m]) % 2
+        if len(_rref_mod(f, 2)[1]) < su.dims[m]:
             return m
     return None
 
@@ -273,11 +176,11 @@ def invariants_d(alg: DGradedAlgebra) -> list[Mat]:
     so the invariant part of each degree is ker(d); it is closed under
     products by the derivation rule.
     """
-    return [alg.dmat[m].kernel_basis() for m in range(alg.depth + 1)]
+    return [Mat(GF2, d).kernel_basis() for d in alg.dmat]
 
 
 def fourth_power_checks(
-    x: DModule, depth: int, trials: int, seed: int
+    x: DModule, depth: int, trials: int, seed: int, max_entries: int | None = None
 ) -> dict[str, bool | int]:
     """Randomized verification of the fourth-power identities in S(X).
 
@@ -291,7 +194,7 @@ def fourth_power_checks(
     """
     if depth < 4:
         raise ValueError("truncation must admit at least one fourth power")
-    alg = sym_algebra(x, depth)
+    alg = sym_algebra(x, depth, max_entries)
     max_deg = depth // 4
     names = [
         "d_square_zero",

@@ -43,6 +43,7 @@ the fusion product is trivial.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,8 @@ from .exactlin import (
     quotient_basis,
     solve,
 )
-from .repzp import ZpModule, hom_space, jordan_block, jordan_type
+from . import graded
+from .repzp import ZpModule, hom_space, jordan_module, jordan_type
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +86,13 @@ class VerObject:
     @staticmethod
     def unit(p: int) -> "VerObject":
         return VerObject.simple(p, 1)
+
+    @staticmethod
+    def from_blocks(p: int, sizes) -> "VerObject":
+        """Image of the Jordan blocks J_s, s in `sizes`: one L_s each,
+        size-p blocks dropped as negligible."""
+        count = Counter(sizes)
+        return VerObject(p, tuple(count[i] for i in range(1, p)))
 
     @staticmethod
     def simple(p: int, i: int) -> "VerObject":
@@ -169,19 +178,29 @@ def quotient(m: ZpModule) -> VerObject:
     """Image of a Z/pZ-module under the quotient functor to Ver_p.
 
     Jordan blocks of size i < p map to L_i; size-p blocks are negligible
-    and are discarded.  This is the slow independent oracle for fusion.
+    and are discarded.
+
+    Correctness anchor: the Jordan fusion oracle, the slow route that the
+    closed fusion rule is checked against.
     """
-    jt = jordan_type(m)
-    mult = [0] * (m.p - 1)
-    for part in jt.parts:
-        if part < m.p:
-            mult[part - 1] += 1
-    return VerObject(m.p, tuple(mult))
+    return VerObject.from_blocks(m.p, jordan_type(m).parts)
 
 
 # ---------------------------------------------------------------------------
 # hom spaces of the quotient category (generic, matrix-level)
 # ---------------------------------------------------------------------------
+
+
+def _trace_radical(a: ZpModule, b: ZpModule) -> tuple[tuple[Mat, ...], Mat]:
+    """A basis of Hom(a, b) and, as coefficient columns over it, a basis
+    of the radical of the trace pairing (f, u) -> tr(f u), u: b -> a."""
+    fwd = hom_space(a, b).basis
+    bwd = hom_space(b, a).basis
+    gram = Mat.zeros(GF(a.p), len(fwd), max(len(bwd), 1))
+    for i, f in enumerate(fwd):
+        for j, u in enumerate(bwd):
+            gram.a[i, j] = (f @ u).trace()
+    return fwd, gram.T.kernel_basis()
 
 
 def negligible_radical(a: ZpModule, b: ZpModule) -> list[Mat]:
@@ -190,19 +209,10 @@ def negligible_radical(a: ZpModule, b: ZpModule) -> list[Mat]:
     f is negligible iff tr(f u) = 0 for every u: b -> a; the radical of
     that pairing is computed on hom-space bases.
     """
-    fwd = hom_space(a, b).basis
-    bwd = hom_space(b, a).basis
-    if not fwd:
-        return []
-    field = GF(a.p)
-    gram = Mat.zeros(field, len(fwd), max(len(bwd), 1))
-    for i, f in enumerate(fwd):
-        for j, u in enumerate(bwd):
-            gram.a[i, j] = (f @ u).trace()
-    coeffs = gram.T.kernel_basis()  # columns: coefficient vectors over fwd
+    fwd, coeffs = _trace_radical(a, b)
     rad = []
     for t in range(coeffs.cols):
-        acc = Mat.zeros(field, b.dim, a.dim)
+        acc = Mat.zeros(GF(a.p), b.dim, a.dim)
         for i, f in enumerate(fwd):
             acc = acc + f.scale(int(coeffs.a[i, t]))
         rad.append(acc)
@@ -243,17 +253,11 @@ class VerHom:
 
 def ver_hom(a: ZpModule, b: ZpModule) -> VerHom:
     """The hom space of Ver_p between the images of a and b."""
-    fwd = hom_space(a, b).basis
-    bwd = hom_space(b, a).basis
+    fwd, rad_coeffs = _trace_radical(a, b)  # rad_coeffs: h x r columns
     field = GF(a.p)
     h = len(fwd)
     if h == 0:
         return VerHom(a, b, (), (), Mat.zeros(field, 0, 0))
-    gram = Mat.zeros(field, h, max(len(bwd), 1))
-    for i, f in enumerate(fwd):
-        for j, u in enumerate(bwd):
-            gram.a[i, j] = (f @ u).trace()
-    rad_coeffs = gram.T.kernel_basis()  # h x r columns
     _, proj = quotient_basis(Mat.identity(field, h), rad_coeffs)
     _, piv = rad_coeffs.T.rref()
     classes = tuple(fwd[i] for i in range(h) if i not in piv)
@@ -266,7 +270,9 @@ def ver_hom(a: ZpModule, b: ZpModule) -> VerHom:
 
 
 def _matpow(a: np.ndarray, k: int, p: int) -> np.ndarray:
-    """a^k mod p by repeated products (part of the independent anchor)."""
+    """a^k mod p by repeated products.
+
+    Correctness anchor: part of the first-row route (`_ver_cokernel`)."""
     out = np.eye(a.shape[0], dtype=np.int64)
     for _ in range(k):
         out = (out @ a) % p
@@ -290,7 +296,7 @@ class _Blocks:
         off = 0
         for s in sizes:
             blocks.append(
-                (np.arange(off, off + s, dtype=np.int64), jordan_block(p, s).a)
+                (np.arange(off, off + s, dtype=np.int64), jordan_module(p, [s]).g.a)
             )
             off += s
         return _Blocks(p, off, blocks)
@@ -328,8 +334,9 @@ def _np_kernel(a: np.ndarray, p: int) -> np.ndarray:
 
 
 class _SolveData:
-    """Precomputed exact solver for A x = b with A of full column rank
-    (part of the independent anchor route)."""
+    """Precomputed exact solver for A x = b with A of full column rank.
+
+    Correctness anchor: part of the first-row route (`_ver_cokernel`)."""
 
     __slots__ = ("top", "bottom", "rank")
 
@@ -353,8 +360,8 @@ class _SolveData:
 class _HomClasses:
     """Hom(B, J_j) modulo negligibles, in the first-row representation.
 
-    This is the independent anchor for the Jordan-normal route: it works
-    on any block-diagonal module through powers of N.  `reps` holds one
+    Correctness anchor for the Jordan-normal route: it works on any
+    block-diagonal module through powers of N.  `reps` holds one
     full-length row vector per class; `reduce` takes the first rows of
     arbitrary intertwiners into J_j and returns their class coordinates
     over `reps`.
@@ -429,7 +436,7 @@ def _ver_cokernel(
     the projection are grouped per block, ordered [w, wN, ..., wN^(j-1)]
     for the class row w.
 
-    This first-row route is the independent anchor for
+    Correctness anchor: this first-row route checks
     `_jordan_cokernel`, which `SymTower` uses; only
     `_ver_sym_power_direct` and `quotient_from_blocks` call it.
     """
@@ -465,14 +472,6 @@ def _ver_cokernel(
         else np.zeros((0, b_blk.dim), dtype=np.int64)
     )
     return tuple(sizes), q
-
-
-def _swap_np(p: int, da: int, db: int) -> np.ndarray:
-    m = np.zeros((da * db, da * db), dtype=np.int64)
-    for i in range(da):
-        for j in range(db):
-            m[j * da + i, i * db + j] = 1
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -736,18 +735,20 @@ def _jordan_cokernel(
 # ---------------------------------------------------------------------------
 
 
-class SymTower:
+class SymTower(graded.GradedTower):
     """Degree-by-degree realization of the symmetric algebra of X in Ver_p.
 
     For each degree m <= D the tower holds a literal Jordan-block
     realization V_m of S^m(X), the projection class q_m: V_(m-1) (x) X ->
     V_m, and, on demand, sections of the projections and the induced
-    multiplication classes mu_(a,b): V_a (x) V_b -> V_(a+b).  Once a
+    multiplication classes mu_(a,b): V_a (x) V_b -> V_(a+b) (the shared
+    recursion `graded.GradedTower.mu` on these sections).  Once a
     degree vanishes all higher degrees vanish (each S^m is a quotient of
     S^(m-1) (x) X), so construction stops early.
     """
 
     def __init__(self, x: VerObject, depth: int, max_entries: int | None = None):
+        graded.check_degree(depth)
         self.x = x
         self.p = x.p
         self.depth = depth
@@ -764,9 +765,8 @@ class SymTower:
                 self.zero_from = 1
         self._rel = None
         if self.nx:
-            swap = _swap_np(self.p, self.nx, self.nx)
+            swap = graded.swap(self.nx, self.nx)
             self._rel = (np.eye(self.nx * self.nx, dtype=np.int64) - swap) % self.p
-        self._blocked_cache: dict[int, _Blocks] = {}
         self._frames: dict[int, _TensorFrame] = {}
         self._sections: dict[int, np.ndarray] = {}
         self._mu: dict[tuple[int, int], np.ndarray] = {}
@@ -776,16 +776,8 @@ class SymTower:
     def dim(self, m: int) -> int:
         return sum(self.sizes[m])
 
-    def realized(self, m: int) -> _Blocks:
-        if m not in self._blocked_cache:
-            self._blocked_cache[m] = _Blocks.from_sizes(self.p, self.sizes[m])
-        return self._blocked_cache[m]
-
     def multiplicities(self, m: int) -> VerObject:
-        mult = [0] * (self.p - 1)
-        for s in self.sizes[m]:
-            mult[s - 1] += 1
-        return VerObject(self.p, tuple(mult))
+        return VerObject.from_blocks(self.p, self.sizes[m])
 
     def _frame(self, m: int) -> _TensorFrame:
         """V_m (x) X in Jordan-normal coordinates."""
@@ -860,35 +852,6 @@ class SymTower:
         self._sections[b] = s
         return s
 
-    def mu(self, a: int, b: int) -> np.ndarray:
-        """Multiplication class V_a (x) V_b -> V_(a+b), degrees a+b <= depth."""
-        if a + b > self.depth:
-            raise ValueError("product degree exceeds the tower depth")
-        if b == 0:
-            return np.eye(self.dim(a), dtype=np.int64)
-        if a == 0:
-            return np.eye(self.dim(b), dtype=np.int64)
-        key = (a, b)
-        if key in self._mu:
-            return self._mu[key]
-        if b == 1:
-            out = self.q[a + 1]
-        else:
-            # q_(a+b) . (mu_(a,b-1) (x) 1_X) . (1_(V_a) (x) s_b), contracted
-            # over V_(b-1) without forming either Kronecker product
-            prev = self.mu(a, b - 1)
-            du, da = self.dim(a + b - 1), self.dim(a)
-            db1, db = self.dim(b - 1), self.dim(b)
-            lift = np.tensordot(
-                prev.reshape(du, da, db1),
-                self.section(b).reshape(db1, self.nx, db),
-                axes=(2, 0),
-            )  # (u, i, x, l)
-            lift = lift.transpose(0, 2, 1, 3).reshape(du * self.nx, da * db) % self.p
-            out = (self.q[a + b] @ lift) % self.p
-        self._mu[key] = out
-        return out
-
     def block_offsets(self, m: int, j: int) -> list[int]:
         """Offsets of the size-j literal blocks inside V_m."""
         out = []
@@ -910,8 +873,10 @@ def ver_sym_power(
 
 def _ver_sym_power_direct(x: VerObject, m: int) -> VerObject:
     """S^m(X) by the one-shot definition: the Ver_p cokernel of the full
-    relation map (+)_(i=1..m-1) (id - swap_i) on X^(x)m.  Exponential in m;
-    kept as an independent cross-check for the degreewise recursion."""
+    relation map (+)_(i=1..m-1) (id - swap_i) on X^(x)m.  Exponential in m.
+
+    Correctness anchor: the independent cross-check for the degreewise
+    recursion of `SymTower`."""
     p = x.p
     if m == 0:
         return VerObject.unit(p)
@@ -923,7 +888,7 @@ def _ver_sym_power_direct(x: VerObject, m: int) -> VerObject:
         t_blk = t_blk.tensor(xblk)
     n = xblk.dim
     taus = []
-    swap = _swap_np(p, n, n)
+    swap = graded.swap(n, n)
     for i in range(1, m):
         tau = np.kron(
             np.eye(n ** (i - 1), dtype=np.int64),
@@ -933,10 +898,7 @@ def _ver_sym_power_direct(x: VerObject, m: int) -> VerObject:
     phi = np.hstack(taus)
     a_blk = _Blocks.disjoint_union([t_blk] * (m - 1))
     sizes, _ = _ver_cokernel(a_blk, t_blk, lambda rows: rows @ phi, None)
-    mult = [0] * (p - 1)
-    for s in sizes:
-        mult[s - 1] += 1
-    return VerObject(p, tuple(mult))
+    return VerObject.from_blocks(p, sizes)
 
 
 def quotient_from_blocks(blk: _Blocks) -> VerObject:
@@ -948,10 +910,7 @@ def quotient_from_blocks(blk: _Blocks) -> VerObject:
         lambda rows: np.zeros((rows.shape[0], 0), dtype=np.int64),
         None,
     )
-    mult = [0] * (blk.p - 1)
-    for s in sizes:
-        mult[s - 1] += 1
-    return VerObject(blk.p, tuple(mult))
+    return VerObject.from_blocks(blk.p, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -990,11 +949,7 @@ def sym_alg_series(
     finite = tower.zero_from is not None
     if finite:
         assert x.mult_of(1) == 0, "a trivial summand cannot vanish in S(X)"
-    total = None
-    if finite:
-        total = VerObject.zero(x.p)
-        for d in degrees:
-            total = total + d
+    total = sum(degrees, VerObject.zero(x.p)) if finite else None
     return MultSeries(x.p, degrees, finite, total)
 
 
@@ -1012,11 +967,7 @@ def series_product(s: MultSeries, t: MultSeries) -> MultSeries:
             acc = acc + fusion(s[a], t[m - a])
         degrees.append(acc)
     finite = s.finite and t.finite
-    total = None
-    if finite:
-        total = VerObject.zero(p)
-        for d in degrees:
-            total = total + d
+    total = sum(degrees, VerObject.zero(p)) if finite else None
     return MultSeries(p, tuple(degrees), finite, total)
 
 

@@ -92,6 +92,54 @@ class TestExitCodes:
         assert code == EXIT_BUDGET
         assert "budget" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sympow", "--p", "5", "--object", "L2", "--degree", "-1"],
+            [
+                "sympow", "--p", "5", "--object", "L2",
+                "--ambient", "repzp", "--degree", "-2",
+            ],
+            ["symalg", "--p", "5", "--object", "L2", "--max-degree", "-1"],
+            ["svec2", "sympow", "--module", "W", "--degree", "-1"],
+            ["svec2", "fourth-power", "--module", "W", "--max-degree", "-1"],
+            ["svec2", "injectivity", "--sub", "y", "--amb", "W", "--max-degree", "-1"],
+            ["verify", "--suite", "char0", "--max-degree", "-1"],
+        ],
+        ids=[
+            "sympow",
+            "sympow-repzp",
+            "symalg",
+            "svec2-sympow",
+            "svec2-fourth-power",
+            "svec2-injectivity",
+            "verify",
+        ],
+    )
+    def test_negative_degree_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == "" and "nonnegative" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["svec2", "fourth-power", "--module", "W"],
+            ["svec2", "injectivity", "--sub", "y", "--amb", "W", "--max-degree", "5"],
+            ["verify", "--suite", "svec2"],
+        ],
+        ids=["fourth-power", "injectivity", "verify-svec2"],
+    )
+    def test_svec2_budget_exceeded(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--max-entries", "10")
+        assert code == EXIT_BUDGET
+        assert "budget" in err
+
+    def test_svec2_verify_suite_passes(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "svec2")
+        assert code == EXIT_OK
+        assert out.strip().endswith("19/19 checks passed")
+
     def test_check_failure_via_mutation(self, capsys):
         code, out, _ = run(
             capsys,

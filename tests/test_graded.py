@@ -1,0 +1,103 @@
+"""The shared graded engine: one swap for every braiding, powers by
+repeated squaring, and degree validation at every tower entry point."""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from vercat import graded, repzp, svec2
+from vercat.invariants import build_invariant_algebra
+from vercat.verlinde import SymTower, VerObject
+
+
+class TestSwap:
+    def test_sends_v_w_to_w_v(self):
+        rng = np.random.default_rng(0)
+        for da, db in [(1, 3), (2, 3), (3, 2), (4, 4)]:
+            v, w = rng.integers(0, 7, da), rng.integers(0, 7, db)
+            assert np.array_equal(graded.swap(da, db) @ np.kron(v, w), np.kron(w, v))
+
+    def test_repzp_svec2_and_symtower_share_it(self):
+        for da, db in [(1, 1), (2, 3), (3, 2), (4, 4)]:
+            s = graded.swap(da, db)
+            a, b = repzp.jordan_module(5, [da]), repzp.jordan_module(5, [db])
+            assert np.array_equal(repzp.braiding(a, b).a, s)
+            # at d = 0 the sVec_2 braiding is the plain swap
+            c = svec2.braiding(svec2.trivial(da), svec2.trivial(db))
+            assert np.array_equal(c.a, s)
+        for p, mult in [(5, (1, 1, 0, 0)), (7, (0, 1, 1, 0, 0, 0))]:
+            tw = SymTower(VerObject(p, mult), 2)
+            eye = np.eye(tw.nx**2, dtype=np.int64)
+            assert np.array_equal(tw._rel, (eye - graded.swap(tw.nx, tw.nx)) % p)
+
+
+class TestQuotientTower:
+    def test_lift_splits_and_relations_vanish(self):
+        n = 3
+        w1 = svec2.direct_sum(svec2.module_w(), svec2.trivial(1))
+        eye = np.eye(n * n, dtype=np.int64)
+        rels = [
+            (5, (eye - graded.swap(n, n)) % 5),
+            (2, (eye + svec2.braiding(w1, w1).a) % 2),
+        ]
+        for p, rel in rels:
+            q, lift = graded.quotient_tower(rel, n, 5, p)
+            for m in range(6):
+                assert np.array_equal(q[m] @ lift[m] % p, np.eye(q[m].shape[0])), (p, m)
+            for m in range(2, 6):
+                du = q[m - 2].shape[0]
+                rho = np.kron(q[m - 1], np.eye(n, dtype=np.int64)) @ np.kron(
+                    np.eye(du, dtype=np.int64), rel
+                )
+                assert not (q[m] @ rho % p).any(), (p, m)
+            # 1 - swap gives the classical binomial dimensions; the sVec_2
+            # relations of W + 1 give 2m + 1 (y^2 = 0 in every degree)
+            dims = [qm.shape[0] for qm in q]
+            if p == 5:
+                assert dims == [math.comb(m + 2, 2) for m in range(6)]
+            else:
+                assert dims == [1, 3, 5, 7, 9, 11]
+
+
+class TestPower:
+    def test_svec2_power_is_iterated_mul(self):
+        alg = svec2.sym_algebra(svec2.direct_sum(svec2.module_w(), svec2.trivial(1)), 8)
+        rng = random.Random(11)
+        for _ in range(10):
+            u = alg.random_element(rng, 1)
+            acc = alg.one()
+            for k in range(10):
+                assert alg.equal(alg.power(u, k), acc), k
+                acc = alg.mul(acc, u)
+
+    def test_invariant_power_is_iterated_mul(self):
+        alg = build_invariant_algebra(VerObject(5, (1, 1, 0, 0)), 10)
+        rng = random.Random(12)
+        for _ in range(10):
+            u = alg.random_element(rng, 2)
+            acc = alg.one()
+            for k in range(10):
+                assert alg.equal(alg.power(u, k), acc), k
+                acc = alg.mul_elems(acc, u)
+
+    def test_negative_exponent_rejected(self):
+        alg = svec2.sym_algebra(svec2.module_w(), 4)
+        with pytest.raises(ValueError):
+            alg.power(alg.one(), -1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SymTower(VerObject.simple(5, 2), -1),
+        lambda: repzp.sym_power(repzp.jordan_module(5, [2]), -1),
+        lambda: svec2.DGradedAlgebra(svec2.module_w(), -1),
+        lambda: svec2.DGradedAlgebra(svec2.trivial(0), -1),
+    ],
+    ids=["SymTower", "sym_power", "DGradedAlgebra", "DGradedAlgebra-zero"],
+)
+def test_negative_degree_rejected(build):
+    with pytest.raises(ValueError, match="nonnegative"):
+        build()

@@ -24,7 +24,6 @@ from vercat.repzp import (
     jordan_type,
     sym_power,
     tensor,
-    tensor_power_apply,
     trivial_module,
 )
 
@@ -268,8 +267,10 @@ class TestSymPower:
             mod = jordan_module(p, [n])
             s, proj = sym_power(mod, m)
             assert proj.rank() == s.dim
-            lhs = tensor_power_apply(mod.g.T, m, proj.T).T
-            assert lhs == s.g @ proj
+            g_m = np.ones((1, 1), dtype=np.int64)
+            for _ in range(m):
+                g_m = np.kron(g_m, mod.g.a)
+            assert proj @ Mat(GF(p), g_m) == s.g @ proj
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from vercat import svec2
 from vercat.exactlin import Mat
 from vercat.repzp import hom_space, jordan_module, jordan_type, tensor, trivial_module
 from vercat.verlinde import (
@@ -434,11 +435,7 @@ class TestClassicalPlethysm:
 
 
 def _g_full(tw, m):
-    blk = tw.realized(m)
-    g = np.zeros((blk.dim, blk.dim), dtype=np.int64)
-    for idx, gb in blk.blocks:
-        g[np.ix_(idx, idx)] = gb
-    return g
+    return jordan_module(tw.p, tw.sizes[m]).g.a
 
 
 def _assert_mu_intertwines(tw, pairs):
@@ -474,15 +471,20 @@ class TestSymTowerInternals:
         _assert_sections_split(SymTower(L(11, 3) + L(11, 5), 4))
 
     def test_mu_matches_kron_formula(self):
-        # mu(a, b) = q_(a+b) (mu(a, b-1) (x) 1) (1 (x) s_b), entry for entry
-        tw = SymTower(VerObject(7, (1, 0, 1, 0, 0, 0)), 5)
-        for a, b in [(1, 2), (2, 2), (1, 3), (2, 3), (1, 4)]:
-            kron = (
-                tw.q[a + b]
-                @ np.kron(tw.mu(a, b - 1), np.eye(tw.nx, dtype=np.int64))
-                @ np.kron(np.eye(tw.dim(a), dtype=np.int64), tw.section(b))
-            ) % tw.p
-            assert np.array_equal(tw.mu(a, b), kron), (a, b)
+        # mu(a, b) = q_(a+b) (mu(a, b-1) (x) 1) (1 (x) s_b), entry for entry,
+        # for the Ver_p tower and for the sVec_2 algebra (s_b = lift_b)
+        towers = [
+            SymTower(VerObject(7, (1, 0, 1, 0, 0, 0)), 5),
+            svec2.sym_algebra(svec2.direct_sum(svec2.module_w(), svec2.trivial(1)), 5),
+        ]
+        for tw in towers:
+            for a, b in [(1, 2), (2, 2), (1, 3), (2, 3), (1, 4)]:
+                kron = (
+                    tw.q[a + b]
+                    @ np.kron(tw.mu(a, b - 1), np.eye(tw.nx, dtype=np.int64))
+                    @ np.kron(np.eye(tw.dim(a), dtype=np.int64), tw.section(b))
+                ) % tw.p
+                assert np.array_equal(tw.mu(a, b), kron), (type(tw).__name__, a, b)
 
 
 class TestPairBasis:
