@@ -212,12 +212,15 @@ class Report:
             print(f"[{mark}] {c['name']}{details}", file=out)
 
 
+CSV_ONLY_FOR_SERIES = "--format csv is only available for series tables"
+
+
 def emit(report: Report, fmt: str, csv_rows: list[list] | None = None) -> None:
     if fmt == "json":
         print(report.to_json())
     elif fmt == "csv":
         if csv_rows is None:
-            raise UsageError("--format csv is only available for series tables")
+            raise UsageError(CSV_ONLY_FOR_SERIES)
         for row in csv_rows:
             print(",".join(str(x) for x in row))
     else:
@@ -481,6 +484,8 @@ def cmd_svec2(args) -> int:
             emit(report, args.format)
         return EXIT_OK
     if args.svec2_command == "fourth-power":
+        if args.max_degree < 4 or args.trials < 1:
+            raise UsageError("fourth-power needs --max-degree >= 4 and --trials >= 1")
         mod = parse_dmodule_spec(args.module)
         rep = sv.fourth_power_checks(
             mod, args.max_degree, args.trials, args.seed, args.max_entries
@@ -786,12 +791,12 @@ def suite_svec2(report: Report, seed: int, max_entries) -> None:
         mods = []
         for dim in dims:
             while True:
-                d = Mat(
-                    GF(2),
+                d = np.array(
                     [[rng.randrange(2) for _ in range(dim)] for _ in range(dim)],
+                    dtype=np.int64,
                 )
-                if (d @ d).is_zero():
-                    mods.append(sv.DModule(dim, d))
+                if not (d @ d % 2).any():
+                    mods.append(sv.DModule(dim, Mat(GF(2), d)))
                     break
         a, b = mods
         if not (
@@ -848,6 +853,8 @@ def suite_char0(report: Report, max_degree: int) -> None:
 
 
 def cmd_verify(args) -> int:
+    if args.format == "csv":
+        raise UsageError(CSV_ONLY_FOR_SERIES)
     report = Report(
         "verify",
         {
@@ -863,6 +870,8 @@ def cmd_verify(args) -> int:
         if args.suite == "all"
         else [args.suite]
     )
+    if "char0" in suites and args.max_degree < 3:
+        raise UsageError("the char0 suite needs --max-degree >= 3")
     for name in suites:
         if name == "fusion":
             suite_fusion(report, args.p_max, args.seed, args.mutate)
@@ -879,13 +888,10 @@ def cmd_verify(args) -> int:
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        report.print_human()
-        total = len(report.checks)
+    emit(report, args.format)
+    if args.format == "table":
         passed = sum(1 for c in report.checks if c["passed"])
-        print(f"{passed}/{total} checks passed")
+        print(f"{passed}/{len(report.checks)} checks passed")
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 

@@ -1,8 +1,12 @@
 """Field-generic exact dense linear algebra over GF(p) and over Q.
 
-Matrices over GF(p) are stored as least nonnegative residues in int64
-arrays; matrices over the rationals hold `fractions.Fraction` entries in
-object arrays.  Every operation is exact and deterministic.
+All linear algebra of the package is done by the array functions
+`rref`, `rank`, `kernel`, `solve_array` and `cokernel`.  Each takes the
+characteristic p, with p = 0 meaning Q: int64 residues over GF(p),
+`fractions.Fraction` entries in object arrays over Q.  `rref` is the one
+place that picks the elimination routine for a field.  `Mat` is the
+checked public type; its elimination methods delegate to the array
+functions.  Every operation is exact and deterministic.
 
 GF(p) is accepted only for p <= MAX_PRIME = 65537.  Then (p-1)^2 <= 2^32,
 so a dot product of fewer than 2^31 residues, and hence every int64
@@ -128,8 +132,11 @@ def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return r, pivots
 
 
+_fractions = np.frompyfunc(Fraction, 1, 1)
+
+
 def _rref_frac(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    r = a.copy()
+    r = _fractions(a)
     rows, cols = r.shape
     pivots: list[int] = []
     lead = 0
@@ -155,21 +162,82 @@ def _rref_frac(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return r, pivots
 
 
-def _kernel_from_rref(r: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """Columns spanning the null space, from a reduced echelon form."""
-    cols = r.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
+def _zeros(rows: int, cols: int, p: int) -> np.ndarray:
     if p:
-        k = np.zeros((cols, len(free)), dtype=np.int64)
-    else:
-        k = np.full((cols, len(free)), Fraction(0), dtype=object)
-    one = 1 if p else Fraction(1)
-    for t, f in enumerate(free):
-        k[f, t] = one
-        for row, pc in enumerate(pivots):
-            v = r[row, f]
-            k[pc, t] = (-v) % p if p else -v
+        return np.zeros((rows, cols), dtype=np.int64)
+    return np.full((rows, cols), Fraction(0), dtype=object)
+
+
+def _free(cols: int, pivots: list[int]) -> list[int]:
+    """The non-pivot columns, ascending."""
+    piv = set(pivots)
+    return [c for c in range(cols) if c not in piv]
+
+
+def _kernel_from_rref(r: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """Columns spanning the null space, from a reduced echelon form.
+
+    Column t is the unit vector at the t-th free column minus that
+    column's entries at the pivot rows.  Read as rows, the same matrix
+    projects onto the non-pivot coordinates along the row span of r,
+    which is how `cokernel` uses it.
+    """
+    cols = r.shape[1]
+    free = _free(cols, pivots)
+    k = _zeros(cols, len(free), p)
+    if free:
+        k[free, range(len(free))] = 1 if p else Fraction(1)
+        block = -r[: len(pivots), free]
+        k[pivots] = block % p if p else block
     return k
+
+
+def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of `a` over GF(p), or over Q when p = 0,
+    and its pivot columns.  The input is not modified; over Q its entries
+    may be ints or Fractions."""
+    if p:
+        return _rref_mod(a, p)
+    return _rref_frac(a)
+
+
+def rank(a: np.ndarray, p: int) -> int:
+    return len(rref(a, p)[1])
+
+
+def kernel(a: np.ndarray, p: int) -> np.ndarray:
+    """Columns spanning ker(a): a @ kernel(a, p) == 0 exactly."""
+    r, piv = rref(a, p)
+    return _kernel_from_rref(r, piv, p)
+
+
+def solve_array(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
+    """Exact solution X of a @ X = b, or None if the system is inconsistent.
+
+    When the solution is not unique the free variables are set to zero,
+    which makes the output deterministic.
+    """
+    if a.shape[0] != b.shape[0]:
+        raise ValueError("row count mismatch")
+    cols = a.shape[1]
+    r, piv = rref(np.hstack([a, b]), p)
+    if piv and piv[-1] >= cols:
+        return None
+    x = _zeros(cols, b.shape[1], p)
+    x[piv] = r[: len(piv), cols:]
+    return x
+
+
+def cokernel(rel: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Projection onto the quotient by the column span of `rel`.
+
+    Returns (q, free): q @ rel = 0, q has full row rank, and q restricted
+    to the coordinates `free` is the identity, so the unit vectors at
+    `free` are coset representatives.  The kept coordinates are the
+    non-pivot columns of rref(rel^T), so the choice is deterministic.
+    """
+    r, piv = rref(rel.T, p)
+    return _kernel_from_rref(r, piv, p).T, _free(rel.shape[0], piv)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +267,7 @@ class Mat:
             a = np.asarray(entries, dtype=object)
             if a.ndim != 2:
                 raise ValueError("matrix entries must be 2-dimensional")
-            self.a = np.vectorize(Fraction, otypes=[object])(a) if a.size else a
+            self.a = _fractions(a)
         if self.a.dtype != np.int64 and field.is_modular:
             raise ValueError("modular matrices must be integer valued")
 
@@ -207,26 +275,18 @@ class Mat:
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Mat":
-        if field.is_modular:
-            return Mat(field, np.zeros((rows, cols), dtype=np.int64))
-        return Mat(field, np.full((rows, cols), Fraction(0), dtype=object))
+        return Mat(field, _zeros(rows, cols, field.characteristic))
 
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
         m = Mat.zeros(field, n, n)
-        for i in range(n):
-            m.a[i, i] = 1 if field.is_modular else Fraction(1)
+        np.fill_diagonal(m.a, 1 if field.is_modular else Fraction(1))
         return m
 
     @staticmethod
     def hstack(mats: list["Mat"]) -> "Mat":
         f = mats[0].field
         return Mat(f, np.hstack([m.a for m in mats]))
-
-    @staticmethod
-    def vstack(mats: list["Mat"]) -> "Mat":
-        f = mats[0].field
-        return Mat(f, np.vstack([m.a for m in mats]))
 
     # -- basic structure ----------------------------------------------------
 
@@ -313,31 +373,23 @@ class Mat:
         k = np.kron(self.a, other.a)
         return Mat(self.field, k % p if p else k)
 
-    # -- elimination --------------------------------------------------------
+    # -- elimination (delegated to the array functions) ----------------------
 
     def rref(self) -> tuple["Mat", list[int]]:
         """Reduced row echelon form and its pivot columns."""
-        p = self.field.characteristic
-        if p:
-            r, piv = _rref_mod(self.a, p)
-        else:
-            r, piv = _rref_frac(self.a)
+        r, piv = rref(self.a, self.field.characteristic)
         return Mat(self.field, r), piv
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return rank(self.a, self.field.characteristic)
 
     def kernel_basis(self) -> "Mat":
         """Columns spanning ker(self); self @ result == 0 exactly."""
-        p = self.field.characteristic
-        r, piv = self.rref()
-        k = _kernel_from_rref(r.a, piv, p)
-        return Mat(self.field, k)
+        return Mat(self.field, kernel(self.a, self.field.characteristic))
 
     def image_basis(self) -> "Mat":
         """Columns of self forming a basis of the column span."""
-        _, piv = self.rref()
-        return Mat(self.field, self.a[:, piv].copy())
+        return Mat(self.field, self.a[:, rref(self.a, self.field.characteristic)[1]])
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
@@ -349,22 +401,10 @@ class Mat:
 
 
 def solve(a: Mat, b: Mat) -> Mat | None:
-    """Exact solution X of a @ X = b, or None if the system is inconsistent.
-
-    When the solution is not unique the free variables are set to zero,
-    which makes the output deterministic.
-    """
+    """`solve_array` on checked matrices of one field."""
     a._check_same_field(b)
-    if a.rows != b.rows:
-        raise ValueError("row count mismatch")
-    aug = Mat.hstack([a, b])
-    r, piv = aug.rref()
-    if any(c >= a.cols for c in piv):
-        return None
-    x = Mat.zeros(a.field, a.cols, b.cols)
-    for row, pc in enumerate(piv):
-        x.a[pc] = r.a[row, a.cols:]
-    return x
+    x = solve_array(a.a, b.a, a.field.characteristic)
+    return None if x is None else Mat(a.field, x)
 
 
 def quotient_basis(v: Mat, w: Mat) -> tuple[Mat, Mat]:
@@ -374,25 +414,15 @@ def quotient_basis(v: Mat, w: Mat) -> tuple[Mat, Mat]:
     space).  Raises ValueError when span(w) is not contained in span(v).
     Returns (representatives, projection): representatives are ambient
     columns; projection maps v-coordinates onto quotient coordinates and
-    kills the w-coordinates.  Quotient coordinates are read off the
-    non-pivot positions of the rref of w expressed in v's basis, so the
-    choice is deterministic.
+    kills the w-coordinates (`cokernel` of w in v's basis).
     """
     v._check_same_field(w)
-    c = solve(v, w)
+    p = v.field.characteristic
+    c = solve_array(v.a, w.a, p)
     if c is None:
         raise ValueError("w is not contained in the span of v")
-    r, piv = c.T.rref()
-    nonpiv = [i for i in range(v.cols) if i not in piv]
-    reps = Mat(v.field, v.a[:, nonpiv].copy())
-    proj = Mat.zeros(v.field, len(nonpiv), v.cols)
-    p = v.field.characteristic
-    for t, f in enumerate(nonpiv):
-        proj.a[t, f] = 1 if p else Fraction(1)
-        for row, pc in enumerate(piv):
-            val = r.a[row, f]
-            proj.a[t, pc] = (-val) % p if p else -val
-    return reps, proj
+    proj, free = cokernel(c, p)
+    return Mat(v.field, v.a[:, free]), Mat(v.field, proj)
 
 
 def nilpotent_partition(n: Mat) -> tuple[int, ...]:
@@ -405,20 +435,22 @@ def nilpotent_partition(n: Mat) -> tuple[int, ...]:
     """
     if n.rows != n.cols:
         raise ValueError("nilpotent_partition requires a square matrix")
-    dim = n.rows
+    a, p, dim = n.a, n.field.characteristic, n.rows
     if dim == 0:
         return ()
     ranks = [dim]
-    basis = n.image_basis()
-    ranks.append(basis.cols)
-    while basis.cols > 0:
+    basis = a[:, rref(a, p)[1]]
+    ranks.append(basis.shape[1])
+    while basis.shape[1] > 0:
         if len(ranks) > dim + 1:
             raise ValueError("matrix is not nilpotent")
-        nxt = (n @ basis).image_basis()
-        if nxt.cols == basis.cols:
+        prod = a @ basis
+        prod = prod % p if p else prod
+        nxt = prod[:, rref(prod, p)[1]]
+        if nxt.shape[1] == basis.shape[1]:
             raise ValueError("matrix is not nilpotent")
         basis = nxt
-        ranks.append(basis.cols)
+        ranks.append(basis.shape[1])
     parts: list[int] = []
     ranks.append(0)
     for k in range(1, len(ranks) - 1):

@@ -27,7 +27,7 @@ import random
 
 import numpy as np
 
-from .exactlin import _rref_mod
+from .exactlin import cokernel
 
 Elem = dict[int, np.ndarray]
 
@@ -60,7 +60,7 @@ def quotient_tower(
     S^(m-1) (x) X onto S^m and lift[m] holds coset representatives, unit
     columns with q[m] @ lift[m] = 1.  Quotient coordinates are the
     non-pivot positions of the reduced echelon form of the relation
-    span, so the choice is deterministic.
+    span, so the choice is deterministic (`exactlin.cokernel`).
     """
     one = np.ones((1, 1), dtype=np.int64)
     q, lift = [one], [one]
@@ -72,12 +72,7 @@ def quotient_tower(
         dv, du = q[m - 1].shape[0], q[m - 2].shape[0]
         rho = np.tensordot(q[m - 1].reshape(dv, du, n), rel3, axes=(2, 0))
         rho = rho.transpose(0, 2, 1, 3).reshape(dv * n, du * n * n) % p
-        r, piv = _rref_mod(rho.T, p)  # rows span the relation image
-        pivots = set(piv)
-        free = [c for c in range(dv * n) if c not in pivots]
-        qm = np.zeros((len(free), dv * n), dtype=np.int64)
-        qm[np.arange(len(free)), free] = 1
-        qm[:, piv] = (-r[: len(piv), free].T) % p
+        qm, free = cokernel(rho, p)
         q.append(qm)
         lift.append(np.eye(dv * n, dtype=np.int64)[:, free])
     return q, lift

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import graded
-from .exactlin import GF, Mat, RATIONALS
+from .exactlin import kernel, rank
 from .repzp import jordan_module
 from .verlinde import SymTower, VerObject, ver_sym_power
 
@@ -49,7 +49,6 @@ class InvariantAlgebra(graded.TruncatedAlgebra):
         self.p = x.p
         self.depth = depth
         self.tower = SymTower(x, depth, max_entries)
-        self._field = GF(self.p)
         self._inv_offsets: list[list[int]] = []
         rng = random.Random(basis_seed) if basis_seed is not None else None
         for m in range(depth + 1):
@@ -140,18 +139,11 @@ def generator_degrees(alg: InvariantAlgebra) -> list[tuple[int, int]]:
     out = []
     for m in range(alg.depth + 1):
         dim = alg.inv_dim(m)
-        if m == 0:
-            out.append((0, dim))
+        if m == 0 or dim == 0:
+            out.append((m, dim))
             continue
-        rows = []
-        for a in range(1, m):
-            table = alg.product_table(a, m - a)
-            rows.extend(
-                table[k, l]
-                for k in range(alg.inv_dim(a))
-                for l in range(alg.inv_dim(m - a))
-            )
-        new = dim - (Mat(alg._field, rows).rank() if rows else 0)
+        rows = [alg.product_table(a, m - a).reshape(-1, dim) for a in range(1, m)]
+        new = dim - (rank(np.vstack(rows), alg.p) if rows else 0)
         out.append((m, new))
     return out
 
@@ -169,7 +161,6 @@ def module_finiteness_check(
     """
     alg = InvariantAlgebra(x, depth, max_entries)
     p = alg.p
-    field = alg._field
     selected: list[tuple[int, int]] = []
     # per (degree, type): list of selected class-coordinate vectors
     chosen: dict[tuple[int, int], list[np.ndarray]] = {}
@@ -195,15 +186,14 @@ def module_finiteness_check(
                         h = (mu @ np.kron(phi, psi)) % p
                         rows.append(alg.iso_class_of(m, i, h))
             span_rows = [r for r in rows if np.any(r)]
-            rank = Mat(field, span_rows).rank() if span_rows else 0
+            span_rank = rank(np.asarray(span_rows), p) if span_rows else 0
             for k in range(dim_mi):
                 e = np.zeros(dim_mi, dtype=np.int64)
                 e[k] = 1
                 trial_rows = span_rows + [e]
-                trial = Mat(field, np.asarray(trial_rows, dtype=np.int64))
-                if trial.rank() > rank:
+                if rank(np.asarray(trial_rows), p) > span_rank:
                     span_rows = trial_rows
-                    rank += 1
+                    span_rank += 1
                     selected.append((m, i))
                     chosen.setdefault((m, i), []).append(e)
     window = -(-depth // 3)  # ceil
@@ -377,18 +367,15 @@ def char0_counterexample(depth: int) -> list[tuple[int, int]]:
         even = [m for m in basis if parity(m) == 0]
         # the derivation preserves total degree (x, y, z all have degree 1)
         # and maps the even part into the odd part of the same degree
-        target = basis
-        dmat = Mat.zeros(RATIONALS, len(target), len(even))
+        dmat = np.full((len(basis), len(even)), Fraction(0), dtype=object)
         for c, mono in enumerate(even):
             a, e, dz = mono
             if a >= 1 and e == 0:
-                img = (a - 1, 1, dz)
-                dmat.a[target.index(img), c] = Fraction(a)
-        ker = dmat.kernel_basis()
-        vecs = []
-        for t in range(ker.cols):
-            vecs.append({even[r]: ker.a[r, t] for r in range(len(even)) if ker.a[r, t] != 0})
-        inv_bases.append(vecs)
+                dmat[basis.index((a - 1, 1, dz)), c] = Fraction(a)
+        ker = kernel(dmat, 0)  # over Q
+        inv_bases.append(
+            [{even[r]: col[r] for r in range(len(even)) if col[r] != 0} for col in ker.T]
+        )
 
     def mul_vec(u: dict, v: dict) -> dict:
         out: dict = {}
@@ -414,6 +401,6 @@ def char0_counterexample(depth: int) -> list[tuple[int, int]]:
                 for v in inv_bases[d - a]:
                     w = mul_vec(u, v)
                     rows.append([w.get(m, Fraction(0)) for m in basis_d])
-        new = dim - (Mat(RATIONALS, rows).rank() if rows else 0)
+        new = dim - (rank(np.array(rows, dtype=object), 0) if rows else 0)
         counts.append((d, new))
     return counts

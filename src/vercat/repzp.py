@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactlin import GF, Mat, check_budget, nilpotent_partition
+from .exactlin import GF, Mat, check_budget, kernel, nilpotent_partition
 from .graded import check_degree, quotient_tower, swap
 
 
@@ -143,22 +143,24 @@ def braiding(a: ZpModule, b: ZpModule) -> Mat:
     return Mat(GF(a.p), swap(a.dim, b.dim))
 
 
-def hom_space(a: ZpModule, b: ZpModule) -> HomSpace:
-    """All intertwiners T with T g_a = g_b T, as a basis of matrices.
+def hom_stack(a: ZpModule, b: ZpModule) -> np.ndarray:
+    """A basis of the intertwiners T with T g_a = g_b T, stacked as an
+    (h x b.dim x a.dim) array.
 
     T is flattened row-major; the intertwining condition becomes
     (I (x) g_a^T - g_b (x) I) vec(T) = 0.
     """
     _check_same_prime(a, b)
-    f = a.g.field
-    ib = Mat.identity(f, b.dim)
-    ia = Mat.identity(f, a.dim)
-    system = ib.kron(a.g.T) - b.g.kron(ia)
-    ker = system.kernel_basis()
-    basis = tuple(
-        Mat(f, ker.a[:, t].reshape(b.dim, a.dim).copy()) for t in range(ker.cols)
+    system = np.kron(np.eye(b.dim, dtype=np.int64), a.g.a.T) - np.kron(
+        b.g.a, np.eye(a.dim, dtype=np.int64)
     )
-    return HomSpace(a, b, basis)
+    k = kernel(system, a.p)
+    return k.T.reshape(k.shape[1], b.dim, a.dim)
+
+
+def hom_space(a: ZpModule, b: ZpModule) -> HomSpace:
+    """All intertwiners a -> b, as a basis of matrices."""
+    return HomSpace(a, b, tuple(Mat(GF(a.p), t) for t in hom_stack(a, b)))
 
 
 def fixed_points(m: ZpModule) -> Mat:
@@ -188,6 +190,7 @@ def sym_power(
     g = np.ones((1, 1), dtype=np.int64)
     proj = np.ones((1, 1), dtype=np.int64)  # X^(x)k -> S^k
     for k in range(1, degree + 1):
+        check_budget(q[k].shape[0] * n**k, max_entries, f"projection onto S^{k}")
         g = (q[k] @ (np.kron(g, m.g.a) @ lift[k] % p)) % p
         # proj_k = q_k (proj_(k-1) (x) 1_X): contract without the big kron
         q3 = q[k].reshape(q[k].shape[0], proj.shape[0], n)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graded
-from .exactlin import GF, Mat, _rref_mod, check_budget
+from .exactlin import GF, Mat, check_budget, kernel, rank
 
 GF2 = GF(2)
 
@@ -152,19 +152,20 @@ def injectivity_check(
     on symmetric powers are compared degree by degree against the source
     dimensions.
     """
-    if inclusion.rows != w.dim or inclusion.cols != u.dim:
-        raise ValueError("inclusion shape mismatch")
-    if not (inclusion @ u.d - w.d @ inclusion).is_zero():
+    incl = inclusion.a
+    if inclusion.field != GF2 or incl.shape != (w.dim, u.dim):
+        raise ValueError("inclusion must be a GF(2) matrix from U to W")
+    if ((incl @ u.d.a - w.d.a @ incl) % 2).any():
         raise ValueError("inclusion is not an intertwiner of d")
-    if inclusion.rank() != u.dim:
+    if rank(incl, 2) != u.dim:
         raise ValueError("inclusion is not injective")
     su = sym_algebra(u, depth, max_entries)
     sw = sym_algebra(w, depth, max_entries)
     f = np.ones((1, 1), dtype=np.int64)
     for m in range(1, depth + 1):
         # S^m(U) -> S^m(W) is q_m (f_(m-1) (x) inclusion) lift_m
-        f = (sw.q[m] @ np.kron(f, inclusion.a) @ su.lift[m]) % 2
-        if len(_rref_mod(f, 2)[1]) < su.dims[m]:
+        f = (sw.q[m] @ np.kron(f, incl) @ su.lift[m]) % 2
+        if rank(f, 2) < su.dims[m]:
             return m
     return None
 
@@ -176,7 +177,7 @@ def invariants_d(alg: DGradedAlgebra) -> list[Mat]:
     so the invariant part of each degree is ker(d); it is closed under
     products by the derivation rule.
     """
-    return [Mat(GF2, d).kernel_basis() for d in alg.dmat]
+    return [Mat(GF2, kernel(d, 2)) for d in alg.dmat]
 
 
 def fourth_power_checks(
@@ -194,6 +195,8 @@ def fourth_power_checks(
     """
     if depth < 4:
         raise ValueError("truncation must admit at least one fourth power")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     alg = sym_algebra(x, depth, max_entries)
     max_deg = depth // 4
     names = [

@@ -48,17 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactlin import (
-    GF,
-    Mat,
-    _kernel_from_rref,
-    _rref_mod,
-    check_budget,
-    quotient_basis,
-    solve,
-)
+from .exactlin import GF, Mat, check_budget, cokernel, kernel, rref, solve_array
 from . import graded
-from .repzp import ZpModule, hom_space, jordan_module, jordan_type
+from .repzp import ZpModule, hom_stack, jordan_module, jordan_type
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +183,19 @@ def quotient(m: ZpModule) -> VerObject:
 # ---------------------------------------------------------------------------
 
 
-def _trace_radical(a: ZpModule, b: ZpModule) -> tuple[tuple[Mat, ...], Mat]:
-    """A basis of Hom(a, b) and, as coefficient columns over it, a basis
-    of the radical of the trace pairing (f, u) -> tr(f u), u: b -> a."""
-    fwd = hom_space(a, b).basis
-    bwd = hom_space(b, a).basis
-    gram = Mat.zeros(GF(a.p), len(fwd), max(len(bwd), 1))
-    for i, f in enumerate(fwd):
-        for j, u in enumerate(bwd):
-            gram.a[i, j] = (f @ u).trace()
-    return fwd, gram.T.kernel_basis()
+def _trace_gram(fwd: np.ndarray, bwd: np.ndarray, p: int) -> np.ndarray:
+    """gram[i, j] = tr(fwd[i] bwd[j]) for stacked maps fwd (h x b x a) and
+    bwd (h' x a x b)."""
+    return np.einsum("ikl,jlk->ij", fwd, bwd) % p
+
+
+def _trace_radical(a: ZpModule, b: ZpModule) -> tuple[np.ndarray, np.ndarray]:
+    """A basis of Hom(a, b), stacked as (h x b.dim x a.dim), and, as
+    coefficient columns over it, a basis of the radical of the trace
+    pairing (f, u) -> tr(f u), u: b -> a."""
+    fwd = hom_stack(a, b)
+    gram = _trace_gram(fwd, hom_stack(b, a), a.p)
+    return fwd, kernel(gram.T, a.p)
 
 
 def negligible_radical(a: ZpModule, b: ZpModule) -> list[Mat]:
@@ -210,13 +205,8 @@ def negligible_radical(a: ZpModule, b: ZpModule) -> list[Mat]:
     that pairing is computed on hom-space bases.
     """
     fwd, coeffs = _trace_radical(a, b)
-    rad = []
-    for t in range(coeffs.cols):
-        acc = Mat.zeros(GF(a.p), b.dim, a.dim)
-        for i, f in enumerate(fwd):
-            acc = acc + f.scale(int(coeffs.a[i, t]))
-        rad.append(acc)
-    return rad
+    rad = np.tensordot(coeffs.T, fwd, axes=1) % a.p
+    return [Mat(GF(a.p), f) for f in rad]
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,8 +216,8 @@ class VerHom:
     source: ZpModule
     target: ZpModule
     classes: tuple[Mat, ...]
-    _hom_basis: tuple[Mat, ...]
-    _class_proj: Mat  # hom coordinates -> class coordinates
+    _hom_basis: np.ndarray  # h x b.dim x a.dim
+    _class_proj: np.ndarray  # hom coordinates -> class coordinates
 
     @property
     def dim(self) -> int:
@@ -235,33 +225,19 @@ class VerHom:
 
     def reduce(self, f: Mat) -> tuple[int, ...]:
         """Coordinates of the class of f over the chosen class basis."""
-        if not self._hom_basis:
-            if not f.is_zero():
-                raise ValueError("f is not an intertwiner")
-            return ()
-        field = f.field
-        stacked = Mat(
-            field,
-            np.column_stack([h.a.reshape(-1) for h in self._hom_basis]),
-        )
-        coords = solve(stacked, Mat(field, f.a.reshape(-1, 1)))
+        p, h = self.source.p, self._hom_basis
+        coords = solve_array(h.reshape(len(h), f.a.size).T, f.a.reshape(-1, 1), p)
         if coords is None:
             raise ValueError("f is not an intertwiner")
-        out = self._class_proj @ coords
-        return tuple(int(x) for x in out.a[:, 0])
+        return tuple(int(x) for x in (self._class_proj @ coords)[:, 0] % p)
 
 
 def ver_hom(a: ZpModule, b: ZpModule) -> VerHom:
     """The hom space of Ver_p between the images of a and b."""
-    fwd, rad_coeffs = _trace_radical(a, b)  # rad_coeffs: h x r columns
-    field = GF(a.p)
-    h = len(fwd)
-    if h == 0:
-        return VerHom(a, b, (), (), Mat.zeros(field, 0, 0))
-    _, proj = quotient_basis(Mat.identity(field, h), rad_coeffs)
-    _, piv = rad_coeffs.T.rref()
-    classes = tuple(fwd[i] for i in range(h) if i not in piv)
-    return VerHom(a, b, classes, tuple(fwd), proj)
+    fwd, rad_coeffs = _trace_radical(a, b)
+    proj, free = cokernel(rad_coeffs, a.p)
+    classes = tuple(Mat(GF(a.p), fwd[i]) for i in free)
+    return VerHom(a, b, classes, fwd, proj)
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +303,6 @@ class _Blocks:
         return n
 
 
-def _np_kernel(a: np.ndarray, p: int) -> np.ndarray:
-    """Columns spanning ker(a) over GF(p), on raw arrays."""
-    r, piv = _rref_mod(a, p)
-    return _kernel_from_rref(r, piv, p)
-
-
 class _SolveData:
     """Precomputed exact solver for A x = b with A of full column rank.
 
@@ -343,7 +313,7 @@ class _SolveData:
     def __init__(self, a: np.ndarray, p: int):
         rows, cols = a.shape
         aug = np.hstack([a, np.eye(rows, dtype=np.int64)])
-        r, piv = _rref_mod(aug, p)
+        r, piv = rref(aug, p)
         if len([c for c in piv if c < cols]) != cols:
             raise ValueError("matrix does not have full column rank")
         e = r[:, cols:]
@@ -380,13 +350,13 @@ class _HomClasses:
             nil = (g - np.eye(n_loc, dtype=np.int64)) % p
             njm1 = _matpow(nil, j - 1, p)
             nj = (njm1 @ nil) % p
-            w = _np_kernel(nj.T, p).T  # rows spanning the left kernel of N^j
-            ker = _np_kernel(nj, p)  # columns spanning ker N^j
+            w = kernel(nj.T, p).T  # rows spanning the left kernel of N^j
+            ker = kernel(nj, p)  # columns spanning ker N^j
             if w.shape[0] == 0 or ker.shape[1] == 0:
                 per_block.append((idx, None, None, 0))
                 continue
             pair = (w @ njm1 @ ker) % p  # pairing rows against kernel vectors
-            _, piv = _rref_mod(pair.T, p)
+            _, piv = rref(pair.T, p)
             reps_local = w[piv]
             count = len(piv)
             if count:
@@ -451,14 +421,14 @@ def _ver_cokernel(
             continue
         ha = _HomClasses(a_blk, j)
         if ha.total == 0 or a_blk.dim == 0:
-            kernel = np.eye(hb.total, dtype=np.int64)
+            ker = np.eye(hb.total, dtype=np.int64)
         else:
             check_budget(
                 hb.total * a_blk.dim, max_entries, "precomposed class rows"
             )
             coords = ha.reduce(apply_phi(hb.reps) % p)
-            kernel = _np_kernel(coords.T, p).T  # rows: kernels of precomposition
-        for c in kernel:
+            ker = kernel(coords.T, p).T  # rows: kernels of precomposition
+        for c in ker:
             w = (c @ hb.reps) % p
             chain = np.empty((j, b_blk.dim), dtype=np.int64)
             chain[0] = w
@@ -563,7 +533,7 @@ def _pair_basis(p: int, a: int, b: int) -> _PairBasis:
     sizes: list[int] = []
     for k in range(depth, 0, -1):
         pairing = (kr[k - 1] @ split_cols(kc[0])) % p
-        r, piv = _rref_mod(np.hstack([pairing, np.eye(h, dtype=np.int64)]), p)
+        r, piv = rref(np.hstack([pairing, np.eye(h, dtype=np.int64)]), p)
         cols = [c for c in piv if c < h]
         m = len(cols)
         if m == 0:
@@ -714,18 +684,18 @@ def _jordan_cokernel(
         if count == 0:
             continue
         if j not in a_tops or a_dim == 0:
-            kernel = np.eye(count, dtype=np.int64)
+            ker = np.eye(count, dtype=np.int64)
         else:
             check_budget(count * a_dim, max_entries, "precomposed class rows")
             reps = b_frame.rows(j, 0, np.eye(count, dtype=np.int64))
             pre = apply_phi(reps) % p
             coords = np.hstack([(pre[:, idx] @ cols) % p for idx, cols in a_tops[j]])
-            kernel = _np_kernel(coords.T, p).T  # rows: kernels of precomposition
-        if kernel.shape[0] == 0:
+            ker = kernel(coords.T, p).T  # rows: kernels of precomposition
+        if ker.shape[0] == 0:
             continue
-        chains = np.stack([b_frame.rows(j, k, kernel) for k in range(j)], axis=1)
+        chains = np.stack([b_frame.rows(j, k, ker) for k in range(j)], axis=1)
         q_rows.append(chains.reshape(-1, b_frame.dim))
-        sizes.extend([j] * kernel.shape[0])
+        sizes.extend([j] * ker.shape[0])
     q = np.vstack(q_rows) if q_rows else np.zeros((0, b_frame.dim), dtype=np.int64)
     return tuple(sizes), q
 
@@ -834,21 +804,19 @@ class SymTower(graded.GradedTower):
             self._sections[1] = s
             return s
         p = self.p
-        field = GF(p)
         frame = self._frame(b - 1)
         qm = self.q[b]
         s = np.zeros((frame.dim, self.dim(b)), dtype=np.int64)
         for j in sorted(set(self.sizes[b]), reverse=True):
             offsets = np.asarray(self.block_offsets(b, j))
             tops = frame.cols(j, 0, np.eye(frame.count(j), dtype=np.int64))
-            coeff = solve(
-                Mat(field, (qm[offsets] @ tops) % p),
-                Mat.identity(field, len(offsets)),
+            coeff = solve_array(
+                (qm[offsets] @ tops) % p, np.eye(len(offsets), dtype=np.int64), p
             )
             if coeff is None:
                 raise AssertionError("projection classes are not surjective")
             for k in range(j):
-                s[:, offsets + k] = frame.cols(j, k, coeff.a)
+                s[:, offsets + k] = frame.cols(j, k, coeff)
         self._sections[b] = s
         return s
 

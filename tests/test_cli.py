@@ -135,6 +135,48 @@ class TestExitCodes:
         assert code == EXIT_BUDGET
         assert "budget" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["svec2", "fourth-power", "--module", "W", "--max-degree", "3"],
+            ["svec2", "fourth-power", "--module", "W", "--trials", "0"],
+            ["svec2", "fourth-power", "--module", "W", "--trials", "-5"],
+            ["verify", "--suite", "char0", "--max-degree", "2"],
+            ["verify", "--suite", "all", "--max-degree", "2"],
+        ],
+        ids=[
+            "fourth-power-depth-3",
+            "fourth-power-no-trials",
+            "fourth-power-negative-trials",
+            "verify-char0-depth-2",
+            "verify-all-depth-2",
+        ],
+    )
+    def test_unusable_depth_or_trials_is_usage_error(self, capsys, argv):
+        # no traceback, no vacuous [PASS] lines: a usage error before any work
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error:")
+
+    def test_repzp_projection_budget(self, capsys):
+        # dim X^3 = 64 fits the budget, the 20 x 64 projection does not
+        code, out, err = run(
+            capsys,
+            "sympow", "--p", "5", "--object", "L4", "--degree", "3",
+            "--ambient", "repzp", "--max-entries", "64",
+        )
+        assert code == EXIT_BUDGET
+        assert out == "" and "projection onto S^" in err
+
+    def test_verify_rejects_csv_before_any_suite(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "verify", "--format", "csv", "--json", str(path)
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and "csv" in err
+        assert not path.exists()
+
     def test_svec2_verify_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "svec2")
         assert code == EXIT_OK

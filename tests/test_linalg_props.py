@@ -1,0 +1,243 @@
+"""Property tests for the array layer of `vercat.exactlin`.
+
+`rref`, `rank`, `kernel`, `solve_array` and `cokernel` are held to a
+pure-Python reference (Python ints mod p, `Fraction` over Q) on random
+matrices over random primes, 2 and 65537 included, and over Q (p = 0);
+the `Mat` methods are held to the array functions they delegate to.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vercat.exactlin import (
+    GF,
+    RATIONALS,
+    Mat,
+    _is_prime,
+    cokernel,
+    kernel,
+    quotient_basis,
+    rank,
+    rref,
+    solve,
+    solve_array,
+)
+from vercat.repzp import hom_space, hom_stack, jordan_module
+from vercat.verlinde import _trace_gram
+
+PROPS = settings(max_examples=60, deadline=None)
+
+
+def next_prime(n: int) -> int:
+    while not _is_prime(n):
+        n += 1
+    return n
+
+
+# p = 0 is Q; 65537 is the largest prime GF accepts
+CHARS = st.one_of(
+    st.sampled_from([0, 2, 65537]), st.integers(2, 65537).map(next_prime)
+)
+
+
+def entries(p: int):
+    if p:
+        return st.integers(0, p - 1)
+    return st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def matrix(draw, p: int, rows: int, cols: int) -> np.ndarray:
+    """A rows x cols matrix of rank at most a random inner dimension, so
+    that rank-deficient inputs are common even for large p."""
+    inner = draw(st.integers(0, 6))
+    left = draw(st.lists(entries(p), min_size=rows * inner, max_size=rows * inner))
+    right = draw(st.lists(entries(p), min_size=inner * cols, max_size=inner * cols))
+    dtype = np.int64 if p else object
+    a = np.array(left, dtype=dtype).reshape(rows, inner)
+    b = np.array(right, dtype=dtype).reshape(inner, cols)
+    prod = a @ b
+    if p:
+        return prod % p
+    out = np.full((rows, cols), Fraction(0), dtype=object)
+    out[...] = prod  # an empty inner dimension leaves zeros
+    return out
+
+
+@st.composite
+def field_matrix(draw):
+    p = draw(CHARS)
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    return p, draw(matrix(p, rows, cols))
+
+
+@st.composite
+def linear_system(draw):
+    p = draw(CHARS)
+    rows, cols, rhs = (draw(st.integers(0, 5)) for _ in range(3))
+    return p, draw(matrix(p, rows, cols)), draw(matrix(p, rows, rhs))
+
+
+# -- pure-Python reference ---------------------------------------------------
+
+
+def ref_rref(a: np.ndarray, p: int) -> tuple[list[list], list[int]]:
+    def red(x):
+        return x % p if p else x
+
+    m = [[red(int(x)) if p else Fraction(x) for x in row] for row in a.tolist()]
+    cols = a.shape[1]
+    pivots: list[int] = []
+    for c in range(cols):
+        lead = len(pivots)
+        pr = next((i for i in range(lead, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[lead], m[pr] = m[pr], m[lead]
+        inv = pow(m[lead][c], -1, p) if p else 1 / m[lead][c]
+        m[lead] = [red(x * inv) for x in m[lead]]
+        for i in range(len(m)):
+            if i != lead and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [red(x - f * y) for x, y in zip(m[i], m[lead])]
+        pivots.append(c)
+    return m, pivots
+
+
+def ref_kernel(a: np.ndarray, p: int) -> list[list]:
+    """Kernel columns, one per free column f: e_f minus the column f of
+    the reduced form placed at the pivot positions."""
+    m, pivots = ref_rref(a, p)
+    cols = a.shape[1]
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
+    out = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [zero] * cols
+        v[f] = one
+        for row, pc in enumerate(pivots):
+            v[pc] = (-m[row][f]) % p if p else -m[row][f]
+        out.append(v)
+    return [list(col) for col in zip(*out)] if out else [[] for _ in range(cols)]
+
+
+def times(a: np.ndarray, b: np.ndarray, p: int) -> list[list]:
+    """a @ b by Python arithmetic, reduced mod p."""
+    (rows, inner), cols = a.shape, b.shape[1]
+    al, bl = a.tolist(), b.tolist()
+    out = [
+        [sum((al[i][t] * bl[t][j] for t in range(inner)), 0) for j in range(cols)]
+        for i in range(rows)
+    ]
+    return [[x % p if p else x for x in row] for row in out]
+
+
+def zeros(rows: int, cols: int) -> list[list]:
+    return [[0] * cols for _ in range(rows)]
+
+
+def field_of(p: int):
+    return GF(p) if p else RATIONALS
+
+
+# -- the array functions against the reference -------------------------------
+
+
+@PROPS
+@given(field_matrix())
+def test_rref_matches_reference(case):
+    p, a = case
+    before = a.copy()
+    r, piv = rref(a, p)
+    want, want_piv = ref_rref(a, p)
+    assert piv == want_piv
+    assert r.tolist() == want
+    assert np.array_equal(a, before)  # the input is not modified
+
+
+@PROPS
+@given(field_matrix())
+def test_rank_and_kernel_match_reference(case):
+    p, a = case
+    k = kernel(a, p)
+    assert rank(a, p) == len(ref_rref(a, p)[1])
+    assert k.shape == (a.shape[1], a.shape[1] - rank(a, p))
+    assert k.tolist() == ref_kernel(a, p)
+    assert times(a, k, p) == zeros(a.shape[0], k.shape[1])
+
+
+@PROPS
+@given(linear_system())
+def test_solve_matches_reference(case):
+    p, a, b = case
+    x = solve_array(a, b, p)
+    consistent = len(ref_rref(a, p)[1]) == len(ref_rref(np.hstack([a, b]), p)[1])
+    assert (x is not None) == consistent
+    if x is not None:
+        assert x.shape == (a.shape[1], b.shape[1])
+        assert times(a, x, p) == b.tolist()  # b is already reduced
+
+
+@PROPS
+@given(field_matrix())
+def test_cokernel_projection(case):
+    p, rel = case
+    q, free = cokernel(rel, p)
+    n = rel.shape[0]
+    assert q.shape == (n - rank(rel, p), n)
+    assert times(q, rel, p) == zeros(q.shape[0], rel.shape[1])
+    ident = [[int(i == j) for j in range(len(free))] for i in range(len(free))]
+    assert times(q, np.eye(n, dtype=np.int64)[:, free], p) == ident
+
+
+# -- Mat delegates to the array functions -------------------------------------
+
+
+@PROPS
+@given(field_matrix())
+def test_mat_methods_delegate(case):
+    p, a = case
+    m = Mat(field_of(p), a)
+    r, piv = m.rref()
+    assert (r.a.tolist(), piv) == (rref(a, p)[0].tolist(), rref(a, p)[1])
+    assert m.rank() == rank(a, p)
+    assert m.kernel_basis().a.tolist() == kernel(a, p).tolist()
+    assert m.image_basis().a.tolist() == a[:, rref(a, p)[1]].tolist()
+    if a.shape[0] == a.shape[1] and rank(a, p) == a.shape[0]:
+        assert m @ m.inverse() == Mat.identity(m.field, len(a))
+
+
+@PROPS
+@given(linear_system())
+def test_solve_and_quotient_basis_delegate(case):
+    p, a, b = case
+    field = field_of(p)
+    x = solve(Mat(field, a), Mat(field, b))
+    want = solve_array(a, b, p)
+    assert (x is None) == (want is None)
+    if want is not None:
+        assert x.a.tolist() == want.tolist()
+    n = a.shape[0]
+    reps, proj = quotient_basis(Mat.identity(field, n), Mat(field, a))
+    q, free = cokernel(a, p)
+    assert proj.a.tolist() == q.tolist()
+    assert reps.a.tolist() == Mat.identity(field, n).a[:, free].tolist()
+
+
+# -- the einsum Gram matrix of the trace pairing ------------------------------
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_trace_gram_is_pairwise_trace(p):
+    parts = [[1], [2], [p], [2, 1], [p - 1, 2]]
+    for sa in parts:
+        for sb in parts:
+            a, b = jordan_module(p, sa), jordan_module(p, sb)
+            gram = _trace_gram(hom_stack(a, b), hom_stack(b, a), p)
+            fwd, bwd = hom_space(a, b).basis, hom_space(b, a).basis
+            want = [[(f @ u).trace() for u in bwd] for f in fwd]
+            assert gram.shape == (len(fwd), len(bwd))
+            assert gram.tolist() == want

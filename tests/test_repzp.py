@@ -276,6 +276,14 @@ class TestSymPower:
         with pytest.raises(BudgetExceeded):
             sym_power(jordan_module(5, [4]), 12, max_entries=1000)
 
+    def test_budget_counts_the_projection(self):
+        # dim X^3 = 64 fits, but the projection X^(x)3 -> S^3 is 20 x 64
+        mod = jordan_module(5, [4])
+        with pytest.raises(BudgetExceeded, match="projection onto S"):
+            sym_power(mod, 3, max_entries=64)
+        s, proj = sym_power(mod, 3, max_entries=20 * 64)
+        assert (s.dim, proj.rows, proj.cols) == (20, 20, 64)
+
     def test_unipotence_of_quotient(self):
         s, _ = sym_power(jordan_module(5, [2, 1]), 3)
         s.validate()

@@ -296,6 +296,12 @@ class TestFourthPower:
         with pytest.raises(ValueError):
             fourth_power_checks(module_w(), 3, 5, 0)
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_requires_a_trial(self, trials):
+        # zero trials would report every identity as passing
+        with pytest.raises(ValueError, match="trial"):
+            fourth_power_checks(module_w(), 8, trials, 0)
+
 
 class TestInvariantsD:
     def test_degree_zero(self):
