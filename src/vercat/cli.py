@@ -4,9 +4,10 @@ machine-readable reports, and a file-backed result cache.
 Exit codes: 0 success, 1 verification-check failure, 2 usage error,
 3 resource budget exceeded.
 
-Reports render as human tables by default, `--format json` emits a
-stable schema (documented in the README), `--format csv` is available
-for series tables.  Every randomized check records its seed; re-running
+Every command builds a `Report` and prints nothing; `main` renders it
+once.  Reports render as human tables by default, `--format json` emits
+a stable schema (documented in the README), and `symalg` also offers
+`--format csv`.  Every randomized check records its seed; re-running
 with identical flags and seed reproduces the payload byte for byte,
 except for the `timestamp` field.
 
@@ -19,11 +20,13 @@ recomputed, never trusted.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import os
 import random
+import re
 import sys
 import tempfile
 import time
@@ -32,12 +35,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .exactlin import GF, BudgetExceeded, Mat
+from .exactlin import GF, BudgetExceeded, Mat, check_budget
 from . import repzp
 from .repzp import jordan_module, jordan_type, sym_power, tensor
 from . import verlinde
 from .verlinde import (
-    MultSeries,
     VerObject,
     fusion,
     fusion_rule,
@@ -60,107 +62,75 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# object-spec mini-grammar: `1`, `L<k>`, sums with `+`, multiplicity `3*L2`
+# spec grammar shared by objects of Ver_p and sVec_2 modules: terms joined
+# by `+`, each `k*name`, `name`, or a bare integer k (k copies of `1`)
 # ---------------------------------------------------------------------------
+
+_TERM = re.compile(r"([0-9]+)(?![0-9*])|(?:([0-9]+)\*)?(1|[A-Za-z][0-9]*)")
+
+
+def _spec_error(what: str, pos: int, msg: str) -> UsageError:
+    return UsageError(f"{what} spec error at position {pos}: {msg}")
+
+
+def _spec_terms(text: str, what: str, names: str) -> list[tuple[int, str, int]]:
+    """(count, name, position) per term; whitespace is ignored and
+    positions index `text`.  `names` describes the accepted names."""
+    where = [i for i, ch in enumerate(text) if not ch.isspace()]
+    s = "".join(text[i] for i in where)
+
+    def at(k: int) -> int:
+        return where[k] if k < len(where) else len(text)
+
+    if not s:
+        raise _spec_error(what, len(text), f"empty {what} spec")
+    terms = []
+    i = 0
+    while True:
+        m = _TERM.match(s, i)
+        if m is None:
+            raise _spec_error(what, at(i), f"expected {names}")
+        bare, count, name = m.groups()
+        if bare is not None:
+            terms.append((int(bare), "1", at(i)))
+        else:
+            terms.append((int(count or 1), name, at(m.start(3))))
+        i = m.end()
+        if i == len(s):
+            return terms
+        if s[i] != "+":
+            raise _spec_error(what, at(i), f"expected '+', got {s[i]!r}")
+        i += 1
 
 
 def parse_object_spec(text: str, p: int) -> VerObject:
-    """Parse an object of Ver_p; raises UsageError with the error position."""
+    """Parse an object of Ver_p: `1`, `L<k>`, sums, multiplicities `3*L2`."""
     mult = [0] * (p - 1)
-    pos = 0
-    compact = []
-    for i, ch in enumerate(text):
-        if not ch.isspace():
-            compact.append((i, ch))
-    s = "".join(ch for _, ch in compact)
-    positions = [i for i, _ in compact]
-
-    def err(at_compact: int, msg: str):
-        at = positions[at_compact] if at_compact < len(positions) else len(text)
-        raise UsageError(f"object spec error at position {at}: {msg}")
-
-    i = 0
-    n = len(s)
-    if n == 0:
-        err(0, "empty object spec")
-    while True:
-        count = 1
-        start = i
-        if i < n and s[i].isdigit():
-            j = i
-            while j < n and s[j].isdigit():
-                j += 1
-            if j < n and s[j] == "*":
-                count = int(s[i:j])
-                i = j + 1
-            elif j == n or s[j] == "+":
-                # a bare integer k means k copies of the unit object
-                count = int(s[i:j])
-                mult[0] += count
-                i = j
-                if i == n:
-                    break
-                i += 1
-                continue
-            else:
-                err(j, f"expected '*' or '+' after integer, got {s[j]!r}")
-        if i < n and s[i] == "1":
-            mult[0] += count
-            i += 1
-        elif i < n and s[i] in "Ll":
-            j = i + 1
-            while j < n and s[j].isdigit():
-                j += 1
-            if j == i + 1:
-                err(i + 1, "expected a simple index after 'L'")
-            k = int(s[i + 1 : j])
+    for count, name, pos in _spec_terms(text, "object", "'1' or 'L<k>'"):
+        if name == "1":
+            k = 1
+        elif name[0] in "Ll" and len(name) > 1:
+            k = int(name[1:])
             if not 1 <= k <= p - 1:
-                err(i, f"simple index {k} out of range [1, {p - 1}]")
-            mult[k - 1] += count
-            i = j
+                raise _spec_error(
+                    "object", pos, f"simple index {k} out of range [1, {p - 1}]"
+                )
         else:
-            err(start, "expected '1' or 'L<k>'")
-        if i == n:
-            break
-        if s[i] != "+":
-            err(i, f"expected '+', got {s[i]!r}")
-        i += 1
+            raise _spec_error("object", pos, f"expected '1' or 'L<k>', got {name!r}")
+        mult[k - 1] += count
     return VerObject(p, tuple(mult))
 
 
 def parse_dmodule_spec(text: str) -> sv.DModule:
-    """Parse a DModule spec: `1`, `W`, sums, integer multiplicities."""
-    s = "".join(text.split())
-    if not s:
-        raise UsageError("empty module spec")
-    out = None
-    for i, term in enumerate(s.split("+")):
-        count = 1
-        name = term
-        if "*" in term:
-            head, name = term.split("*", 1)
-            if not head.isdigit():
-                raise UsageError(f"bad multiplicity in term {term!r}")
-            count = int(head)
-        elif term.isdigit():
-            count, name = int(term), "1"
-        if name == "1":
-            part = sv.trivial(1)
-        elif name in ("W", "w"):
-            part = sv.module_w()
-        else:
-            raise UsageError(f"unknown module term {term!r} (expected 1 or W)")
-        for _ in range(count):
-            out = part if out is None else sv.direct_sum(out, part)
-    if out is None:
-        raise UsageError("empty module spec")
-    return out
-
-
-def format_jordan(jt: repzp.JordanType) -> str:
-    if not jt.parts:
-        return "0"
-    return " + ".join(f"J{k}" for k in jt.parts)
+    """Parse a nonzero sVec_2 module: `1`, `W`, sums, multiplicities."""
+    parts = []
+    for count, name, pos in _spec_terms(text, "module", "'1' or 'W'"):
+        if name not in ("1", "W", "w"):
+            raise _spec_error("module", pos, f"expected '1' or 'W', got {name!r}")
+        parts += [sv.trivial(1) if name == "1" else sv.module_w()] * count
+    if not parts:
+        raise _spec_error("module", 0, "the module is zero")
+    return functools.reduce(sv.direct_sum, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +140,17 @@ def format_jordan(jt: repzp.JordanType) -> str:
 
 @dataclass
 class Report:
+    """What a command found.  `results`, `checks` and `versions` make the
+    JSON payload; `table` (human lines, default: every result row and
+    check) and `csv` (rows) are renderings only."""
+
     command: str
     parameters: dict
     results: list = field(default_factory=list)
     checks: list = field(default_factory=list)
     versions: dict = field(default_factory=dict)
+    table: list[str] | None = None
+    csv: list[list] | None = None
 
     def add_check(self, name: str, passed: bool, details: str = "") -> None:
         self.checks.append({"name": name, "passed": bool(passed), "details": details})
@@ -196,35 +172,30 @@ class Report:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
-    def print_human(self, out=None) -> None:
-        out = out or sys.stdout
-        for row in self.results:
-            if set(row) == {"line"}:
-                print(row["line"], file=out)
-            else:
-                print(
-                    "  ".join(f"{k}={v}" for k, v in row.items()),
-                    file=out,
-                )
+    def lines(self) -> list[str]:
+        if self.table is not None:
+            return self.table
+        rows = [
+            row["line"]
+            if set(row) == {"line"}
+            else "  ".join(f"{k}={v}" for k, v in row.items())
+            for row in self.results
+        ]
         for c in self.checks:
-            mark = "PASS" if c["passed"] else "FAIL"
             details = f"  {c['details']}" if c["details"] else ""
-            print(f"[{mark}] {c['name']}{details}", file=out)
+            rows.append(f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}{details}")
+        return rows
 
 
-CSV_ONLY_FOR_SERIES = "--format csv is only available for series tables"
-
-
-def emit(report: Report, fmt: str, csv_rows: list[list] | None = None) -> None:
+def emit(report: Report, fmt: str) -> None:
     if fmt == "json":
-        print(report.to_json())
+        lines = [report.to_json()]
     elif fmt == "csv":
-        if csv_rows is None:
-            raise UsageError(CSV_ONLY_FOR_SERIES)
-        for row in csv_rows:
-            print(",".join(str(x) for x in row))
+        lines = [",".join(str(x) for x in row) for row in report.csv]
     else:
-        report.print_human()
+        lines = report.lines()
+    for line in lines:
+        print(line)
 
 
 # ---------------------------------------------------------------------------
@@ -281,21 +252,27 @@ class ResultCache:
             raise
 
 
-def open_cache(args) -> ResultCache | None:
-    if getattr(args, "no_cache", False):
-        return None
-    directory = getattr(args, "cache_dir", None) or os.environ.get(
-        "VERLINDE_CACHE_DIR"
+def cached(args, key: str, compute):
+    """compute(), through the result cache when one is configured."""
+    directory = None if args.no_cache else (
+        args.cache_dir or os.environ.get("VERLINDE_CACHE_DIR")
     )
-    return ResultCache(directory) if directory else None
+    if not directory:
+        return compute()
+    cache = ResultCache(directory)
+    value = cache.get(key)
+    if value is None:
+        value = compute()
+        cache.put(key, value)
+    return value
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns a Report and prints nothing
 # ---------------------------------------------------------------------------
 
 
-def cmd_fusion(args) -> int:
+def cmd_fusion(args) -> Report:
     p = args.p
     r, s = args.l, args.r
     if not (1 <= r <= p - 1 and 1 <= s <= p - 1):
@@ -307,6 +284,8 @@ def cmd_fusion(args) -> int:
         {"p": p, "l": r, "r": s, "fusion": str(result), "mult": list(result.mult)}
     )
     if args.oracle:
+        # the oracle materializes J_r (x) J_s as a dense (rs x rs) matrix
+        check_budget((r * s) ** 2, args.max_entries, f"fusion oracle J{r} (x) J{s}")
         jt = jordan_type(tensor(jordan_module(p, [r]), jordan_module(p, [s])))
         dropped = jt.multiplicity(p)
         oracle_obj = quotient(jordan_module(p, list(jt.parts)))
@@ -318,29 +297,23 @@ def cmd_fusion(args) -> int:
         )
         suffix = "agrees" if agree else "DISAGREES"
         line += f" (oracle {suffix}; {dropped} negligible block J{p} dropped)"
-    if args.format == "table":
-        print(line)
-        for c in report.checks:
-            if not c["passed"]:
-                print(f"[FAIL] {c['name']}")
-    else:
-        emit(report, args.format)
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+    report.table = [line] + [
+        f"[FAIL] {c['name']}" for c in report.checks if not c["passed"]
+    ]
+    return report
 
 
-def cmd_sympow(args) -> int:
+def cmd_sympow(args) -> Report:
     p = args.p
     x = parse_object_spec(args.object, p)
-    key = f"sympow|p={p}|object={x}|degree={args.degree}|ambient={args.ambient}"
-    cache = open_cache(args)
-    value = cache.get(key) if cache else None
-    if value is None:
+
+    def compute() -> dict:
         value = {}
         if args.ambient in ("repzp", "both"):
             mod = jordan_module(p, list(x.block_sizes()))
             smod, _ = sym_power(mod, args.degree, args.max_entries)
             jt = jordan_type(smod)
-            value["jordan"] = format_jordan(jt)
+            value["jordan"] = " + ".join(f"J{k}" for k in jt.parts) or "0"
             value["jordan_parts"] = list(jt.parts)
         if args.ambient in ("verlinde", "both"):
             v = ver_sym_power(x, args.degree, args.max_entries)
@@ -349,33 +322,22 @@ def cmd_sympow(args) -> int:
         if args.ambient == "both":
             amb = VerObject.from_blocks(p, value["jordan_parts"])
             value["agree"] = list(amb.mult) == value["verlinde_mult"]
-        if cache:
-            cache.put(key, value)
-    report = Report(
+        return value
+
+    key = f"sympow|p={p}|object={x}|degree={args.degree}|ambient={args.ambient}"
+    value = cached(args, key, compute)
+    fields = [value[k] for k in ("jordan", "verlinde") if k in value]
+    if "agree" in value:
+        fields.append("agree" if value["agree"] else "disagree")
+    return Report(
         "sympow",
-        {
-            "p": p,
-            "object": str(x),
-            "degree": args.degree,
-            "ambient": args.ambient,
-        },
+        {"p": p, "object": str(x), "degree": args.degree, "ambient": args.ambient},
+        results=[value],
+        table=[" | ".join(fields)],
     )
-    report.results.append(value)
-    if args.format == "table":
-        fields = []
-        if "jordan" in value:
-            fields.append(value["jordan"])
-        if "verlinde" in value:
-            fields.append(value["verlinde"])
-        if "agree" in value:
-            fields.append("agree" if value["agree"] else "disagree")
-        print(" | ".join(fields))
-    else:
-        emit(report, args.format)
-    return EXIT_OK
 
 
-def _series_payload(p: int, x: VerObject, depth: int, max_entries) -> dict:
+def _series_payload(x: VerObject, depth: int, max_entries) -> dict:
     series = sym_alg_series(x, depth, max_entries)
     ok, y = poly_factor_check(series, x.mult_of(1))
     return {
@@ -389,148 +351,116 @@ def _series_payload(p: int, x: VerObject, depth: int, max_entries) -> dict:
     }
 
 
-def cmd_symalg(args) -> int:
+def cmd_symalg(args) -> Report:
     p = args.p
     x = parse_object_spec(args.object, p)
     depth = args.max_degree
     report = Report(
         "symalg",
-        {
-            "p": p,
-            "object": str(x),
-            "max_degree": depth,
-            "report": args.report,
-        },
+        {"p": p, "object": str(x), "max_degree": depth, "report": args.report},
     )
-    cache = open_cache(args)
-    csv_rows = None
     if args.report == "hilbert":
-        key = f"symalg:hilbert|p={p}|object={x}|degree={depth}"
-        value = cache.get(key) if cache else None
-        if value is None:
-            value = _series_payload(p, x, depth, args.max_entries)
-            if cache:
-                cache.put(key, value)
-        report.results.append(value)
-        csv_rows = [["degree"] + [f"L{i}" for i in range(1, p)]]
-        for m, mult in enumerate(value["series"]):
-            csv_rows.append([m] + mult)
-        if args.format == "table":
-            tail = "finite" if value["finite"] else "truncated"
-            line = ", ".join(value["series_str"]) + f"; {tail}"
-            if value["total_dim"] is not None:
-                line += f"; Y dim {value['total_dim']}"
-            line += f"; factor check {'passes' if value['factor_check'] else 'fails'}"
-            if value["factor_Y"] is not None:
-                line += f" with Y = {value['factor_Y']}"
-            print(line)
-            return EXIT_OK
-    elif args.report == "invariants":
-        alg = inv_mod.build_invariant_algebra(x, depth, args.max_entries)
-        dims = alg.inv_dims()
-        report.results.append({"invariant_dims": dims})
-        csv_rows = [["degree", "invariant_dim"]] + [
-            [m, d] for m, d in enumerate(dims)
-        ]
-        if args.format == "table":
-            print("invariant dims: " + ", ".join(str(d) for d in dims))
-            return EXIT_OK
-    elif args.report == "generators":
-        alg = inv_mod.build_invariant_algebra(x, depth, args.max_entries)
-        gens = inv_mod.generator_degrees(alg)
-        report.results.append({"generator_degrees": gens})
-        csv_rows = [["degree", "new_generators"]] + [[m, c] for m, c in gens]
-        if args.format == "table":
-            print(
-                "new generators per degree: "
-                + ", ".join(f"{m}:{c}" for m, c in gens)
-            )
-            return EXIT_OK
-    else:  # module-finiteness
+        value = cached(
+            args,
+            f"symalg:hilbert|p={p}|object={x}|degree={depth}",
+            lambda: _series_payload(x, depth, args.max_entries),
+        )
+        line = ", ".join(value["series_str"])
+        line += f"; {'finite' if value['finite'] else 'truncated'}"
+        if value["total_dim"] is not None:
+            line += f"; Y dim {value['total_dim']}"
+        line += f"; factor check {'passes' if value['factor_check'] else 'fails'}"
+        if value["factor_Y"] is not None:
+            line += f" with Y = {value['factor_Y']}"
+        report.table = [line]
+        report.csv = [["degree"] + [f"L{i}" for i in range(1, p)]]
+        report.csv += [[m] + mult for m, mult in enumerate(value["series"])]
+    elif args.report == "module-finiteness":
         selected, stabilized = inv_mod.module_finiteness_check(
             x, depth, args.max_entries
         )
-        report.results.append(
-            {
-                "module_generators": [[m, i] for m, i in selected],
-                "stabilized": stabilized,
-            }
-        )
-        if args.format == "table":
-            gens = ", ".join(f"(deg {m}, L{i})" for m, i in selected)
-            print(
-                f"module generators over invariants: {gens}; "
-                f"{'stabilized' if stabilized else 'NOT stabilized'} "
-                "(evidence up to truncation, not a proof)"
-            )
-            return EXIT_OK
-    emit(report, args.format, csv_rows)
-    return EXIT_OK
-
-
-def cmd_svec2(args) -> int:
-    if args.svec2_command == "sympow":
-        mod = parse_dmodule_spec(args.module)
-        alg = sv.sym_algebra(mod, args.degree, args.max_entries)
-        report = Report(
-            "svec2 sympow", {"module": args.module, "degree": args.degree}
-        )
-        report.results.append(
-            {"dims": alg.dims, "dim": alg.dims[args.degree]}
-        )
-        if args.format == "table":
-            print(f"dim {alg.dims[args.degree]}")
+        value = {
+            "module_generators": [[m, i] for m, i in selected],
+            "stabilized": stabilized,
+        }
+        gens = ", ".join(f"(deg {m}, L{i})" for m, i in selected)
+        report.table = [
+            f"module generators over invariants: {gens}; "
+            f"{'stabilized' if stabilized else 'NOT stabilized'} "
+            "(evidence up to truncation, not a proof)"
+        ]
+        report.csv = [["degree", "simple"]] + value["module_generators"]
+    else:
+        alg = inv_mod.build_invariant_algebra(x, depth, args.max_entries)
+        if args.report == "invariants":
+            dims = alg.inv_dims()
+            value = {"invariant_dims": dims}
+            report.table = ["invariant dims: " + ", ".join(str(d) for d in dims)]
+            report.csv = [["degree", "invariant_dim"]]
+            report.csv += [[m, d] for m, d in enumerate(dims)]
         else:
-            emit(report, args.format)
-        return EXIT_OK
-    if args.svec2_command == "fourth-power":
-        if args.max_degree < 4 or args.trials < 1:
-            raise UsageError("fourth-power needs --max-degree >= 4 and --trials >= 1")
-        mod = parse_dmodule_spec(args.module)
-        rep = sv.fourth_power_checks(
-            mod, args.max_degree, args.trials, args.seed, args.max_entries
-        )
-        report = Report(
-            "svec2 fourth-power",
-            {
-                "module": args.module,
-                "max_degree": args.max_degree,
-                "trials": args.trials,
-            },
-            versions={"seed": args.seed},
-        )
-        for name, val in rep.items():
-            if name not in ("trials", "seed"):
-                report.add_check(name, bool(val))
-        emit(report, args.format)
-        return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
-    # injectivity
-    if args.sub != "y":
-        raise UsageError("only the submodule <y> of the first W factor is supported")
-    amb = parse_dmodule_spec(args.amb)
-    if amb.dim < 2 or not np.array_equal(
-        amb.d.a[:2, :2], sv.module_w().d.a
-    ):
-        raise UsageError("ambient module must start with a W summand")
-    u = sv.trivial(1)
-    incl = Mat.zeros(GF(2), amb.dim, 1)
-    incl.a[1, 0] = 1  # the y line of the leading W factor
-    fail = sv.injectivity_check(u, amb, incl, args.max_degree, args.max_entries)
+            gens = inv_mod.generator_degrees(alg)
+            value = {"generator_degrees": gens}
+            report.table = [
+                "new generators per degree: " + ", ".join(f"{m}:{c}" for m, c in gens)
+            ]
+            report.csv = [["degree", "new_generators"]] + [list(g) for g in gens]
+    report.results.append(value)
+    return report
+
+
+def cmd_svec2_sympow(args) -> Report:
+    alg = sv.sym_algebra(parse_dmodule_spec(args.module), args.degree, args.max_entries)
+    dim = alg.dims[args.degree]
+    return Report(
+        "svec2 sympow",
+        {"module": args.module, "degree": args.degree},
+        results=[{"dims": alg.dims, "dim": dim}],
+        table=[f"dim {dim}"],
+    )
+
+
+def cmd_svec2_fourth_power(args) -> Report:
+    if args.max_degree < 4 or args.trials < 1:
+        raise UsageError("fourth-power needs --max-degree >= 4 and --trials >= 1")
+    mod = parse_dmodule_spec(args.module)
+    rep = sv.fourth_power_checks(
+        mod, args.max_degree, args.trials, args.seed, args.max_entries
+    )
     report = Report(
+        "svec2 fourth-power",
+        {"module": args.module, "max_degree": args.max_degree, "trials": args.trials},
+        versions={"seed": args.seed},
+    )
+    for name, val in rep.items():
+        if name not in ("trials", "seed"):
+            report.add_check(name, bool(val))
+    return report
+
+
+def _y_line_injectivity(amb: sv.DModule, depth: int, max_entries) -> int | None:
+    """First degree where S(<y>) -> S(amb) fails to be injective, for the
+    line <y> spanned by y in the leading W summand of `amb`; None if none."""
+    incl = Mat.zeros(GF(2), amb.dim, 1)
+    incl.a[1, 0] = 1
+    return sv.injectivity_check(sv.trivial(1), amb, incl, depth, max_entries)
+
+
+def cmd_svec2_injectivity(args) -> Report:
+    amb = parse_dmodule_spec(args.amb)
+    if amb.dim < 2 or not np.array_equal(amb.d.a[:2, :2], sv.module_w().d.a):
+        raise UsageError("ambient module must start with a W summand")
+    fail = _y_line_injectivity(amb, args.max_degree, args.max_entries)
+    if fail is None:
+        row = {"line": f"injective up to degree {args.max_degree}"}
+    else:
+        row = {"line": f"fails at degree {fail} (y^2 = 0)", "degree": fail}
+    return Report(
         "svec2 injectivity",
         {"sub": args.sub, "amb": args.amb, "max_degree": args.max_degree},
+        results=[row],
+        table=[row["line"]],
     )
-    if fail is None:
-        report.results.append({"line": f"injective up to degree {args.max_degree}"})
-    else:
-        report.results.append(
-            {"line": f"fails at degree {fail} (y^2 = 0)", "degree": fail}
-        )
-    if args.format == "table":
-        print(report.results[0]["line"])
-    else:
-        emit(report, args.format)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -548,28 +478,22 @@ def _fusion_rule_mutated(p: int, r: int, s: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def suite_fusion(report: Report, p_max: int, seed: int, mutate: str | None) -> None:
-    rule = fusion_rule if mutate is None else _fusion_rule_mutated
-    primes = [p for p in (3, 5, 7, 11, 13) if p <= p_max]
+def suite_fusion(report: Report, args) -> None:
+    rule = fusion_rule if args.mutate is None else _fusion_rule_mutated
+    primes = [p for p in (3, 5, 7, 11, 13) if p <= args.p_max]
     for p in primes:
-        first_bad = None
-        count = 0
+        bad = None  # the first counterexample
         for r in range(1, p):
             for s in range(1, p):
-                count += 1
                 formula = VerObject(p, rule(p, r, s))
                 oracle = quotient(tensor(jordan_module(p, [r]), jordan_module(p, [s])))
-                if formula != oracle and first_bad is None:
-                    first_bad = (p, r, s, str(formula), str(oracle))
-        if first_bad is None:
-            report.add_check(f"fusion-oracle p={p}", True, f"{count} instances")
-        else:
-            p_, r_, s_, f_, o_ = first_bad
-            report.add_check(
-                f"fusion-oracle p={p}",
-                False,
-                f"counterexample (p,r,s)=({p_},{r_},{s_}): formula {f_} vs oracle {o_}",
-            )
+                if formula != oracle and bad is None:
+                    bad = (
+                        f"counterexample (p,r,s)=({p},{r},{s}): "
+                        f"formula {formula} vs oracle {oracle}"
+                    )
+        count = f"{(p - 1) ** 2} instances"
+        report.add_check(f"fusion-oracle p={p}", bad is None, bad or count)
     for p in [q for q in primes if q <= 11]:
         ok_comm = all(
             fusion_rule(p, r, s) == fusion_rule(p, s, r)
@@ -594,7 +518,7 @@ def suite_fusion(report: Report, p_max: int, seed: int, mutate: str | None) -> N
         report.add_check(f"fusion-commutative p={p}", ok_comm)
         report.add_check(f"fusion-associative p={p}", ok_assoc)
         report.add_check(f"unit-pairing p={p}", ok_unit, "mult of L1 is delta_ij")
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     for p in [q for q in primes if q <= 7]:
         ok = True
         for _ in range(100):
@@ -605,12 +529,11 @@ def suite_fusion(report: Report, p_max: int, seed: int, mutate: str | None) -> N
             if quotient(tensor(a, b)) != fusion(quotient(a), quotient(b)):
                 ok = False
                 break
-        report.add_check(
-            f"quotient-monoidal p={p}", ok, "100 random pairs, seeded"
-        )
+        report.add_check(f"quotient-monoidal p={p}", ok, "100 random pairs, seeded")
 
 
-def suite_sympow(report: Report, p_max: int, seed: int, max_entries) -> None:
+def suite_sympow(report: Report, args) -> None:
+    max_entries = args.max_entries
     for p in (3, 5, 7):
         ok = True
         bad = None
@@ -628,7 +551,7 @@ def suite_sympow(report: Report, p_max: int, seed: int, max_entries) -> None:
             "grid n<=4, m<=6" if ok else f"counterexample {bad}",
         )
     for p in (3, 5, 7, 11):
-        if p > p_max:
+        if p > args.p_max:
             continue
         ns = range(2, p) if p <= 7 else range(2, 6)
         ok = True
@@ -643,7 +566,7 @@ def suite_sympow(report: Report, p_max: int, seed: int, max_entries) -> None:
             ok,
             f"S^(p-n+1)(L_n) = 0 for n in {list(ns)}" if ok else f"fails at {bad}",
         )
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     ok = True
     for _ in range(100):
         p = rng.choice((3, 5, 7))
@@ -657,7 +580,7 @@ def suite_sympow(report: Report, p_max: int, seed: int, max_entries) -> None:
     budget = max_entries if max_entries is not None else 2**24
     for p in (3, 5):
         ok = True
-        rng2 = random.Random(seed + p)
+        rng2 = random.Random(args.seed + p)
         for _ in range(5):
             mult_x = [0] * (p - 1)
             mult_y = [0] * (p - 1)
@@ -677,50 +600,33 @@ def suite_sympow(report: Report, p_max: int, seed: int, max_entries) -> None:
         )
 
 
-def suite_sympow_comparison(report: Report, max_entries) -> None:
+def suite_sympow_comparison(report: Report, args) -> None:
     # experiment, not an assertion: does the quotient functor commute with
     # S^m?  Below degree p yes (the symmetrizer splits); from degree p on
     # it can fail (e.g. p=3, L2, m=3), which is why no check is emitted.
+    instances = [(3, 2, 2), (3, 2, 3), (5, 2, 2), (5, 2, 4), (5, 3, 2)]
+    instances += [(5, 3, 3), (5, 4, 2), (7, 2, 3), (7, 3, 2), (7, 2, 6)]
     agree = 0
-    rows = []
-    for p, n, m in [
-        (3, 2, 2),
-        (3, 2, 3),
-        (5, 2, 2),
-        (5, 2, 4),
-        (5, 3, 2),
-        (5, 3, 3),
-        (5, 4, 2),
-        (7, 2, 3),
-        (7, 3, 2),
-        (7, 2, 6),
-    ]:
-        mod = jordan_module(p, [n])
-        smod, _ = sym_power(mod, m, max_entries)
+    for p, n, m in instances:
+        smod, _ = sym_power(jordan_module(p, [n]), m, args.max_entries)
         ambient = quotient(smod)
-        intrinsic = ver_sym_power(VerObject.simple(p, n), m, max_entries)
-        rows.append(
-            {
-                "p": p,
-                "object": f"L{n}",
-                "degree": m,
-                "ambient": str(ambient),
-                "intrinsic": str(intrinsic),
-                "agree": ambient == intrinsic,
-            }
-        )
+        intrinsic = ver_sym_power(VerObject.simple(p, n), m, args.max_entries)
         agree += ambient == intrinsic
-    report.results.extend(rows)
+        report.results.append(
+            {"p": p, "object": f"L{n}", "degree": m, "ambient": str(ambient),
+             "intrinsic": str(intrinsic), "agree": ambient == intrinsic}
+        )
     report.results.append(
         {
-            "line": f"sympow-comparison experiment: {agree}/{len(rows)} instances "
-            "agree (informational; agreement is not a law once the degree "
-            "reaches p)"
+            "line": f"sympow-comparison experiment: {agree}/{len(instances)} "
+            "instances agree (informational; agreement is not a law once the "
+            "degree reaches p)"
         }
     )
 
 
-def suite_invariants(report: Report, seed: int, max_entries) -> None:
+def suite_invariants(report: Report, args) -> None:
+    seed, max_entries = args.seed, args.max_entries
     x = VerObject(5, (1, 1, 0, 0))
     alg = inv_mod.build_invariant_algebra(x, 10, max_entries)
     gens = inv_mod.generator_degrees(alg)
@@ -765,12 +671,10 @@ def suite_invariants(report: Report, seed: int, max_entries) -> None:
     )
 
 
-def suite_svec2(report: Report, seed: int, max_entries) -> None:
+def suite_svec2(report: Report, args) -> None:
+    seed, max_entries = args.seed, args.max_entries
     w = sv.module_w()
-    u = sv.trivial(1)
-    incl = Mat.zeros(GF(2), 2, 1)
-    incl.a[1, 0] = 1
-    fail = sv.injectivity_check(u, w, incl, 5, max_entries)
+    fail = _y_line_injectivity(w, 5, max_entries)
     report.add_check(
         "svec2-noninjectivity <y> in W",
         fail == 2,
@@ -841,7 +745,8 @@ def suite_svec2(report: Report, seed: int, max_entries) -> None:
     report.add_check("svec2 fourth-powers-commute", ok_comm)
 
 
-def suite_char0(report: Report, max_degree: int) -> None:
+def suite_char0(report: Report, args) -> None:
+    max_degree = args.max_degree
     counts = inv_mod.char0_counterexample(max_degree)
     ok = all(c == 1 for m, c in counts if 3 <= m <= max_degree)
     report.add_check(
@@ -852,47 +757,21 @@ def suite_char0(report: Report, max_degree: int) -> None:
     report.results.append({"generator_counts": counts})
 
 
-def cmd_verify(args) -> int:
-    if args.format == "csv":
-        raise UsageError(CSV_ONLY_FOR_SERIES)
-    report = Report(
-        "verify",
-        {
-            "suite": args.suite,
-            "p_max": args.p_max,
-            "max_degree": args.max_degree,
-            "mutate": args.mutate,
-        },
-        versions={"seed": args.seed},
-    )
-    suites = (
-        ["fusion", "sympow", "sympow-comparison", "invariants", "svec2", "char0"]
-        if args.suite == "all"
-        else [args.suite]
-    )
+SUITES = ("fusion", "sympow", "sympow-comparison", "invariants", "svec2", "char0")
+
+
+def cmd_verify(args) -> Report:
+    params = {k: getattr(args, k) for k in ("suite", "p_max", "max_degree", "mutate")}
+    report = Report("verify", params, versions={"seed": args.seed})
+    suites = SUITES if args.suite == "all" else (args.suite,)
     if "char0" in suites and args.max_degree < 3:
         raise UsageError("the char0 suite needs --max-degree >= 3")
     for name in suites:
-        if name == "fusion":
-            suite_fusion(report, args.p_max, args.seed, args.mutate)
-        elif name == "sympow":
-            suite_sympow(report, args.p_max, args.seed, args.max_entries)
-        elif name == "sympow-comparison":
-            suite_sympow_comparison(report, args.max_entries)
-        elif name == "invariants":
-            suite_invariants(report, args.seed, args.max_entries)
-        elif name == "svec2":
-            suite_svec2(report, args.seed, args.max_entries)
-        elif name == "char0":
-            suite_char0(report, args.max_degree)
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-    emit(report, args.format)
-    if args.format == "table":
-        passed = sum(1 for c in report.checks if c["passed"])
-        print(f"{passed}/{len(report.checks)} checks passed")
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+        # looked up at call time, so a wrapper rebound on this module runs
+        globals()["suite_" + name.replace("-", "_")](report, args)
+    passed = sum(c["passed"] for c in report.checks)
+    report.table = report.lines() + [f"{passed}/{len(report.checks)} checks passed"]
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -900,10 +779,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp, cache: bool = True) -> None:
-    sp.add_argument(
-        "--format", choices=("table", "json", "csv"), default="table"
-    )
+def _add_common(sp, cache: bool = False, csv: bool = False) -> None:
+    formats = ("table", "json", "csv") if csv else ("table", "json")
+    sp.add_argument("--format", choices=formats, default="table")
     sp.add_argument("--max-entries", type=int, default=None)
     if cache:
         sp.add_argument("--cache-dir", default=None)
@@ -942,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fusion.add_argument(
         "--oracle", action="store_true", help="also run the Jordan-decomposition path"
     )
-    _add_common(p_fusion, cache=False)
+    _add_common(p_fusion)
     p_fusion.set_defaults(func=cmd_fusion)
 
     p_sympow = sub.add_parser("sympow", help="symmetric power of an object")
@@ -952,7 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sympow.add_argument(
         "--ambient", choices=("repzp", "verlinde", "both"), default="verlinde"
     )
-    _add_common(p_sympow)
+    _add_common(p_sympow, cache=True)
     p_sympow.set_defaults(func=cmd_sympow)
 
     p_symalg = sub.add_parser("symalg", help="symmetric algebra reports")
@@ -964,7 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("hilbert", "invariants", "generators", "module-finiteness"),
         default="hilbert",
     )
-    _add_common(p_symalg)
+    _add_common(p_symalg, cache=True, csv=True)
     p_symalg.set_defaults(func=cmd_symalg)
 
     p_sv = sub.add_parser("svec2", help="characteristic-2 supervector computations")
@@ -972,36 +850,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_sv_sympow = svsub.add_parser("sympow")
     p_sv_sympow.add_argument("--module", required=True, help="e.g. W or W+1")
     p_sv_sympow.add_argument("--degree", type=_degree, required=True)
-    _add_common(p_sv_sympow, cache=False)
-    p_sv_sympow.set_defaults(func=cmd_svec2)
+    _add_common(p_sv_sympow)
+    p_sv_sympow.set_defaults(func=cmd_svec2_sympow)
     p_sv_fp = svsub.add_parser("fourth-power")
     p_sv_fp.add_argument("--module", required=True)
     p_sv_fp.add_argument("--trials", type=int, default=200)
     p_sv_fp.add_argument("--seed", type=int, default=0)
     p_sv_fp.add_argument("--max-degree", type=_degree, default=8)
-    _add_common(p_sv_fp, cache=False)
-    p_sv_fp.set_defaults(func=cmd_svec2)
+    _add_common(p_sv_fp)
+    p_sv_fp.set_defaults(func=cmd_svec2_fourth_power)
     p_sv_inj = svsub.add_parser("injectivity")
-    p_sv_inj.add_argument("--sub", required=True, help="submodule spec: y")
+    p_sv_inj.add_argument(
+        "--sub", required=True, choices=("y",), help="submodule spec: y"
+    )
     p_sv_inj.add_argument("--amb", required=True, help="ambient spec, e.g. W or W+1")
     p_sv_inj.add_argument("--max-degree", type=_degree, required=True)
-    _add_common(p_sv_inj, cache=False)
-    p_sv_inj.set_defaults(func=cmd_svec2)
+    _add_common(p_sv_inj)
+    p_sv_inj.set_defaults(func=cmd_svec2_injectivity)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument(
-        "--suite",
-        choices=(
-            "all",
-            "fusion",
-            "sympow",
-            "sympow-comparison",
-            "invariants",
-            "svec2",
-            "char0",
-        ),
-        default="all",
-    )
+    p_verify.add_argument("--suite", choices=("all",) + SUITES, default="all")
     p_verify.add_argument("--p-max", type=int, default=13)
     p_verify.add_argument("--max-degree", type=_degree, default=8)
     p_verify.add_argument("--seed", type=int, default=0)
@@ -1012,7 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="negative control: corrupt the fusion formula",
     )
-    _add_common(p_verify, cache=False)
+    _add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 
@@ -1024,13 +892,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        report = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    if getattr(args, "json_out", None):
+        with open(args.json_out, "w", encoding="utf-8") as fh:
+            fh.write(report.to_json())
+    emit(report, args.format)
+    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ import random
 
 import numpy as np
 
-from .exactlin import cokernel
+from .exactlin import check_budget, cokernel
 
 Elem = dict[int, np.ndarray]
 
@@ -50,28 +50,32 @@ def swap(da: int, db: int) -> np.ndarray:
 
 
 def quotient_tower(
-    rel: np.ndarray, n: int, depth: int, p: int
+    rel: np.ndarray, n: int, depth: int, p: int, max_entries: int | None = None
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """S^m = coker(relations into S^(m-1) (x) X) for m = 0..depth.
 
-    `rel` (n^2 x n^2) spans the degree-2 relations inside X (x) X; in
-    degree m they enter S^(m-1) (x) X through (q_(m-1) (x) 1_X) and act on
-    the last two tensor factors.  Returns (q, lift): q[m] projects
-    S^(m-1) (x) X onto S^m and lift[m] holds coset representatives, unit
-    columns with q[m] @ lift[m] = 1.  Quotient coordinates are the
-    non-pivot positions of the reduced echelon form of the relation
-    span, so the choice is deterministic (`exactlin.cokernel`).
+    The r columns of `rel` (n^2 x r) span the degree-2 relations inside
+    X (x) X; in degree m they enter S^(m-1) (x) X through (q_(m-1) (x) 1_X)
+    and act on the last two tensor factors, and each degree's relation
+    matrix is checked against `max_entries` before it is formed.
+    Returns (q, lift): q[m] projects S^(m-1) (x) X onto S^m and lift[m]
+    holds coset representatives, unit columns with q[m] @ lift[m] = 1.
+    Quotient coordinates are the non-pivot positions of the reduced
+    echelon form of the relation span, so the choice is deterministic
+    (`exactlin.cokernel`) and does not depend on the spanning set.
     """
     one = np.ones((1, 1), dtype=np.int64)
     q, lift = [one], [one]
     if depth >= 1:
         q.append(np.eye(n, dtype=np.int64))
         lift.append(np.eye(n, dtype=np.int64))
-    rel3 = rel.reshape(n, n, n * n)
+    r = rel.shape[1]
+    rel3 = rel.reshape(n, n, r)
     for m in range(2, depth + 1):
         dv, du = q[m - 1].shape[0], q[m - 2].shape[0]
+        check_budget(dv * n * du * r, max_entries, f"relation matrix of S^{m}")
         rho = np.tensordot(q[m - 1].reshape(dv, du, n), rel3, axes=(2, 0))
-        rho = rho.transpose(0, 2, 1, 3).reshape(dv * n, du * n * n) % p
+        rho = rho.transpose(0, 2, 1, 3).reshape(dv * n, du * r) % p
         qm, free = cokernel(rho, p)
         q.append(qm)
         lift.append(np.eye(dv * n, dtype=np.int64)[:, free])

@@ -16,6 +16,7 @@ dense tensor-power quotient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,12 +186,17 @@ def sym_power(
     check_degree(degree)
     check_budget(m.dim**degree, max_entries, f"S^{degree} of a {m.dim}-dim module")
     p, n = m.p, m.dim
-    rel = (np.eye(n * n, dtype=np.int64) - swap(n, n)) % p
-    q, lift = quotient_tower(rel, n, degree, p)
+    for k in range(1, degree + 1):
+        # every projection X^(x)k -> S^k (dim S^k = C(n+k-1, k)), before the tower
+        dim_k = math.comb(n + k - 1, k)
+        check_budget(dim_k * n**k, max_entries, f"projection onto S^{k}")
+    i, j = np.triu_indices(n, 1)
+    # the columns e_ij - e_ji, i < j, span the image of 1 - swap
+    rel = ((np.eye(n * n, dtype=np.int64) - swap(n, n)) % p)[:, i * n + j]
+    q, lift = quotient_tower(rel, n, degree, p, max_entries)
     g = np.ones((1, 1), dtype=np.int64)
     proj = np.ones((1, 1), dtype=np.int64)  # X^(x)k -> S^k
     for k in range(1, degree + 1):
-        check_budget(q[k].shape[0] * n**k, max_entries, f"projection onto S^{k}")
         g = (q[k] @ (np.kron(g, m.g.a) @ lift[k] % p)) % p
         # proj_k = q_k (proj_(k-1) (x) 1_X): contract without the big kron
         q3 = q[k].reshape(q[k].shape[0], proj.shape[0], n)

@@ -96,7 +96,7 @@ class DGradedAlgebra(graded.GradedTower, graded.TruncatedAlgebra):
         self.depth = depth
         n = self.nx = x.dim
         rel = (np.eye(n * n, dtype=np.int64) + _braiding(x, x)) % 2
-        self.q, self.lift = graded.quotient_tower(rel, n, depth, 2)
+        self.q, self.lift = graded.quotient_tower(rel, n, depth, 2, max_entries)
         self.dims: list[int] = [qm.shape[0] for qm in self.q]
         self.dmat: list[np.ndarray] = [np.zeros((1, 1), dtype=np.int64)]
         for m in range(1, depth + 1):

@@ -666,17 +666,21 @@ def _jordan_cokernel(
     b_frame: _TensorFrame,
     apply_phi,
     max_entries: int | None = None,
+    stage: str = "",
 ) -> tuple[tuple[int, ...], np.ndarray]:
     """Cokernel in Ver_p of the class of phi: A -> B in Jordan coordinates.
 
-    Same contract, output layout and budget checks as `_ver_cokernel`.
+    Same contract, output layout and budget checks as `_ver_cokernel`;
+    budget errors start with `stage` (the degree being built).
     B's classes into J_j are the rows of T_B^-1 at the tops of its size-j
     summands; the class coordinates of a first row w over A are w at the
     top columns `a_tops[j]` of T_A; and the chain [w, wN, ...] of a kernel
     combination is the same combination of the following T_B^-1 rows.
     """
     p = b_frame.p
-    check_budget(b_frame.dim * b_frame.dim, max_entries, "cokernel source module")
+    check_budget(
+        b_frame.dim * b_frame.dim, max_entries, f"{stage}cokernel source module"
+    )
     sizes: list[int] = []
     q_rows: list[np.ndarray] = []
     for j in range(p - 1, 0, -1):
@@ -686,7 +690,7 @@ def _jordan_cokernel(
         if j not in a_tops or a_dim == 0:
             ker = np.eye(count, dtype=np.int64)
         else:
-            check_budget(count * a_dim, max_entries, "precomposed class rows")
+            check_budget(count * a_dim, max_entries, f"{stage}precomposed class rows")
             reps = b_frame.rows(j, 0, np.eye(count, dtype=np.int64))
             pre = apply_phi(reps) % p
             coords = np.hstack([(pre[:, idx] @ cols) % p for idx, cols in a_tops[j]])
@@ -781,6 +785,7 @@ class SymTower(graded.GradedTower):
             self._frame(m - 1),
             apply_phi,
             self.max_entries,
+            f"S^{m}: ",
         )
         self.sizes.append(sizes)
         self.q.append(q)

@@ -3,8 +3,12 @@ report determinism, and the result cache."""
 
 import json
 import os
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vercat.cli import (
     EXIT_BUDGET,
@@ -17,6 +21,7 @@ from vercat.cli import (
     parse_dmodule_spec,
     parse_object_spec,
 )
+from vercat import svec2 as sv
 from vercat.verlinde import VerObject
 
 
@@ -368,3 +373,218 @@ class TestCache:
             "sympow", "--p", "3", "--object", "L2", "--degree", "2",
         )
         assert len(os.listdir(tmp_path)) == 1
+
+
+# ---------------------------------------------------------------------------
+# one command path: exact outputs, argparse-level input checks, spec grammar
+# ---------------------------------------------------------------------------
+
+SYMALG = ["symalg", "--p", "5", "--object", "1+L2", "--max-degree", "6"]
+SYMALG_PARAMS = '"parameters":{"max_degree":6,"object":"L1 + L2","p":5,"report":"%s"}'
+SYMALG_OUTPUTS = {
+    ("invariants", "table"): "invariant dims: 1, 1, 1, 1, 1, 1, 1\n",
+    ("invariants", "json"): '{"checks":[],"command":"symalg",'
+    + SYMALG_PARAMS % "invariants"
+    + ',"results":[{"invariant_dims":[1,1,1,1,1,1,1]}],'
+    '"timestamp":"T","versions":{"artifact":"0.1.0"}}\n',
+    ("invariants", "csv"): "degree,invariant_dim\n"
+    + "".join(f"{m},1\n" for m in range(7)),
+    ("generators", "table"): "new generators per degree: "
+    "0:1, 1:1, 2:0, 3:0, 4:0, 5:0, 6:0\n",
+    ("generators", "json"): '{"checks":[],"command":"symalg",'
+    + SYMALG_PARAMS % "generators"
+    + ',"results":[{"generator_degrees":[[0,1],[1,1],[2,0],[3,0],[4,0],'
+    '[5,0],[6,0]]}],"timestamp":"T","versions":{"artifact":"0.1.0"}}\n',
+    ("generators", "csv"): "degree,new_generators\n0,1\n1,1\n"
+    + "".join(f"{m},0\n" for m in range(2, 7)),
+    ("module-finiteness", "table"): "module generators over invariants: "
+    "(deg 0, L1), (deg 1, L2), (deg 2, L3), (deg 3, L4); stabilized "
+    "(evidence up to truncation, not a proof)\n",
+    ("module-finiteness", "json"): '{"checks":[],"command":"symalg",'
+    + SYMALG_PARAMS % "module-finiteness"
+    + ',"results":[{"module_generators":[[0,1],[1,2],[2,3],[3,4]],'
+    '"stabilized":true}],"timestamp":"T","versions":{"artifact":"0.1.0"}}\n',
+    ("module-finiteness", "csv"): "degree,simple\n0,1\n1,2\n2,3\n3,4\n",
+}
+
+
+@pytest.mark.parametrize(
+    "report,fmt",
+    sorted(SYMALG_OUTPUTS),
+    ids=[f"{r}-{f}" for r, f in sorted(SYMALG_OUTPUTS)],
+)
+def test_symalg_report_exact_output(capsys, report, fmt):
+    code, out, err = run(capsys, *SYMALG, "--report", report, "--format", fmt)
+    assert (code, err) == (EXIT_OK, "")
+    out = re.sub(r'"timestamp":"[^"]*"', '"timestamp":"T"', out)
+    assert out == SYMALG_OUTPUTS[report, fmt]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fusion", "--p", "5", "--l", "2", "--r", "2"],
+        ["sympow", "--p", "5", "--object", "L2", "--degree", "2"],
+        ["svec2", "sympow", "--module", "W", "--degree", "2"],
+        ["svec2", "fourth-power", "--module", "W", "--trials", "2"],
+        ["svec2", "injectivity", "--sub", "y", "--amb", "W", "--max-degree", "3"],
+        ["verify", "--suite", "char0"],
+    ],
+    ids=["fusion", "sympow", "svec2-sympow", "svec2-fourth-power",
+         "svec2-injectivity", "verify"],
+)
+def test_csv_only_on_symalg(capsys, tmp_path, argv):
+    path = tmp_path / "report.json"
+    extra = ["--json", str(path)] if argv[0] == "verify" else []
+    code, out, _ = run(capsys, *argv, *extra, "--format", "csv")
+    assert code == EXIT_USAGE and out == ""
+    assert not path.exists()
+
+
+def test_injectivity_submodule_choice(capsys):
+    code, out, _ = run(
+        capsys, "svec2", "injectivity", "--sub", "x", "--amb", "W",
+        "--max-degree", "3",
+    )
+    assert code == EXIT_USAGE and out == ""
+
+
+def test_fusion_oracle_budget(capsys):
+    # the oracle materializes J_r (x) J_s: (6*6)^2 entries against 100
+    code, out, err = run(
+        capsys, "fusion", "--p", "7", "--l", "6", "--r", "6", "--oracle",
+        "--max-entries", "100",
+    )
+    assert code == EXIT_BUDGET and out == ""
+    assert "budget" in err
+
+
+OBJECT_SPECS = [
+    ("0", 5, (0, 0, 0, 0)),
+    ("3", 5, (3, 0, 0, 0)),
+    ("2*1", 5, (2, 0, 0, 0)),
+    (" 1 + 2*L3 ", 7, (1, 0, 2, 0, 0, 0)),
+    ("1+1", 5, (2, 0, 0, 0)),
+    ("12", 3, (12, 0)),
+    ("l2+L2+0*L4", 5, (0, 2, 0, 0)),
+    ("L02", 5, (0, 1, 0, 0)),
+    ("1 2 * L 1 1", 13, (0,) * 10 + (12, 0)),
+    ("L4+3*L1+1", 5, (4, 0, 0, 1)),
+]
+DMODULE_SPECS = [
+    ("W+1", "W1"),
+    ("2*w", "WW"),
+    ("1", "1"),
+    ("3", "111"),
+    ("W + 0", "W"),
+    (" 1+ 2*W", "1WW"),
+    ("0*1+W", "W"),
+    ("2*1+w", "11W"),
+]
+
+
+@pytest.mark.parametrize("text,p,mult", OBJECT_SPECS)
+def test_object_spec_values(text, p, mult):
+    assert parse_object_spec(text, p) == VerObject(p, mult)
+
+
+def _dmodule_of(parts: str):
+    out = None
+    for part in parts:
+        piece = sv.module_w() if part == "W" else sv.trivial(1)
+        out = piece if out is None else sv.direct_sum(out, piece)
+    return out
+
+
+def _same_dmodule(a, b) -> bool:
+    return a.dim == b.dim and np.array_equal(a.d.a, b.d.a)
+
+
+@pytest.mark.parametrize("text,parts", DMODULE_SPECS)
+def test_dmodule_spec_values(text, parts):
+    assert _same_dmodule(parse_dmodule_spec(text), _dmodule_of(parts))
+
+
+def _spaced(draw, text: str) -> str:
+    # whitespace anywhere is ignored by both grammars
+    return "".join(ch + " " * draw(st.integers(0, 1)) for ch in text)
+
+
+@st.composite
+def object_specs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    mult = [0] * (p - 1)
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        form = draw(st.sampled_from(["unit", "int", "simple", "count*"]))
+        k = draw(st.integers(1, p - 1))
+        count = draw(st.integers(0, 12))
+        name = "1" if k == 1 and draw(st.booleans()) else draw(
+            st.sampled_from("Ll")
+        ) + str(k)
+        if form == "unit":
+            terms.append("1")
+            mult[0] += 1
+        elif form == "int":
+            terms.append(str(count))
+            mult[0] += count
+        elif form == "simple":
+            terms.append(name)
+            mult[k - 1] += 1
+        else:
+            terms.append(f"{count}*{name}")
+            mult[k - 1] += count
+    return _spaced(draw, "+".join(terms)), p, tuple(mult)
+
+
+@st.composite
+def dmodule_specs(draw):
+    terms, parts = [], ""
+    for _ in range(draw(st.integers(1, 4))):
+        name = draw(st.sampled_from(["1", "W", "w"]))
+        count = draw(st.one_of(st.none(), st.integers(0, 3)))
+        if count is None:
+            terms.append(name)
+            count = 1
+        elif name == "1" and draw(st.booleans()):
+            terms.append(str(count))
+        else:
+            terms.append(f"{count}*{name}")
+        parts += ("W" if name in "Ww" else "1") * count
+    return _spaced(draw, "+".join(terms)), parts
+
+
+@settings(max_examples=150, deadline=None)
+@given(object_specs())
+def test_object_spec_grammar(case):
+    text, p, mult = case
+    assert parse_object_spec(text, p) == VerObject(p, mult)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dmodule_specs())
+def test_dmodule_spec_grammar(case):
+    text, parts = case
+    if not parts:
+        with pytest.raises(UsageError):
+            parse_dmodule_spec(text)
+    else:
+        assert _same_dmodule(parse_dmodule_spec(text), _dmodule_of(parts))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "  ", "Q2", "L2+!", "L7", "2x", "L2+", "+L2", "L", "Lx", "2*12",
+     "1L2", "L2x", "W"],
+)
+def test_object_spec_errors_name_a_position(text):
+    with pytest.raises(UsageError, match=r"position \d+"):
+        parse_object_spec(text, 5)
+
+
+@pytest.mark.parametrize(
+    "text", ["", "V", "W*2", "0*W", "W+", "WW", "W2", "2**W", "1*", "L2"]
+)
+def test_dmodule_spec_errors_name_a_position(text):
+    with pytest.raises(UsageError, match=r"position \d+"):
+        parse_dmodule_spec(text)

@@ -1,0 +1,60 @@
+"""Property tests: the closed fusion rule of Ver_p satisfies the laws of
+a based commutative ring, for random primes p <= 31 and random simples."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vercat.verlinde import VerObject, fusion, fusion_rule
+
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@st.composite
+def simples(draw, count: int):
+    p = draw(st.sampled_from(PRIMES))
+    return (p,) + tuple(draw(st.integers(1, p - 1)) for _ in range(count))
+
+
+def n(p: int, r: int, s: int, t: int) -> int:
+    """Structure constant N_rs^t: multiplicity of L_t in L_r (x) L_s."""
+    return fusion_rule(p, r, s)[t - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(simples(2))
+def test_commutative(case):
+    p, r, s = case
+    assert fusion_rule(p, r, s) == fusion_rule(p, s, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(simples(3))
+def test_associative(case):
+    p, r, s, t = case
+    lr, ls, lt = (VerObject.simple(p, i) for i in (r, s, t))
+    assert fusion(fusion(lr, ls), lt) == fusion(lr, fusion(ls, lt))
+
+
+@settings(max_examples=200, deadline=None)
+@given(simples(2))
+def test_unit_and_pairing(case):
+    # L_1 is the unit, and every simple is self-dual: L_1 occurs in
+    # L_r (x) L_s exactly when r = s, once
+    p, r, s = case
+    assert fusion_rule(p, 1, r) == VerObject.simple(p, r).mult
+    assert n(p, r, s, 1) == (1 if r == s else 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(simples(3))
+def test_frobenius_reciprocity(case):
+    p, r, s, t = case
+    assert n(p, r, s, t) == n(p, r, t, s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(simples(2))
+def test_dimension(case):
+    # J_r (x) J_s has dimension rs; the quotient drops (r+s-p)^+ blocks J_p
+    p, r, s = case
+    assert VerObject(p, fusion_rule(p, r, s)).dim == r * s - p * max(r + s - p, 0)

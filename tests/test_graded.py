@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from vercat import graded, repzp, svec2
+from vercat.exactlin import BudgetExceeded
 from vercat.invariants import build_invariant_algebra
 from vercat.verlinde import SymTower, VerObject
 
@@ -59,6 +60,31 @@ class TestQuotientTower:
                 assert dims == [math.comb(m + 2, 2) for m in range(6)]
             else:
                 assert dims == [1, 3, 5, 7, 9, 11]
+
+
+class TestTowerBudget:
+    def test_relation_matrix_budget_names_the_degree(self):
+        # degree m relations fill (dim S^(m-1) * n) x (dim S^(m-2) * n^2):
+        # 125,440 entries at m = 6 fit 4^9, 301,056 at m = 7 do not
+        n, p = 4, 5
+        rel = (np.eye(n * n, dtype=np.int64) - graded.swap(n, n)) % p
+        with pytest.raises(BudgetExceeded, match=r"matrix of S\^7 needs 301056 "):
+            graded.quotient_tower(rel, n, 9, p, max_entries=4**9)
+
+    def test_sym_power_stops_below_the_requested_degree(self, monkeypatch):
+        # every projection X^(x)k -> S^k is checked before the tower is built
+        def no_tower(*args):
+            raise AssertionError("tower built before the projection budget check")
+
+        monkeypatch.setattr(repzp, "quotient_tower", no_tower)
+        with pytest.raises(BudgetExceeded, match=r"projection onto S\^6 "):
+            repzp.sym_power(repzp.jordan_module(5, [4]), 9, max_entries=4**9)
+
+    def test_dgraded_algebra_budget(self):
+        # dim X^2 = 16 fits the budget; the 16 x 16 degree-2 relations do not
+        w2 = svec2.direct_sum(svec2.module_w(), svec2.module_w())
+        with pytest.raises(BudgetExceeded, match=r"relation matrix of S\^2 "):
+            svec2.sym_algebra(w2, 2, max_entries=100)
 
 
 class TestPower:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vercat import svec2
-from vercat.exactlin import Mat
+from vercat.exactlin import BudgetExceeded, Mat
 from vercat.repzp import hom_space, jordan_module, jordan_type, tensor, trivial_module
 from vercat.verlinde import (
     MultSeries,
@@ -295,6 +295,17 @@ class TestVerSymPower:
         with pytest.raises(BudgetExceeded):
             ver_sym_power(VerObject(11, (0, 0, 0, 0, 2, 0, 0, 0, 0, 0)), 7,
                           max_entries=500)
+
+
+def test_symtower_budget_errors_name_the_degree():
+    with pytest.raises(
+        BudgetExceeded, match=r"^S\^3: cokernel source module needs 5625 "
+    ):
+        ver_sym_power(VerObject.simple(11, 5), 4, max_entries=1000)
+    with pytest.raises(
+        BudgetExceeded, match=r"^S\^3: precomposed class rows needs 486 "
+    ):
+        ver_sym_power(VerObject(5, (3, 0, 0, 0)), 3, max_entries=400)
 
 
 class TestSymAlgSeries:
