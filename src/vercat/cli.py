@@ -20,7 +20,6 @@ recomputed, never trusted.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import math
@@ -121,16 +120,29 @@ def parse_object_spec(text: str, p: int) -> VerObject:
     return VerObject(p, tuple(mult))
 
 
-def parse_dmodule_spec(text: str) -> sv.DModule:
-    """Parse a nonzero sVec_2 module: `1`, `W`, sums, multiplicities."""
-    parts = []
+def parse_dmodule_spec(text: str, max_entries: int | None = None) -> sv.DModule:
+    """Parse a nonzero sVec_2 module: `1`, `W`, sums, multiplicities.
+
+    The summands keep their order in `text`, and the block-diagonal d is
+    built once, after its dim^2 entries are checked against the budget.
+    """
+    terms = []
     for count, name, pos in _spec_terms(text, "module", "'1' or 'W'"):
         if name not in ("1", "W", "w"):
             raise _spec_error("module", pos, f"expected '1' or 'W', got {name!r}")
-        parts += [sv.trivial(1) if name == "1" else sv.module_w()] * count
-    if not parts:
+        terms.append((count, 1 if name == "1" else 2))
+    dim = sum(count * size for count, size in terms)
+    if not dim:
         raise _spec_error("module", 0, "the module is zero")
-    return functools.reduce(sv.direct_sum, parts)
+    check_budget(dim * dim, max_entries, f"module {text.strip()}")
+    d = np.zeros((dim, dim), dtype=np.int64)
+    start = 0
+    for count, size in terms:
+        if size == 2:  # each W sends its x to its y
+            x = start + 2 * np.arange(count)
+            d[x + 1, x] = 1
+        start += count * size
+    return sv.DModule(dim, Mat(GF(2), d))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +422,9 @@ def cmd_symalg(args) -> Report:
 
 
 def cmd_svec2_sympow(args) -> Report:
-    alg = sv.sym_algebra(parse_dmodule_spec(args.module), args.degree, args.max_entries)
+    alg = sv.sym_algebra(
+        parse_dmodule_spec(args.module, args.max_entries), args.degree, args.max_entries
+    )
     dim = alg.dims[args.degree]
     return Report(
         "svec2 sympow",
@@ -423,7 +437,7 @@ def cmd_svec2_sympow(args) -> Report:
 def cmd_svec2_fourth_power(args) -> Report:
     if args.max_degree < 4 or args.trials < 1:
         raise UsageError("fourth-power needs --max-degree >= 4 and --trials >= 1")
-    mod = parse_dmodule_spec(args.module)
+    mod = parse_dmodule_spec(args.module, args.max_entries)
     rep = sv.fourth_power_checks(
         mod, args.max_degree, args.trials, args.seed, args.max_entries
     )
@@ -447,7 +461,7 @@ def _y_line_injectivity(amb: sv.DModule, depth: int, max_entries) -> int | None:
 
 
 def cmd_svec2_injectivity(args) -> Report:
-    amb = parse_dmodule_spec(args.amb)
+    amb = parse_dmodule_spec(args.amb, args.max_entries)
     if amb.dim < 2 or not np.array_equal(amb.d.a[:2, :2], sv.module_w().d.a):
         raise UsageError("ambient module must start with a W summand")
     fail = _y_line_injectivity(amb, args.max_degree, args.max_entries)

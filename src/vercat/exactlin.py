@@ -1,12 +1,23 @@
 """Field-generic exact dense linear algebra over GF(p) and over Q.
 
 All linear algebra of the package is done by the array functions
-`rref`, `rank`, `kernel`, `solve_array` and `cokernel`.  Each takes the
-characteristic p, with p = 0 meaning Q: int64 residues over GF(p),
-`fractions.Fraction` entries in object arrays over Q.  `rref` is the one
-place that picks the elimination routine for a field.  `Mat` is the
-checked public type; its elimination methods delegate to the array
+`rref`, `pivots`, `rank`, `kernel`, `solve_array` and `cokernel`.  Each
+takes the characteristic p, with p = 0 meaning Q: int64 residues over
+GF(p), `fractions.Fraction` entries in object arrays over Q.  `Mat` is
+the checked public type; its elimination methods delegate to the array
 functions.  Every operation is exact and deterministic.
+
+Over GF(p) there are two elimination routines.  `rref` runs Gauss-Jordan
+(`_rref_mod`), one pivot per step, because `kernel`, `solve_array` and
+`cokernel` read the reduced form itself.  `pivots` runs forward
+elimination in rounds (`_pivots_mod`), where every row whose leading
+column has no pivot yet can become one in the same round; `rank`,
+`Mat.image_basis`, `nilpotent_partition` and the hom-class anchor in
+`verlinde` read only pivot columns and use it.  The two agree: both
+leave a basis of the row space with distinct leading columns, and those
+columns are the same for every such basis (the pivot columns of a row
+space are the columns not in the span of the columns before them).
+Over Q both are `_rref_frac`.
 
 GF(p) is accepted only for p <= MAX_PRIME = 65537.  Then (p-1)^2 <= 2^32,
 so a dot product of fewer than 2^31 residues, and hence every int64
@@ -132,6 +143,43 @@ def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return r, pivots
 
 
+def _pivots_mod(a: np.ndarray, p: int) -> list[int]:
+    """Pivot columns of an int64 array mod p by forward elimination in rounds.
+
+    Each round every nonzero row finds its leading column; a leading
+    column without a pivot takes its first such row, scaled to 1, and
+    every row subtracts the pivot at its leading column (a new pivot row
+    cancels itself).  A row's leading column only moves right, and zero
+    rows drop out, so at most `cols` rounds run.  The pivot rows end as an
+    echelon basis of the row space, whose leading columns are the pivot
+    columns of its reduced form.  They are kept in a (min(rows, cols) x
+    cols) array, one row per pivot.
+    """
+    r = a % p
+    rows, cols = r.shape
+    piv = np.zeros((min(rows, cols), cols), dtype=np.int64)
+    slot = np.full(cols, -1, dtype=np.int64)  # row of piv pivoting each column
+    found = 0
+    while True:
+        nz = r != 0
+        live = nz.any(axis=1)
+        if not live.any():
+            break
+        r, lead = r[live], nz[live].argmax(axis=1)
+        new_cols, first = np.unique(lead, return_index=True)
+        fresh = slot[new_cols] < 0
+        new_cols, take = new_cols[fresh], first[fresh]
+        if new_cols.size:
+            inv = [pow(v, -1, p) for v in r[take, new_cols].tolist()]
+            end = found + len(new_cols)
+            piv[found:end] = (r[take] * np.array(inv, dtype=np.int64)[:, None]) % p
+            slot[new_cols] = np.arange(found, end)
+            found = end
+        r = r - r[np.arange(len(r)), lead][:, None] * piv[slot[lead]]
+        r -= p * (r // p)  # r % p: numpy divides by a scalar faster
+    return np.flatnonzero(slot >= 0).tolist()
+
+
 _fractions = np.frompyfunc(Fraction, 1, 1)
 
 
@@ -201,8 +249,16 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return _rref_frac(a)
 
 
+def pivots(a: np.ndarray, p: int) -> list[int]:
+    """Pivot columns of `a` over GF(p), or over Q when p = 0; equal to
+    `rref(a, p)[1]`, without forming the reduced form over GF(p)."""
+    if p:
+        return _pivots_mod(a, p)
+    return _rref_frac(a)[1]
+
+
 def rank(a: np.ndarray, p: int) -> int:
-    return len(rref(a, p)[1])
+    return len(pivots(a, p))
 
 
 def kernel(a: np.ndarray, p: int) -> np.ndarray:
@@ -389,7 +445,7 @@ class Mat:
 
     def image_basis(self) -> "Mat":
         """Columns of self forming a basis of the column span."""
-        return Mat(self.field, self.a[:, rref(self.a, self.field.characteristic)[1]])
+        return Mat(self.field, self.a[:, pivots(self.a, self.field.characteristic)])
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
@@ -439,14 +495,14 @@ def nilpotent_partition(n: Mat) -> tuple[int, ...]:
     if dim == 0:
         return ()
     ranks = [dim]
-    basis = a[:, rref(a, p)[1]]
+    basis = a[:, pivots(a, p)]
     ranks.append(basis.shape[1])
     while basis.shape[1] > 0:
         if len(ranks) > dim + 1:
             raise ValueError("matrix is not nilpotent")
         prod = a @ basis
         prod = prod % p if p else prod
-        nxt = prod[:, rref(prod, p)[1]]
+        nxt = prod[:, pivots(prod, p)]
         if nxt.shape[1] == basis.shape[1]:
             raise ValueError("matrix is not nilpotent")
         basis = nxt

@@ -10,11 +10,12 @@ for any section s_b of the projection q_b: S^(b-1) (x) X -> S^b.  This
 module holds the one implementation of each shared piece, on raw int64
 arrays of residues mod p:
 
-- `swap`: the permutation v (x) w -> w (x) v;
+- `swap`: the permutation v (x) w -> w (x) v, and `minus_swap`, its
+  relation 1 - swap applied by transposing two tensor factors;
 - `quotient_tower`: the plain degreewise quotient, used by Rep(Z/pZ)
   (relation 1 - swap) and sVec_2 (relation 1 + braiding); Ver_p takes
   its cokernels modulo negligible morphisms instead
-  (`verlinde.SymTower`) and shares only the swap and `mu`;
+  (`verlinde.SymTower`) and shares only `minus_swap` and `mu`;
 - `GradedTower.mu`: the recursion above;
 - `TruncatedAlgebra`: element arithmetic, where the product of degrees
   a and b contracts coordinates against a (da x db x dc) structure
@@ -47,6 +48,17 @@ def swap(da: int, db: int) -> np.ndarray:
     m = np.zeros((da * db, da * db), dtype=np.int64)
     m[j * da + i, i * db + j] = 1
     return m
+
+
+def minus_swap(rows: np.ndarray, n: int) -> np.ndarray:
+    """rows @ (1 (x) (1 - swap(n, n))) for a stack of rows whose trailing
+    axis ends in two tensor factors of dimension n.
+
+    The swap is a transpose of those two factors, so no (n^2 x n^2)
+    matrix is formed.
+    """
+    b = rows.reshape(*rows.shape[:-1], -1, n, n)
+    return (b - np.swapaxes(b, -1, -2)).reshape(rows.shape)
 
 
 def quotient_tower(

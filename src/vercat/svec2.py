@@ -95,7 +95,11 @@ class DGradedAlgebra(graded.GradedTower, graded.TruncatedAlgebra):
         self.p = 2
         self.depth = depth
         n = self.nx = x.dim
-        rel = (np.eye(n * n, dtype=np.int64) + _braiding(x, x)) % 2
+        if depth < 2:  # no relations below S^2: do not form the n^4 matrix
+            rel = np.zeros((n * n, 0), dtype=np.int64)
+        else:
+            check_budget(n**4, max_entries, "relation matrix of S^2")
+            rel = (np.eye(n * n, dtype=np.int64) + _braiding(x, x)) % 2
         self.q, self.lift = graded.quotient_tower(rel, n, depth, 2, max_entries)
         self.dims: list[int] = [qm.shape[0] for qm in self.q]
         self.dmat: list[np.ndarray] = [np.zeros((1, 1), dtype=np.int64)]

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactlin import GF, Mat, check_budget, cokernel, kernel, rref, solve_array
+from .exactlin import GF, Mat, check_budget, cokernel, kernel, pivots, rref, solve_array
 from . import graded
 from .repzp import ZpModule, hom_stack, jordan_module, jordan_type
 
@@ -356,7 +356,7 @@ class _HomClasses:
                 per_block.append((idx, None, None, 0))
                 continue
             pair = (w @ njm1 @ ker) % p  # pairing rows against kernel vectors
-            _, piv = rref(pair.T, p)
+            piv = pivots(pair.T, p)
             reps_local = w[piv]
             count = len(piv)
             if count:
@@ -737,10 +737,6 @@ class SymTower(graded.GradedTower):
             self.q.append(np.eye(self.nx, dtype=np.int64))
             if self.nx == 0:
                 self.zero_from = 1
-        self._rel = None
-        if self.nx:
-            swap = graded.swap(self.nx, self.nx)
-            self._rel = (np.eye(self.nx * self.nx, dtype=np.int64) - swap) % self.p
         self._frames: dict[int, _TensorFrame] = {}
         self._sections: dict[int, np.ndarray] = {}
         self._mu: dict[tuple[int, int], np.ndarray] = {}
@@ -767,7 +763,6 @@ class SymTower(graded.GradedTower):
         p, nx = self.p, self.nx
         q_prev = self.q[m - 1]
         dim_pp = self.dim(m - 2)
-        rel = self._rel
 
         def apply_phi(rows: np.ndarray) -> np.ndarray:
             # rows @ [ (q_(m-1) (x) I_X) . (I (x) (id - swap)) ], contracted
@@ -775,9 +770,7 @@ class SymTower(graded.GradedTower):
             t = rows.shape[0]
             r3 = rows.reshape(t, self.dim(m - 1), nx)
             out = np.einsum("tvx,vk->tkx", r3, q_prev) % p
-            out = out.reshape(t, dim_pp, nx * nx)
-            out = np.einsum("tuz,zy->tuy", out, rel) % p
-            return out.reshape(t, dim_pp * nx * nx)
+            return graded.minus_swap(out.reshape(t, dim_pp * nx * nx), nx) % p
 
         sizes, q = _jordan_cokernel(
             self._frame(m - 2).tensor_tops(),

@@ -4,6 +4,8 @@ report determinism, and the result cache."""
 import json
 import os
 import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -459,6 +461,51 @@ def test_fusion_oracle_budget(capsys):
     assert "budget" in err
 
 
+def _peak_bytes(fn):
+    """(result of fn(), peak traced allocation in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_symtower_budget_before_any_relation_matrix(capsys):
+    # dim X = 40: a dense 1 - swap on X (x) X would hold 40^4 int64 entries
+    (code, out, err), peak = _peak_bytes(lambda: run(
+        capsys, "sympow", "--p", "5", "--object", "20*L2", "--degree", "2",
+        "--max-entries", "100",
+    ))
+    assert code == EXIT_BUDGET and out == "" and "S^2: " in err
+    assert peak < 8 * 2**20
+
+
+def test_dmodule_spec_budget_before_building_d(capsys):
+    # 400*W has an 800 x 800 differential; the budget rejects it unbuilt
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "svec2", "sympow", "--module", "400*W", "--degree", "1",
+        "--max-entries", "10",
+    )
+    assert code == EXIT_BUDGET and out == "" and "module 400*W" in err
+    assert time.perf_counter() - start < 2.0
+
+
+def test_svec2_relation_matrix_only_from_degree_two(capsys):
+    # dim X = 60: the degree-2 relations would hold 60^4 int64 entries
+    (code, out, _), peak = _peak_bytes(lambda: run(
+        capsys, "svec2", "sympow", "--module", "30*W", "--degree", "1",
+    ))
+    assert code == EXIT_OK and out.strip() == "dim 60"
+    assert peak < 8 * 2**20
+    (code, out, err), peak = _peak_bytes(lambda: run(
+        capsys, "svec2", "sympow", "--module", "30*W", "--degree", "2",
+    ))
+    assert code == EXIT_BUDGET and out == "" and "relation matrix of S^2" in err
+    assert peak < 8 * 2**20
+
+
 OBJECT_SPECS = [
     ("0", 5, (0, 0, 0, 0)),
     ("3", 5, (3, 0, 0, 0)),
@@ -480,6 +527,7 @@ DMODULE_SPECS = [
     (" 1+ 2*W", "1WW"),
     ("0*1+W", "W"),
     ("2*1+w", "11W"),
+    ("3*W+2*1", "WWW11"),
 ]
 
 

@@ -28,10 +28,16 @@ class TestSwap:
             # at d = 0 the sVec_2 braiding is the plain swap
             c = svec2.braiding(svec2.trivial(da), svec2.trivial(db))
             assert np.array_equal(c.a, s)
+        # SymTower applies its relation 1 - swap through minus_swap
+        rng = np.random.default_rng(1)
         for p, mult in [(5, (1, 1, 0, 0)), (7, (0, 1, 1, 0, 0, 0))]:
-            tw = SymTower(VerObject(p, mult), 2)
-            eye = np.eye(tw.nx**2, dtype=np.int64)
-            assert np.array_equal(tw._rel, (eye - graded.swap(tw.nx, tw.nx)) % p)
+            n = SymTower(VerObject(p, mult), 2).nx
+            for u in (1, 3):
+                rows = rng.integers(0, p, (4, u * n * n))
+                eye = np.eye(n * n, dtype=np.int64)
+                rel = np.kron(np.eye(u, dtype=np.int64), eye - graded.swap(n, n))
+                want = rows @ rel % p
+                assert np.array_equal(graded.minus_swap(rows, n) % p, want)
 
 
 class TestQuotientTower:

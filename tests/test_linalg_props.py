@@ -3,7 +3,8 @@
 `rref`, `rank`, `kernel`, `solve_array` and `cokernel` are held to a
 pure-Python reference (Python ints mod p, `Fraction` over Q) on random
 matrices over random primes, 2 and 65537 included, and over Q (p = 0);
-the `Mat` methods are held to the array functions they delegate to.
+`pivots` is held to the pivots of `rref`, and the `Mat` methods to the
+array functions they delegate to.
 """
 
 from fractions import Fraction
@@ -20,6 +21,7 @@ from vercat.exactlin import (
     _is_prime,
     cokernel,
     kernel,
+    pivots,
     quotient_basis,
     rank,
     rref,
@@ -68,11 +70,63 @@ def matrix(draw, p: int, rows: int, cols: int) -> np.ndarray:
     return out
 
 
+def _as_field(a: np.ndarray, p: int) -> np.ndarray:
+    if p:
+        return a % p
+    out = np.full(a.shape, Fraction(0), dtype=object)
+    out[...] = a
+    return out
+
+
+def jordan_nilpotent(parts_a: list[int], parts_b: list[int]) -> np.ndarray:
+    """J_a (x) J_b - 1 for unipotent Jordan matrices with the given block
+    sizes, as an integer matrix: the fusion oracle's input to
+    `nilpotent_partition`."""
+
+    def unipotent(parts):
+        n = sum(parts)
+        j = np.eye(n, dtype=np.int64)
+        start = 0
+        for size in parts:
+            for i in range(start, start + size - 1):
+                j[i, i + 1] = 1
+            start += size
+        return j
+
+    j = np.kron(unipotent(parts_a), unipotent(parts_b))
+    return j - np.eye(len(j), dtype=np.int64)
+
+
+def composition(rng, n: int) -> list[int]:
+    """n as a sum of one to three positive parts, cut at random points."""
+    cuts = rng.choice(np.arange(1, n), rng.integers(0, min(n, 3)), replace=False)
+    return np.diff([0, *sorted(cuts), n]).tolist()
+
+
 @st.composite
 def field_matrix(draw):
+    """Small low-rank matrices, larger sparse ones (up to 40 x 40, some
+    rows combinations of others), and powers of the nilpotent part of a
+    tensor product of Jordan modules.  Over Q the larger kinds stay at
+    most 12 x 12, where Fraction elimination stays quick."""
     p = draw(CHARS)
-    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
-    return p, draw(matrix(p, rows, cols))
+    kind = draw(st.sampled_from(["low-rank", "sparse", "jordan"]))
+    if kind == "low-rank":
+        rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+        return p, draw(matrix(p, rows, cols))
+    big = 40 if p else 12
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "sparse":
+        rows, cols = draw(st.integers(0, big)), draw(st.integers(0, big))
+        density = draw(st.sampled_from([0.05, 0.2, 0.5]))
+        a = rng.integers(-3, 4, (rows, cols)) * (rng.random((rows, cols)) < density)
+        if rows >= 3:  # dependent rows
+            a[rng.integers(rows)] = a[rng.integers(rows)] - 2 * a[rng.integers(rows)]
+        return p, _as_field(a, p)
+    da = draw(st.integers(1, 6))
+    db = draw(st.integers(1, big // da))
+    n = jordan_nilpotent(composition(rng, da), composition(rng, db))
+    return p, _as_field(np.linalg.matrix_power(n, draw(st.integers(1, 3))), p)
 
 
 @st.composite
@@ -156,6 +210,15 @@ def test_rref_matches_reference(case):
     assert piv == want_piv
     assert r.tolist() == want
     assert np.array_equal(a, before)  # the input is not modified
+
+
+@PROPS
+@given(field_matrix())
+def test_pivots_match_rref(case):
+    p, a = case
+    before = a.copy()
+    assert pivots(a, p) == rref(a, p)[1]
+    assert np.array_equal(a, before)
 
 
 @PROPS
