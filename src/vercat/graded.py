@@ -16,7 +16,8 @@ arrays of residues mod p:
   (relation 1 - swap) and sVec_2 (relation 1 + braiding); Ver_p takes
   its cokernels modulo negligible morphisms instead
   (`verlinde.SymTower`) and shares only `minus_swap` and `mu`;
-- `GradedTower.mu`: the recursion above;
+- `GradedTower.mu`: the recursion above, and `GradedTower.table`, the
+  one reading of mu(a, b) as a (da x db x dc) structure tensor;
 - `TruncatedAlgebra`: element arithmetic, where the product of degrees
   a and b contracts coordinates against a (da x db x dc) structure
   tensor.
@@ -131,6 +132,14 @@ class GradedTower:
             out = (self.q[a + b] @ lift) % self.p
         self._mu[key] = out
         return out
+
+    def table(self, a: int, b: int, keep=None) -> np.ndarray:
+        """mu(a, b) as the (da x db x dc) structure tensor; `keep`, a
+        triple of coordinate lists for S^a, S^b and S^(a+b), slices it."""
+        mu = self.mu(a, b).reshape(self.dim(a + b), self.dim(a), self.dim(b))
+        if keep is not None:
+            mu = mu[np.ix_(keep[2], keep[0], keep[1])]
+        return np.ascontiguousarray(mu.transpose(1, 2, 0))
 
 
 def contract(ca: np.ndarray, cb: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:

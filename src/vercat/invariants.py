@@ -23,7 +23,7 @@ import numpy as np
 
 from . import graded
 from .exactlin import kernel, rank
-from .repzp import jordan_module
+from .repzp import hom_stack, jordan_module
 from .verlinde import SymTower, VerObject, ver_sym_power
 
 
@@ -49,17 +49,15 @@ class InvariantAlgebra(graded.TruncatedAlgebra):
         self.p = x.p
         self.depth = depth
         self.tower = SymTower(x, depth, max_entries)
-        self._inv_offsets: list[list[int]] = []
-        rng = random.Random(basis_seed) if basis_seed is not None else None
-        for m in range(depth + 1):
-            offs = self.tower.block_offsets(m, 1)
-            if rng is not None:
+        self._inv_offsets = [self.tower.block_offsets(m, 1) for m in range(depth + 1)]
+        if basis_seed is not None:
+            rng = random.Random(basis_seed)
+            for offs in self._inv_offsets:
                 rng.shuffle(offs)
-            self._inv_offsets.append(offs)
         self.dims = [len(offs) for offs in self._inv_offsets]
         if self.inv_dim(0) != 1:
             raise AssertionError("degree 0 must be one-dimensional")
-        self._products: dict[tuple[int, int], np.ndarray] = {}
+        self._tables: dict[tuple[int, int, int], np.ndarray] = {}
 
     # -- degree data ---------------------------------------------------------
 
@@ -69,39 +67,44 @@ class InvariantAlgebra(graded.TruncatedAlgebra):
     def inv_dims(self) -> list[int]:
         return list(self.dims)
 
+    def offsets(self, m: int, i: int) -> list[int]:
+        """Offsets in V_m of the size-i blocks, in class-coordinate order."""
+        return self._inv_offsets[m] if i == 1 else self.tower.block_offsets(m, i)
+
     def iso_dim(self, m: int, i: int) -> int:
-        return len(self.tower.block_offsets(m, i))
+        return len(self.offsets(m, i))
 
     def iso_matrix(self, m: int, i: int, coords: np.ndarray) -> np.ndarray:
         """Representative map J_i -> V_m for type-i class coordinates."""
-        dim = self.tower.dim(m)
-        h = np.zeros((dim, i), dtype=np.int64)
-        for t, off in enumerate(self.tower.block_offsets(m, i)):
-            c = int(coords[t]) % self.p
-            for k in range(i):
-                h[off + k, k] = c
+        h = np.zeros((self.tower.dim(m), i), dtype=np.int64)
+        for t, off in enumerate(self.offsets(m, i)):
+            h[off : off + i] = (int(coords[t]) % self.p) * np.eye(i, dtype=np.int64)
         return h
 
     def iso_class_of(self, m: int, i: int, h: np.ndarray) -> np.ndarray:
         """Class coordinates of an exact intertwiner h: J_i -> V_m."""
-        offs = self.tower.block_offsets(m, i)
-        return np.array([h[o, 0] % self.p for o in offs], dtype=np.int64)
+        return h[self.offsets(m, i), 0] % self.p
 
     # -- products ------------------------------------------------------------
 
-    def product_table(self, a: int, b: int) -> np.ndarray:
-        """Structure constants: table[k, l] = coords of (e_k^a) * (e_l^b).
+    def iso_table(self, a: int, b: int, i: int) -> np.ndarray:
+        """table[k, l] = type-i class coordinates of e_k^a * t_l^b, for
+        invariant basis classes e_k^a and type-i classes t_l^b.
 
-        The invariant rows and columns of mu(a, b), read as a
-        (dim a) x (dim b) x (dim a+b) tensor.
+        The product of the block inclusions is mu(a, b) applied to the
+        first vectors of the blocks, and its class is its entry at the
+        first vector of each size-i block of V_(a+b) (`iso_class_of`), so
+        the table is mu(a, b) sliced to those coordinates.
         """
-        key = (a, b)
-        if key not in self._products:
-            tw, offs = self.tower, self._inv_offsets
-            mu = tw.mu(a, b).reshape(tw.dim(a + b), tw.dim(a), tw.dim(b))
-            table = mu[np.ix_(offs[a + b], offs[a], offs[b])].transpose(1, 2, 0)
-            self._products[key] = np.ascontiguousarray(table)
-        return self._products[key]
+        key = (a, b, i)
+        if key not in self._tables:
+            keep = (self.offsets(a, 1), self.offsets(b, i), self.offsets(a + b, i))
+            self._tables[key] = self.tower.table(a, b, keep)
+        return self._tables[key]
+
+    def product_table(self, a: int, b: int) -> np.ndarray:
+        """Structure constants: table[k, l] = coords of (e_k^a) * (e_l^b)."""
+        return self.iso_table(a, b, 1)
 
     def multiply_coords(
         self, a: int, ca: np.ndarray, b: int, cb: np.ndarray
@@ -129,84 +132,72 @@ def build_invariant_algebra(
     return InvariantAlgebra(x, depth, max_entries, basis_seed)
 
 
+def _new_classes(alg: InvariantAlgebra, m: int, i: int, degrees) -> int:
+    """How many type-i classes of degree m lie outside the span of the
+    products A_g * S^(m-g)_i, g <= m in `degrees`: a codimension, so it
+    does not depend on which bases are used."""
+    dim = alg.iso_dim(m, i)
+    if not dim:
+        return 0
+    rows = [alg.iso_table(g, m - g, i).reshape(-1, dim) for g in degrees if g <= m]
+    return dim - (rank(np.vstack(rows), alg.p) if rows else 0)
+
+
 def generator_degrees(alg: InvariantAlgebra) -> list[tuple[int, int]]:
     """Per degree: how many invariants are not products of lower degrees.
 
     Evidence for finite generation up to the truncation is a tail of
-    zeros; the counts themselves are basis-independent (they are
-    codimensions of product spans).
+    zeros.  A_+ * A_+ in degree m is spanned by the products A_g * A_(m-g)
+    with g < m a degree that has new generators (every monomial in the
+    generators is a generator times the rest), so only those are ranked.
     """
-    out = []
-    for m in range(alg.depth + 1):
-        dim = alg.inv_dim(m)
-        if m == 0 or dim == 0:
-            out.append((m, dim))
-            continue
-        rows = [alg.product_table(a, m - a).reshape(-1, dim) for a in range(1, m)]
-        new = dim - (rank(np.vstack(rows), alg.p) if rows else 0)
-        out.append((m, new))
+    out, gens = [(0, alg.inv_dim(0))], []
+    for m in range(1, alg.depth + 1):
+        out.append((m, _new_classes(alg, m, 1, gens)))
+        if out[-1][1]:
+            gens.append(m)
     return out
 
 
 def module_finiteness_check(
     x: VerObject, depth: int, max_entries: int | None = None
 ) -> tuple[list[tuple[int, int]], bool]:
-    """Greedy homogeneous module generators of A = S(X) over its invariants.
+    """Homogeneous module generators of S = S(X) over its invariants A.
 
-    Walks the degrees upward and, per simple type, selects canonical
-    isotypic classes not contained in (invariants) * (previous
-    selections).  Returns the selected (degree, simple index) list and a
-    stabilization flag: no selection in the top ceil(depth/3) degrees.
-    The flag is evidence up to the truncation, not a proof.
+    Per degree m and simple type i, the number of generators is the
+    codimension of A_+ * S in the type-i classes of S^m: by graded
+    Nakayama every minimal homogeneous generating set has exactly that
+    many elements there.  The action is associative modulo negligibles
+    and A_+ is spanned by monomials in the generators of A, so A_+ * S is
+    spanned by the products A_g * S^(m-g)_i with g a generator degree.
+
+    Returns one (degree, simple index) entry per generator, in degree
+    order, and a stabilization flag: no generator in the top
+    ceil(depth/3) degrees.  The flag is evidence up to the truncation,
+    not a proof.
     """
     alg = InvariantAlgebra(x, depth, max_entries)
-    p = alg.p
-    selected: list[tuple[int, int]] = []
-    # per (degree, type): list of selected class-coordinate vectors
-    chosen: dict[tuple[int, int], list[np.ndarray]] = {}
-    for m in range(depth + 1):
-        for i in range(1, p):
-            dim_mi = alg.iso_dim(m, i)
-            if dim_mi == 0:
-                continue
-            rows = []
-            for a in range(1, m + 1):
-                if alg.inv_dim(a) == 0:
-                    continue
-                prev = chosen.get((m - a, i), [])
-                if not prev:
-                    continue
-                mu = alg.tower.mu(a, m - a)
-                dim_prev = alg.tower.dim(m - a)
-                for inv_off in alg._inv_offsets[a]:
-                    for t_coords in prev:
-                        psi = alg.iso_matrix(m - a, i, t_coords)
-                        phi = np.zeros((alg.tower.dim(a), 1), dtype=np.int64)
-                        phi[inv_off, 0] = 1
-                        h = (mu @ np.kron(phi, psi)) % p
-                        rows.append(alg.iso_class_of(m, i, h))
-            span_rows = [r for r in rows if np.any(r)]
-            span_rank = rank(np.asarray(span_rows), p) if span_rows else 0
-            for k in range(dim_mi):
-                e = np.zeros(dim_mi, dtype=np.int64)
-                e[k] = 1
-                trial_rows = span_rows + [e]
-                if rank(np.asarray(trial_rows), p) > span_rank:
-                    span_rows = trial_rows
-                    span_rank += 1
-                    selected.append((m, i))
-                    chosen.setdefault((m, i), []).append(e)
+    gens = [m for m, new in generator_degrees(alg) if m and new]
+    selected = [
+        (m, i)
+        for m in range(depth + 1)
+        for i in range(1, alg.p)
+        for _ in range(_new_classes(alg, m, i, gens))
+    ]
     window = -(-depth // 3)  # ceil
     stabilized = all(m <= depth - window for m, _ in selected)
     return selected, stabilized
 
 
+def negligible(f: np.ndarray, back: np.ndarray, p: int) -> bool:
+    """Whether f: J_i -> J_s (an s x i array) is negligible, i.e.
+    tr(f u) = 0 for every u in `back`, a basis of Hom(J_s, J_i) stacked
+    as (h x i x s) (`repzp.hom_stack`)."""
+    return not np.any(np.einsum("si,his->h", f, back) % p)
+
+
 def isotypic_stability_check(
-    x: VerObject,
-    depth: int,
-    trials: int,
-    seed: int,
-    max_entries: int | None = None,
+    x: VerObject, depth: int, trials: int, seed: int, max_entries: int | None = None
 ) -> bool:
     """Multiplication by invariants preserves isotypic components.
 
@@ -223,68 +214,46 @@ def isotypic_stability_check(
     p = alg.p
     rng = random.Random(seed)
     types_present = [
-        (m, i)
-        for m in range(depth + 1)
-        for i in range(1, p)
-        if alg.iso_dim(m, i) > 0
+        (m, i) for m in range(depth + 1) for i in range(1, p) if alg.iso_dim(m, i)
     ]
     inv_degrees = [a for a in range(depth + 1) if alg.inv_dim(a) > 0]
+    backs: dict[tuple[int, int], np.ndarray] = {}  # (s, i) -> Hom(J_s, J_i)
+
+    def draw(k: int) -> np.ndarray:
+        return np.array([rng.randrange(p) for _ in range(k)], dtype=np.int64)
+
     for trial in range(trials):
         b, i = types_present[trial % len(types_present)]
         choices = [a for a in inv_degrees if a + b <= depth]
         if not choices:
             continue
         a = rng.choice(choices)
-        ca = np.array(
-            [rng.randrange(p) for _ in range(alg.inv_dim(a))], dtype=np.int64
-        )
-        cb = np.array(
-            [rng.randrange(p) for _ in range(alg.iso_dim(b, i))], dtype=np.int64
-        )
-        phi = alg.iso_matrix(a, 1, ca)
+        ca, cb = draw(alg.inv_dim(a)), draw(alg.iso_dim(b, i))
+        phi = alg.iso_matrix(a, 1, ca)[:, 0]
         psi = alg.iso_matrix(b, i, cb)
         m = a + b
-        h = (alg.tower.mu(a, b) @ np.kron(phi, psi)) % p
+        mu = alg.tower.mu(a, b).reshape(-1, alg.tower.dim(a), alg.tower.dim(b))
+        h = (np.tensordot(mu, phi, axes=(1, 0)) % p) @ psi % p
         # exact intertwiner
         gj = jordan_module(p, [i]).g.a
         gv = jordan_module(p, alg.tower.sizes[m]).g.a
         if not np.array_equal((h @ gj) % p, (gv @ h) % p):
             return False
-        # components into blocks of size != i are negligible: pair the
-        # block component against Hom(J_s, J_i), spanned by the maps with
-        # last column e_k (k <= min(i, s)) and columns N^t of it.
-        pos = 0
-        for sz in alg.tower.sizes[m]:
-            comp = h[pos : pos + sz, :]
-            pos += sz
-            if sz == i:
-                continue
-            # u: J_i -> J_s has columns [N^(i-1) v, ..., v], v in ker N_s^i;
-            # tr(comp^T-pairing) must vanish for all such u.
-            nloc = (jordan_module(p, [sz]).g.a - np.eye(sz, dtype=np.int64)) % p
-            for k in range(min(i, sz)):
-                v = np.zeros((sz, 1), dtype=np.int64)
-                v[k, 0] = 1
-                u = np.zeros((sz, i), dtype=np.int64)
-                col = v[:, 0]
-                for t in range(i - 1, -1, -1):
-                    u[:, t] = col
-                    col = (nloc @ col) % p
-                if int(np.trace(comp @ u.T)) % p != 0:
+        # components into blocks of size != i are negligible
+        for sz in set(alg.tower.sizes[m]) - {i}:
+            if (sz, i) not in backs:
+                backs[sz, i] = hom_stack(jordan_module(p, [sz]), jordan_module(p, [i]))
+            for off in alg.tower.block_offsets(m, sz):
+                if not negligible(h[off : off + sz], backs[sz, i], p):
                     return False
         # two extraction routes for the type-i class must agree
         direct = alg.iso_class_of(m, i, h)
         inv_i = pow(i, -1, p)
-        paired = []
-        for off in alg.tower.block_offsets(m, i):
-            comp = h[off : off + i, :]
-            paired.append((int(np.trace(comp)) * inv_i) % p)
-        if not np.array_equal(direct, np.asarray(paired, dtype=np.int64)):
+        paired = [int(np.trace(h[o : o + i])) * inv_i % p for o in alg.offsets(m, i)]
+        if direct.tolist() != paired:
             return False
-        if i == 1:
-            expected = alg.multiply_coords(a, ca, b, cb)
-            if not np.array_equal(direct, expected):
-                return False
+        if i == 1 and not np.array_equal(direct, alg.multiply_coords(a, ca, b, cb)):
+            return False
     return True
 
 

@@ -41,7 +41,10 @@ class DModule:
             raise ValueError("d must be square of size dim")
         if self.d.field != GF2:
             raise ValueError("d must live over GF(2)")
-        if not (self.d @ self.d).is_zero():
+        # only k whose row and column of d are both nonzero add to (d d)[r, c]
+        d = self.d.a
+        k = np.flatnonzero(d.any(axis=0) & d.any(axis=1))
+        if ((d[:, k] @ d[k, :]) % 2).any():
             raise ValueError("d^2 must vanish")
 
 
@@ -103,7 +106,9 @@ class DGradedAlgebra(graded.GradedTower, graded.TruncatedAlgebra):
         self.q, self.lift = graded.quotient_tower(rel, n, depth, 2, max_entries)
         self.dims: list[int] = [qm.shape[0] for qm in self.q]
         self.dmat: list[np.ndarray] = [np.zeros((1, 1), dtype=np.int64)]
-        for m in range(1, depth + 1):
+        if depth >= 1:  # q[1] and lift[1] are identities: degree 1 carries d
+            self.dmat.append(x.d.a)
+        for m in range(2, depth + 1):
             d_b = np.kron(self.dmat[m - 1], np.eye(n, dtype=np.int64)) + np.kron(
                 np.eye(self.dims[m - 1], dtype=np.int64), x.d.a
             )
@@ -118,12 +123,9 @@ class DGradedAlgebra(graded.GradedTower, graded.TruncatedAlgebra):
         return self.lift[b]
 
     def product_table(self, a: int, b: int) -> np.ndarray:
-        """mu(a, b) as the (da x db x dc) structure tensor."""
-        key = (a, b)
-        if key not in self._tables:
-            mu = self.mu(a, b).reshape(self.dims[a + b], self.dims[a], self.dims[b])
-            self._tables[key] = np.ascontiguousarray(mu.transpose(1, 2, 0))
-        return self._tables[key]
+        if (a, b) not in self._tables:
+            self._tables[a, b] = self.table(a, b)
+        return self._tables[a, b]
 
     def from_vector(self, degree: int, vec) -> dict[int, np.ndarray]:
         v = np.asarray(vec, dtype=np.int64) % 2

@@ -492,6 +492,15 @@ def test_dmodule_spec_budget_before_building_d(capsys):
     assert time.perf_counter() - start < 2.0
 
 
+def test_large_dmodule_degree_one_is_quick(capsys):
+    # d^2 = 0 is checked only through indices where d has a nonzero row
+    # and column, and S^1 carries d itself: no dense 800 x 800 products
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "svec2", "sympow", "--module", "400*W", "--degree", "1")
+    assert code == EXIT_OK and out.strip() == "dim 800"
+    assert time.perf_counter() - start < 1.0
+
+
 def test_svec2_relation_matrix_only_from_degree_two(capsys):
     # dim X = 60: the degree-2 relations would hold 60^4 int64 entries
     (code, out, _), peak = _peak_bytes(lambda: run(

@@ -93,6 +93,24 @@ class TestTowerBudget:
             svec2.sym_algebra(w2, 2, max_entries=100)
 
 
+class TestTable:
+    def test_table_reads_mu(self):
+        # table[k, l, j] is coordinate j of mu(a, b) on (e_k (x) e_l)
+        tower = SymTower(VerObject(5, (1, 1, 0, 0)), 5)
+        for a, b in [(0, 3), (1, 2), (2, 3), (3, 0)]:
+            mu, t = tower.mu(a, b), tower.table(a, b)
+            assert t.shape == (tower.dim(a), tower.dim(b), tower.dim(a + b))
+            for k in range(tower.dim(a)):
+                for l in range(tower.dim(b)):
+                    assert np.array_equal(t[k, l], mu[:, k * tower.dim(b) + l])
+
+    def test_keep_slices_each_factor(self):
+        tower = SymTower(VerObject(5, (1, 1, 0, 0)), 5)
+        full = tower.table(2, 3)
+        keep = ([2, 0], [1], [4, 0, 3])
+        assert np.array_equal(tower.table(2, 3, keep), full[np.ix_(*keep)])
+
+
 class TestPower:
     def test_svec2_power_is_iterated_mul(self):
         alg = svec2.sym_algebra(svec2.direct_sum(svec2.module_w(), svec2.trivial(1)), 8)

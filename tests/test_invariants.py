@@ -2,11 +2,16 @@
 module finiteness, Frobenius behaviour, and the rational-field
 counterexample."""
 
+import json
+import pathlib
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vercat.repzp import hom_stack, jordan_module
 from vercat.verlinde import VerObject, ver_sym_power
 from vercat.invariants import (
     build_invariant_algebra,
@@ -15,7 +20,23 @@ from vercat.invariants import (
     generator_degrees,
     isotypic_stability_check,
     module_finiteness_check,
+    negligible,
 )
+
+# generator_degrees and module_finiteness_check outputs recorded from the
+# greedy module-generator search these functions replaced: p in {3, 5, 7}
+# with every X of one or two simple summands (depth cycling through
+# 7..10), and p = 11, X = 1 + L2, D = 12
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "invariants_golden.json").read_text()
+)
+
+
+def ver(p: int, summands) -> VerObject:
+    mult = [0] * (p - 1)
+    for i in summands:
+        mult[i - 1] += 1
+    return VerObject(p, tuple(mult))
 
 
 class TestBuild:
@@ -128,6 +149,76 @@ class TestModuleFiniteness:
         selected, stabilized = module_finiteness_check(VerObject(5, (1, 1, 0, 0)), 10)
         assert stabilized
         assert max(m for m, _ in selected) <= 3
+
+
+def golden_id(case) -> str:
+    summands = "+".join(f"L{i}" for i in case["summands"])
+    return f"p{case['p']}-{summands}-D{case['depth']}"
+
+
+class TestGolden:
+    @pytest.mark.parametrize("case", GOLDEN, ids=[golden_id(c) for c in GOLDEN])
+    def test_counts_match_recorded(self, case):
+        x, depth = ver(case["p"], case["summands"]), case["depth"]
+        gens = list(enumerate(case["generator_degrees"]))
+        assert generator_degrees(build_invariant_algebra(x, depth)) == gens
+        shuffled = build_invariant_algebra(x, depth, basis_seed=depth)
+        assert generator_degrees(shuffled) == gens
+        selected, stabilized = module_finiteness_check(x, depth)
+        assert selected == [tuple(s) for s in case["selected"]]
+        assert stabilized == case["stabilized"]
+
+
+@st.composite
+def small_algebras(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    summands = draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=2))
+    return ver(p, summands), 4 if p <= 7 else 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_algebras())
+def test_products_associate_on_class_coordinates(case):
+    # (e^a e^b) t^c = e^a (e^b t^c) on type-i class coordinates: the
+    # identity the module-generator count relies on
+    x, depth = case
+    alg = build_invariant_algebra(x, depth)
+    p = alg.p
+    for a in range(depth + 1):
+        for b in range(depth + 1 - a):
+            for c in range(depth + 1 - a - b):
+                for i in range(1, p):
+                    lhs = np.tensordot(
+                        alg.product_table(a, b), alg.iso_table(a + b, c, i), axes=(2, 0)
+                    )
+                    rhs = np.einsum(
+                        "lty,kyu->kltu",
+                        alg.iso_table(b, c, i),
+                        alg.iso_table(a, b + c, i),
+                    )
+                    assert np.array_equal(lhs % p, rhs % p), (a, b, c, i)
+
+
+class TestNegligible:
+    def test_fixed_vector_into_j2_is_negligible(self):
+        # e_0: J_1 -> J_2 spans the fixed points of J_2, which every map
+        # J_2 -> J_1 kills, so tr(e_0 u) = 0 for all u
+        p = 5
+        back = hom_stack(jordan_module(p, [2]), jordan_module(p, [1]))
+        e0 = np.array([[1], [0]], dtype=np.int64)
+        assert negligible(e0, back, p)
+
+    def test_identity_is_not_negligible(self):
+        p = 5
+        for i in range(1, p):
+            back = hom_stack(jordan_module(p, [i]), jordan_module(p, [i]))
+            assert not negligible(np.eye(i, dtype=np.int64), back, p)
+
+    def test_projective_block_is_negligible(self):
+        # J_p has dimension p = 0, so even its identity is negligible
+        p = 5
+        back = hom_stack(jordan_module(p, [p]), jordan_module(p, [p]))
+        assert negligible(np.eye(p, dtype=np.int64), back, p)
 
 
 class TestIsotypicStability:

@@ -71,6 +71,17 @@ class TestDModule:
         with pytest.raises(ValueError):
             DModule(2, Mat(F2, [[0, 1], [1, 0]]))
 
+    def test_d_square_check_matches_dense_product(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            dim = rng.randint(1, 6)
+            d = Mat(F2, [[rng.random() < 0.3 for _ in range(dim)] for _ in range(dim)])
+            if (d @ d).is_zero():
+                DModule(dim, d)
+            else:
+                with pytest.raises(ValueError):
+                    DModule(dim, d)
+
     def test_w(self):
         w = module_w()
         # d(x) = y, d(y) = 0 in the basis (x, y)
