@@ -1,7 +1,8 @@
 """Command-line front door: computations, verification suites,
 machine-readable reports, and a file-backed result cache.
 
-Exit codes: 0 success, 1 verification-check failure, 2 usage error,
+Exit codes: 0 success, 1 verification-check failure, 2 usage error
+(including a cache directory or `--json` path that cannot be written),
 3 resource budget exceeded.
 
 Every command builds a `Report` and prints nothing; `main` renders it
@@ -778,6 +779,8 @@ def cmd_verify(args) -> Report:
     params = {k: getattr(args, k) for k in ("suite", "p_max", "max_degree", "mutate")}
     report = Report("verify", params, versions={"seed": args.seed})
     suites = SUITES if args.suite == "all" else (args.suite,)
+    if args.p_max < 3:
+        raise UsageError("--p-max must be at least 3, the smallest prime checked")
     if "char0" in suites and args.max_degree < 3:
         raise UsageError("the char0 suite needs --max-degree >= 3")
     for name in suites:
@@ -907,15 +910,19 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         report = args.func(args)
+        if getattr(args, "json_out", None):
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json())
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    if getattr(args, "json_out", None):
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+    except OSError as exc:
+        # the only files a command touches are the cache and --json
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     emit(report, args.format)
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 

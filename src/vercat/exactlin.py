@@ -7,17 +7,16 @@ GF(p), `fractions.Fraction` entries in object arrays over Q.  `Mat` is
 the checked public type; its elimination methods delegate to the array
 functions.  Every operation is exact and deterministic.
 
-Over GF(p) there are two elimination routines.  `rref` runs Gauss-Jordan
-(`_rref_mod`), one pivot per step, because `kernel`, `solve_array` and
-`cokernel` read the reduced form itself.  `pivots` runs forward
-elimination in rounds (`_pivots_mod`), where every row whose leading
-column has no pivot yet can become one in the same round; `rank`,
-`Mat.image_basis`, `nilpotent_partition` and the hom-class anchor in
-`verlinde` read only pivot columns and use it.  The two agree: both
-leave a basis of the row space with distinct leading columns, and those
-columns are the same for every such basis (the pivot columns of a row
-space are the columns not in the span of the columns before them).
-Over Q both are `_rref_frac`.
+There is one Gauss-Jordan, `_rref_mod`, for both fields: `rref` runs
+it, one pivot per step, because `kernel`, `solve_array` and `cokernel`
+read the reduced form itself.  Over GF(p), `pivots` instead runs
+forward elimination in rounds (`_pivots_mod`), where every row whose
+leading column has no pivot yet can become one in the same round;
+`rank`, `Mat.image_basis`, `nilpotent_partition` and the hom-class
+anchor in `verlinde` read only pivot columns and use it.  The two agree:
+both leave a basis of the row space with distinct leading columns, and
+those columns are the same for every such basis (the pivot columns of a
+row space are the columns not in the span of the columns before them).
 
 GF(p) is accepted only for p <= MAX_PRIME = 65537.  Then (p-1)^2 <= 2^32,
 so a dot product of fewer than 2^31 residues, and hence every int64
@@ -117,9 +116,14 @@ def GF(p: int) -> Field:
 # ---------------------------------------------------------------------------
 
 
+_fractions = np.frompyfunc(Fraction, 1, 1)
+
+
 def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of an int64 array mod p, plus pivot columns."""
-    r = a % p
+    """Reduced row echelon form of `a` over GF(p), or over Q when p = 0,
+    plus pivot columns.  The field enters only where entries are
+    converted, a pivot row is scaled and the other rows are updated."""
+    r = a % p if p else _fractions(a)
     rows, cols = r.shape
     pivots: list[int] = []
     lead = 0
@@ -132,12 +136,15 @@ def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pr = lead + int(nz[0])
         if pr != lead:
             r[[lead, pr]] = r[[pr, lead]]
-        inv = pow(int(r[lead, c]), -1, p)
-        r[lead] = (r[lead] * inv) % p
+        if p:
+            r[lead] = (r[lead] * pow(int(r[lead, c]), -1, p)) % p
+        else:
+            r[lead] = r[lead] / r[lead, c]
         other = np.nonzero(r[:, c])[0]
         other = other[other != lead]
         if other.size:
-            r[other] = (r[other] - np.outer(r[other, c], r[lead])) % p
+            update = r[other] - np.outer(r[other, c], r[lead])
+            r[other] = update % p if p else update
         pivots.append(c)
         lead += 1
     return r, pivots
@@ -180,36 +187,6 @@ def _pivots_mod(a: np.ndarray, p: int) -> list[int]:
     return np.flatnonzero(slot >= 0).tolist()
 
 
-_fractions = np.frompyfunc(Fraction, 1, 1)
-
-
-def _rref_frac(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    r = _fractions(a)
-    rows, cols = r.shape
-    pivots: list[int] = []
-    lead = 0
-    zero = Fraction(0)
-    for c in range(cols):
-        if lead == rows:
-            break
-        pr = -1
-        for i in range(lead, rows):
-            if r[i, c] != zero:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != lead:
-            r[[lead, pr]] = r[[pr, lead]]
-        r[lead] = r[lead] / r[lead, c]
-        for i in range(rows):
-            if i != lead and r[i, c] != zero:
-                r[i] = r[i] - r[i, c] * r[lead]
-        pivots.append(c)
-        lead += 1
-    return r, pivots
-
-
 def _zeros(rows: int, cols: int, p: int) -> np.ndarray:
     if p:
         return np.zeros((rows, cols), dtype=np.int64)
@@ -244,9 +221,7 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of `a` over GF(p), or over Q when p = 0,
     and its pivot columns.  The input is not modified; over Q its entries
     may be ints or Fractions."""
-    if p:
-        return _rref_mod(a, p)
-    return _rref_frac(a)
+    return _rref_mod(a, p)
 
 
 def pivots(a: np.ndarray, p: int) -> list[int]:
@@ -254,7 +229,7 @@ def pivots(a: np.ndarray, p: int) -> list[int]:
     `rref(a, p)[1]`, without forming the reduced form over GF(p)."""
     if p:
         return _pivots_mod(a, p)
-    return _rref_frac(a)[1]
+    return _rref_mod(a, p)[1]
 
 
 def rank(a: np.ndarray, p: int) -> int:

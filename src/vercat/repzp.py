@@ -190,9 +190,12 @@ def sym_power(
         # every projection X^(x)k -> S^k (dim S^k = C(n+k-1, k)), before the tower
         dim_k = math.comb(n + k - 1, k)
         check_budget(dim_k * n**k, max_entries, f"projection onto S^{k}")
-    i, j = np.triu_indices(n, 1)
-    # the columns e_ij - e_ji, i < j, span the image of 1 - swap
-    rel = ((np.eye(n * n, dtype=np.int64) - swap(n, n)) % p)[:, i * n + j]
+    # the columns e_ij - e_ji, i < j, span the image of 1 - swap; they are
+    # read only from degree 2, where the projection check above bounds them
+    i, j = np.triu_indices(n if degree >= 2 else 0, 1)
+    rel = np.zeros((n * n, len(i)), dtype=np.int64)
+    rel[i * n + j, np.arange(len(i))] = 1
+    rel[j * n + i, np.arange(len(i))] = p - 1
     q, lift = quotient_tower(rel, n, degree, p, max_entries)
     g = np.ones((1, 1), dtype=np.int64)
     proj = np.ones((1, 1), dtype=np.int64)  # X^(x)k -> S^k

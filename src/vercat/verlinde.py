@@ -26,9 +26,8 @@ exact, cached change of basis T to a direct sum of Jordan blocks
 of J_p.  Hom classes, cokernel chains [w, wN, ...] and sections are then
 rows and columns of T^-1 and T picked by index, with no powers of N.
 The first-row route on arbitrary blocks (`_ver_cokernel`, `_HomClasses`,
-`_SolveData`, `_matpow`) is the independent anchor: only
-`_ver_sym_power_direct` and `quotient_from_blocks` use it, and the tests
-hold the two routes to the same answers.
+`_matpow`) is the independent anchor: only `_ver_sym_power_direct` uses
+it, and the tests hold the two routes to the same answers.
 
 Symmetric powers inside Ver_p are computed degreewise: S^m is the
 cokernel, taken in the quotient category, of the degree-m relations
@@ -303,30 +302,6 @@ class _Blocks:
         return n
 
 
-class _SolveData:
-    """Precomputed exact solver for A x = b with A of full column rank.
-
-    Correctness anchor: part of the first-row route (`_ver_cokernel`)."""
-
-    __slots__ = ("top", "bottom", "rank")
-
-    def __init__(self, a: np.ndarray, p: int):
-        rows, cols = a.shape
-        aug = np.hstack([a, np.eye(rows, dtype=np.int64)])
-        r, piv = rref(aug, p)
-        if len([c for c in piv if c < cols]) != cols:
-            raise ValueError("matrix does not have full column rank")
-        e = r[:, cols:]
-        self.rank = cols
-        self.top = e[:cols]
-        self.bottom = e[cols:]
-
-    def solve(self, b: np.ndarray, p: int) -> np.ndarray:
-        if self.bottom.size and ((self.bottom @ b) % p).any():
-            raise ValueError("inconsistent system")
-        return (self.top @ b) % p
-
-
 class _HomClasses:
     """Hom(B, J_j) modulo negligibles, in the first-row representation.
 
@@ -360,9 +335,8 @@ class _HomClasses:
             reps_local = w[piv]
             count = len(piv)
             if count:
-                solver = _SolveData(pair[piv].T, p)
                 njm1k = (njm1 @ ker) % p
-                per_block.append((idx, njm1k, solver, count))
+                per_block.append((idx, njm1k, pair[piv].T, count))
                 scat = np.zeros((count, blocks.dim), dtype=np.int64)
                 scat[:, idx] = reps_local
                 rep_rows.append(scat)
@@ -381,11 +355,14 @@ class _HomClasses:
         t = rows.shape[0]
         out = np.zeros((t, self.total), dtype=np.int64)
         pos = 0
-        for idx, njm1k, solver, count in self._per_block:
+        for idx, njm1k, pairing, count in self._per_block:
             if count == 0:
                 continue
             pw = (rows[:, idx] @ njm1k) % self.p
-            out[:, pos : pos + count] = solver.solve(pw.T, self.p).T
+            coords = solve_array(pairing, pw.T, self.p)
+            if coords is None:
+                raise ValueError("inconsistent system")
+            out[:, pos : pos + count] = coords.T
             pos += count
         return out
 
@@ -408,7 +385,7 @@ def _ver_cokernel(
 
     Correctness anchor: this first-row route checks
     `_jordan_cokernel`, which `SymTower` uses; only
-    `_ver_sym_power_direct` and `quotient_from_blocks` call it.
+    `_ver_sym_power_direct` calls it.
     """
     p = b_blk.p
     check_budget(b_blk.dim * b_blk.dim, max_entries, "cokernel source module")
@@ -846,37 +823,25 @@ def _ver_sym_power_direct(x: VerObject, m: int) -> VerObject:
     p = x.p
     if m == 0:
         return VerObject.unit(p)
-    xblk = _Blocks.from_sizes(p, x.block_sizes())
     if m == 1:
-        return quotient_from_blocks(xblk)
+        return x
+    xblk = _Blocks.from_sizes(p, x.block_sizes())
     t_blk = xblk
     for _ in range(m - 1):
         t_blk = t_blk.tensor(xblk)
     n = xblk.dim
-    taus = []
-    swap = graded.swap(n, n)
-    for i in range(1, m):
-        tau = np.kron(
-            np.eye(n ** (i - 1), dtype=np.int64),
-            np.kron(swap, np.eye(n ** (m - i - 1), dtype=np.int64)),
-        )
-        taus.append((np.eye(n**m, dtype=np.int64) - tau) % p)
-    phi = np.hstack(taus)
+
+    def apply_phi(rows: np.ndarray) -> np.ndarray:
+        # rows @ (id - swap_i): rows minus rows with factors i, i+1 transposed
+        parts = []
+        for i in range(1, m):
+            b = rows.reshape(rows.shape[0], n ** (i - 1), n, n, n ** (m - i - 1))
+            parts.append((b - b.swapaxes(2, 3)).reshape(rows.shape))
+        return np.hstack(parts)
+
     a_blk = _Blocks.disjoint_union([t_blk] * (m - 1))
-    sizes, _ = _ver_cokernel(a_blk, t_blk, lambda rows: rows @ phi, None)
+    sizes, _ = _ver_cokernel(a_blk, t_blk, apply_phi, None)
     return VerObject.from_blocks(p, sizes)
-
-
-def quotient_from_blocks(blk: _Blocks) -> VerObject:
-    """Semisimplification multiplicities of a blocked module, by the
-    first-row anchor `_ver_cokernel`."""
-    sizes, _ = _ver_cokernel(
-        _Blocks(blk.p, 0, []),
-        blk,
-        lambda rows: np.zeros((rows.shape[0], 0), dtype=np.int64),
-        None,
-    )
-    return VerObject.from_blocks(blk.p, sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,9 @@ class TestExitCodes:
             ["svec2", "fourth-power", "--module", "W", "--trials", "-5"],
             ["verify", "--suite", "char0", "--max-degree", "2"],
             ["verify", "--suite", "all", "--max-degree", "2"],
+            # no prime below 3 is checked: these would pass with 0 checks
+            ["verify", "--suite", "fusion", "--p-max", "2"],
+            ["verify", "--suite", "sympow", "--p-max", "2"],
         ],
         ids=[
             "fourth-power-depth-3",
@@ -157,6 +160,8 @@ class TestExitCodes:
             "fourth-power-negative-trials",
             "verify-char0-depth-2",
             "verify-all-depth-2",
+            "verify-fusion-p-max-2",
+            "verify-sympow-p-max-2",
         ],
     )
     def test_unusable_depth_or_trials_is_usage_error(self, capsys, argv):
@@ -164,6 +169,17 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == "" and err.startswith("error:")
+
+    def test_unwritable_json_path_is_usage_error(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = blocker / "report.json"
+        code, out, err = run(
+            capsys, "verify", "--suite", "char0", "--json", str(path)
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error:") and str(path) in err
 
     def test_repzp_projection_budget(self, capsys):
         # dim X^3 = 64 fits the budget, the 20 x 64 projection does not
@@ -368,6 +384,21 @@ class TestCache:
         monkeypatch.undo()
         assert cache.get("k") == {"verlinde": "L3"}
 
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_unusable_cache_dir_is_usage_error(self, capsys, tmp_path, monkeypatch, via):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        directory = str(blocker / "cache")
+        argv = ["sympow", "--p", "3", "--object", "L2", "--degree", "2"]
+        if via == "flag":
+            argv += ["--cache-dir", directory]
+        else:
+            monkeypatch.setenv("VERLINDE_CACHE_DIR", directory)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error:") and directory in err
+
     def test_env_var_location(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("VERLINDE_CACHE_DIR", str(tmp_path))
         run(
@@ -512,6 +543,16 @@ def test_svec2_relation_matrix_only_from_degree_two(capsys):
         capsys, "svec2", "sympow", "--module", "30*W", "--degree", "2",
     ))
     assert code == EXIT_BUDGET and out == "" and "relation matrix of S^2" in err
+    assert peak < 8 * 2**20
+
+
+def test_repzp_relation_columns_only_from_degree_two(capsys):
+    # dim X = 40: a dense 1 - swap on X (x) X would hold 40^4 int64 entries
+    (code, out, _), peak = _peak_bytes(lambda: run(
+        capsys, "sympow", "--p", "5", "--object", "10*L4", "--degree", "1",
+        "--ambient", "repzp",
+    ))
+    assert code == EXIT_OK and out.strip() == " + ".join(["J4"] * 10)
     assert peak < 8 * 2**20
 
 

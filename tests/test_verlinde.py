@@ -266,11 +266,16 @@ class TestVerSymPower:
             (5, 3, 2),
             (7, 2, 3),
             (7, 3, 2),
+            # from degree 4, swap_i has tensor factors on both sides
+            (5, 2, 4),
+            (7, 2, 4),
+            (7, 2, 5),
         ]:
             assert ver_sym_power(L(p, i), m) == _ver_sym_power_direct(L(p, i), m)
 
     def test_one_shot_on_sums(self):
         x = VerObject(5, (1, 1, 0, 0))
+        assert _ver_sym_power_direct(x, 1) == x
         for m in (2, 3):
             assert ver_sym_power(x, m) == _ver_sym_power_direct(x, m)
 
