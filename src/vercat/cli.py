@@ -493,9 +493,13 @@ def _fusion_rule_mutated(p: int, r: int, s: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+#: The primes the fusion suite checks; `--p-max` must lie in their range.
+VERIFY_PRIMES = (3, 5, 7, 11, 13)
+
+
 def suite_fusion(report: Report, args) -> None:
     rule = fusion_rule if args.mutate is None else _fusion_rule_mutated
-    primes = [p for p in (3, 5, 7, 11, 13) if p <= args.p_max]
+    primes = [p for p in VERIFY_PRIMES if p <= args.p_max]
     for p in primes:
         bad = None  # the first counterexample
         for r in range(1, p):
@@ -669,13 +673,13 @@ def suite_invariants(report: Report, args) -> None:
     )
     report.add_check(
         "frobenius p=5 X=1+L2 D=10",
-        inv_mod.frobenius_check(alg, trials=50, seed=seed),
+        inv_mod.frobenius_check(alg, 50, seed, max_entries),
         "50 random pairs",
     )
     alg3 = inv_mod.build_invariant_algebra(VerObject(3, (1, 1)), 9, max_entries)
     report.add_check(
         "frobenius p=3 X=1+L2 D=9",
-        inv_mod.frobenius_check(alg3, trials=50, seed=seed),
+        inv_mod.frobenius_check(alg3, 50, seed, max_entries),
         "50 random pairs",
     )
     x5 = VerObject.simple(5, 2)
@@ -724,38 +728,32 @@ def suite_svec2(report: Report, args) -> None:
         ):
             ok = False
     report.add_check("svec2 braiding-symmetry", ok, "100 random pairs, seeded")
-    # d-commutativity of every pair of degree-basis classes of S(W), S(W+1)
+    # d-commutativity of every pair of degree-basis classes of S(W), S(W+1),
+    # all pairs in one batch
     for label, mod in labelled:
         alg6 = sv.sym_algebra(mod, 6, max_entries)
-        ok = True
-        for da in range(1, 4):
-            for db in range(1, 4):
-                for ea in np.eye(alg6.dims[da], dtype=np.int64):
-                    for eb in np.eye(alg6.dims[db], dtype=np.int64):
-                        a_el = alg6.from_vector(da, ea)
-                        b_el = alg6.from_vector(db, eb)
-                        comm = alg6.add(alg6.mul(a_el, b_el), alg6.mul(b_el, a_el))
-                        dd = alg6.mul(alg6.dmap(a_el), alg6.dmap(b_el))
-                        if not alg6.equal(comm, dd):
-                            ok = False
-        report.add_check(f"svec2 {label} d-commutativity", ok, "all basis pairs")
+        pairs = [
+            (alg6.from_vector(da, ea), alg6.from_vector(db, eb))
+            for da in range(1, 4)
+            for db in range(1, 4)
+            for ea in np.eye(alg6.dims[da], dtype=np.int64)
+            for eb in np.eye(alg6.dims[db], dtype=np.int64)
+        ]
+        a_el = alg6.stack([a for a, _ in pairs])
+        b_el = alg6.stack([b for _, b in pairs])
+        comm = alg6.add(alg6.mul(a_el, b_el), alg6.mul(b_el, a_el))
+        dd = alg6.mul(alg6.dmap(a_el), alg6.dmap(b_el))
+        report.add_check(
+            f"svec2 {label} d-commutativity", alg6.equal(comm, dd), "all basis pairs"
+        )
     # fourth powers in S(W) are invariant and span a commutative subalgebra
     rng = random.Random(seed + 1)
-    ok_inv = True
-    ok_comm = True
-    fourths = []
-    for _ in range(20):
-        a = alg.random_element(rng, 2)
-        a4 = alg.power(a, 4)
-        fourths.append(a4)
-        if not alg.equal(alg.dmap(a4), alg.zero()):
-            ok_inv = False
-    for i in range(len(fourths)):
-        for j in range(i + 1, len(fourths)):
-            if not alg.equal(
-                alg.mul(fourths[i], fourths[j]), alg.mul(fourths[j], fourths[i])
-            ):
-                ok_comm = False
+    fourths = alg.power(alg.stack([alg.random_element(rng, 2) for _ in range(20)]), 4)
+    ok_inv = alg.equal(alg.dmap(fourths), alg.zero())
+    i, j = np.triu_indices(20, k=1)  # every pair i < j
+    left = {m: c[i] for m, c in fourths.items()}
+    right = {m: c[j] for m, c in fourths.items()}
+    ok_comm = alg.equal(alg.mul(left, right), alg.mul(right, left))
     report.add_check("svec2 fourth-powers-invariant", ok_inv, "20 random elements")
     report.add_check("svec2 fourth-powers-commute", ok_comm)
 
@@ -779,8 +777,14 @@ def cmd_verify(args) -> Report:
     params = {k: getattr(args, k) for k in ("suite", "p_max", "max_degree", "mutate")}
     report = Report("verify", params, versions={"seed": args.seed})
     suites = SUITES if args.suite == "all" else (args.suite,)
-    if args.p_max < 3:
-        raise UsageError("--p-max must be at least 3, the smallest prime checked")
+    if args.p_max < VERIFY_PRIMES[0]:
+        raise UsageError(
+            f"--p-max must be at least {VERIFY_PRIMES[0]}, the smallest prime checked"
+        )
+    if args.p_max > VERIFY_PRIMES[-1]:
+        raise UsageError(
+            f"--p-max must be at most {VERIFY_PRIMES[-1]}, the largest prime checked"
+        )
     if "char0" in suites and args.max_degree < 3:
         raise UsageError("the char0 suite needs --max-degree >= 3")
     for name in suites:
@@ -887,7 +891,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--suite", choices=("all",) + SUITES, default="all")
-    p_verify.add_argument("--p-max", type=int, default=13)
+    p_verify.add_argument("--p-max", type=int, default=VERIFY_PRIMES[-1])
     p_verify.add_argument("--max-degree", type=_degree, default=8)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--json", dest="json_out", default=None)

@@ -144,7 +144,9 @@ def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         other = other[other != lead]
         if other.size:
             update = r[other] - np.outer(r[other, c], r[lead])
-            r[other] = update % p if p else update
+            if p:
+                update -= p * (update // p)  # % p, faster on negative int64
+            r[other] = update
         pivots.append(c)
         lead += 1
     return r, pivots

@@ -20,7 +20,8 @@ arrays of residues mod p:
   one reading of mu(a, b) as a (da x db x dc) structure tensor;
 - `TruncatedAlgebra`: element arithmetic, where the product of degrees
   a and b contracts coordinates against a (da x db x dc) structure
-  tensor.
+  tensor; every operation broadcasts over an optional leading trial
+  axis, so a seeded identity check runs once over all its trials.
 """
 
 from __future__ import annotations
@@ -143,18 +144,30 @@ class GradedTower:
 
 
 def contract(ca: np.ndarray, cb: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
-    """Product coordinates of reduced homogeneous coordinate vectors
-    ca, cb against the (da x db x dc) structure tensor `table`."""
+    """Product coordinates of reduced homogeneous coordinates ca, cb
+    against the (da x db x dc) structure tensor `table`.
+
+    ca and cb are (da,) and (db,) vectors or (trials, da) and
+    (trials, db) batches, and either may be a vector broadcast against
+    the other's batch.  The product is one outer product, reduced mod p,
+    and one matmul, (B, da*db) @ (da*db, dc): each dot product sums at
+    most da*db terms below p^2, exact in int64 for p <= 65537.
+    """
     da, db, dc = table.shape
-    t = (ca @ table.reshape(da, db * dc)) % p
-    return (cb @ t.reshape(db, dc)) % p
+    outer = ca[..., :, None] * cb[..., None, :]
+    outer = outer.reshape(*outer.shape[:-2], da * db) % p
+    return (outer @ table.reshape(da * db, dc)) % p
 
 
 class TruncatedAlgebra:
     """Elements of a graded algebra over GF(p), truncated above `depth`.
 
-    Elements are dicts degree -> coordinate vector holding only nonzero
-    components.  Subclasses set `p`, `depth` and `dims` (the dimension of
+    Elements are dicts degree -> coordinates holding only nonzero
+    components.  A component is a (d,) vector, or a (trials, d) array
+    holding one element per row: `stack` builds such a batch, and every
+    operation broadcasts over the leading trial axis, a vector (such as
+    `one()`) acting on every row.  `equal` is True only if every row
+    agrees.  Subclasses set `p`, `depth` and `dims` (the dimension of
     each degree) and provide `product_table(a, b)`, the (da x db x dc)
     structure tensor of degrees a and b.
     """
@@ -164,6 +177,28 @@ class TruncatedAlgebra:
 
     def one(self) -> Elem:
         return {0: np.ones(1, dtype=np.int64)}
+
+    def stack(self, elems: list[Elem]) -> Elem:
+        """One batch from per-trial elements: row t holds elems[t], zero
+        in every degree where that element has no component."""
+        out: Elem = {}
+        for t, u in enumerate(elems):
+            for m, c in u.items():
+                if m not in out:
+                    out[m] = np.zeros((len(elems), self.dims[m]), dtype=np.int64)
+                out[m][t] = c
+        return out
+
+    def check_batch(self, trials: int, max_entries: int | None) -> None:
+        """Charge a `trials`-row batch against the budget before it is
+        drawn: its largest array is the (trials x da*db) outer product
+        of one degree pair with a + b <= depth."""
+        widest = max(
+            self.dims[a] * self.dims[b]
+            for a in range(self.depth + 1)
+            for b in range(self.depth + 1 - a)
+        )
+        check_budget(trials * widest, max_entries, f"a batch of {trials} trials")
 
     def add(self, u: Elem, v: Elem) -> Elem:
         out = {}
@@ -190,14 +225,14 @@ class TruncatedAlgebra:
         used, so this holds in the d-commutative algebras of sVec_2 too."""
         if k < 0:
             raise ValueError(f"exponent must be nonnegative, got {k}")
-        out, sq = self.one(), u
+        out, sq = None, u
         while k:
             if k & 1:
-                out = self.mul(out, sq)
+                out = sq if out is None else self.mul(out, sq)
             k >>= 1
             if k:
                 sq = self.mul(sq, sq)
-        return out
+        return self.one() if out is None else out
 
     def equal(self, u: Elem, v: Elem) -> bool:
         return not any(

@@ -258,33 +258,39 @@ def isotypic_stability_check(
 
 
 def frobenius_check(
-    alg: InvariantAlgebra, trials: int = 50, seed: int = 0
+    alg: InvariantAlgebra,
+    trials: int = 50,
+    seed: int = 0,
+    max_entries: int | None = None,
 ) -> bool:
     """The p-th power map on the invariant algebra is a ring map.
 
     Verifies (u+v)^p = u^p + v^p and (uv)^p = u^p v^p on random invariant
     elements of the truncated algebra, plus the vanishing S^p(L_i) = 0
     for every i >= 2, which is what kills the cross terms coming from
-    nontrivial isotypic components.
+    nontrivial isotypic components.  The trials' pairs are stacked into
+    one batch (charged against `max_entries` before any is drawn) and
+    each identity is evaluated once on it.
     """
     p = alg.p
     if alg.depth < p:
         raise ValueError(
             f"truncation {alg.depth} admits no nontrivial p-th power (p = {p})"
         )
+    alg.check_batch(trials, max_entries)
     rng = random.Random(seed)
     max_deg = alg.depth // p
+    us, vs = [], []
     for _ in range(trials):
-        u = alg.random_element(rng, max_deg)
-        v = alg.random_element(rng, max_deg)
-        lhs = alg.power(alg.add(u, v), p)
-        rhs = alg.add(alg.power(u, p), alg.power(v, p))
-        if not alg.equal(lhs, rhs):
-            return False
-        lhs = alg.power(alg.mul_elems(u, v), p)
-        rhs = alg.mul_elems(alg.power(u, p), alg.power(v, p))
-        if not alg.equal(lhs, rhs):
-            return False
+        us.append(alg.random_element(rng, max_deg))
+        vs.append(alg.random_element(rng, max_deg))
+    u, v = alg.stack(us), alg.stack(vs)
+    lhs = alg.power(alg.add(u, v), p)
+    if not alg.equal(lhs, alg.add(alg.power(u, p), alg.power(v, p))):
+        return False
+    lhs = alg.power(alg.mul_elems(u, v), p)
+    if not alg.equal(lhs, alg.mul_elems(alg.power(u, p), alg.power(v, p))):
+        return False
     for i in range(2, p):
         if not ver_sym_power(VerObject.simple(p, i), p).is_zero():
             return False

@@ -153,6 +153,8 @@ class TestExitCodes:
             # no prime below 3 is checked: these would pass with 0 checks
             ["verify", "--suite", "fusion", "--p-max", "2"],
             ["verify", "--suite", "sympow", "--p-max", "2"],
+            # no suite checks a prime above 13: this would pass unchanged
+            ["verify", "--suite", "fusion", "--p-max", "31"],
         ],
         ids=[
             "fourth-power-depth-3",
@@ -162,6 +164,7 @@ class TestExitCodes:
             "verify-all-depth-2",
             "verify-fusion-p-max-2",
             "verify-sympow-p-max-2",
+            "verify-fusion-p-max-31",
         ],
     )
     def test_unusable_depth_or_trials_is_usage_error(self, capsys, argv):
@@ -169,6 +172,19 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == "" and err.startswith("error:")
+
+    def test_p_max_error_names_the_largest_prime(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "fusion", "--p-max", "17")
+        assert code == EXIT_USAGE
+        assert "at most 13" in err
+
+    def test_trial_batch_budget(self, capsys):
+        # the batch is charged before any trial is drawn
+        code, out, err = run(
+            capsys, "svec2", "fourth-power", "--module", "W", "--trials", "100000000"
+        )
+        assert code == EXIT_BUDGET
+        assert out == "" and "batch of 100000000 trials" in err
 
     def test_unwritable_json_path_is_usage_error(self, capsys, tmp_path):
         blocker = tmp_path / "file"

@@ -1,11 +1,15 @@
 """The shared graded engine: one swap for every braiding, powers by
-repeated squaring, and degree validation at every tower entry point."""
+repeated squaring, element arithmetic batched over a leading trial axis,
+and degree validation at every tower entry point."""
 
+import functools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vercat import graded, repzp, svec2
 from vercat.exactlin import BudgetExceeded
@@ -136,6 +140,127 @@ class TestPower:
         alg = svec2.sym_algebra(svec2.module_w(), 4)
         with pytest.raises(ValueError):
             alg.power(alg.one(), -1)
+
+
+def dense(alg, u, rows: int) -> np.ndarray:
+    """A (rows x sum of dims) array of u's coordinates, a vector
+    component repeated on every row."""
+    out = np.zeros((rows, sum(alg.dims)), dtype=np.int64)
+    offsets = np.cumsum([0] + alg.dims)
+    for m, c in u.items():
+        out[:, offsets[m] : offsets[m + 1]] = c
+    return out
+
+
+def invariants_of_1_plus_l2(p: int):
+    return build_invariant_algebra(VerObject(p, (1, 1) + (0,) * (p - 3)), 6)
+
+
+# (label, builder): sVec_2 algebras over GF(2) and invariant algebras at
+# p <= 13, each deep enough for nonzero products of degree-1 elements
+ALGEBRAS = {
+    "S(W) D=6": lambda: svec2.sym_algebra(svec2.module_w(), 6),
+    "S(W+1) D=6": lambda: svec2.sym_algebra(
+        svec2.direct_sum(svec2.module_w(), svec2.trivial(1)), 6
+    ),
+    "S(W+W) D=4": lambda: svec2.sym_algebra(
+        svec2.direct_sum(svec2.module_w(), svec2.module_w()), 4
+    ),
+    **{
+        f"A(1+L2) p={p}": functools.partial(invariants_of_1_plus_l2, p)
+        for p in (3, 5, 7, 11, 13)
+    },
+}
+
+
+@functools.lru_cache(maxsize=None)
+def algebra(label: str):
+    return ALGEBRAS[label]()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(ALGEBRAS)),
+    st.integers(0, 2**32),
+    st.integers(1, 6),
+    st.integers(0, 5),
+)
+def test_batched_arithmetic_is_rowwise(label, seed, trials, k):
+    # every operation on stack(elems) is the stack of its per-element results
+    alg = algebra(label)
+    rng = random.Random(seed)
+    us = [alg.random_element(rng, 2, homogeneous=rng.random() < 0.5) for _ in range(trials)]
+    vs = [alg.random_element(rng, 2, homogeneous=rng.random() < 0.5) for _ in range(trials)]
+    u, v = alg.stack(us), alg.stack(vs)
+
+    def same(batched, rowwise):
+        want = dense(alg, alg.stack(rowwise), trials)
+        assert np.array_equal(dense(alg, batched, trials), want)
+
+    same(alg.add(u, v), [alg.add(a, b) for a, b in zip(us, vs)])
+    same(alg.mul(u, v), [alg.mul(a, b) for a, b in zip(us, vs)])
+    same(alg.power(u, k), [alg.power(a, k) for a in us])
+    if isinstance(alg, svec2.DGradedAlgebra):
+        same(alg.dmap(u), [alg.dmap(a) for a in us])
+    # d-commutativity makes uv = vu fail on some rows of sVec_2 batches
+    uv, vu = alg.mul(u, v), alg.mul(v, u)
+    rows = [alg.equal(alg.mul(a, b), alg.mul(b, a)) for a, b in zip(us, vs)]
+    assert alg.equal(uv, vu) == all(rows)
+    assert alg.equal(u, alg.stack(us))
+    assert alg.equal(alg.mul(alg.one(), u), u)
+
+
+def python_int_contract(ca, cb, table, p) -> list[list[int]]:
+    """Row-wise sum of ca[i] cb[j] table[i, j, k] in Python integers."""
+    o = ca.astype(object)[:, :, None, None] * cb.astype(object)[:, None, :, None]
+    return ((o * table.astype(object)[None]).sum(axis=(1, 2)) % p).tolist()
+
+
+class TestBatch:
+    def test_stack_fills_missing_degrees_with_zeros(self):
+        alg = svec2.sym_algebra(svec2.module_w(), 4)
+        x, y = alg.from_vector(1, [1, 0]), alg.from_vector(2, [0, 1])
+        batch = alg.stack([x, alg.zero(), y])
+        assert sorted(batch) == [1, 2]
+        assert batch[1].tolist() == [[1, 0], [0, 0], [0, 0]]
+        assert batch[2].tolist() == [[0, 0], [0, 0], [0, 1]]
+
+    def test_equal_sees_a_difference_in_the_last_row_only(self):
+        alg = svec2.sym_algebra(svec2.direct_sum(svec2.module_w(), svec2.trivial(1)), 8)
+        rng = random.Random(3)
+        elems = [alg.random_element(rng, 2) for _ in range(9)]
+        other = elems[:-1] + [alg.add(elems[-1], alg.from_vector(1, [0, 0, 1]))]
+        assert alg.equal(alg.stack(elems), alg.stack(elems))
+        assert not alg.equal(alg.stack(elems), alg.stack(other))
+        assert not alg.equal(alg.power(alg.stack(other), 1), alg.stack(elems))
+
+    def test_contract_at_the_largest_prime_is_exact(self):
+        # da * db = 40,000 terms: unreduced products (p-1)^3 would wrap
+        # int64, so the outer product must be reduced before the matmul
+        p, da, db, dc = 65537, 200, 200, 2
+        rng = np.random.default_rng(0)
+        cases = [
+            (np.full((2, da), p - 1), np.full((2, db), p - 1), np.full((da, db, dc), p - 1)),
+            (
+                rng.integers(p - 64, p, (3, da)),
+                rng.integers(p - 64, p, (3, db)),
+                rng.integers(p - 64, p, (da, db, dc)),
+            ),
+        ]
+        for ca, cb, table in cases:
+            got = graded.contract(ca, cb, table, p)
+            assert got.tolist() == python_int_contract(ca, cb, table, p)
+            # a vector broadcasts against the other factor's batch
+            got = graded.contract(ca[0], cb, table, p)
+            want = python_int_contract(np.broadcast_to(ca[0], ca.shape), cb, table, p)
+            assert got.tolist() == want
+
+    def test_batch_budget_counts_trials_times_widest_pair(self):
+        # S(W) to depth 8 has dims 1, 2, 2, ...: the widest pair is 2 x 2
+        alg = svec2.sym_algebra(svec2.module_w(), 8)
+        alg.check_batch(250, max_entries=1000)
+        with pytest.raises(BudgetExceeded, match="batch of 251 trials needs 1004 "):
+            alg.check_batch(251, max_entries=1000)
 
 
 @pytest.mark.parametrize(

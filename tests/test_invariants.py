@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vercat.exactlin import BudgetExceeded
 from vercat.repzp import hom_stack, jordan_module
 from vercat.verlinde import VerObject, ver_sym_power
 from vercat.invariants import (
+    InvariantAlgebra,
     build_invariant_algebra,
     char0_counterexample,
     frobenius_check,
@@ -242,6 +244,29 @@ class TestFrobenius:
     def test_p2_degenerate_squaring(self):
         alg = build_invariant_algebra(VerObject.unit(2), 4)
         assert frobenius_check(alg, trials=20, seed=0)
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (1, 2), (2, 1)])
+    def test_corrupted_product_table_fails(self, monkeypatch, a, b):
+        # negative control: one structure constant off by one
+        table = InvariantAlgebra.product_table
+
+        def corrupted(self, i, j):
+            t = table(self, i, j)
+            if (i, j) == (a, b):
+                t = t.copy()
+                t.flat[0] = (t.flat[0] + 1) % self.p
+            return t
+
+        monkeypatch.setattr(InvariantAlgebra, "product_table", corrupted)
+        alg = build_invariant_algebra(VerObject(5, (1, 1, 0, 0)), 10)
+        assert not frobenius_check(alg, trials=50, seed=0)
+
+    def test_trial_batch_is_budgeted(self):
+        alg = build_invariant_algebra(VerObject(5, (1, 1, 0, 0)), 10)
+        with pytest.raises(BudgetExceeded, match="batch of 100000000 trials"):
+            frobenius_check(alg, trials=10**8, seed=0)
+        with pytest.raises(BudgetExceeded, match="batch of 11 trials needs 11 "):
+            frobenius_check(alg, trials=11, seed=0, max_entries=10)
 
     def test_requires_room_for_pth_power(self):
         alg = build_invariant_algebra(VerObject(5, (1, 1, 0, 0)), 3)

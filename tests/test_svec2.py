@@ -10,8 +10,9 @@ import random
 import numpy as np
 import pytest
 
-from vercat.exactlin import GF, Mat, quotient_basis
+from vercat.exactlin import GF, BudgetExceeded, Mat, quotient_basis
 from vercat.svec2 import (
+    DGradedAlgebra,
     DModule,
     braiding,
     direct_sum,
@@ -306,6 +307,30 @@ class TestFourthPower:
     def test_requires_depth(self):
         with pytest.raises(ValueError):
             fourth_power_checks(module_w(), 3, 5, 0)
+
+    def test_flipped_product_entry_fails_three_identities(self, monkeypatch):
+        # negative control: x * y in S^2(W) gains a wrong coordinate
+        table = DGradedAlgebra.product_table
+
+        def flipped(self, a, b):
+            t = table(self, a, b)
+            if (a, b) == (1, 1):
+                t = t.copy()
+                t[0, 1, 0] ^= 1
+            return t
+
+        monkeypatch.setattr(DGradedAlgebra, "product_table", flipped)
+        rep = fourth_power_checks(module_w(), 8, 200, 7)
+        failed = {k for k, v in rep.items() if v is False}
+        assert failed == {"product_fourth_power", "sum_fourth_power", "square_rule"}
+
+    def test_trial_batch_is_budgeted_before_drawing(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("elements drawn before the batch budget check")
+
+        monkeypatch.setattr(DGradedAlgebra, "random_element", no_draws)
+        with pytest.raises(BudgetExceeded, match="batch of 100000000 trials"):
+            fourth_power_checks(module_w(), 8, 10**8, 0)
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_requires_a_trial(self, trials):
