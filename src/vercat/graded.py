@@ -100,47 +100,71 @@ class GradedTower:
     """Multiplication maps of a tower of degreewise quotients S^0..S^depth.
 
     Subclasses set `p`, `depth`, `nx` = dim X, `q` (q[m]: S^(m-1) (x) X
-    -> S^m as an array) and an empty dict `_mu`, and provide `dim(m)` and
-    `section(b)`, a map S^b -> S^(b-1) (x) X with q_b s_b = 1 (as classes
-    modulo negligibles in Ver_p).
+    -> S^m as an array), `max_entries` and an empty dict `_mu`, and
+    provide `dim(m)` and `section(b)`, a map S^b -> S^(b-1) (x) X with
+    q_b s_b = 1 (as classes modulo negligibles in Ver_p).
     """
 
-    def mu(self, a: int, b: int) -> np.ndarray:
-        """Multiplication S^a (x) S^b -> S^(a+b), degrees a+b <= depth."""
+    def mu(self, a: int, b: int, left: tuple[int, ...] | None = None) -> np.ndarray:
+        """Multiplication S^a (x) S^b -> S^(a+b), degrees a+b <= depth, as
+        a (dim S^(a+b)) x (dim S^a * dim S^b) array, column k * dim S^b + l
+        holding the product of basis vectors e_k and e_l.
+
+        `left`, a tuple of S^a coordinates, keeps only the columns of those
+        e_k, in the order listed: the recursion then runs on those columns
+        alone, so a caller that reads a few vectors of S^a never forms the
+        whole map.  Each step charges the array it forms,
+        (dim S^(a+b-1) * dim X) x (|left| * dim S^b), against `max_entries`
+        first.  Results are cached per (a, b, left).
+        """
         if a + b > self.depth:
             raise ValueError("product degree exceeds the tower depth")
-        if b == 0:
-            return np.eye(self.dim(a), dtype=np.int64)
-        if a == 0:
-            return np.eye(self.dim(b), dtype=np.int64)
-        key = (a, b)
+        da, db = self.dim(a), self.dim(b)
+        if a == 0 or b == 0:
+            out = np.eye(da * db, dtype=np.int64)
+            return out if left is None else _left_columns(out, da, db, left)
+        key = (a, b, left)
         if key in self._mu:
             return self._mu[key]
         if b == 1:
             out = self.q[a + 1]
+            if left is not None:
+                out = _left_columns(out, da, self.nx, left)
         else:
             # q_(a+b) . (mu_(a,b-1) (x) 1_X) . (1_(S^a) (x) s_b), contracted
             # over S^(b-1) without forming either Kronecker product
-            prev = self.mu(a, b - 1)
-            du, da = self.dim(a + b - 1), self.dim(a)
-            db1, db = self.dim(b - 1), self.dim(b)
+            k = da if left is None else len(left)
+            du, db1 = self.dim(a + b - 1), self.dim(b - 1)
+            check_budget(du * self.nx * k * db, self.max_entries, f"mu({a}, {b})")
+            prev = self.mu(a, b - 1, left)
             lift = np.tensordot(
-                prev.reshape(du, da, db1),
+                prev.reshape(du, k, db1),
                 self.section(b).reshape(db1, self.nx, db),
                 axes=(2, 0),
-            )  # (u, i, x, l)
-            lift = lift.transpose(0, 2, 1, 3).reshape(du * self.nx, da * db) % self.p
+            )  # (u, k, x, l)
+            lift = lift.transpose(0, 2, 1, 3).reshape(du * self.nx, k * db) % self.p
             out = (self.q[a + b] @ lift) % self.p
         self._mu[key] = out
         return out
 
     def table(self, a: int, b: int, keep=None) -> np.ndarray:
         """mu(a, b) as the (da x db x dc) structure tensor; `keep`, a
-        triple of coordinate lists for S^a, S^b and S^(a+b), slices it."""
-        mu = self.mu(a, b).reshape(self.dim(a + b), self.dim(a), self.dim(b))
+        triple of coordinate lists for S^a, S^b and S^(a+b), slices it,
+        and only the kept S^a columns of mu(a, b) are formed."""
+        left = None if keep is None else tuple(keep[0])
+        k = self.dim(a) if left is None else len(left)
+        mu = self.mu(a, b, left).reshape(self.dim(a + b), k, self.dim(b))
         if keep is not None:
-            mu = mu[np.ix_(keep[2], keep[0], keep[1])]
+            mu = mu[np.ix_(keep[2], range(k), keep[1])]
         return np.ascontiguousarray(mu.transpose(1, 2, 0))
+
+
+def _left_columns(m: np.ndarray, da: int, w: int, left: tuple[int, ...]) -> np.ndarray:
+    """Columns k * w + l of an (r x da*w) array for k in `left`, in order.
+
+    Sizes are explicit: r, da or w may be 0 past the vanishing degree."""
+    r = m.shape[0]
+    return m.reshape(r, da, w)[:, list(left)].reshape(r, len(left) * w)
 
 
 def contract(ca: np.ndarray, cb: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:

@@ -94,7 +94,10 @@ class InvariantAlgebra(graded.TruncatedAlgebra):
         The product of the block inclusions is mu(a, b) applied to the
         first vectors of the blocks, and its class is its entry at the
         first vector of each size-i block of V_(a+b) (`iso_class_of`), so
-        the table is mu(a, b) sliced to those coordinates.
+        the table is mu(a, b) sliced to those coordinates.  Only the
+        invariant columns of V_a are formed (`GradedTower.mu` with
+        `left`), and the tower caches them for every i and for
+        `isotypic_stability_check`.
         """
         key = (a, b, i)
         if key not in self._tables:
@@ -209,6 +212,11 @@ def isotypic_stability_check(
     the product matches the invariant-algebra structure constants (the
     Reynolds property rho(s a) = s rho(a)).  Any failure flags an
     implementation bug, never new mathematics.
+
+    A trial contracts the drawn coordinates of s with mu(a, b) restricted
+    to the invariant columns of V_a, the map `iso_table` also reads, so
+    no whole mu(a, b) is formed and every product array is charged
+    against `max_entries`.
     """
     alg = InvariantAlgebra(x, depth, max_entries)
     p = alg.p
@@ -229,11 +237,13 @@ def isotypic_stability_check(
             continue
         a = rng.choice(choices)
         ca, cb = draw(alg.inv_dim(a)), draw(alg.iso_dim(b, i))
-        phi = alg.iso_matrix(a, 1, ca)[:, 0]
         psi = alg.iso_matrix(b, i, cb)
         m = a + b
-        mu = alg.tower.mu(a, b).reshape(-1, alg.tower.dim(a), alg.tower.dim(b))
-        h = (np.tensordot(mu, phi, axes=(1, 0)) % p) @ psi % p
+        # the invariant's representative is sum_k ca[k] e_k over the
+        # invariant offsets of V_a, so only those columns of mu(a, b) are read
+        mu = alg.tower.mu(a, b, tuple(alg.offsets(a, 1)))
+        mu = mu.reshape(alg.tower.dim(m), alg.inv_dim(a), alg.tower.dim(b))
+        h = (np.tensordot(mu, ca, axes=(1, 0)) % p) @ psi % p
         # exact intertwiner
         gj = jordan_module(p, [i]).g.a
         gv = jordan_module(p, alg.tower.sizes[m]).g.a

@@ -97,6 +97,7 @@ class DGradedAlgebra(graded.GradedTower, graded.TruncatedAlgebra):
         self.x = x
         self.p = 2
         self.depth = depth
+        self.max_entries = max_entries
         n = self.nx = x.dim
         if depth < 2:  # no relations below S^2: do not form the n^4 matrix
             rel = np.zeros((n * n, 0), dtype=np.int64)
@@ -113,7 +114,7 @@ class DGradedAlgebra(graded.GradedTower, graded.TruncatedAlgebra):
                 np.eye(self.dims[m - 1], dtype=np.int64), x.d.a
             )
             self.dmat.append((self.q[m] @ d_b @ self.lift[m]) % 2)
-        self._mu: dict[tuple[int, int], np.ndarray] = {}
+        self._mu: dict[tuple, np.ndarray] = {}
         self._tables: dict[tuple[int, int], np.ndarray] = {}
 
     def dim(self, m: int) -> int:

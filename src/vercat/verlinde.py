@@ -716,7 +716,7 @@ class SymTower(graded.GradedTower):
                 self.zero_from = 1
         self._frames: dict[int, _TensorFrame] = {}
         self._sections: dict[int, np.ndarray] = {}
-        self._mu: dict[tuple[int, int], np.ndarray] = {}
+        self._mu: dict[tuple, np.ndarray] = {}
         for m in range(2, depth + 1):
             self._build_degree(m)
 

@@ -97,6 +97,65 @@ class TestTowerBudget:
             svec2.sym_algebra(w2, 2, max_entries=100)
 
 
+    def test_mu_charges_the_array_it_forms(self):
+        # p = 5, X = 1 + L2, D = 10 needs a budget of 900 to build; the
+        # whole mu(4, 4) lifts to (dim S^7 * dim X) x (dim S^4)^2 = 30 x 100
+        # entries, the one invariant column of S^4 to 30 x 10
+        tower = SymTower(VerObject(5, (1, 1, 0, 0)), 10, max_entries=900)
+        with pytest.raises(BudgetExceeded, match=r"mu\(4, 4\) needs 3000 "):
+            tower.mu(4, 4)
+        assert tower.mu(4, 4, tuple(tower.block_offsets(4, 1))).shape == (10, 10)
+
+
+def assert_restricted_is_full(tower, a: int, b: int, left: tuple) -> None:
+    """mu(a, b, left) is mu(a, b) on the columns of the listed e_k."""
+    da, db, dc = tower.dim(a), tower.dim(b), tower.dim(a + b)
+    got = tower.mu(a, b, left)
+    assert got.shape == (dc, len(left) * db), (a, b, left)
+    full = tower.mu(a, b).reshape(dc, da, db)[:, list(left)]
+    assert np.array_equal(got.reshape(dc, len(left), db), full), (a, b, left)
+
+
+@st.composite
+def towers(draw):
+    """An invariant algebra at p <= 13 on X of one or two simples, its
+    invariant basis shuffled by a drawn `basis_seed`."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    summands = draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=2))
+    mult = [0] * (p - 1)
+    for i in summands:
+        mult[i - 1] += 1
+    depth = draw(st.integers(2, 5 if p <= 7 else 3))
+    seed = draw(st.integers(0, 2**16))
+    return build_invariant_algebra(VerObject(p, tuple(mult)), depth, basis_seed=seed), seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(towers())
+def test_restricted_mu_is_the_full_map_on_those_columns(case):
+    alg, seed = case
+    tower, rng = alg.tower, random.Random(seed)
+    for a in range(alg.depth + 1):
+        for b in range(alg.depth + 1 - a):
+            some = rng.sample(range(tower.dim(a)), rng.randint(0, tower.dim(a)))
+            for left in ((), tuple(alg.offsets(a, 1)), tuple(some)):
+                assert_restricted_is_full(tower, a, b, left)
+
+
+def test_restricted_mu_past_vanishing_and_in_svec2():
+    # S(L2 + L3) at p = 5 vanishes from degree 6, so mu(3, 3) has 0 rows
+    # while S^3 does not; S(W + 1) is a tower over GF(2)
+    vanishing = SymTower(VerObject(5, (0, 1, 1, 0)), 7)
+    assert vanishing.dim(6) == 0 < vanishing.dim(3)
+    w1 = svec2.sym_algebra(svec2.direct_sum(svec2.module_w(), svec2.trivial(1)), 6)
+    for tower in (vanishing, w1):
+        for a in range(tower.depth + 1):
+            for b in range(tower.depth + 1 - a):
+                da = tower.dim(a)
+                for left in ((), tuple(range(da))[::-1], tuple(range(0, da, 2))):
+                    assert_restricted_is_full(tower, a, b, left)
+
+
 class TestTable:
     def test_table_reads_mu(self):
         # table[k, l, j] is coordinate j of mu(a, b) on (e_k (x) e_l)

@@ -5,6 +5,7 @@ counterexample."""
 import json
 import pathlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from vercat.exactlin import BudgetExceeded
 from vercat.repzp import hom_stack, jordan_module
-from vercat.verlinde import VerObject, ver_sym_power
+from vercat.verlinde import SymTower, VerObject, ver_sym_power
 from vercat.invariants import (
     InvariantAlgebra,
     build_invariant_algebra,
@@ -201,6 +202,17 @@ def test_products_associate_on_class_coordinates(case):
                     assert np.array_equal(lhs % p, rhs % p), (a, b, c, i)
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_algebras(), st.integers(0, 2**16))
+def test_invariant_products_commute(case, seed):
+    x, depth = case
+    alg = build_invariant_algebra(x, depth, basis_seed=seed)
+    for a in range(depth + 1):
+        for b in range(depth + 1 - a):
+            ba = alg.product_table(b, a).transpose(1, 0, 2)
+            assert np.array_equal(alg.product_table(a, b), ba), (a, b)
+
+
 class TestNegligible:
     def test_fixed_vector_into_j2_is_negligible(self):
         # e_0: J_1 -> J_2 spans the fixed points of J_2, which every map
@@ -230,6 +242,42 @@ class TestIsotypicStability:
     def test_other_objects(self):
         assert isotypic_stability_check(VerObject(3, (1, 1)), 6, 40, 0)
         assert isotypic_stability_check(VerObject(5, (0, 1, 1, 0)), 4, 30, 7)
+
+    def test_products_fit_the_smallest_tower_budget(self):
+        # 27,225 and 900 are the smallest budgets these towers build
+        # under; whole products would form 124,740- and 3,000-entry
+        # arrays, the invariant columns a trial reads 9,075 and 300
+        x11 = VerObject(11, (1, 1) + (0,) * 8)
+        assert isotypic_stability_check(x11, 12, 100, 0, max_entries=27225)
+        x5 = VerObject(5, (1, 1, 0, 0))
+        assert isotypic_stability_check(x5, 10, 100, 42, max_entries=900)
+
+    @pytest.mark.parametrize(
+        "p, depth, trials, seed, pair", [(5, 10, 100, 42, (1, 1)), (3, 6, 40, 0, (2, 1))]
+    )
+    def test_corrupted_product_fails(self, monkeypatch, p, depth, trials, seed, pair):
+        # negative control: one entry of a restricted product map off by one
+        mu = SymTower.mu
+
+        def corrupted(self, a, b, left=None):
+            out = mu(self, a, b, left)
+            if left is not None and (a, b) == pair:
+                out = out.copy()
+                out.flat[0] = (out.flat[0] + 1) % self.p
+            return out
+
+        monkeypatch.setattr(SymTower, "mu", corrupted)
+        assert not isotypic_stability_check(ver(p, [1, 2]), depth, trials, seed)
+
+    def test_reads_only_invariant_columns(self):
+        # whole mu(a, b) maps of this tower peak at 8.4 MiB under tracemalloc
+        tracemalloc.start()
+        try:
+            ok = isotypic_stability_check(VerObject(11, (1, 1) + (0,) * 8), 12, 100, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok and peak <= 3 * 2**20
 
 
 class TestFrobenius:
