@@ -596,6 +596,8 @@ def suite_sympow(report: Report, args) -> None:
         if not (c_ba @ c_ab == Mat.identity(GF(p), a.dim * b.dim)):
             ok = False
     report.add_check("braiding-symmetry repzp", ok, "100 random pairs, seeded")
+    # S(X+Y) outgrows the default budget: 2L2+2L3 at p = 5 (seed 12) forms a
+    # 1,392,000-entry array, so this check runs at 2^24 unless one is given
     budget = max_entries if max_entries is not None else 2**24
     for p in (3, 5):
         ok = True

@@ -48,12 +48,15 @@ class BudgetExceeded(Exception):
 #: Largest characteristic accepted by `Field`; see the module docstring.
 MAX_PRIME = 65537
 
-#: Default cap on the number of entries of any dense matrix materialized
-#: by the symmetric-power and invariant-algebra routines.
+#: Default cap on the number of entries of each array charged by
+#: `check_budget`.
 DEFAULT_MAX_ENTRIES = 2**20
 
 
 def check_budget(entries: int, max_entries: int | None, what: str) -> None:
+    """Raise BudgetExceeded if an array of `entries` entries, named by
+    `what`, exceeds the budget.  Callers charge exactly the arrays they
+    form next, before allocating them, and nothing else."""
     limit = DEFAULT_MAX_ENTRIES if max_entries is None else max_entries
     if entries > limit:
         raise BudgetExceeded(

@@ -92,7 +92,9 @@ def quotient_tower(
         rho = rho.transpose(0, 2, 1, 3).reshape(dv * n, du * r) % p
         qm, free = cokernel(rho, p)
         q.append(qm)
-        lift.append(np.eye(dv * n, dtype=np.int64)[:, free])
+        lm = np.zeros((dv * n, len(free)), dtype=np.int64)
+        lm[free, np.arange(len(free))] = 1
+        lift.append(lm)
     return q, lift
 
 

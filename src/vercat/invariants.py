@@ -16,6 +16,7 @@ out.  It is the only rational-field computation in the package.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -226,6 +227,7 @@ def isotypic_stability_check(
     ]
     inv_degrees = [a for a in range(depth + 1) if alg.inv_dim(a) > 0]
     backs: dict[tuple[int, int], np.ndarray] = {}  # (s, i) -> Hom(J_s, J_i)
+    module = functools.cache(functools.partial(jordan_module, p))  # sizes -> J-sum
 
     def draw(k: int) -> np.ndarray:
         return np.array([rng.randrange(p) for _ in range(k)], dtype=np.int64)
@@ -245,14 +247,14 @@ def isotypic_stability_check(
         mu = mu.reshape(alg.tower.dim(m), alg.inv_dim(a), alg.tower.dim(b))
         h = (np.tensordot(mu, ca, axes=(1, 0)) % p) @ psi % p
         # exact intertwiner
-        gj = jordan_module(p, [i]).g.a
-        gv = jordan_module(p, alg.tower.sizes[m]).g.a
+        gj = module((i,)).g.a
+        gv = module(alg.tower.sizes[m]).g.a
         if not np.array_equal((h @ gj) % p, (gv @ h) % p):
             return False
         # components into blocks of size != i are negligible
         for sz in set(alg.tower.sizes[m]) - {i}:
             if (sz, i) not in backs:
-                backs[sz, i] = hom_stack(jordan_module(p, [sz]), jordan_module(p, [i]))
+                backs[sz, i] = hom_stack(module((sz,)), module((i,)))
             for off in alg.tower.block_offsets(m, sz):
                 if not negligible(h[off : off + sz], backs[sz, i], p):
                     return False

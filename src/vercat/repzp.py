@@ -184,7 +184,6 @@ def sym_power(
     sympow-comparison` sets it against S^m computed inside Ver_p.
     """
     check_degree(degree)
-    check_budget(m.dim**degree, max_entries, f"S^{degree} of a {m.dim}-dim module")
     p, n = m.p, m.dim
     for k in range(1, degree + 1):
         # every projection X^(x)k -> S^k (dim S^k = C(n+k-1, k)), before the tower
@@ -200,7 +199,11 @@ def sym_power(
     g = np.ones((1, 1), dtype=np.int64)
     proj = np.ones((1, 1), dtype=np.int64)  # X^(x)k -> S^k
     for k in range(1, degree + 1):
-        g = (q[k] @ (np.kron(g, m.g.a) @ lift[k] % p)) % p
+        # (g (x) g_X) @ lift_k: lift_k's unit columns, in order, sit at
+        # rows u * n + x and pick the columns g[:, u] (x) g_X[:, x]
+        u, x = np.divmod(np.nonzero(lift[k].T)[1], n)
+        gl = g[:, u][:, None, :] * m.g.a[:, x][None, :, :]
+        g = (q[k] @ (gl.reshape(g.shape[0] * n, len(u)) % p)) % p
         # proj_k = q_k (proj_(k-1) (x) 1_X): contract without the big kron
         q3 = q[k].reshape(q[k].shape[0], proj.shape[0], n)
         pr = np.einsum("itb,ta->iab", q3, proj)

@@ -93,7 +93,6 @@ class DGradedAlgebra(graded.GradedTower, graded.TruncatedAlgebra):
 
     def __init__(self, x: DModule, depth: int, max_entries: int | None = None):
         graded.check_degree(depth)
-        check_budget(x.dim**depth, max_entries, f"S^{depth} of a {x.dim}-dim module")
         self.x = x
         self.p = 2
         self.depth = depth

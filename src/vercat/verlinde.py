@@ -26,8 +26,9 @@ exact, cached change of basis T to a direct sum of Jordan blocks
 of J_p.  Hom classes, cokernel chains [w, wN, ...] and sections are then
 rows and columns of T^-1 and T picked by index, with no powers of N.
 The first-row route on arbitrary blocks (`_ver_cokernel`, `_HomClasses`,
-`_matpow`) is the independent anchor: only `_ver_sym_power_direct` uses
-it, and the tests hold the two routes to the same answers.
+`_matpow`) is the independent anchor for the cokernels `SymTower` takes
+in these coordinates: only `_ver_sym_power_direct` uses it, and the tests
+hold the two routes to the same answers.
 
 Symmetric powers inside Ver_p are computed degreewise: S^m is the
 cokernel, taken in the quotient category, of the degree-m relations
@@ -383,12 +384,12 @@ def _ver_cokernel(
     the projection are grouped per block, ordered [w, wN, ..., wN^(j-1)]
     for the class row w.
 
-    Correctness anchor: this first-row route checks
-    `_jordan_cokernel`, which `SymTower` uses; only
-    `_ver_sym_power_direct` calls it.
+    Correctness anchor: this first-row route checks the Jordan-coordinate
+    cokernels of `SymTower._build_degree`; only `_ver_sym_power_direct`
+    calls it.
     """
     p = b_blk.p
-    check_budget(b_blk.dim * b_blk.dim, max_entries, "cokernel source module")
+    check_budget(b_blk.dim * b_blk.dim, max_entries, "nilpotent of the cokernel target")
     nb = b_blk.nilpotent_full()
     sizes: list[int] = []
     q_rows: list[np.ndarray] = []
@@ -637,50 +638,6 @@ def _tops_by_size(p: int, basis: _PairBasis) -> dict[int, np.ndarray]:
     return {j: np.asarray(tops) for j, tops in by_size.items()}
 
 
-def _jordan_cokernel(
-    a_tops: dict[int, list[tuple[np.ndarray, np.ndarray]]],
-    a_dim: int,
-    b_frame: _TensorFrame,
-    apply_phi,
-    max_entries: int | None = None,
-    stage: str = "",
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """Cokernel in Ver_p of the class of phi: A -> B in Jordan coordinates.
-
-    Same contract, output layout and budget checks as `_ver_cokernel`;
-    budget errors start with `stage` (the degree being built).
-    B's classes into J_j are the rows of T_B^-1 at the tops of its size-j
-    summands; the class coordinates of a first row w over A are w at the
-    top columns `a_tops[j]` of T_A; and the chain [w, wN, ...] of a kernel
-    combination is the same combination of the following T_B^-1 rows.
-    """
-    p = b_frame.p
-    check_budget(
-        b_frame.dim * b_frame.dim, max_entries, f"{stage}cokernel source module"
-    )
-    sizes: list[int] = []
-    q_rows: list[np.ndarray] = []
-    for j in range(p - 1, 0, -1):
-        count = b_frame.count(j)
-        if count == 0:
-            continue
-        if j not in a_tops or a_dim == 0:
-            ker = np.eye(count, dtype=np.int64)
-        else:
-            check_budget(count * a_dim, max_entries, f"{stage}precomposed class rows")
-            reps = b_frame.rows(j, 0, np.eye(count, dtype=np.int64))
-            pre = apply_phi(reps) % p
-            coords = np.hstack([(pre[:, idx] @ cols) % p for idx, cols in a_tops[j]])
-            ker = kernel(coords.T, p).T  # rows: kernels of precomposition
-        if ker.shape[0] == 0:
-            continue
-        chains = np.stack([b_frame.rows(j, k, ker) for k in range(j)], axis=1)
-        q_rows.append(chains.reshape(-1, b_frame.dim))
-        sizes.extend([j] * ker.shape[0])
-    q = np.vstack(q_rows) if q_rows else np.zeros((0, b_frame.dim), dtype=np.int64)
-    return tuple(sizes), q
-
-
 # ---------------------------------------------------------------------------
 # symmetric powers inside Ver_p
 # ---------------------------------------------------------------------------
@@ -733,32 +690,55 @@ class SymTower(graded.GradedTower):
         return self._frames[m]
 
     def _build_degree(self, m: int) -> None:
+        """V_m and q_m: the cokernel in Ver_p of the degree-m relations
+        phi = (q_(m-1) (x) 1_X) (1 (x) (1 - swap)): A -> B, with
+        A = V_(m-2) (x) X (x) X and B = V_(m-1) (x) X, in Jordan coordinates.
+
+        B's classes into J_j are the rows of T_B^-1 at the tops of its
+        size-j summands; the class coordinates of a first row w over A are
+        w at the top columns of a Jordan basis of A; and the chain
+        [w, wN, ...] of a kernel combination is the same combination of
+        the following T_B^-1 rows.  Rows of q_m are grouped per block,
+        ordered [w, wN, ..., wN^(j-1)].  The precomposed class rows of each
+        j, and q_m as its rows accumulate, are charged against
+        `max_entries` before they are formed; errors name the degree.
+        """
         if self.zero_from is not None:
             self.sizes.append(())
             self.q.append(np.zeros((0, self.dim(m - 1) * self.nx), dtype=np.int64))
             return
-        p, nx = self.p, self.nx
-        q_prev = self.q[m - 1]
-        dim_pp = self.dim(m - 2)
-
-        def apply_phi(rows: np.ndarray) -> np.ndarray:
-            # rows @ [ (q_(m-1) (x) I_X) . (I (x) (id - swap)) ], contracted
-            # factor by factor so the relation map is never materialized.
-            t = rows.shape[0]
-            r3 = rows.reshape(t, self.dim(m - 1), nx)
-            out = np.einsum("tvx,vk->tkx", r3, q_prev) % p
-            return graded.minus_swap(out.reshape(t, dim_pp * nx * nx), nx) % p
-
-        sizes, q = _jordan_cokernel(
-            self._frame(m - 2).tensor_tops(),
-            dim_pp * nx * nx,
-            self._frame(m - 1),
-            apply_phi,
-            self.max_entries,
-            f"S^{m}: ",
+        p, nx, budget = self.p, self.nx, self.max_entries
+        a_dim = self.dim(m - 2) * nx * nx
+        a_tops = self._frame(m - 2).tensor_tops()
+        frame, q_prev = self._frame(m - 1), self.q[m - 1]
+        sizes: list[int] = []
+        q_rows: list[np.ndarray] = []
+        for j in range(p - 1, 0, -1):
+            count = frame.count(j)
+            if count == 0:
+                continue
+            if j not in a_tops:
+                ker = np.eye(count, dtype=np.int64)
+            else:
+                check_budget(count * a_dim, budget, f"S^{m}: precomposed class rows")
+                # reps @ phi, contracted factor by factor so the relation
+                # map is never materialized
+                reps = frame.rows(j, 0, np.eye(count, dtype=np.int64))
+                pre = np.einsum("tvx,vk->tkx", reps.reshape(count, -1, nx), q_prev)
+                pre = graded.minus_swap(pre.reshape(count, a_dim) % p, nx) % p
+                coords = np.hstack([pre[:, idx] @ cols % p for idx, cols in a_tops[j]])
+                ker = kernel(coords.T, p).T  # rows: kernels of precomposition
+            if ker.shape[0] == 0:
+                continue
+            rows = sum(sizes) + j * ker.shape[0]
+            check_budget(rows * frame.dim, budget, f"S^{m}: projection rows")
+            chains = np.stack([frame.rows(j, k, ker) for k in range(j)], axis=1)
+            q_rows.append(chains.reshape(-1, frame.dim))
+            sizes.extend([j] * ker.shape[0])
+        self.sizes.append(tuple(sizes))
+        self.q.append(
+            np.vstack(q_rows) if q_rows else np.zeros((0, frame.dim), dtype=np.int64)
         )
-        self.sizes.append(sizes)
-        self.q.append(q)
         if not sizes:
             self.zero_from = m
 

@@ -198,7 +198,7 @@ class TestExitCodes:
         assert err.startswith("error:") and str(path) in err
 
     def test_repzp_projection_budget(self, capsys):
-        # dim X^3 = 64 fits the budget, the 20 x 64 projection does not
+        # the 20 x 64 projection X^(x)3 -> S^3 does not fit 64 entries
         code, out, err = run(
             capsys,
             "sympow", "--p", "5", "--object", "L4", "--degree", "3",

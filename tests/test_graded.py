@@ -90,8 +90,34 @@ class TestTowerBudget:
         with pytest.raises(BudgetExceeded, match=r"projection onto S\^6 "):
             repzp.sym_power(repzp.jordan_module(5, [4]), 9, max_entries=4**9)
 
+    def test_dgraded_algebra_charges_only_formed_arrays(self):
+        # the largest array of S(W+2) to depth 11 has 774,400 entries; a
+        # charge of (dim X)^depth would reject it at 4,194,304
+        x = svec2.direct_sum(svec2.module_w(), svec2.trivial(2))
+        assert svec2.sym_algebra(x, 11).dims[11] == 144
+
+    def test_sym_power_forms_no_array_above_its_projection(self, monkeypatch):
+        # J_4^6 at p = 5 in degree 2: the 300 x 576 projection is the
+        # largest charge; an identity or Kronecker product on X (x) X, or
+        # on S^1 (x) X, would hold 576^2 = 331,776 entries
+        largest = []
+
+        def recording(fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                largest.append(out.size)
+                return out
+
+            return wrapper
+
+        monkeypatch.setattr(np, "eye", recording(np.eye))
+        monkeypatch.setattr(np, "kron", recording(np.kron))
+        s, _ = repzp.sym_power(repzp.jordan_module(5, [4] * 6), 2, max_entries=172_800)
+        assert s.dim == 300 and largest and max(largest) <= 172_800
+
     def test_dgraded_algebra_budget(self):
-        # dim X^2 = 16 fits the budget; the 16 x 16 degree-2 relations do not
+        # the 16 x 16 degree-2 braiding relations do not fit 100 entries
         w2 = svec2.direct_sum(svec2.module_w(), svec2.module_w())
         with pytest.raises(BudgetExceeded, match=r"relation matrix of S\^2 "):
             svec2.sym_algebra(w2, 2, max_entries=100)

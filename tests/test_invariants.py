@@ -244,13 +244,24 @@ class TestIsotypicStability:
         assert isotypic_stability_check(VerObject(5, (0, 1, 1, 0)), 4, 30, 7)
 
     def test_products_fit_the_smallest_tower_budget(self):
-        # 27,225 and 900 are the smallest budgets these towers build
-        # under; whole products would form 124,740- and 3,000-entry
-        # arrays, the invariant columns a trial reads 9,075 and 300
+        # 27,225 and 900 fit these towers and their products; whole
+        # products would form 124,740- and 3,000-entry arrays, the
+        # invariant columns a trial reads 9,075 and 300
         x11 = VerObject(11, (1, 1) + (0,) * 8)
         assert isotypic_stability_check(x11, 12, 100, 0, max_entries=27225)
         x5 = VerObject(5, (1, 1, 0, 0))
         assert isotypic_stability_check(x5, 10, 100, 42, max_entries=900)
+
+    @pytest.mark.parametrize(
+        "x, depth, seed, peak",
+        [(VerObject(11, (1, 1) + (0,) * 8), 12, 0, 9075), (ver(5, [1, 2]), 10, 42, 300)],
+    )
+    def test_runs_at_its_peak_charge(self, x, depth, seed, peak):
+        # tower and products charge only the arrays they form, the largest
+        # of which hold `peak` entries
+        assert isotypic_stability_check(x, depth, 100, seed, max_entries=peak)
+        with pytest.raises(BudgetExceeded, match=f"needs {peak} "):
+            isotypic_stability_check(x, depth, 100, seed, max_entries=peak - 1)
 
     @pytest.mark.parametrize(
         "p, depth, trials, seed, pair", [(5, 10, 100, 42, (1, 1)), (3, 6, 40, 0, (2, 1))]

@@ -277,7 +277,7 @@ class TestSymPower:
             sym_power(jordan_module(5, [4]), 12, max_entries=1000)
 
     def test_budget_counts_the_projection(self):
-        # dim X^3 = 64 fits, but the projection X^(x)3 -> S^3 is 20 x 64
+        # the largest array is the 20 x 64 projection X^(x)3 -> S^3
         mod = jordan_module(5, [4])
         with pytest.raises(BudgetExceeded, match="projection onto S"):
             sym_power(mod, 3, max_entries=64)

@@ -304,13 +304,20 @@ class TestVerSymPower:
 
 def test_symtower_budget_errors_name_the_degree():
     with pytest.raises(
-        BudgetExceeded, match=r"^S\^3: cokernel source module needs 5625 "
+        BudgetExceeded, match=r"^S\^4: precomposed class rows needs 1125 "
     ):
         ver_sym_power(VerObject.simple(11, 5), 4, max_entries=1000)
     with pytest.raises(
         BudgetExceeded, match=r"^S\^3: precomposed class rows needs 486 "
     ):
         ver_sym_power(VerObject(5, (3, 0, 0, 0)), 3, max_entries=400)
+
+
+def test_symtower_charges_only_formed_arrays():
+    # every array of the tower fits the default budget; a charge of
+    # dim(V_(m-1) (x) X)^2 would reject S^5 at 1,071,225 entries
+    tower = SymTower(VerObject.simple(19, 9), 11)
+    assert tower.zero_from == 11 and tower.multiplicities(11).is_zero()
 
 
 class TestSymAlgSeries:
