@@ -4,7 +4,8 @@ algebras of symmetric algebras in Ver_p, and the characteristic-2
 supervector category sVec_2.
 
 All arithmetic is exact: modular residues over prime fields, arbitrary
-precision rationals over Q.  No floating point anywhere.
+precision rationals over Q.  Floating point appears only inside
+`exactlin.matmul_mod`, where every partial sum is an integer below 2^53.
 """
 
 __version__ = "0.1.0"

@@ -45,6 +45,7 @@ from .verlinde import (
     fusion_rule,
     poly_factor_check,
     quotient,
+    quotients,
     sym_alg_series,
     ver_sym_power,
 )
@@ -301,7 +302,7 @@ def cmd_fusion(args) -> Report:
         check_budget((r * s) ** 2, args.max_entries, f"fusion oracle J{r} (x) J{s}")
         jt = jordan_type(tensor(jordan_module(p, [r]), jordan_module(p, [s])))
         dropped = jt.multiplicity(p)
-        oracle_obj = quotient(jordan_module(p, list(jt.parts)))
+        oracle_obj = VerObject.from_blocks(p, jt.parts)
         agree = oracle_obj == result
         report.add_check(
             f"fusion-oracle p={p} r={r} s={s}",
@@ -501,16 +502,16 @@ def suite_fusion(report: Report, args) -> None:
     rule = fusion_rule if args.mutate is None else _fusion_rule_mutated
     primes = [p for p in VERIFY_PRIMES if p <= args.p_max]
     for p in primes:
+        grid = [(r, s) for r in range(1, p) for s in range(1, p)]
+        blocks = (tensor(jordan_module(p, [r]), jordan_module(p, [s])) for r, s in grid)
         bad = None  # the first counterexample
-        for r in range(1, p):
-            for s in range(1, p):
-                formula = VerObject(p, rule(p, r, s))
-                oracle = quotient(tensor(jordan_module(p, [r]), jordan_module(p, [s])))
-                if formula != oracle and bad is None:
-                    bad = (
-                        f"counterexample (p,r,s)=({p},{r},{s}): "
-                        f"formula {formula} vs oracle {oracle}"
-                    )
+        for (r, s), oracle in zip(grid, quotients(blocks)):
+            formula = VerObject(p, rule(p, r, s))
+            if formula != oracle and bad is None:
+                bad = (
+                    f"counterexample (p,r,s)=({p},{r},{s}): "
+                    f"formula {formula} vs oracle {oracle}"
+                )
         count = f"{(p - 1) ** 2} instances"
         report.add_check(f"fusion-oracle p={p}", bad is None, bad or count)
     for p in [q for q in primes if q <= 11]:
@@ -538,16 +539,20 @@ def suite_fusion(report: Report, args) -> None:
         report.add_check(f"fusion-associative p={p}", ok_assoc)
         report.add_check(f"unit-pairing p={p}", ok_unit, "mult of L1 is delta_ij")
     rng = random.Random(args.seed)
-    for p in [q for q in primes if q <= 7]:
-        ok = True
+
+    def drawn(p):
+        # T = a (x) b, a and b for each of 100 seeded pairs, drawn lazily
         for _ in range(100):
-            parts_a = [rng.randint(1, p) for _ in range(rng.randint(1, 3))]
-            parts_b = [rng.randint(1, p) for _ in range(rng.randint(1, 3))]
-            a = jordan_module(p, parts_a)
-            b = jordan_module(p, parts_b)
-            if quotient(tensor(a, b)) != fusion(quotient(a), quotient(b)):
-                ok = False
-                break
+            a = jordan_module(p, [rng.randint(1, p) for _ in range(rng.randint(1, 3))])
+            b = jordan_module(p, [rng.randint(1, p) for _ in range(rng.randint(1, 3))])
+            yield from (tensor(a, b), a, b)
+
+    for p in [q for q in primes if q <= 7]:
+        images = quotients(drawn(p))
+        # every pair is drawn and checked, so a failure leaves the draws alone
+        ok = True
+        for t, a, b in zip(images, images, images):  # consecutive triples
+            ok &= t == fusion(a, b)
         report.add_check(f"quotient-monoidal p={p}", ok, "100 random pairs, seeded")
 
 

@@ -9,18 +9,39 @@ functions.  Every operation is exact and deterministic.
 
 There is one Gauss-Jordan, `_rref_mod`, for both fields: `rref` runs
 it, one pivot per step, because `kernel`, `solve_array` and `cokernel`
-read the reduced form itself.  Over GF(p), `pivots` instead runs
-forward elimination in rounds (`_pivots_mod`), where every row whose
-leading column has no pivot yet can become one in the same round;
-`rank`, `Mat.image_basis`, `nilpotent_partition` and the hom-class
-anchor in `verlinde` read only pivot columns and use it.  The two agree:
-both leave a basis of the row space with distinct leading columns, and
-those columns are the same for every such basis (the pivot columns of a
-row space are the columns not in the span of the columns before them).
+read the reduced form itself.  Over GF(p), callers that read only pivot
+columns or a basis of the row space use the one other elimination
+kernel, `_echelon_mod`: forward elimination in rounds, where every row
+whose leading column has no pivot yet can become one in the same round.
+It takes a batch of arrays ("members"), stacks their rows padded to the
+widest member, and keeps one pivot slot per (member, column), so each
+member gets its own pivot columns and echelon rows.  `pivots` (hence
+`rank`, `Mat.image_basis` and the hom-class anchor in `verlinde`) is a
+batch of one.  The two eliminations agree: both leave a basis of the row
+space with distinct leading columns, and those columns are the same for
+every such basis (the pivot columns of a row space are the columns not
+in the span of the columns before them).
+
+A round costs a dozen numpy calls whatever its size, so small
+eliminations are bound by call overhead, and a batch pays it once for
+all its members.  `nilpotent_partitions`, the Jordan types behind the
+fusion oracle, runs the row-space chain row(N^k) = row(E_(k-1) N), E an
+echelon basis, with one kernel call per level for a batch of matrices
+and one `matmul_mod` per member; `nilpotent_partition` is a batch of
+one.  A batch holds consecutive matrices whose padded array stays within
+BATCH_ENTRIES = 2^16 entries.  That is where the gain levels off: on the
+1,200 Jordan types of `verify --suite fusion` (2-vCPU x86-64 VM), caps
+of 2^12, 2^14, 2^16 and 2^18 took 0.53, 0.42, 0.31 and 0.28 s, and the
+traced peak went from 2.7 MiB at 2^16 to 7.8 MiB at 2^18 (51 MiB with
+one batch per check).
 
 GF(p) is accepted only for p <= MAX_PRIME = 65537.  Then (p-1)^2 <= 2^32,
 so a dot product of fewer than 2^31 residues, and hence every int64
 matrix product this package forms, is exact before it is reduced mod p.
+`matmul_mod` forms products on float64 BLAS instead.  That is exact too:
+every partial sum is an integer below k (p-1)^2 for inner size k, and
+float64 holds every integer below 2^53, which k < 2^21 guarantees at
+p = 65537; `matmul_mod` rejects a larger k.
 
 Basis convention for tensor products: lexicographic with the left factor
 varying slowest, i.e. basis vector (i, j) of X (x) Y sits at index
@@ -35,6 +56,7 @@ to define negligible morphisms.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -155,41 +177,91 @@ def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return r, pivots
 
 
-def _pivots_mod(a: np.ndarray, p: int) -> list[int]:
-    """Pivot columns of an int64 array mod p by forward elimination in rounds.
+#: Largest padded batch, in entries, that `nilpotent_partitions` stacks
+#: into one `_echelon_mod` call; see the module docstring.
+BATCH_ENTRIES = 2**16
 
-    Each round every nonzero row finds its leading column; a leading
-    column without a pivot takes its first such row, scaled to 1, and
-    every row subtracts the pivot at its leading column (a new pivot row
-    cancels itself).  A row's leading column only moves right, and zero
-    rows drop out, so at most `cols` rounds run.  The pivot rows end as an
-    echelon basis of the row space, whose leading columns are the pivot
-    columns of its reduced form.  They are kept in a (min(rows, cols) x
-    cols) array, one row per pivot.
+
+def _echelon_mod(
+    members: list[np.ndarray], p: int
+) -> list[tuple[list[int], np.ndarray]]:
+    """Pivot columns and echelon rows of each integer array mod p, by
+    forward elimination in rounds over all members at once.
+
+    The members' rows are stacked, padded with zero columns to the widest
+    member, and each row remembers its member.  Each round every nonzero
+    row finds its leading column; a (member, column) without a pivot takes
+    the member's first such row, scaled to 1, and every row subtracts its
+    own member's pivot at its leading column (a new pivot row cancels
+    itself).  A row's leading column only moves right, and zero rows drop
+    out, so at most `width` rounds run.  A member's pivot rows end as an
+    echelon basis of its row space, whose leading columns are the pivot
+    columns of its reduced form; they are returned sorted by column.
     """
-    r = a % p
-    rows, cols = r.shape
-    piv = np.zeros((min(rows, cols), cols), dtype=np.int64)
-    slot = np.full(cols, -1, dtype=np.int64)  # row of piv pivoting each column
+    heights = [m.shape[0] for m in members]
+    widths = [m.shape[1] for m in members]
+    width = max(widths, default=0)
+    # r - c * pivot lies in (-(p-1)^2, p): int32 holds it for p <= 46337
+    dtype = np.int32 if (p - 1) ** 2 < 2**31 else np.int64
+    r = np.zeros((sum(heights), width), dtype=dtype)
+    top = 0
+    for m, h, w in zip(members, heights, widths):
+        r[top : top + h, :w] = m % p  # reduce before narrowing to dtype
+        top += h
+    owner = np.repeat(np.arange(len(members)) * width, heights)
+    piv = np.zeros((sum(map(min, heights, widths)), width), dtype=dtype)
+    slot = np.full(len(members) * width, -1)  # piv row of each (member, column)
     found = 0
     while True:
         nz = r != 0
         live = nz.any(axis=1)
-        if not live.any():
+        if not live.all():
+            r, nz, owner = r[live], nz[live], owner[live]
+        if not len(r):
             break
-        r, lead = r[live], nz[live].argmax(axis=1)
-        new_cols, first = np.unique(lead, return_index=True)
-        fresh = slot[new_cols] < 0
-        new_cols, take = new_cols[fresh], first[fresh]
-        if new_cols.size:
-            inv = [pow(v, -1, p) for v in r[take, new_cols].tolist()]
-            end = found + len(new_cols)
-            piv[found:end] = (r[take] * np.array(inv, dtype=np.int64)[:, None]) % p
-            slot[new_cols] = np.arange(found, end)
+        lead = nz.argmax(axis=1)
+        key = owner + lead
+        new_keys, first = np.unique(key, return_index=True)
+        fresh = slot[new_keys] < 0
+        new_keys, take = new_keys[fresh], first[fresh]
+        if new_keys.size:
+            end = found + len(new_keys)
+            inv = [pow(v, -1, p) for v in r[take, lead[take]].tolist()]
+            piv[found:end] = r[take] * np.array(inv, dtype=np.int64)[:, None] % p
+            slot[new_keys] = np.arange(found, end)
             found = end
-        r = r - r[np.arange(len(r)), lead][:, None] * piv[slot[lead]]
+        r = r - r[np.arange(len(r)), lead][:, None] * piv[slot[key]]
         r -= p * (r // p)  # r % p: numpy divides by a scalar faster
-    return np.flatnonzero(slot >= 0).tolist()
+    out = []
+    for i, w in enumerate(widths):
+        rows = slot[i * width : i * width + w]
+        cols = np.flatnonzero(rows >= 0)
+        out.append((cols.tolist(), piv[rows[cols], :w].astype(np.int64)))
+    return out
+
+
+def _echelon(
+    members: list[np.ndarray], p: int
+) -> list[tuple[list[int], np.ndarray]]:
+    """Pivot columns and echelon rows of each member: `_echelon_mod` over
+    GF(p), the nonzero rows of the reduced form over Q."""
+    if p:
+        return _echelon_mod(members, p)
+    return [(piv, r[: len(piv)]) for r, piv in (_rref_mod(m, p) for m in members)]
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for arrays of residues in [0, p), formed by float64 BLAS.
+
+    Every partial sum is an integer below k (p-1)^2 for inner size k, which
+    is below 2^53 for p <= MAX_PRIME (so (p-1)^2 <= 2^32) and k < 2^21, so
+    each sum is exact in double precision whatever order BLAS adds in.
+    """
+    if a.shape[1] * (p - 1) ** 2 >= 2**53:
+        raise ValueError(f"inner size {a.shape[1]} too large for an exact product mod {p}")
+    c = (np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)).astype(np.int64)
+    c -= p * (c // p)  # c % p: numpy divides by a scalar faster
+    return c
 
 
 def _zeros(rows: int, cols: int, p: int) -> np.ndarray:
@@ -232,9 +304,7 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 def pivots(a: np.ndarray, p: int) -> list[int]:
     """Pivot columns of `a` over GF(p), or over Q when p = 0; equal to
     `rref(a, p)[1]`, without forming the reduced form over GF(p)."""
-    if p:
-        return _pivots_mod(a, p)
-    return _rref_mod(a, p)[1]
+    return _echelon([a], p)[0][0]
 
 
 def rank(a: np.ndarray, p: int) -> int:
@@ -462,36 +532,66 @@ def quotient_basis(v: Mat, w: Mat) -> tuple[Mat, Mat]:
 
 
 def nilpotent_partition(n: Mat) -> tuple[int, ...]:
-    """Jordan block sizes of a nilpotent matrix, weakly decreasing.
+    """Jordan block sizes of a nilpotent matrix, weakly decreasing: a
+    batch of one of `nilpotent_partitions`.  Raises ValueError when the
+    input is not square or not nilpotent."""
+    return next(nilpotent_partitions([n]))
 
-    The number of blocks of size exactly k is
-    rank(N^(k-1)) - 2 rank(N^k) + rank(N^(k+1)).  Ranks of successive
-    powers are obtained by repeatedly multiplying onto a shrinking image
-    basis.  Raises ValueError when the input is not nilpotent.
-    """
-    if n.rows != n.cols:
-        raise ValueError("nilpotent_partition requires a square matrix")
-    a, p, dim = n.a, n.field.characteristic, n.rows
-    if dim == 0:
-        return ()
-    ranks = [dim]
-    basis = a[:, pivots(a, p)]
-    ranks.append(basis.shape[1])
-    while basis.shape[1] > 0:
-        if len(ranks) > dim + 1:
-            raise ValueError("matrix is not nilpotent")
-        prod = a @ basis
-        prod = prod % p if p else prod
-        nxt = prod[:, pivots(prod, p)]
-        if nxt.shape[1] == basis.shape[1]:
-            raise ValueError("matrix is not nilpotent")
-        basis = nxt
-        ranks.append(basis.shape[1])
+
+def _partition(ranks: list[int]) -> tuple[int, ...]:
+    """Block sizes from rank(N^0), rank(N^1), ..., ending at 0: there are
+    rank(N^(k-1)) - 2 rank(N^k) + rank(N^(k+1)) blocks of size k."""
+    ranks = ranks + [0]
     parts: list[int] = []
-    ranks.append(0)
-    for k in range(1, len(ranks) - 1):
-        count = ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]
-        parts.extend([k] * count)
-    parts.sort(reverse=True)
-    assert sum(parts) == dim
+    for k in range(len(ranks) - 2, 0, -1):
+        parts.extend([k] * (ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]))
     return tuple(parts)
+
+
+def _partition_batch(mats: list[np.ndarray], p: int) -> list[tuple[int, ...]]:
+    """`nilpotent_partitions` of square arrays over one field, together:
+    row(N^k) = row(E_(k-1) N) for an echelon basis E_(k-1) of row(N^(k-1)),
+    so each level is one elimination of the live members' products."""
+    ranks = [[len(n)] for n in mats]
+    live = [i for i, n in enumerate(mats) if len(n)]
+    rows = [mats[i] for i in live]
+    while live:
+        basis = [e for _, e in _echelon(rows, p)]
+        for i, e in zip(live, basis):
+            if len(e) == ranks[i][-1]:
+                raise ValueError("matrix is not nilpotent")
+            ranks[i].append(len(e))
+        kept = [k for k, e in enumerate(basis) if len(e)]
+        live = [live[k] for k in kept]
+        rows = [
+            matmul_mod(basis[k], mats[i], p) if p else basis[k] @ mats[i]
+            for k, i in zip(kept, live)
+        ]
+    return [_partition(r) for r in ranks]
+
+
+def nilpotent_partitions(ns: Iterable[Mat]) -> Iterator[tuple[int, ...]]:
+    """Jordan block sizes of each nilpotent matrix of `ns`, in order.
+
+    The matrices must share one field.  They are read lazily, and runs of
+    consecutive ones whose stacked rows, padded to the widest of them, hold
+    at most BATCH_ENTRIES entries are eliminated together (a larger matrix
+    runs alone).  Raises ValueError on a matrix that is not square or not
+    nilpotent, or on a field other than the first one's.
+    """
+    field = None
+    batch: list[np.ndarray] = []
+    rows = width = 0
+    for n in ns:
+        field = field or n.field
+        if n.field != field:
+            raise ValueError(f"field mismatch: {field} vs {n.field}")
+        if n.rows != n.cols:
+            raise ValueError("nilpotent_partition requires a square matrix")
+        if batch and (rows + n.rows) * max(width, n.rows) > BATCH_ENTRIES:
+            yield from _partition_batch(batch, field.characteristic)
+            batch, rows, width = [], 0, 0
+        batch.append(n.a)
+        rows, width = rows + n.rows, max(width, n.rows)
+    if batch:
+        yield from _partition_batch(batch, field.characteristic)

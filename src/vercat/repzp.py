@@ -17,11 +17,19 @@ dense tensor-power quotient.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exactlin import GF, Mat, check_budget, kernel, nilpotent_partition
+from .exactlin import (
+    GF,
+    Mat,
+    check_budget,
+    kernel,
+    nilpotent_partition,
+    nilpotent_partitions,
+)
 from .graded import check_degree, quotient_tower, swap
 
 
@@ -112,6 +120,14 @@ def trivial_module(p: int, n: int = 1) -> ZpModule:
 def jordan_type(m: ZpModule) -> JordanType:
     """Partition classifying the module up to isomorphism."""
     return JordanType(nilpotent_partition(m.nilpotent()))
+
+
+def jordan_types(ms: Iterable[ZpModule]) -> Iterator[JordanType]:
+    """`jordan_type` of each module of `ms`, in order, eliminated in
+    batches by `nilpotent_partitions`; the modules are read lazily and
+    must share one prime."""
+    for parts in nilpotent_partitions(m.nilpotent() for m in ms):
+        yield JordanType(parts)
 
 
 def _check_same_prime(a: ZpModule, b: ZpModule) -> None:

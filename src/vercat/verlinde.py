@@ -42,15 +42,17 @@ the fusion product is trivial.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exactlin import GF, Mat, check_budget, cokernel, kernel, pivots, rref, solve_array
 from . import graded
-from .repzp import ZpModule, hom_stack, jordan_module, jordan_type
+from .repzp import ZpModule, hom_stack, jordan_module, jordan_type, jordan_types
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +178,20 @@ def quotient(m: ZpModule) -> VerObject:
     closed fusion rule is checked against.
     """
     return VerObject.from_blocks(m.p, jordan_type(m).parts)
+
+
+def quotients(ms: Iterable[ZpModule]) -> Iterator[VerObject]:
+    """`quotient` of each module of `ms`, in order, through `jordan_types`:
+    the modules are read lazily and must share one prime.
+
+    Correctness anchor: the batched form of the Jordan fusion oracle.
+    """
+    ms = iter(ms)
+    first = next(ms, None)
+    if first is None:
+        return
+    for jt in jordan_types(itertools.chain([first], ms)):
+        yield VerObject.from_blocks(first.p, jt.parts)
 
 
 # ---------------------------------------------------------------------------

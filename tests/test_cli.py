@@ -528,6 +528,16 @@ def test_symtower_budget_before_any_relation_matrix(capsys):
     assert peak < 8 * 2**20
 
 
+def test_fusion_suite_memory(capsys):
+    # the oracle streams its modules and eliminates them in batches of at
+    # most 2^16 padded entries (3.6 MiB peak); one batch per check reaches 51 MiB
+    (code, out, err), peak = _peak_bytes(
+        lambda: run(capsys, "verify", "--suite", "fusion")
+    )
+    assert code == EXIT_OK and "20/20 checks passed" in out
+    assert peak < 8 * 2**20
+
+
 def test_dmodule_spec_budget_before_building_d(capsys):
     # 400*W has an 800 x 800 differential; the budget rejects it unbuilt
     start = time.perf_counter()

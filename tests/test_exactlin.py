@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product, repeat
 
 import numpy as np
 import pytest
@@ -12,8 +12,12 @@ from vercat.exactlin import (
     RATIONALS,
     Field,
     Mat,
+    matmul_mod,
     nilpotent_partition,
+    nilpotent_partitions,
+    pivots,
     quotient_basis,
+    rref,
     solve,
 )
 
@@ -137,6 +141,12 @@ class TestRankKernel:
             for _ in range(200):
                 m = rand_mat(rng, field, rng.randint(0, 6), rng.randint(0, 7))
                 assert m.rank() + m.kernel_basis().cols == m.cols
+
+    def test_pivots_of_unreduced_int64_entries(self):
+        # 2^32 = 4 mod 7 but 0 mod 2^32: reduce before narrowing to int32
+        a = np.array([[2**32, 0], [0, 1]])
+        for p in (7, 65537):
+            assert pivots(a, p) == pivots(-a, p) == rref(a, p)[1] == [0, 1]
 
     def test_image_basis(self):
         m = Mat(F5, [[1, 2, 0], [2, 4, 1]])
@@ -286,6 +296,70 @@ class TestNilpotentPartition:
                     break
             conj = p_mat @ n @ p_mat.inverse()
             assert nilpotent_partition(conj) == nilpotent_partition(n)
+
+
+class TestNilpotentPartitions:
+    def test_not_nilpotent_inside_batch(self):
+        good = Mat(F5, [[0, 1], [0, 0]])
+        # rank N = rank N^2 = 1: the chain stops dropping above zero
+        bad = Mat(F5, [[0, 1, 0], [0, 0, 0], [0, 0, 2]])
+        for batch in ([good, bad, good], [good, Mat.identity(F5, 3)]):
+            with pytest.raises(ValueError, match="not nilpotent"):
+                list(nilpotent_partitions(batch))
+
+    def test_mixed_field_batch(self):
+        with pytest.raises(ValueError, match="field mismatch"):
+            list(nilpotent_partitions([Mat.zeros(F5, 2, 2), Mat.zeros(F3, 2, 2)]))
+
+    def test_not_square(self):
+        with pytest.raises(ValueError, match="square"):
+            list(nilpotent_partitions([Mat.zeros(F5, 2, 2), Mat.zeros(F5, 2, 3)]))
+
+    def test_reads_lazily(self):
+        # an endless stream still yields its first results
+        block = Mat(F5, [[0, 1], [0, 0]])
+        first = islice(nilpotent_partitions(repeat(block)), 3)
+        assert list(first) == [(2,)] * 3
+
+    def test_empty_stream(self):
+        assert list(nilpotent_partitions([])) == []
+
+
+def _int_product(a, b, p):
+    """a @ b mod p by Python integer arithmetic."""
+    k = a.shape[1]
+    return [
+        [sum(int(a[i, t]) * int(b[t, j]) for t in range(k)) % p for j in range(b.shape[1])]
+        for i in range(a.shape[0])
+    ]
+
+
+class TestMatmulMod:
+    @pytest.mark.parametrize("shape", [(3, 4, 2), (5, 1, 5), (0, 3, 2), (2, 0, 3), (3, 2, 0)])
+    def test_p2_random(self, shape):
+        rows, inner, cols = shape
+        rng = np.random.default_rng(sum(shape))
+        a = rng.integers(0, 2, (rows, inner))
+        b = rng.integers(0, 2, (inner, cols))
+        c = matmul_mod(a, b, 2)
+        assert c.dtype == np.int64 and c.shape == (rows, cols)
+        assert c.tolist() == _int_product(a, b, 2)
+
+    @pytest.mark.parametrize("shape", [(2, 4096, 3), (1, 1, 1), (0, 7, 2), (2, 0, 2), (3, 5, 0)])
+    def test_p65537_all_entries_p_minus_1(self, shape):
+        # every partial sum reaches k (p-1)^2 = k 2^32, the largest it can be
+        p = 65537
+        rows, inner, cols = shape
+        a = np.full((rows, inner), p - 1, dtype=np.int64)
+        b = np.full((inner, cols), p - 1, dtype=np.int64)
+        assert matmul_mod(a, b, p).tolist() == _int_product(a, b, p)
+
+    def test_inner_size_bound(self):
+        p = 65537  # (p-1)^2 = 2^32, so an exact inner size stays below 2^21
+        ok = matmul_mod(np.zeros((0, 2**21 - 1)), np.zeros((2**21 - 1, 0)), p)
+        assert ok.shape == (0, 0)
+        with pytest.raises(ValueError, match="inner size"):
+            matmul_mod(np.zeros((0, 2**21)), np.zeros((2**21, 0)), p)
 
 
 class TestTrace:

@@ -15,12 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vercat.exactlin import (
+    BATCH_ENTRIES,
     GF,
     RATIONALS,
     Mat,
+    _echelon_mod,
     _is_prime,
     cokernel,
     kernel,
+    nilpotent_partitions,
     pivots,
     quotient_basis,
     rank,
@@ -288,6 +291,60 @@ def test_solve_and_quotient_basis_delegate(case):
     q, free = cokernel(a, p)
     assert proj.a.tolist() == q.tolist()
     assert reps.a.tolist() == Mat.identity(field, n).a[:, free].tolist()
+
+
+# -- batched Jordan types -----------------------------------------------------
+
+
+def conjugated_nilpotent(rng, p: int, parts: list[int]) -> Mat:
+    """The nilpotent part of J_parts over GF(p) in a random basis,
+    P N P^-1 for a random invertible P."""
+    n = sum(parts)
+    nil = jordan_module(p, parts).nilpotent()
+    while True:
+        change = Mat(GF(p), rng.integers(0, p, (n, n)))
+        if change.rank() == n:
+            return change @ nil @ change.inverse()
+
+
+@st.composite
+def nilpotent_batch(draw):
+    """p <= 13 and a list of (partition, nilpotent matrix) members: random
+    partitions in random bases, 0 x 0 and 1 x 1 members, and in about one
+    case of four a member whose own square array exceeds BATCH_ENTRIES."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["partition", "0x0", "1x1"]), max_size=10))
+    if draw(st.integers(0, 3)) == 0:
+        kinds.insert(draw(st.integers(0, len(kinds))), "wide")
+    members = []
+    for kind in kinds:
+        if kind == "0x0":
+            members.append(((), Mat.zeros(GF(p), 0, 0)))
+        elif kind == "1x1":
+            members.append(((1,), Mat.zeros(GF(p), 1, 1)))
+        else:
+            parts = draw(st.lists(st.integers(1, p), min_size=1, max_size=6))
+            while kind == "wide" and sum(parts) ** 2 <= BATCH_ENTRIES:
+                parts.append(int(rng.integers(1, p + 1)))
+            parts.sort(reverse=True)
+            members.append((tuple(parts), conjugated_nilpotent(rng, p, parts)))
+    return p, members
+
+
+@settings(max_examples=30, deadline=None)
+@given(nilpotent_batch())
+def test_batched_jordan_types(case):
+    p, members = case
+    mats = [m for _, m in members]
+    assert list(nilpotent_partitions(mats)) == [parts for parts, _ in members]
+    # the kernel, over the whole mixed batch: each member's pivots are those
+    # of its reduced form, and its echelon rows span the same row space
+    for m, (piv, rows) in zip(mats, _echelon_mod([m.a for m in mats], p)):
+        r, want = rref(m.a, p)
+        assert piv == want
+        assert rows.shape == (len(piv), m.cols)
+        assert rref(rows, p)[0].tolist() == r[: len(piv)].tolist()
 
 
 # -- the einsum Gram matrix of the trace pairing ------------------------------

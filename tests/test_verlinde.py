@@ -21,6 +21,7 @@ from vercat.verlinde import (
     negligible_radical,
     poly_factor_check,
     quotient,
+    quotients,
     series_product,
     sym_alg_series,
     ver_hom,
@@ -147,6 +148,18 @@ class TestQuotient:
                 a = rand_module(rng, p, 2)
                 b = rand_module(rng, p, 2)
                 assert quotient(tensor(a, b)) == fusion(quotient(a), quotient(b))
+
+    def test_batched_form_matches(self):
+        rng = random.Random(78)
+        for p in (2, 3, 7):
+            mods = [rand_module(rng, p) for _ in range(40)]
+            mods += [tensor(a, b) for a, b in zip(mods[:20], mods[20:])]
+            assert list(quotients(iter(mods))) == [quotient(m) for m in mods]
+        assert list(quotients([])) == []
+
+    def test_batched_form_one_prime(self):
+        with pytest.raises(ValueError, match="field mismatch"):
+            list(quotients([jordan_module(5, [2]), jordan_module(7, [2])]))
 
 
 class TestNegligibleRadical:
