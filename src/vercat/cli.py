@@ -718,22 +718,9 @@ def suite_svec2(report: Report, args) -> None:
     ok = True
     for _ in range(100):
         dims = (rng.randint(1, 4), rng.randint(1, 4))
-        mods = []
-        for dim in dims:
-            while True:
-                d = np.array(
-                    [[rng.randrange(2) for _ in range(dim)] for _ in range(dim)],
-                    dtype=np.int64,
-                )
-                if not (d @ d % 2).any():
-                    mods.append(sv.DModule(dim, Mat(GF(2), d)))
-                    break
-        a, b = mods
-        if not (
-            sv.braiding(b, a) @ sv.braiding(a, b)
-            == Mat.identity(GF(2), a.dim * b.dim)
-        ):
-            ok = False
+        a, b = (sv.random_dmodule(rng, dim) for dim in dims)
+        eye = Mat.identity(GF(2), a.dim * b.dim)
+        ok &= sv.braiding(b, a) @ sv.braiding(a, b) == eye
     report.add_check("svec2 braiding-symmetry", ok, "100 random pairs, seeded")
     # d-commutativity of every pair of degree-basis classes of S(W), S(W+1),
     # all pairs in one batch

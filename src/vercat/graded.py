@@ -16,6 +16,7 @@ arrays of residues mod p:
   (relation 1 - swap) and sVec_2 (relation 1 + braiding); Ver_p takes
   its cokernels modulo negligible morphisms instead
   (`verlinde.SymTower`) and shares only `minus_swap` and `mu`;
+  `induced` pushes maps through it, on its kept coordinates;
 - `GradedTower.mu`: the recursion above, and `GradedTower.table`, the
   one reading of mu(a, b) as a (da x db x dc) structure tensor;
 - `TruncatedAlgebra`: element arithmetic, where the product of degrees
@@ -72,17 +73,16 @@ def quotient_tower(
     X (x) X; in degree m they enter S^(m-1) (x) X through (q_(m-1) (x) 1_X)
     and act on the last two tensor factors, and each degree's relation
     matrix is checked against `max_entries` before it is formed.
-    Returns (q, lift): q[m] projects S^(m-1) (x) X onto S^m and lift[m]
-    holds coset representatives, unit columns with q[m] @ lift[m] = 1.
-    Quotient coordinates are the non-pivot positions of the reduced
+    Returns (q, keep): q[m] projects S^(m-1) (x) X onto S^m, and the unit
+    vectors at the kept coordinates keep[m] are coset representatives,
+    q[m][:, keep[m]] = 1.  They are the non-pivot positions of the reduced
     echelon form of the relation span, so the choice is deterministic
     (`exactlin.cokernel`) and does not depend on the spanning set.
     """
-    one = np.ones((1, 1), dtype=np.int64)
-    q, lift = [one], [one]
+    q, keep = [np.ones((1, 1), dtype=np.int64)], [np.zeros(1, dtype=np.intp)]
     if depth >= 1:
         q.append(np.eye(n, dtype=np.int64))
-        lift.append(np.eye(n, dtype=np.int64))
+        keep.append(np.arange(n))
     r = rel.shape[1]
     rel3 = rel.reshape(n, n, r)
     for m in range(2, depth + 1):
@@ -92,20 +92,37 @@ def quotient_tower(
         rho = rho.transpose(0, 2, 1, 3).reshape(dv * n, du * r) % p
         qm, free = cokernel(rho, p)
         q.append(qm)
-        lm = np.zeros((dv * n, len(free)), dtype=np.int64)
-        lm[free, np.arange(len(free))] = 1
-        lift.append(lm)
-    return q, lift
+        keep.append(np.array(free, dtype=np.intp))
+    return q, keep
+
+
+def induced(q: np.ndarray, keep, a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """q (a (x) b) on the kept columns, S^m(f) for a = S^(m-1)(f), b = f,
+    q the target's q_m and `keep` the source's keep[m].  Column j is
+    q (a[:, u] (x) b[:, x]) for keep[j] = u * b.cols + x: no Kronecker
+    product is formed."""
+    u, x = np.divmod(keep, b.shape[1])
+    cols = a[:, u][:, None, :] * b[:, x][None, :, :]
+    return (q @ (cols.reshape(a.shape[0] * b.shape[0], len(keep)) % p)) % p
 
 
 class GradedTower:
     """Multiplication maps of a tower of degreewise quotients S^0..S^depth.
 
     Subclasses set `p`, `depth`, `nx` = dim X, `q` (q[m]: S^(m-1) (x) X
-    -> S^m as an array), `max_entries` and an empty dict `_mu`, and
-    provide `dim(m)` and `section(b)`, a map S^b -> S^(b-1) (x) X with
-    q_b s_b = 1 (as classes modulo negligibles in Ver_p).
+    -> S^m as an array), `max_entries` and empty dicts `_mu` and
+    `_sections`, and provide `dim(m)` and either the `keep` of a
+    `quotient_tower` or their own `section(b)`, a map S^b -> S^(b-1) (x) X
+    with q_b s_b = 1 (as classes modulo negligibles in Ver_p).
     """
+
+    def section(self, b: int) -> np.ndarray:
+        """The unit columns at keep[b], built once per degree."""
+        if b not in self._sections:
+            s = np.zeros((self.q[b].shape[1], len(self.keep[b])), dtype=np.int64)
+            s[self.keep[b], np.arange(len(self.keep[b]))] = 1
+            self._sections[b] = s
+        return self._sections[b]
 
     def mu(self, a: int, b: int, left: tuple[int, ...] | None = None) -> np.ndarray:
         """Multiplication S^a (x) S^b -> S^(a+b), degrees a+b <= depth, as

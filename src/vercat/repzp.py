@@ -30,7 +30,7 @@ from .exactlin import (
     nilpotent_partition,
     nilpotent_partitions,
 )
-from .graded import check_degree, quotient_tower, swap
+from .graded import check_degree, induced, quotient_tower, swap
 
 
 @dataclass(frozen=True)
@@ -191,9 +191,9 @@ def sym_power(
     """The symmetric power S^degree(M) and the projection X^(x)degree -> S^degree.
 
     Returns the quotient module with its induced generator action
-    g_S = q (g_(S^(k-1)) (x) g) lift, degree by degree, on the plain
-    quotient tower with relation 1 - swap.  The projection intertwines
-    the actions: proj @ g^(x)degree = g_S @ proj.
+    g_S = q (g_(S^(k-1)) (x) g) s, degree by degree (`graded.induced`), on
+    the plain quotient tower with relation 1 - swap.  The projection
+    intertwines the actions: proj @ g^(x)degree = g_S @ proj.
 
     Correctness anchor: this is the ambient route, S^m taken in
     Rep(Z/pZ) before the quotient functor; `verify --suite
@@ -211,15 +211,11 @@ def sym_power(
     rel = np.zeros((n * n, len(i)), dtype=np.int64)
     rel[i * n + j, np.arange(len(i))] = 1
     rel[j * n + i, np.arange(len(i))] = p - 1
-    q, lift = quotient_tower(rel, n, degree, p, max_entries)
+    q, keep = quotient_tower(rel, n, degree, p, max_entries)
     g = np.ones((1, 1), dtype=np.int64)
     proj = np.ones((1, 1), dtype=np.int64)  # X^(x)k -> S^k
     for k in range(1, degree + 1):
-        # (g (x) g_X) @ lift_k: lift_k's unit columns, in order, sit at
-        # rows u * n + x and pick the columns g[:, u] (x) g_X[:, x]
-        u, x = np.divmod(np.nonzero(lift[k].T)[1], n)
-        gl = g[:, u][:, None, :] * m.g.a[:, x][None, :, :]
-        g = (q[k] @ (gl.reshape(g.shape[0] * n, len(u)) % p)) % p
+        g = induced(q[k], keep[k], g, m.g.a, p)
         # proj_k = q_k (proj_(k-1) (x) 1_X): contract without the big kron
         q3 = q[k].reshape(q[k].shape[0], proj.shape[0], n)
         pr = np.einsum("itb,ta->iab", q3, proj)

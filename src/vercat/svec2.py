@@ -48,6 +48,17 @@ class DModule:
             raise ValueError("d^2 must vanish")
 
 
+def random_dmodule(rng: random.Random, dim: int) -> DModule:
+    """A random DModule, d = P J P^-1 for a random invertible P and J a
+    random number of W blocks: every square-zero d can be drawn."""
+    pm = np.zeros((dim, dim), dtype=np.int64)
+    while rank(pm, 2) < dim:
+        pm = np.array([rng.randrange(2) for _ in range(dim * dim)]).reshape(dim, dim)
+    x = 2 * np.arange(rng.randint(0, dim // 2))  # J sends each e_x to e_(x+1)
+    pinv = Mat(GF2, pm).inverse().a
+    return DModule(dim, Mat(GF2, pm[:, x + 1] @ pinv[x] % 2))
+
+
 def trivial(n: int = 1) -> DModule:
     return DModule(n, Mat.zeros(GF2, n, n))
 
@@ -86,9 +97,9 @@ class DGradedAlgebra(graded.GradedTower, graded.TruncatedAlgebra):
 
     Built by `graded.quotient_tower` with the relation 1 + c: degree m is
     the quotient of (degree m-1) (x) X by the image of the braiding
-    relations.  Holds per-degree dimensions, the quotient and lift maps,
-    the induced derivation d (x) 1 + 1 (x) d, and (lazily) the
-    multiplication maps between degrees, all as arrays over GF(2).
+    relations.  Holds per-degree dimensions, quotient maps and kept
+    coordinates, the induced derivation d (x) 1 + 1 (x) d, and (lazily)
+    sections and multiplication maps, all as arrays over GF(2).
     """
 
     def __init__(self, x: DModule, depth: int, max_entries: int | None = None):
@@ -103,24 +114,22 @@ class DGradedAlgebra(graded.GradedTower, graded.TruncatedAlgebra):
         else:
             check_budget(n**4, max_entries, "relation matrix of S^2")
             rel = (np.eye(n * n, dtype=np.int64) + _braiding(x, x)) % 2
-        self.q, self.lift = graded.quotient_tower(rel, n, depth, 2, max_entries)
+        self.q, self.keep = graded.quotient_tower(rel, n, depth, 2, max_entries)
         self.dims: list[int] = [qm.shape[0] for qm in self.q]
         self.dmat: list[np.ndarray] = [np.zeros((1, 1), dtype=np.int64)]
-        if depth >= 1:  # q[1] and lift[1] are identities: degree 1 carries d
+        if depth >= 1:  # q[1] is the identity: degree 1 carries d itself
             self.dmat.append(x.d.a)
-        for m in range(2, depth + 1):
-            d_b = np.kron(self.dmat[m - 1], np.eye(n, dtype=np.int64)) + np.kron(
-                np.eye(self.dims[m - 1], dtype=np.int64), x.d.a
-            )
-            self.dmat.append((self.q[m] @ d_b @ self.lift[m]) % 2)
+        for m in range(2, depth + 1):  # d (x) 1 + 1 (x) d on the kept columns
+            qm, km, du = self.q[m], self.keep[m], self.dims[m - 1]
+            left = graded.induced(qm, km, self.dmat[m - 1], np.identity(n, np.int64), 2)
+            right = graded.induced(qm, km, np.identity(du, np.int64), x.d.a, 2)
+            self.dmat.append((left + right) % 2)
+        self._sections: dict[int, np.ndarray] = {}
         self._mu: dict[tuple, np.ndarray] = {}
         self._tables: dict[tuple[int, int], np.ndarray] = {}
 
     def dim(self, m: int) -> int:
         return self.dims[m]
-
-    def section(self, b: int) -> np.ndarray:
-        return self.lift[b]
 
     def product_table(self, a: int, b: int) -> np.ndarray:
         if (a, b) not in self._tables:
@@ -170,8 +179,7 @@ def injectivity_check(
     sw = sym_algebra(w, depth, max_entries)
     f = np.ones((1, 1), dtype=np.int64)
     for m in range(1, depth + 1):
-        # S^m(U) -> S^m(W) is q_m (f_(m-1) (x) inclusion) lift_m
-        f = (sw.q[m] @ np.kron(f, incl) @ su.lift[m]) % 2
+        f = graded.induced(sw.q[m], su.keep[m], f, incl, 2)
         if rank(f, 2) < su.dims[m]:
             return m
     return None

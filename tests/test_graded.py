@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vercat import graded, repzp, svec2
-from vercat.exactlin import BudgetExceeded
+from vercat.exactlin import GF, BudgetExceeded, Mat
 from vercat.invariants import build_invariant_algebra
 from vercat.verlinde import SymTower, VerObject
 
@@ -54,9 +54,10 @@ class TestQuotientTower:
             (2, (eye + svec2.braiding(w1, w1).a) % 2),
         ]
         for p, rel in rels:
-            q, lift = graded.quotient_tower(rel, n, 5, p)
+            q, keep = graded.quotient_tower(rel, n, 5, p)
             for m in range(6):
-                assert np.array_equal(q[m] @ lift[m] % p, np.eye(q[m].shape[0])), (p, m)
+                # the unit vectors at the kept coordinates split q[m]
+                assert np.array_equal(q[m][:, keep[m]], np.eye(q[m].shape[0])), (p, m)
             for m in range(2, 6):
                 du = q[m - 2].shape[0]
                 rho = np.kron(q[m - 1], np.eye(n, dtype=np.int64)) @ np.kron(
@@ -70,6 +71,25 @@ class TestQuotientTower:
                 assert dims == [math.comb(m + 2, 2) for m in range(6)]
             else:
                 assert dims == [1, 3, 5, 7, 9, 11]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(0, 2**32),
+    st.tuples(*[st.integers(0, 4)] * 5),
+)
+def test_induced_is_q_kron_on_kept_columns(p, seed, shape):
+    # a: U -> U', b: X -> X', q: U' (x) X' -> S', keep a subset of U (x) X
+    du, du2, dx, dx2, ds = shape
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, (du2, du))
+    b = rng.integers(0, p, (dx2, dx))
+    q = rng.integers(0, p, (ds, du2 * dx2))
+    keep = rng.permutation(du * dx)[: rng.integers(0, du * dx + 1)]
+    want = (q @ np.kron(a, b) % p)[:, keep]
+    got = graded.induced(q, keep, a, b, p)
+    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestTowerBudget:
@@ -115,6 +135,23 @@ class TestTowerBudget:
         monkeypatch.setattr(np, "kron", recording(np.kron))
         s, _ = repzp.sym_power(repzp.jordan_module(5, [4] * 6), 2, max_entries=172_800)
         assert s.dim == 300 and largest and max(largest) <= 172_800
+
+    def test_svec2_kronecker_products_stop_at_the_relation(self, monkeypatch):
+        # the degree-2 braiding's d (x) d (16 x 16 for X = W+2) is the only
+        # Kronecker product: the derivation and S(W) -> S(W+2) are induced
+        sizes = []
+        kron = np.kron
+
+        def recording(a, b):
+            out = kron(a, b)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(np, "kron", recording)
+        x = svec2.direct_sum(svec2.module_w(), svec2.trivial(2))
+        incl = Mat(GF(2), np.eye(4, 2, dtype=np.int64))
+        assert svec2.injectivity_check(svec2.module_w(), x, incl, 7) is None
+        assert sizes and max(sizes) == 4**4
 
     def test_dgraded_algebra_budget(self):
         # the 16 x 16 degree-2 braiding relations do not fit 100 entries

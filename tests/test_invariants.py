@@ -235,6 +235,23 @@ class TestNegligible:
         assert negligible(np.eye(p, dtype=np.int64), back, p)
 
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_intertwiners_imply_isotypic_purity(self, p):
+        # the implication isotypic_stability_check relies on: every
+        # intertwiner J_i -> J_s, i != s < p, is negligible, and every
+        # intertwiner J_i -> J_i has trace i times its [0, 0] entry
+        blocks = {i: jordan_module(p, [i]) for i in range(1, p)}
+        for i in blocks:
+            for s in blocks:
+                fwd = hom_stack(blocks[i], blocks[s])
+                if i == s:
+                    for f in fwd:
+                        assert (np.trace(f) - i * f[0, 0]) % p == 0, (p, i)
+                    continue
+                back = hom_stack(blocks[s], blocks[i])
+                assert all(negligible(f, back, p) for f in fwd), (p, i, s)
+
+
 class TestIsotypicStability:
     def test_spec_instance(self):
         assert isotypic_stability_check(VerObject(5, (1, 1, 0, 0)), 10, 100, 42)

@@ -20,6 +20,7 @@ from vercat.svec2 import (
     injectivity_check,
     invariants_d,
     module_w,
+    random_dmodule,
     sym_algebra,
     tensor,
     trivial,
@@ -88,6 +89,19 @@ class TestDModule:
         # d(x) = y, d(y) = 0 in the basis (x, y)
         assert w.d.a[:, 0].tolist() == [0, 1]
         assert w.d.a[:, 1].tolist() == [0, 0]
+
+
+class TestRandomDModule:
+    @pytest.mark.parametrize("dim, count", [(2, 4), (3, 22)])
+    def test_reaches_every_square_zero_matrix(self, dim, count):
+        every = set()
+        for bits in range(2 ** (dim * dim)):
+            d = np.array([(bits >> t) & 1 for t in range(dim * dim)]).reshape(dim, dim)
+            if not (d @ d % 2).any():
+                every.add(d.tobytes())
+        rng = random.Random(0)
+        drawn = {random_dmodule(rng, dim).d.a.tobytes() for _ in range(1000)}
+        assert len(every) == count and drawn == every
 
 
 class TestBraiding:

@@ -508,7 +508,7 @@ class TestSymTowerInternals:
 
     def test_mu_matches_kron_formula(self):
         # mu(a, b) = q_(a+b) (mu(a, b-1) (x) 1) (1 (x) s_b), entry for entry,
-        # for the Ver_p tower and for the sVec_2 algebra (s_b = lift_b)
+        # for the Ver_p tower and for the sVec_2 algebra (s_b = unit columns)
         towers = [
             SymTower(VerObject(7, (1, 0, 1, 0, 0, 0)), 5),
             svec2.sym_algebra(svec2.direct_sum(svec2.module_w(), svec2.trivial(1)), 5),
