@@ -37,11 +37,17 @@ one batch per check).
 
 GF(p) is accepted only for p <= MAX_PRIME = 65537.  Then (p-1)^2 <= 2^32,
 so a dot product of fewer than 2^31 residues, and hence every int64
-matrix product this package forms, is exact before it is reduced mod p.
-`matmul_mod` forms products on float64 BLAS instead.  That is exact too:
+matrix product this package still forms, is exact before it is reduced
+mod p.  The hot products (element products `graded.contract` and the
+sVec_2 derivation on elements, both products of a `GradedTower.mu` step,
+the precomposition that builds each degree of `verlinde.SymTower` and its
+class coordinates, and the Jordan-type chain here) go through
+`matmul_mod` instead, which forms them on float64 BLAS, several times
+faster than numpy's int64 matmul, which has no BLAS.  That is exact too:
 every partial sum is an integer below k (p-1)^2 for inner size k, and
 float64 holds every integer below 2^53, which k < 2^21 guarantees at
-p = 65537; `matmul_mod` rejects a larger k.
+p = 65537; `matmul_mod` splits a larger k into chunks below that bound
+and sums their residues, so it answers every inner size.
 
 Basis convention for tensor products: lexicographic with the left factor
 varying slowest, i.e. basis vector (i, j) of X (x) Y sits at index
@@ -251,14 +257,19 @@ def _echelon(
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for arrays of residues in [0, p), formed by float64 BLAS.
+    """a @ b mod p for 2-D arrays of residues in [0, p), formed by float64
+    BLAS, as an int64 array.
 
-    Every partial sum is an integer below k (p-1)^2 for inner size k, which
-    is below 2^53 for p <= MAX_PRIME (so (p-1)^2 <= 2^32) and k < 2^21, so
-    each sum is exact in double precision whatever order BLAS adds in.
+    Every partial sum of an inner size k is an integer below k (p-1)^2,
+    exact in double precision whatever order BLAS adds in while that is
+    below 2^53.  A larger k is split into chunks below that bound (at
+    p = MAX_PRIME, (p-1)^2 = 2^32 and a chunk holds 2^21 - 1 terms), each
+    chunk's product is reduced mod p, and the residues are summed.
     """
-    if a.shape[1] * (p - 1) ** 2 >= 2**53:
-        raise ValueError(f"inner size {a.shape[1]} too large for an exact product mod {p}")
+    k, step = a.shape[1], (2**53 - 1) // (p - 1) ** 2
+    if k > step:
+        chunks = range(0, k, step)
+        return sum(matmul_mod(a[:, i : i + step], b[i : i + step], p) for i in chunks) % p
     c = (np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)).astype(np.int64)
     c -= p * (c // p)  # c % p: numpy divides by a scalar faster
     return c

@@ -27,11 +27,12 @@ arrays of residues mod p:
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
 
-from .exactlin import check_budget, cokernel
+from .exactlin import check_budget, cokernel, matmul_mod
 
 Elem = dict[int, np.ndarray]
 
@@ -155,14 +156,10 @@ class GradedTower:
             k = da if left is None else len(left)
             du, db1 = self.dim(a + b - 1), self.dim(b - 1)
             check_budget(du * self.nx * k * db, self.max_entries, f"mu({a}, {b})")
-            prev = self.mu(a, b - 1, left)
-            lift = np.tensordot(
-                prev.reshape(du, k, db1),
-                self.section(b).reshape(db1, self.nx, db),
-                axes=(2, 0),
-            )  # (u, k, x, l)
-            lift = lift.transpose(0, 2, 1, 3).reshape(du * self.nx, k * db) % self.p
-            out = (self.q[a + b] @ lift) % self.p
+            prev = self.mu(a, b - 1, left).reshape(du * k, db1)
+            lift = matmul_mod(prev, self.section(b).reshape(db1, self.nx * db), self.p)
+            lift = lift.reshape(du, k, self.nx, db).transpose(0, 2, 1, 3)
+            out = matmul_mod(self.q[a + b], lift.reshape(du * self.nx, k * db), self.p)
         self._mu[key] = out
         return out
 
@@ -193,13 +190,14 @@ def contract(ca: np.ndarray, cb: np.ndarray, table: np.ndarray, p: int) -> np.nd
     ca and cb are (da,) and (db,) vectors or (trials, da) and
     (trials, db) batches, and either may be a vector broadcast against
     the other's batch.  The product is one outer product, reduced mod p,
-    and one matmul, (B, da*db) @ (da*db, dc): each dot product sums at
-    most da*db terms below p^2, exact in int64 for p <= 65537.
+    and one `exactlin.matmul_mod`, (B, da*db) @ (da*db, dc) with the
+    batch axis flattened (B = 1 for two vectors), exact for every size.
     """
     da, db, dc = table.shape
     outer = ca[..., :, None] * cb[..., None, :]
-    outer = outer.reshape(*outer.shape[:-2], da * db) % p
-    return (outer @ table.reshape(da * db, dc)) % p
+    batch = outer.shape[:-2]
+    outer = outer.reshape(math.prod(batch), da * db) % p
+    return matmul_mod(outer, table.reshape(da * db, dc), p).reshape(*batch, dc)
 
 
 class TruncatedAlgebra:

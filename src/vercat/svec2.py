@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graded
-from .exactlin import GF, Mat, check_budget, kernel, rank
+from .exactlin import GF, Mat, check_budget, kernel, matmul_mod, rank
 
 GF2 = GF(2)
 
@@ -144,7 +144,7 @@ class DGradedAlgebra(graded.GradedTower, graded.TruncatedAlgebra):
         """The induced derivation, row by row on a batch."""
         out = {}
         for m, c in u.items():
-            dc = (c @ self.dmat[m].T) % 2
+            dc = matmul_mod(c.reshape(-1, c.shape[-1]), self.dmat[m].T, 2).reshape(c.shape)
             if np.any(dc):
                 out[m] = dc
         return out

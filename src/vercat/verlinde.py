@@ -50,7 +50,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactlin import GF, Mat, check_budget, cokernel, kernel, pivots, rref, solve_array
+from .exactlin import (
+    GF,
+    Mat,
+    check_budget,
+    cokernel,
+    kernel,
+    matmul_mod,
+    pivots,
+    rref,
+    solve_array,
+)
 from . import graded
 from .repzp import ZpModule, hom_stack, jordan_module, jordan_type, jordan_types
 
@@ -623,25 +633,28 @@ class _TensorFrame:
         Each piece J_c (x) J_n is normalized by T_(c,n) (x) 1, then every
         resulting J_e (x) J_n' (e < p) by T_(e,n'); only the columns at the
         tops of the size-j summands of that product are formed.  Entries
-        are (global indices of a J_e (x) J_n' block, its top columns).
+        are (global indices of a (J_c (x) J_n) (x) J_n' block, the top
+        columns of all its size-j summands), one entry per block and j.
         """
         p = self.p
         nx = sum(self.sizes_x)
         out: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
         for idx, basis in self.pieces:
-            for o, e in zip(basis.tops, basis.sizes):
-                if e == p:
-                    continue  # J_p (x) J_n' is a sum of J_p
-                left = basis.t[:, o : o + e]
-                on = 0
-                for n2 in self.sizes_x:
+            on = 0
+            for n2 in self.sizes_x:
+                gidx = (idx[:, None] * nx + on + np.arange(n2)).reshape(-1)
+                cols: dict[int, list[np.ndarray]] = {}
+                for o, e in zip(basis.tops, basis.sizes):
+                    if e == p:
+                        continue  # J_p (x) J_n' is a sum of J_p
                     inner = _pair_basis(p, e, n2)
-                    gidx = (idx[:, None] * nx + on + np.arange(n2)).reshape(-1)
                     for j, tops in _tops_by_size(p, inner).items():
-                        z = inner.t[:, tops].reshape(e, n2, len(tops))
-                        col = np.tensordot(left, z, axes=(1, 0)) % p
-                        out.setdefault(j, []).append((gidx, col.reshape(-1, len(tops))))
-                    on += n2
+                        z = inner.t[:, tops].reshape(e, n2 * len(tops))
+                        col = basis.t[:, o : o + e] @ z % p
+                        cols.setdefault(j, []).append(col.reshape(-1, len(tops)))
+                for j, c in cols.items():
+                    out.setdefault(j, []).append((gidx, np.hstack(c)))
+                on += n2
         return out
 
 
@@ -738,12 +751,15 @@ class SymTower(graded.GradedTower):
             else:
                 check_budget(count * a_dim, budget, f"S^{m}: precomposed class rows")
                 # reps @ phi, contracted factor by factor so the relation
-                # map is never materialized
+                # map is never materialized: (q_(m-1) (x) 1_X) is one
+                # product of the reps, X factor moved to the rows, by q_(m-1)
                 reps = frame.rows(j, 0, np.eye(count, dtype=np.int64))
-                pre = np.einsum("tvx,vk->tkx", reps.reshape(count, -1, nx), q_prev)
-                pre = graded.minus_swap(pre.reshape(count, a_dim) % p, nx) % p
-                coords = np.hstack([pre[:, idx] @ cols % p for idx, cols in a_tops[j]])
-                ker = kernel(coords.T, p).T  # rows: kernels of precomposition
+                reps = reps.reshape(count, -1, nx).transpose(0, 2, 1)
+                pre = matmul_mod(reps.reshape(count * nx, -1), q_prev, p)
+                pre = pre.reshape(count, nx, -1).transpose(0, 2, 1).reshape(count, a_dim)
+                pre = graded.minus_swap(pre, nx) % p
+                coords = [matmul_mod(pre[:, idx], cols, p) for idx, cols in a_tops[j]]
+                ker = kernel(np.hstack(coords).T, p).T  # rows: kernels of precomposition
             if ker.shape[0] == 0:
                 continue
             rows = sum(sizes) + j * ker.shape[0]

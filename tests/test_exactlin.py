@@ -355,11 +355,16 @@ class TestMatmulMod:
         assert matmul_mod(a, b, p).tolist() == _int_product(a, b, p)
 
     def test_inner_size_bound(self):
-        p = 65537  # (p-1)^2 = 2^32, so an exact inner size stays below 2^21
-        ok = matmul_mod(np.zeros((0, 2**21 - 1)), np.zeros((2**21 - 1, 0)), p)
-        assert ok.shape == (0, 0)
-        with pytest.raises(ValueError, match="inner size"):
-            matmul_mod(np.zeros((0, 2**21)), np.zeros((2**21, 0)), p)
+        # (p-1)^2 = 2^32, so one float64 product is exact only below 2^21
+        # terms; past that the inner size is split into chunks.  With p-1
+        # every partial sum is a multiple of 2^32, exact anyway; with p-2
+        # and 2^21 + 65 terms the sum is odd and above 2^53, and one
+        # float64 product comes out 1 short
+        p = 65537
+        for entry, k in ((p - 1, 2**21 + 3), (p - 2, 2**21 + 65)):
+            a = np.full((1, k), entry, dtype=np.int64)
+            got = matmul_mod(a, a.T, p)
+            assert got.dtype == np.int64 and got.tolist() == [[k * entry**2 % p]]
 
 
 class TestTrace:

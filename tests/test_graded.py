@@ -3,6 +3,7 @@ repeated squaring, element arithmetic batched over a leading trial axis,
 and degree validation at every tower entry point."""
 
 import functools
+import hashlib
 import math
 import random
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vercat import graded, repzp, svec2
+from vercat import exactlin, graded, repzp, svec2, verlinde
 from vercat.exactlin import GF, BudgetExceeded, Mat
 from vercat.invariants import build_invariant_algebra
 from vercat.verlinde import SymTower, VerObject
@@ -370,12 +371,17 @@ class TestBatch:
             ),
         ]
         for ca, cb, table in cases:
-            got = graded.contract(ca, cb, table, p)
-            assert got.tolist() == python_int_contract(ca, cb, table, p)
-            # a vector broadcasts against the other factor's batch
-            got = graded.contract(ca[0], cb, table, p)
-            want = python_int_contract(np.broadcast_to(ca[0], ca.shape), cb, table, p)
-            assert got.tolist() == want
+            # batch x batch, and a vector broadcast against the other's batch
+            for left, right in ((ca, cb), (ca[0], cb), (ca, cb[0])):
+                got = graded.contract(left, right, table, p)
+                want = python_int_contract(
+                    np.broadcast_to(left, ca.shape), np.broadcast_to(right, cb.shape), table, p
+                )
+                assert got.shape == (len(ca), dc) and got.tolist() == want
+            # vector x vector: one (dc,) vector
+            got = graded.contract(ca[0], cb[0], table, p)
+            assert got.shape == (dc,)
+            assert got.tolist() == python_int_contract(ca[:1], cb[:1], table, p)[0]
 
     def test_batch_budget_counts_trials_times_widest_pair(self):
         # S(W) to depth 8 has dims 1, 2, 2, ...: the widest pair is 2 x 2
@@ -398,3 +404,29 @@ class TestBatch:
 def test_negative_degree_rejected(build):
     with pytest.raises(ValueError, match="nonnegative"):
         build()
+
+
+def test_hot_products_run_on_the_exact_kernel(monkeypatch):
+    # element products (graded.contract) and tower products (mu, and the
+    # precomposition of SymTower._build_degree) form their mod-p products
+    # through exactlin.matmul_mod, with unchanged answers
+    calls = []
+
+    def counted(a, b, p):
+        calls.append(p)
+        return exactlin.matmul_mod(a, b, p)
+
+    for module in (graded, verlinde):
+        monkeypatch.setattr(module, "matmul_mod", counted)
+    w1 = svec2.direct_sum(svec2.module_w(), svec2.trivial(1))
+    report = svec2.fourth_power_checks(w1, 8, 20, 0)
+    assert calls and set(calls) == {2}
+    names = ("d_square_zero", "d_of_fourth_power", "fourth_power_central")
+    names += ("product_fourth_power", "sum_fourth_power", "square_rule")
+    assert report == dict.fromkeys(names, True) | {"trials": 20, "seed": 0}
+    calls.clear()
+    mu = SymTower(VerObject(5, (1, 1, 0, 0)), 6).mu(2, 3)
+    assert calls and set(calls) == {5}
+    # the answer formed by int64 products before the kernel took them
+    assert mu.dtype == np.int64 and mu.shape == (10, 60)
+    assert hashlib.sha256(mu.tobytes()).hexdigest()[:16] == "bf27e5d217fc36e9"
