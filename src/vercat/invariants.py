@@ -177,8 +177,8 @@ def module_finiteness_check(
 
     Returns one (degree, simple index) entry per generator, in degree
     order, and a stabilization flag: no generator in the top
-    ceil(depth/3) degrees.  The flag is evidence up to the truncation,
-    not a proof.
+    max(1, ceil(depth/3)) degrees, so at depth 0 the unit generator keeps
+    it false.  The flag is evidence up to the truncation, not a proof.
     """
     alg = InvariantAlgebra(x, depth, max_entries)
     gens = [m for m, new in generator_degrees(alg) if m and new]
@@ -188,7 +188,7 @@ def module_finiteness_check(
         for i in range(1, alg.p)
         for _ in range(_new_classes(alg, m, i, gens))
     ]
-    window = -(-depth // 3)  # ceil
+    window = max(1, -(-depth // 3))  # ceil, and never empty
     stabilized = all(m <= depth - window for m, _ in selected)
     return selected, stabilized
 

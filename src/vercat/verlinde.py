@@ -78,6 +78,9 @@ class VerObject:
     mult: tuple[int, ...]
 
     def __post_init__(self):
+        if self.p == 0:  # GF(0) is Q, not a characteristic of Ver_p
+            raise ValueError("characteristic must be a prime, got 0")
+        GF(self.p)  # raises for any other p that is not a prime GF accepts
         if len(self.mult) != self.p - 1:
             raise ValueError(f"need {self.p - 1} multiplicities, got {len(self.mult)}")
         if any(m < 0 for m in self.mult):
@@ -458,14 +461,15 @@ class _PairBasis:
     """Exact change of basis putting J_a (x) J_b into Jordan normal form.
 
     `tinv @ (g_a (x) g_b) @ t` is the block-diagonal unipotent Jordan
-    matrix with block sizes `sizes` (descending) starting at `tops`.
-    Inside a summand of size c at top o, column o + k of `t` is
-    N^(c-1-k) of the chain generator and row o + k of `tinv` is
-    (row o) N^k, where N = g_a (x) g_b - 1.
+    matrix with block sizes `sizes` (descending); `tops_by_size[j]` lists
+    the first indices (tops) of the size-j summands, j < p.  Inside a
+    summand of size c at top o, column o + k of `t` is N^(c-1-k) of the
+    chain generator and row o + k of `tinv` is (row o) N^k, where
+    N = g_a (x) g_b - 1.
     """
 
     sizes: tuple[int, ...]
-    tops: tuple[int, ...]
+    tops_by_size: dict[int, np.ndarray]
     t: np.ndarray
     tinv: np.ndarray
 
@@ -560,13 +564,14 @@ def _pair_basis(p: int, a: int, b: int) -> _PairBasis:
         t = np.hstack([t, new_t])
         tinv = np.vstack([tinv, new_tinv])
         sizes.extend([k] * m)
-    tops = tuple(int(o) for o in np.cumsum([0] + sizes[:-1]))
+    starts = np.cumsum([0] + sizes[:-1])
     jordan = np.eye(n, dtype=np.int64)
-    for o, s in zip(tops, sizes):
+    for o, s in zip(starts, sizes):
         jordan[o : o + s - 1, o + 1 : o + s] += np.eye(s - 1, dtype=np.int64)
     g_t = (t + _nil_cols(t, a, b, p)) % p
     assert sum(sizes) == n and np.array_equal((tinv @ t) % p, np.eye(n, dtype=np.int64))
     assert np.array_equal((tinv @ g_t) % p, jordan), "pair basis is not a Jordan basis"
+    tops = {j: starts[np.equal(sizes, j)] for j in dict.fromkeys(sizes) if j < p}
     out = _PairBasis(tuple(sizes), tops, t, tinv)
     _PAIR_BASES[key] = out
     return out
@@ -596,7 +601,7 @@ class _TensorFrame:
             for n in sizes_x:
                 idx = ((oc + np.arange(c))[:, None] * nx + on + np.arange(n)).reshape(-1)
                 basis = _pair_basis(p, c, n)
-                for j, tops in _tops_by_size(p, basis).items():
+                for j, tops in basis.tops_by_size.items():
                     self.summands.setdefault(j, []).append((len(self.pieces), tops))
                 self.pieces.append((idx, basis))
                 on += n
@@ -644,27 +649,17 @@ class _TensorFrame:
             for n2 in self.sizes_x:
                 gidx = (idx[:, None] * nx + on + np.arange(n2)).reshape(-1)
                 cols: dict[int, list[np.ndarray]] = {}
-                for o, e in zip(basis.tops, basis.sizes):
-                    if e == p:
-                        continue  # J_p (x) J_n' is a sum of J_p
+                for e, starts in basis.tops_by_size.items():
                     inner = _pair_basis(p, e, n2)
-                    for j, tops in _tops_by_size(p, inner).items():
+                    for j, tops in inner.tops_by_size.items():
                         z = inner.t[:, tops].reshape(e, n2 * len(tops))
-                        col = basis.t[:, o : o + e] @ z % p
-                        cols.setdefault(j, []).append(col.reshape(-1, len(tops)))
+                        for o in starts:
+                            col = basis.t[:, o : o + e] @ z % p
+                            cols.setdefault(j, []).append(col.reshape(-1, len(tops)))
                 for j, c in cols.items():
                     out.setdefault(j, []).append((gidx, np.hstack(c)))
                 on += n2
         return out
-
-
-def _tops_by_size(p: int, basis: _PairBasis) -> dict[int, np.ndarray]:
-    """Local tops of the summands of size j < p, grouped by j."""
-    by_size: dict[int, list[int]] = {}
-    for o, s in zip(basis.tops, basis.sizes):
-        if s < p:
-            by_size.setdefault(s, []).append(o)
-    return {j: np.asarray(tops) for j, tops in by_size.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -701,6 +696,8 @@ class SymTower(graded.GradedTower):
             if self.nx == 0:
                 self.zero_from = 1
         self._frames: dict[int, _TensorFrame] = {}
+        # (m, j) -> kernel rows whose chains are q_m's size-j rows
+        self._kernels: dict[tuple[int, int], np.ndarray] = {}
         self._sections: dict[int, np.ndarray] = {}
         self._mu: dict[tuple, np.ndarray] = {}
         for m in range(2, depth + 1):
@@ -727,10 +724,11 @@ class SymTower(graded.GradedTower):
         size-j summands; the class coordinates of a first row w over A are
         w at the top columns of a Jordan basis of A; and the chain
         [w, wN, ...] of a kernel combination is the same combination of
-        the following T_B^-1 rows.  Rows of q_m are grouped per block,
-        ordered [w, wN, ..., wN^(j-1)].  The precomposed class rows of each
-        j, and q_m as its rows accumulate, are charged against
-        `max_entries` before they are formed; errors name the degree.
+        the following T_B^-1 rows (the combinations are kept per j for
+        `section`).  Rows of q_m are grouped per block, ordered
+        [w, wN, ..., wN^(j-1)].  The precomposed class rows of each j, and
+        q_m as its rows accumulate, are charged against `max_entries`
+        before they are formed; errors name the degree.
         """
         if self.zero_from is not None:
             self.sizes.append(())
@@ -762,6 +760,7 @@ class SymTower(graded.GradedTower):
                 ker = kernel(np.hstack(coords).T, p).T  # rows: kernels of precomposition
             if ker.shape[0] == 0:
                 continue
+            self._kernels[m, j] = ker
             rows = sum(sizes) + j * ker.shape[0]
             check_budget(rows * frame.dim, budget, f"S^{m}: projection rows")
             chains = np.stack([frame.rows(j, k, ker) for k in range(j)], axis=1)
@@ -777,12 +776,12 @@ class SymTower(graded.GradedTower):
     # -- sections and multiplication classes --------------------------------
 
     def section(self, b: int) -> np.ndarray:
-        """A class-level section s_b: V_b -> V_(b-1) (x) X of q_b.
+        """A section s_b: V_b -> V_(b-1) (x) X of q_b, with q_b s_b = 1.
 
         The size-j blocks of V_b are sent onto the size-j Jordan summands
-        of V_(b-1) (x) X; the rows of q_b at those blocks, read at the
-        summand tops, are the kernel coefficients of the cokernel, and a
-        right inverse of that matrix picks the combination.
+        of V_(b-1) (x) X.  Read at the summand tops, q_b's rows at those
+        blocks are the kernel rows `_build_degree` kept for (b, j), and a
+        right inverse of those rows picks the combination.
         """
         if b in self._sections:
             return self._sections[b]
@@ -790,16 +789,12 @@ class SymTower(graded.GradedTower):
             s = np.eye(self.nx, dtype=np.int64)
             self._sections[1] = s
             return s
-        p = self.p
         frame = self._frame(b - 1)
-        qm = self.q[b]
         s = np.zeros((frame.dim, self.dim(b)), dtype=np.int64)
         for j in sorted(set(self.sizes[b]), reverse=True):
             offsets = np.asarray(self.block_offsets(b, j))
-            tops = frame.cols(j, 0, np.eye(frame.count(j), dtype=np.int64))
-            coeff = solve_array(
-                (qm[offsets] @ tops) % p, np.eye(len(offsets), dtype=np.int64), p
-            )
+            eye = np.eye(len(offsets), dtype=np.int64)
+            coeff = solve_array(self._kernels[b, j], eye, self.p)
             if coeff is None:
                 raise AssertionError("projection classes are not surjective")
             for k in range(j):

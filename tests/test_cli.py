@@ -457,6 +457,12 @@ SYMALG_OUTPUTS = {
 }
 
 
+def test_symalg_depth_zero_is_not_stabilized(capsys):
+    argv = ["symalg", "--p", "5", "--object", "L2", "--max-degree", "0"]
+    code, out, err = run(capsys, *argv, "--report", "module-finiteness")
+    assert (code, err) == (EXIT_OK, "") and "NOT stabilized" in out
+
+
 @pytest.mark.parametrize(
     "report,fmt",
     sorted(SYMALG_OUTPUTS),

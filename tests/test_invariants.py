@@ -148,6 +148,11 @@ class TestModuleFiniteness:
         # S(L2) = 1 + L2 + L3 + L4, one generator per degree
         assert selected == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
+    @pytest.mark.parametrize("x", [VerObject.simple(5, 2), VerObject(5, (1, 1, 0, 0))])
+    def test_depth_zero_is_not_stabilized(self, x):
+        # the window always covers the top degree, where the unit generator sits
+        assert module_finiteness_check(x, 0) == ([(0, 1)], False)
+
     def test_one_plus_l2_stabilizes(self):
         selected, stabilized = module_finiteness_check(VerObject(5, (1, 1, 0, 0)), 10)
         assert stabilized

@@ -2,6 +2,7 @@
 multiplicity series.  The fusion formula and the decomposition oracle are
 independent routes and their agreement anchors everything else."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -47,6 +48,15 @@ class TestVerObject:
             VerObject(5, (1, 2, 3))
         with pytest.raises(ValueError):
             VerObject(5, (1, -1, 0, 0))
+
+    @pytest.mark.parametrize("p", [0, 1, 4, 9])
+    def test_rejects_characteristics_that_are_not_primes(self, p):
+        with pytest.raises(ValueError, match=f"characteristic .*got {p}$"):
+            VerObject(p, (0,) * max(p - 1, 0))
+
+    def test_p2_is_degenerate_but_valid(self):
+        x = VerObject(2, (1,))
+        assert fusion(x, x) == x and ver_sym_power(x, 3) == x
 
     def test_display(self):
         assert str(VerObject(5, (1, 0, 2, 0))) == "L1 + 2*L3"
@@ -485,10 +495,28 @@ def _assert_mu_intertwines(tw, pairs):
 def _assert_sections_split(tw):
     for b in range(2, tw.depth + 1):
         comp = (tw.q[b] @ tw.section(b)) % tw.p
-        pos = 0
-        for sz in tw.sizes[b]:
-            assert comp[pos, pos] == 1  # identity class coefficient
-            pos += sz
+        assert np.array_equal(comp, np.eye(tw.dim(b), dtype=np.int64)), b
+
+
+def _tower_digest(tw):
+    """sha256 of `sizes`, every q[m] and every section(b), m, b >= 1."""
+    h = hashlib.sha256(repr(tw.sizes).encode())
+    for m in range(1, tw.depth + 1):
+        for a in (tw.q[m], tw.section(m)):
+            h.update(repr(a.shape).encode())
+            h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+# (p, summands of X, depth, digest): literal towers pinned entry for entry.
+# mu follows from q and the sections, so it needs no digest of its own.
+TOWER_DIGESTS = [
+    (5, (1, 2), 10, "1fec73ff6f842e631833672330f81c4a597cf6bbeffed66c40246336f81e5bd2"),
+    (7, (2, 3), 6, "5d94f4e46e38b9457327ca5bbfbd0cb32cf4bc45dd33c395c5b7604712b7b5c7"),
+    (11, (1, 2), 12, "63642c52f39dd1cffc0a5e3e3d612e88a1cf98cef3e7964c89822db65d6c591a"),
+    (11, (3, 5), 4, "b849f521e7f77e55eab3ab41c1ca3e20fce91876fabc2f10f377d81850876316"),
+    (13, (2,), 12, "0b40a89326ca2886a248d8a48c7026f6335142d1d8569b5e5315a6eeeee7ff27"),
+]
 
 
 class TestSymTowerInternals:
@@ -498,6 +526,7 @@ class TestSymTowerInternals:
 
     def test_section_is_right_inverse_class(self):
         _assert_sections_split(SymTower(VerObject(5, (1, 1, 0, 0)), 5))
+        _assert_sections_split(SymTower(VerObject(3, (1, 1)), 9))
 
     def test_mu_is_exact_intertwiner_p11_l3_l5(self):
         tw = SymTower(L(11, 3) + L(11, 5), 4)
@@ -505,6 +534,18 @@ class TestSymTowerInternals:
 
     def test_section_is_right_inverse_class_p11_l3_l5(self):
         _assert_sections_split(SymTower(L(11, 3) + L(11, 5), 4))
+
+    @pytest.mark.parametrize(
+        "p,summands,depth,digest",
+        TOWER_DIGESTS,
+        ids=[
+            f"p{p}-{'+'.join(f'L{i}' for i in x)}-D{d}" for p, x, d, _ in TOWER_DIGESTS
+        ],
+    )
+    def test_literal_tower_is_pinned(self, p, summands, depth, digest):
+        tw = SymTower(sum((L(p, i) for i in summands), VerObject.zero(p)), depth)
+        _assert_sections_split(tw)
+        assert _tower_digest(tw) == digest
 
     def test_mu_matches_kron_formula(self):
         # mu(a, b) = q_(a+b) (mu(a, b-1) (x) 1) (1 (x) s_b), entry for entry,
