@@ -662,8 +662,9 @@ def suite_invariants(report: Report, args) -> None:
         tail_zero,
         f"counts {[c for _, c in gens]}",
     )
-    # tautological: both sides are the same SymTower, until the closed form
-    # for S^m (ROADMAP item 1) replaces the right side
+    # tautological: while `alg` is alive, sym_alg_series reads the very
+    # same built degrees (towers on one key share them), until the closed
+    # form for S^m (ROADMAP item 2) replaces the right side
     series = sym_alg_series(x, 10, max_entries)
     cross = all(alg.inv_dim(m) == series[m].mult_of(1) for m in range(11))
     report.add_check("invariant-dims-match-sympow p=5 X=1+L2", cross)

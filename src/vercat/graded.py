@@ -111,10 +111,12 @@ class GradedTower:
     """Multiplication maps of a tower of degreewise quotients S^0..S^depth.
 
     Subclasses set `p`, `depth`, `nx` = dim X, `q` (q[m]: S^(m-1) (x) X
-    -> S^m as an array), `max_entries` and empty dicts `_mu` and
-    `_sections`, and provide `dim(m)` and either the `keep` of a
-    `quotient_tower` or their own `section(b)`, a map S^b -> S^(b-1) (x) X
-    with q_b s_b = 1 (as classes modulo negligibles in Ver_p).
+    -> S^m as an array), `max_entries` and an empty dict `_mu`, and
+    provide `dim(m)` and either the `keep` of a `quotient_tower` with an
+    empty dict `_sections` or their own `section(b)`, a map
+    S^b -> S^(b-1) (x) X with q_b s_b = 1 (as classes modulo negligibles
+    in Ver_p).  `mu(a, 1)` returns q_(a+1) itself, so readers must not
+    write into what `mu` returns.
     """
 
     def section(self, b: int) -> np.ndarray:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -667,6 +668,43 @@ class _TensorFrame:
 # ---------------------------------------------------------------------------
 
 
+class _Degrees:
+    """The built degree data of one `SymTower`: `sizes`, `q`, `zero_from`,
+    the kernel rows `kernels[m, j]`, the tensor frames and the sections.
+
+    Every array in it is read-only once formed, so the towers that share
+    it cannot write into each other's degrees.  It holds no reference to a
+    tower, so it dies with the last tower that holds it.
+    """
+
+    __slots__ = ("sizes", "q", "zero_from", "kernels", "frames", "sections", "__weakref__")
+
+    def __init__(self, sizes_x: tuple[int, ...], depth: int):
+        self.sizes: list[tuple[int, ...]] = [(1,)]
+        self.q: list[np.ndarray | None] = [None]
+        self.zero_from: int | None = None
+        if depth >= 1:
+            nx = sum(sizes_x)
+            self.sizes.append(sizes_x)
+            self.q.append(_frozen(np.eye(nx, dtype=np.int64)))
+            if nx == 0:
+                self.zero_from = 1
+        # (m, j) -> kernel rows whose chains are q_m's size-j rows
+        self.kernels: dict[tuple[int, int], np.ndarray] = {}
+        self.frames: dict[int, _TensorFrame] = {}
+        self.sections: dict[int, np.ndarray] = {}
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# (p, multiplicities of X, depth, max_entries) -> the degree data of the
+# towers alive on that key; an entry goes when its last tower does
+_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class SymTower(graded.GradedTower):
     """Degree-by-degree realization of the symmetric algebra of X in Ver_p.
 
@@ -677,6 +715,15 @@ class SymTower(graded.GradedTower):
     recursion `graded.GradedTower.mu` on these sections).  Once a
     degree vanishes all higher degrees vanish (each S^m is a quotient of
     S^(m-1) (x) X), so construction stops early.
+
+    The built degrees (`sizes`, `q`, `zero_from`, kernel rows, frames and
+    sections: `_Degrees`) are shared among the towers alive on one
+    (p, X, depth, max_entries): a tower built while another on that key
+    is still held reads the other's degrees instead of building its own.
+    Nothing outlives the last holder, so there is no cache across calls
+    and no setting.  The products `_mu` stay with each tower, so a reader
+    that patches or corrupts `mu` sees its own products recomputed.
+    Shared arrays are read-only.
     """
 
     def __init__(self, x: VerObject, depth: int, max_entries: int | None = None):
@@ -685,23 +732,27 @@ class SymTower(graded.GradedTower):
         self.p = x.p
         self.depth = depth
         self.max_entries = max_entries
-        sizes_x = x.block_sizes()
-        self.nx = sum(sizes_x)
-        self.sizes: list[tuple[int, ...]] = [(1,)]
-        self.q: list[np.ndarray | None] = [None]
-        self.zero_from: int | None = None
-        if depth >= 1:
-            self.sizes.append(sizes_x)
-            self.q.append(np.eye(self.nx, dtype=np.int64))
-            if self.nx == 0:
-                self.zero_from = 1
-        self._frames: dict[int, _TensorFrame] = {}
-        # (m, j) -> kernel rows whose chains are q_m's size-j rows
-        self._kernels: dict[tuple[int, int], np.ndarray] = {}
-        self._sections: dict[int, np.ndarray] = {}
+        self.nx = x.dim
         self._mu: dict[tuple, np.ndarray] = {}
-        for m in range(2, depth + 1):
-            self._build_degree(m)
+        key = (x.p, tuple(x.mult), depth, max_entries)
+        self._deg = _LIVE.get(key)
+        if self._deg is None:
+            self._deg = _Degrees(x.block_sizes(), depth)
+            for m in range(2, depth + 1):
+                self._build_degree(m)
+            _LIVE[key] = self._deg
+
+    @property
+    def sizes(self) -> list[tuple[int, ...]]:
+        return self._deg.sizes
+
+    @property
+    def q(self) -> list[np.ndarray | None]:
+        return self._deg.q
+
+    @property
+    def zero_from(self) -> int | None:
+        return self._deg.zero_from
 
     def dim(self, m: int) -> int:
         return sum(self.sizes[m])
@@ -711,9 +762,10 @@ class SymTower(graded.GradedTower):
 
     def _frame(self, m: int) -> _TensorFrame:
         """V_m (x) X in Jordan-normal coordinates."""
-        if m not in self._frames:
-            self._frames[m] = _TensorFrame(self.p, self.sizes[m], self.sizes[1])
-        return self._frames[m]
+        frames = self._deg.frames
+        if m not in frames:
+            frames[m] = _TensorFrame(self.p, self.sizes[m], self.sizes[1])
+        return frames[m]
 
     def _build_degree(self, m: int) -> None:
         """V_m and q_m: the cokernel in Ver_p of the degree-m relations
@@ -728,11 +780,13 @@ class SymTower(graded.GradedTower):
         `section`).  Rows of q_m are grouped per block, ordered
         [w, wN, ..., wN^(j-1)].  The precomposed class rows of each j, and
         q_m as its rows accumulate, are charged against `max_entries`
-        before they are formed; errors name the degree.
+        before they are formed; errors name the degree.  q_m and the kernel
+        rows are read-only once recorded.
         """
-        if self.zero_from is not None:
-            self.sizes.append(())
-            self.q.append(np.zeros((0, self.dim(m - 1) * self.nx), dtype=np.int64))
+        deg = self._deg
+        if deg.zero_from is not None:
+            deg.sizes.append(())
+            deg.q.append(_frozen(np.zeros((0, self.dim(m - 1) * self.nx), dtype=np.int64)))
             return
         p, nx, budget = self.p, self.nx, self.max_entries
         a_dim = self.dim(m - 2) * nx * nx
@@ -760,18 +814,18 @@ class SymTower(graded.GradedTower):
                 ker = kernel(np.hstack(coords).T, p).T  # rows: kernels of precomposition
             if ker.shape[0] == 0:
                 continue
-            self._kernels[m, j] = ker
+            deg.kernels[m, j] = _frozen(ker)
             rows = sum(sizes) + j * ker.shape[0]
             check_budget(rows * frame.dim, budget, f"S^{m}: projection rows")
             chains = np.stack([frame.rows(j, k, ker) for k in range(j)], axis=1)
             q_rows.append(chains.reshape(-1, frame.dim))
             sizes.extend([j] * ker.shape[0])
-        self.sizes.append(tuple(sizes))
-        self.q.append(
-            np.vstack(q_rows) if q_rows else np.zeros((0, frame.dim), dtype=np.int64)
+        deg.sizes.append(tuple(sizes))
+        deg.q.append(
+            _frozen(np.vstack(q_rows) if q_rows else np.zeros((0, frame.dim), dtype=np.int64))
         )
         if not sizes:
-            self.zero_from = m
+            deg.zero_from = m
 
     # -- sections and multiplication classes --------------------------------
 
@@ -781,25 +835,27 @@ class SymTower(graded.GradedTower):
         The size-j blocks of V_b are sent onto the size-j Jordan summands
         of V_(b-1) (x) X.  Read at the summand tops, q_b's rows at those
         blocks are the kernel rows `_build_degree` kept for (b, j), and a
-        right inverse of those rows picks the combination.
+        right inverse of those rows picks the combination.  Sections are
+        degree data: built once, read-only, shared with the tower's
+        degrees.
         """
-        if b in self._sections:
-            return self._sections[b]
+        sections = self._deg.sections
+        if b in sections:
+            return sections[b]
         if b == 1:
-            s = np.eye(self.nx, dtype=np.int64)
-            self._sections[1] = s
-            return s
+            sections[1] = _frozen(np.eye(self.nx, dtype=np.int64))
+            return sections[1]
         frame = self._frame(b - 1)
         s = np.zeros((frame.dim, self.dim(b)), dtype=np.int64)
         for j in sorted(set(self.sizes[b]), reverse=True):
             offsets = np.asarray(self.block_offsets(b, j))
             eye = np.eye(len(offsets), dtype=np.int64)
-            coeff = solve_array(self._kernels[b, j], eye, self.p)
+            coeff = solve_array(self._deg.kernels[b, j], eye, self.p)
             if coeff is None:
                 raise AssertionError("projection classes are not surjective")
             for k in range(j):
                 s[:, offsets + k] = frame.cols(j, k, coeff)
-        self._sections[b] = s
+        sections[b] = _frozen(s)
         return s
 
     def block_offsets(self, m: int, j: int) -> list[int]:

@@ -1,11 +1,13 @@
 """Invariant algebras: degree spaces, products, generator counts,
-module finiteness, Frobenius behaviour, and the rational-field
-counterexample."""
+module finiteness, Frobenius behaviour, the rational-field
+counterexample, and the degree data their towers share."""
 
+import gc
 import json
 import pathlib
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from vercat.exactlin import BudgetExceeded
 from vercat.repzp import hom_stack, jordan_module
+from vercat import verlinde
 from vercat.verlinde import SymTower, VerObject, ver_sym_power
 from vercat.invariants import (
     InvariantAlgebra,
@@ -311,6 +314,114 @@ class TestIsotypicStability:
         finally:
             tracemalloc.stop()
         assert ok and peak <= 3 * 2**20
+
+
+def count_builds(monkeypatch) -> list[int]:
+    """Record the degree of every `SymTower._build_degree` call."""
+    calls: list[int] = []
+    build = SymTower._build_degree
+
+    def counted(self, m):
+        calls.append(m)
+        return build(self, m)
+
+    monkeypatch.setattr(SymTower, "_build_degree", counted)
+    return calls
+
+
+class TestSharedDegrees:
+    """Towers alive on one (p, X, depth, budget) share their built degrees;
+    products stay with each tower, and nothing outlives the last holder."""
+
+    def test_live_holders_share_degrees_not_products(self, monkeypatch):
+        x = ver(5, [1, 1, 2])
+        a = InvariantAlgebra(x, 5)
+        calls = count_builds(monkeypatch)
+        b = InvariantAlgebra(x, 5)
+        assert calls == []
+        assert b.tower._deg is a.tower._deg
+        assert b.tower.q is a.tower.q and b.tower.sizes is a.tower.sizes
+        assert b.tower.section(3) is a.tower.section(3)
+        assert b.tower._mu is not a.tower._mu and b._tables is not a._tables
+        a.product_table(2, 2)
+        assert a.tower._mu and a._tables and not b.tower._mu and not b._tables
+
+    def test_last_holder_gone_means_rebuild(self, monkeypatch):
+        # with the cycle collector off, the degree data dies with the
+        # last holder, products, tables and sections included
+        x, depth = ver(5, [1, 1, 2]), 4
+        gc.disable()
+        try:
+            alg = InvariantAlgebra(x, depth)
+            generator_degrees(alg)
+            alg.tower.section(depth)
+            dead = weakref.ref(alg.tower._deg)
+            del alg
+            assert dead() is None
+            assert (5, x.mult, depth, None) not in verlinde._LIVE
+            calls = count_builds(monkeypatch)
+            InvariantAlgebra(x, depth)
+            assert calls == list(range(2, depth + 1))
+        finally:
+            gc.enable()
+
+    def test_held_budget_does_not_lift_a_smaller_one(self):
+        # 300 entries build this tower; holding one built at 300, or at no
+        # budget, still charges a request at 299
+        x = ver(5, [1, 2])
+        held = [InvariantAlgebra(x, 10, max_entries=300), InvariantAlgebra(x, 10)]
+        for build in (InvariantAlgebra, SymTower):
+            with pytest.raises(BudgetExceeded, match="projection rows needs 300 "):
+                build(x, 10, max_entries=299)
+        assert held[0].tower._deg is not held[1].tower._deg  # the budget is in the key
+
+    def test_basis_shuffle_stays_with_its_algebra(self):
+        x = ver(5, [1, 1, 2])
+        plain = InvariantAlgebra(x, 5)
+        canonical = [plain.offsets(m, 1) for m in range(6)]
+        shuffled = InvariantAlgebra(x, 5, basis_seed=3)
+        assert shuffled.tower._deg is plain.tower._deg
+        assert [shuffled.offsets(m, 1) for m in range(6)] != canonical
+        assert [plain.offsets(m, 1) for m in range(6)] == canonical
+        assert canonical == [plain.tower.block_offsets(m, 1) for m in range(6)]
+
+    def test_corrupted_product_fails_after_another_holder_warmed(self, monkeypatch):
+        # a holder whose products are already formed must not hand them to
+        # a new holder: the corruption reaches the check's own products
+        x, depth = ver(3, [1, 2]), 6
+        warm = InvariantAlgebra(x, depth)
+        for a in range(depth + 1):
+            for b in range(depth + 1 - a):
+                warm.tower.mu(a, b, tuple(warm.offsets(a, 1)))
+        mu = SymTower.mu
+
+        def corrupted(self, a, b, left=None):
+            out = mu(self, a, b, left)
+            if left is not None and (a, b) == (2, 1):
+                out = out.copy()
+                out.flat[0] = (out.flat[0] + 1) % self.p
+            return out
+
+        monkeypatch.setattr(SymTower, "mu", corrupted)
+        calls = count_builds(monkeypatch)
+        assert not isotypic_stability_check(x, depth, 40, 0)
+        assert calls == []  # the check read the warm holder's degrees
+
+    def test_report_set_builds_its_tower_once_per_run(self, monkeypatch):
+        # the benchmark's invariant reports at p = 11: one tower per run,
+        # and a second run in the same process builds it again
+        calls = count_builds(monkeypatch)
+        x, depth = VerObject(11, (1, 1) + (0,) * 8), 12
+        counts = []
+        for _ in range(2):
+            before = len(calls)
+            alg = build_invariant_algebra(x, depth)
+            generator_degrees(alg)
+            module_finiteness_check(x, depth)
+            assert isotypic_stability_check(x, depth, 100, 0)
+            del alg
+            counts.append(len(calls) - before)
+        assert counts == [depth - 1, depth - 1]
 
 
 class TestFrobenius:

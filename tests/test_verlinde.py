@@ -535,6 +535,19 @@ class TestSymTowerInternals:
     def test_section_is_right_inverse_class_p11_l3_l5(self):
         _assert_sections_split(SymTower(L(11, 3) + L(11, 5), 4))
 
+    def test_built_degrees_are_read_only(self):
+        # towers on one key share these arrays, so none of them may write
+        tw = SymTower(VerObject(5, (1, 1, 0, 0)), 5)
+        shared = [tw.q[m] for m in range(1, 6)] + [tw.section(b) for b in range(1, 6)]
+        shared += list(tw._deg.kernels.values())
+        for a in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            tw.q[3][0, 0] = 1
+        # mu(a, 1) is q_(a+1) itself
+        assert tw.mu(2, 1) is tw.q[3]
+
     @pytest.mark.parametrize(
         "p,summands,depth,digest",
         TOWER_DIGESTS,
