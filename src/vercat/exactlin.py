@@ -11,29 +11,30 @@ There is one Gauss-Jordan, `_rref_mod`, for both fields: `rref` runs
 it, one pivot per step, because `kernel`, `solve_array` and `cokernel`
 read the reduced form itself.  Over GF(p), callers that read only pivot
 columns or a basis of the row space use the one other elimination
-kernel, `_echelon_mod`: forward elimination in rounds, where every row
-whose leading column has no pivot yet can become one in the same round.
-It takes a batch of arrays ("members"), stacks their rows padded to the
-widest member, and keeps one pivot slot per (member, column), so each
-member gets its own pivot columns and echelon rows.  `pivots` (hence
-`rank`, `Mat.image_basis` and the hom-class anchor in `verlinde`) is a
-batch of one.  The two eliminations agree: both leave a basis of the row
-space with distinct leading columns, and those columns are the same for
-every such basis (the pivot columns of a row space are the columns not
-in the span of the columns before them).
+kernel, `_echelon_rounds`: forward elimination in rounds, where every
+row whose leading column has no pivot yet can become one in the same
+round.  It takes the stacked rows of many arrays ("members") and keeps
+one pivot slot per (member, column), so each member gets its own pivot
+columns and echelon rows; `pivots` (hence `rank`, `Mat.image_basis` and
+the hom-class anchor in `verlinde`) runs it on one array.  The two
+eliminations agree: both leave a basis of the row space with distinct
+leading columns, and those columns are the same for every such basis
+(the pivot columns of a row space are the columns not in the span of
+the columns before them).
 
-A round costs a dozen numpy calls whatever its size, so small
-eliminations are bound by call overhead, and a batch pays it once for
-all its members.  `nilpotent_partitions`, the Jordan types behind the
-fusion oracle, runs the row-space chain row(N^k) = row(E_(k-1) N), E an
-echelon basis, with one kernel call per level for a batch of matrices
-and one `matmul_mod` per member; `nilpotent_partition` is a batch of
-one.  A batch holds consecutive matrices whose padded array stays within
-BATCH_ENTRIES = 2^16 entries.  That is where the gain levels off: on the
-1,200 Jordan types of `verify --suite fusion` (2-vCPU x86-64 VM), caps
-of 2^12, 2^14, 2^16 and 2^18 took 0.53, 0.42, 0.31 and 0.28 s, and the
-traced peak went from 2.7 MiB at 2^16 to 7.8 MiB at 2^18 (51 MiB with
-one batch per check).
+A round is some forty numpy calls on small arrays, so an elimination
+costs about its round count in call overhead, which a batch pays once
+for all its members.  `nilpotent_partitions`, the Jordan types behind
+the fusion oracle (GF(p) only), runs the row-space chain
+row(N^k) = row(E_(k-1) N), E an echelon basis, on a batch kept stacked
+across levels: one `_echelon_rounds` call per level and one stacked
+`matmul_mod` per width class (each matrix padded to the next power of
+two, capped at the batch width).  A batch holds consecutive matrices
+whose padded array stays within BATCH_ENTRIES = 2^16 entries.  On the
+1,200 Jordan types of `verify --suite fusion` (2-vCPU x86-64 VM shared
+with other jobs, medians of 7), caps of 2^12, 2^14, 2^16 and 2^18 took
+1.30, 0.96, 0.61 and 0.47 s; 2^18 is faster, but its traced peak is
+14.4 MiB against 4.3 MiB at 2^16 (83 MiB with one batch per check).
 
 GF(p) is accepted only for p <= MAX_PRIME = 65537.  Then (p-1)^2 <= 2^32,
 so a dot product of fewer than 2^31 residues, and hence every int64
@@ -62,6 +63,7 @@ to define negligible morphisms.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -184,81 +186,91 @@ def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 #: Largest padded batch, in entries, that `nilpotent_partitions` stacks
-#: into one `_echelon_mod` call; see the module docstring.
+#: into one chain; see the module docstring.
 BATCH_ENTRIES = 2**16
 
 
-def _echelon_mod(
-    members: list[np.ndarray], p: int
-) -> list[tuple[list[int], np.ndarray]]:
-    """Pivot columns and echelon rows of each integer array mod p, by
-    forward elimination in rounds over all members at once.
+@functools.cache
+def _inverses(p: int) -> np.ndarray:
+    """v^-1 mod p at index v < p as int32, by v^(p-2); built once per p."""
+    v, inv, e = np.arange(p, dtype=np.int64), np.ones(p, dtype=np.int64), p - 2
+    while e:
+        inv, v, e = inv * v % p if e & 1 else inv, v * v % p, e >> 1
+    return inv.astype(np.int32)
 
-    The members' rows are stacked, padded with zero columns to the widest
-    member, and each row remembers its member.  Each round every nonzero
-    row finds its leading column; a (member, column) without a pivot takes
-    the member's first such row, scaled to 1, and every row subtracts its
-    own member's pivot at its leading column (a new pivot row cancels
-    itself).  A row's leading column only moves right, and zero rows drop
-    out, so at most `width` rounds run.  A member's pivot rows end as an
-    echelon basis of its row space, whose leading columns are the pivot
-    columns of its reduced form; they are returned sorted by column.
+
+def _echelon_rounds(
+    r: np.ndarray, owner: np.ndarray, count: int, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Echelon bases mod p of `count` members at once, by forward
+    elimination in rounds.  `r` (not modified) stacks the members' rows as
+    residues padded to one width; row i belongs to member owner[i].
+
+    Each round every nonzero row finds its leading column; a (member,
+    column) without a pivot takes the member's first such row (one stable
+    argsort), and every row subtracts the multiple of its member's pivot
+    there that clears it (a new pivot row cancels itself), through a per-p
+    table of inverses.  Leading columns only move right and zero rows drop
+    out, so at most `width` rounds run.  Returns (piv, slot): slot[m, c]
+    is the row of piv holding member m's pivot (unscaled) at column c, or
+    -1, which reads the zero row piv ends with.
     """
-    heights = [m.shape[0] for m in members]
-    widths = [m.shape[1] for m in members]
-    width = max(widths, default=0)
     # r - c * pivot lies in (-(p-1)^2, p): int32 holds it for p <= 46337
-    dtype = np.int32 if (p - 1) ** 2 < 2**31 else np.int64
-    r = np.zeros((sum(heights), width), dtype=dtype)
-    top = 0
-    for m, h, w in zip(members, heights, widths):
-        r[top : top + h, :w] = m % p  # reduce before narrowing to dtype
-        top += h
-    owner = np.repeat(np.arange(len(members)) * width, heights)
-    piv = np.zeros((sum(map(min, heights, widths)), width), dtype=dtype)
-    slot = np.full(len(members) * width, -1)  # piv row of each (member, column)
+    r = r.astype(np.int32 if (p - 1) ** 2 < 2**31 else np.int64)
+    width = r.shape[1]
+    base = owner * width
+    piv = np.zeros((min(len(r), count * width) + 1, width), dtype=r.dtype)
+    scale = np.zeros(len(piv), dtype=r.dtype)  # inverse of each leading entry
+    slot = np.full(count * width, -1)
     found = 0
     while True:
         nz = r != 0
         live = nz.any(axis=1)
         if not live.all():
-            r, nz, owner = r[live], nz[live], owner[live]
+            r, nz, base = r[live], nz[live], base[live]
         if not len(r):
             break
         lead = nz.argmax(axis=1)
-        key = owner + lead
-        new_keys, first = np.unique(key, return_index=True)
-        fresh = slot[new_keys] < 0
-        new_keys, take = new_keys[fresh], first[fresh]
-        if new_keys.size:
-            end = found + len(new_keys)
-            inv = [pow(v, -1, p) for v in r[take, lead[take]].tolist()]
-            piv[found:end] = r[take] * np.array(inv, dtype=np.int64)[:, None] % p
-            slot[new_keys] = np.arange(found, end)
+        key = base + lead
+        open_ = np.flatnonzero(slot[key] < 0)
+        if open_.size:
+            order = np.argsort(key[open_], kind="stable")
+            keys = key[open_][order]
+            first = np.ones(len(keys), dtype=bool)
+            first[1:] = keys[1:] != keys[:-1]
+            take = open_[order[first]]
+            end = found + len(take)
+            piv[found:end] = r[take]
+            scale[found:end] = _inverses(p)[r[take, lead[take]]]
+            slot[keys[first]] = np.arange(found, end)
             found = end
-        r = r - r[np.arange(len(r)), lead][:, None] * piv[slot[key]]
+            if len(take) == len(r):  # every row is a new pivot: all cancel
+                break
+        mine = slot[key]
+        factor = r[np.arange(len(r)), lead] * scale[mine] % p
+        r = r - factor[:, None] * piv[mine]
         r -= p * (r // p)  # r % p: numpy divides by a scalar faster
+    return piv, slot.reshape(count, width)
+
+
+def _echelon_mod(members: list[np.ndarray], p: int) -> list[tuple[list[int], np.ndarray]]:
+    """Pivot columns and echelon rows of each integer array mod p: the
+    members stacked for one `_echelon_rounds`, rows sorted by column."""
+    owner = np.repeat(np.arange(len(members)), [len(m) for m in members])
+    r = np.zeros((len(owner), max((m.shape[1] for m in members), default=0)), dtype=np.int64)
+    for i, m in enumerate(members):
+        r[owner == i, : m.shape[1]] = m % p
+    piv, slot = _echelon_rounds(r, owner, len(members), p)
     out = []
-    for i, w in enumerate(widths):
-        rows = slot[i * width : i * width + w]
-        cols = np.flatnonzero(rows >= 0)
-        out.append((cols.tolist(), piv[rows[cols], :w].astype(np.int64)))
+    for m, rows in zip(members, slot):
+        cols = np.flatnonzero(rows[: m.shape[1]] >= 0)
+        out.append((cols.tolist(), piv[rows[cols], : m.shape[1]].astype(np.int64)))
     return out
 
 
-def _echelon(
-    members: list[np.ndarray], p: int
-) -> list[tuple[list[int], np.ndarray]]:
-    """Pivot columns and echelon rows of each member: `_echelon_mod` over
-    GF(p), the nonzero rows of the reduced form over Q."""
-    if p:
-        return _echelon_mod(members, p)
-    return [(piv, r[: len(piv)]) for r, piv in (_rref_mod(m, p) for m in members)]
-
-
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for 2-D arrays of residues in [0, p), formed by float64
-    BLAS, as an int64 array.
+    """a @ b mod p for arrays of residues in [0, p), 2-D or stacked as
+    (..., m, k) @ (..., k, n), formed by float64 BLAS, as an int64 array.
 
     Every partial sum of an inner size k is an integer below k (p-1)^2,
     exact in double precision whatever order BLAS adds in while that is
@@ -266,10 +278,10 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     p = MAX_PRIME, (p-1)^2 = 2^32 and a chunk holds 2^21 - 1 terms), each
     chunk's product is reduced mod p, and the residues are summed.
     """
-    k, step = a.shape[1], (2**53 - 1) // (p - 1) ** 2
+    k, step = a.shape[-1], (2**53 - 1) // (p - 1) ** 2
     if k > step:
         chunks = range(0, k, step)
-        return sum(matmul_mod(a[:, i : i + step], b[i : i + step], p) for i in chunks) % p
+        return sum(matmul_mod(a[..., i : i + step], b[..., i : i + step, :], p) for i in chunks) % p
     c = (np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)).astype(np.int64)
     c -= p * (c // p)  # c % p: numpy divides by a scalar faster
     return c
@@ -315,7 +327,10 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 def pivots(a: np.ndarray, p: int) -> list[int]:
     """Pivot columns of `a` over GF(p), or over Q when p = 0; equal to
     `rref(a, p)[1]`, without forming the reduced form over GF(p)."""
-    return _echelon([a], p)[0][0]
+    if not p:
+        return _rref_mod(a, p)[1]
+    slot = _echelon_rounds(a % p, np.zeros(len(a), dtype=np.intp), 1, p)[1]
+    return np.flatnonzero(slot[0] >= 0).tolist()
 
 
 def rank(a: np.ndarray, p: int) -> int:
@@ -543,66 +558,87 @@ def quotient_basis(v: Mat, w: Mat) -> tuple[Mat, Mat]:
 
 
 def nilpotent_partition(n: Mat) -> tuple[int, ...]:
-    """Jordan block sizes of a nilpotent matrix, weakly decreasing: a
-    batch of one of `nilpotent_partitions`.  Raises ValueError when the
-    input is not square or not nilpotent."""
+    """Jordan block sizes of a nilpotent matrix over GF(p), weakly
+    decreasing: a batch of one of `nilpotent_partitions`.  Raises
+    ValueError when the input is not square or not nilpotent, or over Q."""
     return next(nilpotent_partitions([n]))
 
 
-def _partition(ranks: list[int]) -> tuple[int, ...]:
-    """Block sizes from rank(N^0), rank(N^1), ..., ending at 0: there are
-    rank(N^(k-1)) - 2 rank(N^k) + rank(N^(k+1)) blocks of size k."""
-    ranks = ranks + [0]
-    parts: list[int] = []
-    for k in range(len(ranks) - 2, 0, -1):
-        parts.extend([k] * (ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]))
-    return tuple(parts)
-
-
 def _partition_batch(mats: list[np.ndarray], p: int) -> list[tuple[int, ...]]:
-    """`nilpotent_partitions` of square arrays over one field, together:
-    row(N^k) = row(E_(k-1) N) for an echelon basis E_(k-1) of row(N^(k-1)),
-    so each level is one elimination of the live members' products."""
-    ranks = [[len(n)] for n in mats]
-    live = [i for i, n in enumerate(mats) if len(n)]
-    rows = [mats[i] for i in live]
-    while live:
-        basis = [e for _, e in _echelon(rows, p)]
-        for i, e in zip(live, basis):
-            if len(e) == ranks[i][-1]:
-                raise ValueError("matrix is not nilpotent")
-            ranks[i].append(len(e))
-        kept = [k for k, e in enumerate(basis) if len(e)]
-        live = [live[k] for k in kept]
-        rows = [
-            matmul_mod(basis[k], mats[i], p) if p else basis[k] @ mats[i]
-            for k, i in zip(kept, live)
-        ]
-    return [_partition(r) for r in ranks]
+    """Jordan types of square integer arrays mod p, together: row(N^k) =
+    row(E_(k-1) N) for an echelon basis E_(k-1) of row(N^(k-1)), so each
+    level is one `_echelon_rounds` call over the live members' rows.  Each
+    width class reads its members' E from the slot table, cut to the
+    class's top rank, and forms their next rows E N by one `matmul_mod`.
+    """
+    if not p:
+        raise ValueError("Jordan types are computed over GF(p) only")
+    sizes = np.array([len(n) for n in mats])
+    top, classes = sizes.max(), {}
+    for i, n in enumerate(sizes.tolist()):
+        classes.setdefault(min(1 << (n - 1).bit_length(), top), []).append(i)
+    groups = []  # (c, members, their arrays mod p padded to c x c, as float64)
+    for c, members in sorted(classes.items()):
+        pad = np.zeros((len(members), c, c), dtype=np.int64)
+        for k, i in enumerate(members):
+            pad[k, : sizes[i], : sizes[i]] = mats[i]
+        pad -= p * (pad // p)
+        groups.append((c, np.array(members), pad.astype(np.float64)))
+    ranks, live = [sizes], sizes > 0
+    rows = [(np.repeat(m, c), pad.reshape(len(m) * c, c)) for c, m, pad in groups]
+    while rows:
+        r = np.zeros((sum(len(o) for o, _ in rows), max(x.shape[1] for _, x in rows)))
+        start = 0
+        for o, x in rows:
+            r[start : start + len(o), : x.shape[1]] = x
+            start += len(o)
+        piv, slot = _echelon_rounds(r, np.concatenate([o for o, _ in rows]), len(mats), p)
+        rank = (slot >= 0).sum(axis=1)
+        if (live & (rank == ranks[-1])).any():
+            raise ValueError("matrix is not nilpotent")
+        ranks.append(rank)
+        live, rows = rank > 0, []
+        for c, members, pad in groups:
+            if live[members].any():
+                m = members[live[members]]
+                # each member's pivot slots first, cut at the class's top rank
+                index = -np.sort(-slot[m, :c], axis=1)[:, : rank[m].max()]
+                prod = matmul_mod(piv[:, :c][index], pad[live[members]], p)
+                has = index >= 0
+                rows.append((m[np.nonzero(has)[0]], prod[has]))
+    # rank(N^(k-1)) - 2 rank(N^k) + rank(N^(k+1)) blocks of size k, at row k - 1
+    ranks = np.array([*ranks, 0 * sizes])
+    blocks = ranks[:-2] - 2 * ranks[1:-1] + ranks[2:]
+    return [tuple(np.repeat(np.arange(len(blocks), 0, -1), b[::-1]).tolist()) for b in blocks.T]
+
+
+def _nilpotent_partitions(items: Iterable[tuple[np.ndarray, Field]]) -> Iterator[tuple[int, ...]]:
+    """`nilpotent_partitions` of (integer array, field) pairs."""
+    field, batch, rows, width = None, [], 0, 0
+    for a, f in items:
+        field = field or f
+        if f != field:
+            raise ValueError(f"field mismatch: {field} vs {f}")
+        n = len(a)
+        if a.shape != (n, n):
+            raise ValueError("nilpotent_partition requires a square matrix")
+        if batch and (rows + n) * max(width, n) > BATCH_ENTRIES:
+            yield from _partition_batch(batch, field.characteristic)
+            batch, rows, width = [], 0, 0
+        batch.append(a)
+        rows, width = rows + n, max(width, n)
+    if batch:
+        yield from _partition_batch(batch, field.characteristic)
 
 
 def nilpotent_partitions(ns: Iterable[Mat]) -> Iterator[tuple[int, ...]]:
     """Jordan block sizes of each nilpotent matrix of `ns`, in order.
 
-    The matrices must share one field.  They are read lazily, and runs of
-    consecutive ones whose stacked rows, padded to the widest of them, hold
-    at most BATCH_ENTRIES entries are eliminated together (a larger matrix
-    runs alone).  Raises ValueError on a matrix that is not square or not
-    nilpotent, or on a field other than the first one's.
+    The matrices must share one field GF(p).  They are read lazily, and
+    runs of consecutive ones whose stacked rows, padded to the widest of
+    them, hold at most BATCH_ENTRIES entries are eliminated together (a
+    larger matrix runs alone).  Raises ValueError on a matrix that is not
+    square or not nilpotent, on a field other than the first one's, or
+    over Q.
     """
-    field = None
-    batch: list[np.ndarray] = []
-    rows = width = 0
-    for n in ns:
-        field = field or n.field
-        if n.field != field:
-            raise ValueError(f"field mismatch: {field} vs {n.field}")
-        if n.rows != n.cols:
-            raise ValueError("nilpotent_partition requires a square matrix")
-        if batch and (rows + n.rows) * max(width, n.rows) > BATCH_ENTRIES:
-            yield from _partition_batch(batch, field.characteristic)
-            batch, rows, width = [], 0, 0
-        batch.append(n.a)
-        rows, width = rows + n.rows, max(width, n.rows)
-    if batch:
-        yield from _partition_batch(batch, field.characteristic)
+    return _nilpotent_partitions((n.a, n.field) for n in ns)

@@ -25,10 +25,10 @@ import numpy as np
 from .exactlin import (
     GF,
     Mat,
+    _nilpotent_partitions,
     check_budget,
     kernel,
     nilpotent_partition,
-    nilpotent_partitions,
 )
 from .graded import check_degree, induced, quotient_tower, swap
 
@@ -125,8 +125,9 @@ def jordan_type(m: ZpModule) -> JordanType:
 def jordan_types(ms: Iterable[ZpModule]) -> Iterator[JordanType]:
     """`jordan_type` of each module of `ms`, in order, eliminated in
     batches by `nilpotent_partitions`; the modules are read lazily and
-    must share one prime."""
-    for parts in nilpotent_partitions(m.nilpotent() for m in ms):
+    must share one prime.  The chain reads each g - 1 as a plain array."""
+    nils = ((m.g.a - np.eye(m.dim, dtype=np.int64), m.g.field) for m in ms)
+    for parts in _nilpotent_partitions(nils):
         yield JordanType(parts)
 
 
@@ -136,9 +137,12 @@ def _check_same_prime(a: ZpModule, b: ZpModule) -> None:
 
 
 def tensor(a: ZpModule, b: ZpModule) -> ZpModule:
-    """Tensor product; the generator acts diagonally by g_a (x) g_b."""
+    """Tensor product; the generator acts diagonally by g_a (x) g_b, one
+    broadcast product in `Mat.kron`'s order (left factor slowest)."""
     _check_same_prime(a, b)
-    return ZpModule(a.p, a.dim * b.dim, a.g.kron(b.g))
+    n = a.dim * b.dim
+    g = (a.g.a[:, None, :, None] * b.g.a[None, :, None, :]).reshape(n, n)
+    return ZpModule(a.p, n, Mat(a.g.field, g))
 
 
 def direct_sum(a: ZpModule, b: ZpModule) -> ZpModule:

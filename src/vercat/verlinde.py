@@ -42,6 +42,7 @@ the fusion product is trivial.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import weakref
@@ -52,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exactlin import (
+    DEFAULT_MAX_ENTRIES,
     GF,
     Mat,
     check_budget,
@@ -164,22 +166,30 @@ def fusion_rule(p: int, r: int, s: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _rule_table(p: int, rows, cols) -> np.ndarray:
+    """t[i, j] = `fusion_rule`(p, rows[i] + 1, cols[j] + 1), stacked."""
+    t = [[fusion_rule(p, r + 1, s + 1) for s in cols] for r in rows]
+    return np.array(t, dtype=np.int64).reshape(len(rows), len(cols), p - 1)
+
+
+_fusion_table = functools.cache(lambda p: _rule_table(p, range(p - 1), range(p - 1)))
+
+
 def fusion(a: VerObject, b: VerObject) -> VerObject:
-    """Fusion product, extended bilinearly from the rule on simples."""
+    """Fusion product, extended bilinearly from the rule on simples: the
+    multiplicity vectors contracted against the structure tensor of
+    `fusion_rule`, built once per p up to p = 102, where it holds 2^20
+    entries (DEFAULT_MAX_ENTRIES), and above that for the simples present."""
     if a.p != b.p:
         raise ValueError("prime mismatch")
-    p = a.p
-    out = np.zeros(p - 1, dtype=np.int64)
-    for r in range(1, p):
-        mr = a.mult_of(r)
-        if mr == 0:
-            continue
-        for s in range(1, p):
-            ms = b.mult_of(s)
-            if ms == 0:
-                continue
-            out += mr * ms * np.asarray(fusion_rule(p, r, s), dtype=np.int64)
-    return VerObject(p, tuple(int(x) for x in out))
+    p, ma, mb = a.p, np.asarray(a.mult), np.asarray(b.mult)
+    if (p - 1) ** 3 <= DEFAULT_MAX_ENTRIES:
+        table = _fusion_table(p)
+    else:
+        rows, cols = np.flatnonzero(ma), np.flatnonzero(mb)
+        ma, mb, table = ma[rows], mb[cols], _rule_table(p, rows, cols)
+    out = mb @ (ma @ table.reshape(len(ma), len(mb) * (p - 1))).reshape(len(mb), p - 1)
+    return VerObject(p, tuple(out.tolist()))
 
 
 def quotient(m: ZpModule) -> VerObject:

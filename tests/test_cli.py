@@ -536,7 +536,7 @@ def test_symtower_budget_before_any_relation_matrix(capsys):
 
 def test_fusion_suite_memory(capsys):
     # the oracle streams its modules and eliminates them in batches of at
-    # most 2^16 padded entries (3.6 MiB peak); one batch per check reaches 51 MiB
+    # most 2^16 padded entries (4.7 MiB peak); one batch per check reaches 83 MiB
     (code, out, err), peak = _peak_bytes(
         lambda: run(capsys, "verify", "--suite", "fusion")
     )

@@ -324,6 +324,25 @@ class TestNilpotentPartitions:
     def test_empty_stream(self):
         assert list(nilpotent_partitions([])) == []
 
+    def test_not_nilpotent_inside_width_class(self):
+        # sizes 5 to 8 share the padded width class 8; the 6 x 6 member has
+        # a unit eigenvalue, its neighbours in the class are nilpotent
+        def shift(n):
+            return Mat(F5, np.eye(n, k=1, dtype=np.int64))
+
+        bad = np.eye(6, k=1, dtype=np.int64)
+        bad[5, 5] = 1
+        assert list(nilpotent_partitions([shift(5), shift(7), shift(8)])) == [(5,), (7,), (8,)]
+        with pytest.raises(ValueError, match="not nilpotent"):
+            list(nilpotent_partitions([shift(5), Mat(F5, bad), shift(7), shift(8)]))
+
+    def test_rational_matrices_rejected(self):
+        n = Mat(RATIONALS, [[0, 1], [0, 0]])
+        with pytest.raises(ValueError, match=r"GF\(p\) only"):
+            nilpotent_partition(n)
+        with pytest.raises(ValueError, match=r"GF\(p\) only"):
+            list(nilpotent_partitions([n, n]))
+
 
 def _int_product(a, b, p):
     """a @ b mod p by Python integer arithmetic."""
@@ -365,6 +384,32 @@ class TestMatmulMod:
             a = np.full((1, k), entry, dtype=np.int64)
             got = matmul_mod(a, a.T, p)
             assert got.dtype == np.int64 and got.tolist() == [[k * entry**2 % p]]
+
+
+@pytest.mark.parametrize("p", [2, 13, 65537])
+@pytest.mark.parametrize("shape", [(3, 2, 4, 5), (4, 1, 1, 1), (2, 0, 3, 2), (2, 3, 0, 2), (0, 2, 2, 2)])
+def test_matmul_mod_stacked_matches_per_slice(p, shape):
+    # (s, m, k) @ (s, k, n): each slice is the 2-D product mod p, here
+    # against int64 matmul, exact since k (p-1)^2 < 2^63
+    s, m, k, n = shape
+    rng = np.random.default_rng(p + 7 * sum(shape))
+    a = rng.integers(0, p, (s, m, k))
+    b = rng.integers(0, p, (s, k, n))
+    got = matmul_mod(a, b, p)
+    assert got.dtype == np.int64 and got.shape == (s, m, n)
+    for i in range(s):
+        assert got[i].tolist() == ((a[i] @ b[i]) % p).tolist()
+
+
+def test_matmul_mod_stacked_chunked_inner_size():
+    # at p = 65537 an inner size of 2^21 + 65 is split into two chunks;
+    # with entries p - 2 one float64 product would come out 1 short
+    p, k = 65537, 2**21 + 65
+    a = np.full((2, 1, k), p - 2, dtype=np.int64)
+    a[1, 0, ::2] = p - 1
+    got = matmul_mod(a, a.transpose(0, 2, 1), p)
+    want = [((x @ x.T) % p).tolist() for x in a]
+    assert got.dtype == np.int64 and got.tolist() == want
 
 
 class TestTrace:

@@ -1,6 +1,8 @@
 """Property tests: the closed fusion rule of Ver_p satisfies the laws of
-a based commutative ring, for random primes p <= 31 and random simples."""
+a based commutative ring, for random primes p <= 31 and random simples,
+and `fusion` extends it bilinearly to random objects."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,3 +60,27 @@ def test_dimension(case):
     # J_r (x) J_s has dimension rs; the quotient drops (r+s-p)^+ blocks J_p
     p, r, s = case
     assert VerObject(p, fusion_rule(p, r, s)).dim == r * s - p * max(r + s - p, 0)
+
+
+@st.composite
+def object_pairs(draw):
+    """Two random objects of Ver_p, p <= 13, and a prime other than p."""
+    p = draw(st.sampled_from(PRIMES[:6]))
+    mults = st.lists(st.integers(0, 4), min_size=p - 1, max_size=p - 1)
+    a, b = (VerObject(p, tuple(draw(mults))) for _ in range(2))
+    return a, b, draw(st.sampled_from([q for q in PRIMES if q != p]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(object_pairs())
+def test_fusion_is_the_bilinear_sum_of_the_rule(case):
+    a, b, other = case
+    p = a.p
+    want = [0] * (p - 1)
+    for r in range(1, p):
+        for s in range(1, p):
+            for t, m in enumerate(fusion_rule(p, r, s)):
+                want[t] += a.mult_of(r) * b.mult_of(s) * m
+    assert fusion(a, b) == VerObject(p, tuple(want))
+    with pytest.raises(ValueError, match="prime mismatch"):
+        fusion(a, VerObject.zero(other))

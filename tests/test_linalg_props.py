@@ -309,12 +309,17 @@ def conjugated_nilpotent(rng, p: int, parts: list[int]) -> Mat:
 
 @st.composite
 def nilpotent_batch(draw):
-    """p <= 13 and a list of (partition, nilpotent matrix) members: random
-    partitions in random bases, 0 x 0 and 1 x 1 members, and in about one
-    case of four a member whose own square array exceeds BATCH_ENTRIES."""
-    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    """p <= 13 or p = 65537 and a list of (partition, nilpotent matrix)
+    members: random partitions in random bases, members whose dimension
+    lies just above a power of two (3, 5, 9, 17, 33, 65), so that they
+    straddle the chain's padded width classes, 0 x 0 and 1 x 1 members,
+    and in about one case of four a member whose own square array exceeds
+    BATCH_ENTRIES.  Blocks are at most min(p, 13) long."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 65537]))
+    top = min(p, 13)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kinds = draw(st.lists(st.sampled_from(["partition", "0x0", "1x1"]), max_size=10))
+    kinds = st.sampled_from(["partition", "straddle", "0x0", "1x1"])
+    kinds = draw(st.lists(kinds, max_size=10))
     if draw(st.integers(0, 3)) == 0:
         kinds.insert(draw(st.integers(0, len(kinds))), "wide")
     members = []
@@ -324,9 +329,16 @@ def nilpotent_batch(draw):
         elif kind == "1x1":
             members.append(((1,), Mat.zeros(GF(p), 1, 1)))
         else:
-            parts = draw(st.lists(st.integers(1, p), min_size=1, max_size=6))
+            if kind == "straddle":
+                left = draw(st.sampled_from([3, 5, 9, 17, 33, 65]))
+                parts = []
+                while left:
+                    parts.append(int(rng.integers(1, min(top, left) + 1)))
+                    left -= parts[-1]
+            else:
+                parts = draw(st.lists(st.integers(1, top), min_size=1, max_size=6))
             while kind == "wide" and sum(parts) ** 2 <= BATCH_ENTRIES:
-                parts.append(int(rng.integers(1, p + 1)))
+                parts.append(int(rng.integers(1, top + 1)))
             parts.sort(reverse=True)
             members.append((tuple(parts), conjugated_nilpotent(rng, p, parts)))
     return p, members

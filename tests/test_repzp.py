@@ -136,6 +136,24 @@ class TestTensorSumDual:
         with pytest.raises(ValueError):
             tensor(jordan_module(3, [2]), jordan_module(5, [2]))
 
+    def test_tensor_generator_is_kron(self):
+        # the broadcast product keeps Mat.kron's left-factor-slowest order;
+        # duals give generators with entries off the two diagonals
+        rng = random.Random(17)
+        for _ in range(40):
+            p = rng.choice((2, 3, 5, 7, 13))
+            a, b = (
+                jordan_module(p, [rng.randint(1, p) for _ in range(rng.randint(1, 3))])
+                for _ in range(2)
+            )
+            if rng.random() < 0.5:
+                a = dual(a)
+            if rng.random() < 0.5:
+                b = dual(b)
+            t = tensor(a, b)
+            assert t.dim == a.dim * b.dim
+            assert t.g == a.g.kron(b.g)
+
     def test_direct_sum(self):
         s = direct_sum(jordan_module(5, [3]), jordan_module(5, [2, 1]))
         assert jordan_type(s) == JordanType((3, 2, 1))

@@ -139,6 +139,20 @@ class TestFusion:
         with pytest.raises(ValueError):
             fusion(L(3, 1), L(5, 1))
 
+    @pytest.mark.parametrize("p", [103, 65537])
+    def test_large_prime_reads_the_rule(self, p):
+        # above p = 102 the (p-1)^3 table is not built; the product reads
+        # fusion_rule on the simples present only
+        a = VerObject(p, tuple(2 if i in (1, p - 3) else 0 for i in range(p - 1)))
+        b = L(p, 3) + L(p, p - 1)
+        total = VerObject.zero(p)
+        for i in (2, p - 2):
+            for j in (3, p - 1):
+                term = VerObject(p, fusion_rule(p, i, j)).scale(a.mult_of(i) * b.mult_of(j))
+                total = total + term
+        assert fusion(a, b) == total
+        assert fusion(L(p, 1), b) == b
+
 
 class TestQuotient:
     def test_jp_negligible(self):
