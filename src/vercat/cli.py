@@ -324,9 +324,10 @@ def cmd_sympow(args) -> Report:
     def compute() -> dict:
         value = {}
         if args.ambient in ("repzp", "both"):
+            # the generator is a dense dim(X)^2 matrix
+            check_budget(x.dim * x.dim, args.max_entries, f"object {args.object.strip()}")
             mod = jordan_module(p, list(x.block_sizes()))
-            smod, _ = sym_power(mod, args.degree, args.max_entries)
-            jt = jordan_type(smod)
+            jt = jordan_type(sym_power(mod, args.degree, args.max_entries))
             value["jordan"] = " + ".join(f"J{k}" for k in jt.parts) or "0"
             value["jordan_parts"] = list(jt.parts)
         if args.ambient in ("verlinde", "both"):
@@ -563,8 +564,7 @@ def suite_sympow(report: Report, args) -> None:
         bad = None
         for n in range(1, min(5, p)):
             for m in range(7):
-                mod = jordan_module(p, [n])
-                smod, _ = sym_power(mod, m, max_entries)
+                smod = sym_power(jordan_module(p, [n]), m, max_entries)
                 want = math.comb(n + m - 1, n - 1)
                 if smod.dim != want:
                     ok = False
@@ -627,17 +627,19 @@ def suite_sympow(report: Report, args) -> None:
 
 
 def suite_sympow_comparison(report: Report, args) -> None:
-    # experiment, not an assertion: does the quotient functor commute with
-    # S^m?  Below degree p yes (the symmetrizer splits); from degree p on
-    # it can fail (e.g. p=3, L2, m=3), which is why no check is emitted.
+    # does the quotient functor commute with S^m?  Below degree p it does
+    # (the symmetrizer splits S^m off X^(x)m, and additive functors keep
+    # the splitting); from degree p on it can fail, and the first instance,
+    # p=3, L2, m=3, is pinned.  The results rows are the experiment itself.
     instances = [(3, 2, 2), (3, 2, 3), (5, 2, 2), (5, 2, 4), (5, 3, 2)]
     instances += [(5, 3, 3), (5, 4, 2), (7, 2, 3), (7, 3, 2), (7, 2, 6)]
     agree = 0
+    got = {}  # instance -> (ambient, intrinsic) as strings
     for p, n, m in instances:
-        smod, _ = sym_power(jordan_module(p, [n]), m, args.max_entries)
-        ambient = quotient(smod)
+        ambient = quotient(sym_power(jordan_module(p, [n]), m, args.max_entries))
         intrinsic = ver_sym_power(VerObject.simple(p, n), m, args.max_entries)
         agree += ambient == intrinsic
+        got[p, n, m] = (str(ambient), str(intrinsic))
         report.results.append(
             {"p": p, "object": f"L{n}", "degree": m, "ambient": str(ambient),
              "intrinsic": str(intrinsic), "agree": ambient == intrinsic}
@@ -648,6 +650,19 @@ def suite_sympow_comparison(report: Report, args) -> None:
             "instances agree (informational; agreement is not a law once the "
             "degree reaches p)"
         }
+    )
+    below = [k for k in instances if k[2] < k[0]]
+    diverge = [k for k in below if got[k][0] != got[k][1]]
+    report.add_check(
+        "sympow-comparison below-p",
+        not diverge,
+        f"disagree at {diverge}" if diverge else f"{len(below)} instances with m < p agree",
+    )
+    ambient, intrinsic = got[3, 2, 3]
+    report.add_check(
+        "sympow-comparison p=3 L2 m=3",
+        (ambient, intrinsic) == ("L1", "0"),
+        f"ambient {ambient}, intrinsic {intrinsic}",
     )
 
 

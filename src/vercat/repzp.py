@@ -16,7 +16,6 @@ dense tensor-power quotient.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -189,15 +188,15 @@ def fixed_points(m: ZpModule) -> Mat:
     return m.nilpotent().kernel_basis()
 
 
-def sym_power(
-    m: ZpModule, degree: int, max_entries: int | None = None
-) -> tuple[ZpModule, Mat]:
-    """The symmetric power S^degree(M) and the projection X^(x)degree -> S^degree.
+def sym_power(m: ZpModule, degree: int, max_entries: int | None = None) -> ZpModule:
+    """The symmetric power S^degree(M) with its induced generator action.
 
-    Returns the quotient module with its induced generator action
-    g_S = q (g_(S^(k-1)) (x) g) s, degree by degree (`graded.induced`), on
-    the plain quotient tower with relation 1 - swap.  The projection
-    intertwines the actions: proj @ g^(x)degree = g_S @ proj.
+    Returns the quotient module of the plain quotient tower with relation
+    1 - swap, acted on by g_S = q (g_(S^(k-1)) (x) g) s, degree by degree
+    (`graded.induced`).  Each array is charged against `max_entries`
+    before it is formed: the n^2 x n(n-1)/2 relation columns, each
+    degree's relation matrix (`graded.quotient_tower`) and each degree's
+    action columns, (dim S^(k-1) * n) x dim S^k.
 
     Correctness anchor: this is the ambient route, S^m taken in
     Rep(Z/pZ) before the quotient functor; `verify --suite
@@ -205,23 +204,17 @@ def sym_power(
     """
     check_degree(degree)
     p, n = m.p, m.dim
-    for k in range(1, degree + 1):
-        # every projection X^(x)k -> S^k (dim S^k = C(n+k-1, k)), before the tower
-        dim_k = math.comb(n + k - 1, k)
-        check_budget(dim_k * n**k, max_entries, f"projection onto S^{k}")
     # the columns e_ij - e_ji, i < j, span the image of 1 - swap; they are
-    # read only from degree 2, where the projection check above bounds them
-    i, j = np.triu_indices(n if degree >= 2 else 0, 1)
-    rel = np.zeros((n * n, len(i)), dtype=np.int64)
-    rel[i * n + j, np.arange(len(i))] = 1
-    rel[j * n + i, np.arange(len(i))] = p - 1
+    # read only from degree 2
+    r = n * (n - 1) // 2 if degree >= 2 else 0
+    check_budget(n * n * r, max_entries, "relation matrix of S^2")
+    i, j = np.triu_indices(n if r else 0, 1)
+    rel = np.zeros((n * n, r), dtype=np.int64)
+    rel[i * n + j, np.arange(r)] = 1
+    rel[j * n + i, np.arange(r)] = p - 1
     q, keep = quotient_tower(rel, n, degree, p, max_entries)
     g = np.ones((1, 1), dtype=np.int64)
-    proj = np.ones((1, 1), dtype=np.int64)  # X^(x)k -> S^k
     for k in range(1, degree + 1):
+        check_budget(g.shape[0] * n * len(keep[k]), max_entries, f"action on S^{k}")
         g = induced(q[k], keep[k], g, m.g.a, p)
-        # proj_k = q_k (proj_(k-1) (x) 1_X): contract without the big kron
-        q3 = q[k].reshape(q[k].shape[0], proj.shape[0], n)
-        pr = np.einsum("itb,ta->iab", q3, proj)
-        proj = pr.reshape(q3.shape[0], proj.shape[1] * n) % p
-    return ZpModule(p, g.shape[0], Mat(m.g.field, g)), Mat(m.g.field, proj)
+    return ZpModule(p, g.shape[0], Mat(m.g.field, g))

@@ -689,12 +689,13 @@ class _Degrees:
 
     __slots__ = ("sizes", "q", "zero_from", "kernels", "frames", "sections", "__weakref__")
 
-    def __init__(self, sizes_x: tuple[int, ...], depth: int):
+    def __init__(self, sizes_x: tuple[int, ...], depth: int, max_entries: int | None):
         self.sizes: list[tuple[int, ...]] = [(1,)]
         self.q: list[np.ndarray | None] = [None]
         self.zero_from: int | None = None
         if depth >= 1:
             nx = sum(sizes_x)
+            check_budget(nx * nx, max_entries, "S^1: projection rows")
             self.sizes.append(sizes_x)
             self.q.append(_frozen(np.eye(nx, dtype=np.int64)))
             if nx == 0:
@@ -747,7 +748,7 @@ class SymTower(graded.GradedTower):
         key = (x.p, tuple(x.mult), depth, max_entries)
         self._deg = _LIVE.get(key)
         if self._deg is None:
-            self._deg = _Degrees(x.block_sizes(), depth)
+            self._deg = _Degrees(x.block_sizes(), depth, max_entries)
             for m in range(2, depth + 1):
                 self._build_degree(m)
             _LIVE[key] = self._deg
@@ -853,7 +854,7 @@ class SymTower(graded.GradedTower):
         if b in sections:
             return sections[b]
         if b == 1:
-            sections[1] = _frozen(np.eye(self.nx, dtype=np.int64))
+            sections[1] = self.q[1]  # q_1 = 1_X, read-only
             return sections[1]
         frame = self._frame(b - 1)
         s = np.zeros((frame.dim, self.dim(b)), dtype=np.int64)

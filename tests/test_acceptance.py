@@ -70,7 +70,7 @@ def test_03_symmetric_power_dimensions():
     for p in (3, 5, 7):
         for n in range(1, min(4, p) + 1):
             for m in range(0, 7):
-                s, _ = sym_power(jordan_module(p, [n]), m)
+                s = sym_power(jordan_module(p, [n]), m)
                 assert s.dim == math.comb(n + m - 1, n - 1), (p, n, m)
     report(3, "dim S^m(J_n) = C(n+m-1, n-1) across the grid")
 

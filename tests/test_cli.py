@@ -197,15 +197,15 @@ class TestExitCodes:
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error:") and str(path) in err
 
-    def test_repzp_projection_budget(self, capsys):
-        # the 20 x 64 projection X^(x)3 -> S^3 does not fit 64 entries
+    def test_repzp_relation_budget(self, capsys):
+        # the 16 x 6 relation columns of S^2(J_4) do not fit 64 entries
         code, out, err = run(
             capsys,
             "sympow", "--p", "5", "--object", "L4", "--degree", "3",
             "--ambient", "repzp", "--max-entries", "64",
         )
         assert code == EXIT_BUDGET
-        assert out == "" and "projection onto S^" in err
+        assert out == "" and "relation matrix of S^2 needs 96 " in err
 
     def test_verify_rejects_csv_before_any_suite(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -525,13 +525,65 @@ def _peak_bytes(fn):
 
 
 def test_symtower_budget_before_any_relation_matrix(capsys):
-    # dim X = 40: a dense 1 - swap on X (x) X would hold 40^4 int64 entries
+    # dim X = 40: a dense 1 - swap on X (x) X would hold 40^4 int64 entries;
+    # the 40 x 40 q_1 fits the budget, so degree 2 is what is refused
     (code, out, err), peak = _peak_bytes(lambda: run(
         capsys, "sympow", "--p", "5", "--object", "20*L2", "--degree", "2",
-        "--max-entries", "100",
+        "--max-entries", "1600",
     ))
     assert code == EXIT_BUDGET and out == "" and "S^2: " in err
     assert peak < 8 * 2**20
+
+
+def test_repzp_relation_refused_before_it_is_formed(capsys):
+    # dim X = 200: the 40,000 x 19,900 relation columns would hold 6 GB
+    (code, out, err), peak = _peak_bytes(lambda: run(
+        capsys, "sympow", "--p", "5", "--object", "200", "--degree", "2",
+        "--ambient", "repzp",
+    ))
+    assert code == EXIT_BUDGET and out == ""
+    assert "relation matrix of S^2 needs 796000000 " in err
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize(
+    "argv, charge",
+    [
+        # Ver_p's q_1 = 1_X, charged before it is formed at degree 1 and
+        # before any tensor frame at degree 2
+        (("--object", "3000", "--degree", "1"), "S^1: projection rows needs 9000000 "),
+        (("--object", "300", "--degree", "2"), "S^1: projection rows needs 90000 "),
+        # the ambient route's dense generator
+        (("--object", "3000", "--degree", "1", "--ambient", "repzp"),
+         "object 3000 needs 9000000 "),
+    ],
+    ids=["symtower-degree-1", "symtower-degree-2", "ambient-generator"],
+)
+def test_large_object_is_refused_before_its_first_array(capsys, argv, charge):
+    (code, out, err), peak = _peak_bytes(lambda: run(
+        capsys, "sympow", "--p", "5", *argv, "--max-entries", "1000"
+    ))
+    assert code == EXIT_BUDGET and out == "" and charge in err
+    assert peak < 8 * 2**20
+
+
+def test_ambient_sympow_fits_the_budget_of_its_tower(capsys):
+    # S^9(J_4) at p = 5: the largest array, the relation matrix of S^9,
+    # has 475,200 entries; no array grows like dim S^k * 4^k
+    code, out, _ = run(
+        capsys, "sympow", "--p", "5", "--object", "L4", "--degree", "9",
+        "--ambient", "both",
+    )
+    assert code == EXIT_OK
+    assert out.strip() == " + ".join(["J5"] * 44) + " | 0 | agree"
+
+
+def test_sympow_comparison_asserts_its_law(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "sympow-comparison")
+    assert code == EXIT_OK
+    assert "[PASS] sympow-comparison below-p  9 instances with m < p agree" in out
+    assert "[PASS] sympow-comparison p=3 L2 m=3  ambient L1, intrinsic 0" in out
+    assert "9/10 instances agree (informational;" in out
 
 
 def test_fusion_suite_memory(capsys):

@@ -102,15 +102,6 @@ class TestTowerBudget:
         with pytest.raises(BudgetExceeded, match=r"matrix of S\^7 needs 301056 "):
             graded.quotient_tower(rel, n, 9, p, max_entries=4**9)
 
-    def test_sym_power_stops_below_the_requested_degree(self, monkeypatch):
-        # every projection X^(x)k -> S^k is checked before the tower is built
-        def no_tower(*args):
-            raise AssertionError("tower built before the projection budget check")
-
-        monkeypatch.setattr(repzp, "quotient_tower", no_tower)
-        with pytest.raises(BudgetExceeded, match=r"projection onto S\^6 "):
-            repzp.sym_power(repzp.jordan_module(5, [4]), 9, max_entries=4**9)
-
     def test_dgraded_algebra_charges_only_formed_arrays(self):
         # the largest array of S(W+2) to depth 11 has 774,400 entries; a
         # charge of (dim X)^depth would reject it at 4,194,304
@@ -118,9 +109,10 @@ class TestTowerBudget:
         assert svec2.sym_algebra(x, 11).dims[11] == 144
 
     def test_sym_power_forms_no_array_above_its_projection(self, monkeypatch):
-        # J_4^6 at p = 5 in degree 2: the 300 x 576 projection is the
-        # largest charge; an identity or Kronecker product on X (x) X, or
-        # on S^1 (x) X, would hold 576^2 = 331,776 entries
+        # J_4^6 at p = 5 in degree 2: the (24 * 24) x 300 action columns of
+        # S^2 are the largest charge (the relation matrix is 576 x 276); an
+        # identity or Kronecker product on X (x) X, or on S^1 (x) X, would
+        # hold 576^2 = 331,776 entries
         largest = []
 
         def recording(fn):
@@ -134,8 +126,10 @@ class TestTowerBudget:
 
         monkeypatch.setattr(np, "eye", recording(np.eye))
         monkeypatch.setattr(np, "kron", recording(np.kron))
-        s, _ = repzp.sym_power(repzp.jordan_module(5, [4] * 6), 2, max_entries=172_800)
+        s = repzp.sym_power(repzp.jordan_module(5, [4] * 6), 2, max_entries=172_800)
         assert s.dim == 300 and largest and max(largest) <= 172_800
+        with pytest.raises(BudgetExceeded, match=r"action on S\^2 needs 172800 "):
+            repzp.sym_power(repzp.jordan_module(5, [4] * 6), 2, max_entries=172_799)
 
     def test_svec2_kronecker_products_stop_at_the_relation(self, monkeypatch):
         # the degree-2 braiding's d (x) d (16 x 16 for X = W+2) is the only

@@ -320,7 +320,7 @@ class TestVerSymPower:
         # derived expectations came from quotient(S^m(J_n)); on these
         # instances the two routes agree (not asserted as a law in general)
         for p, n, m in [(5, 2, 2), (5, 2, 3), (5, 2, 4), (3, 2, 2), (7, 3, 2)]:
-            smod, _ = sym_power(jordan_module(p, [n]), m)
+            smod = sym_power(jordan_module(p, [n]), m)
             assert ver_sym_power(L(p, n), m) == quotient(smod)
 
     def test_zero_object(self):
