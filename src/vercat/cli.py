@@ -730,11 +730,11 @@ def suite_svec2(report: Report, args) -> None:
         for name, val in rep.items():
             if name not in ("trials", "seed"):
                 report.add_check(f"svec2 {label} {name}", bool(val), "200 trials")
-    rng = random.Random(seed)
+    rng = np.random.default_rng(seed)
     ok = True
     for _ in range(100):
-        dims = (rng.randint(1, 4), rng.randint(1, 4))
-        a, b = (sv.random_dmodule(rng, dim) for dim in dims)
+        dims = rng.integers(1, 5, size=2)
+        a, b = (sv.random_dmodule(rng, int(dim)) for dim in dims)
         eye = Mat.identity(GF(2), a.dim * b.dim)
         ok &= sv.braiding(b, a) @ sv.braiding(a, b) == eye
     report.add_check("svec2 braiding-symmetry", ok, "100 random pairs, seeded")
@@ -757,8 +757,7 @@ def suite_svec2(report: Report, args) -> None:
             f"svec2 {label} d-commutativity", alg6.equal(comm, dd), "all basis pairs"
         )
     # fourth powers in S(W) are invariant and span a commutative subalgebra
-    rng = random.Random(seed + 1)
-    fourths = alg.power(alg.stack([alg.random_element(rng, 2) for _ in range(20)]), 4)
+    fourths = alg.power(alg.random_batch(np.random.default_rng(seed + 1), 20, 2), 4)
     ok_inv = alg.equal(alg.dmap(fourths), alg.zero())
     i, j = np.triu_indices(20, k=1)  # every pair i < j
     left = {m: c[i] for m, c in fourths.items()}
@@ -837,6 +836,13 @@ def _degree(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:  # numpy's seeded generators take nonnegative seeds only
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vercat",
@@ -886,7 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sv_fp = svsub.add_parser("fourth-power")
     p_sv_fp.add_argument("--module", required=True)
     p_sv_fp.add_argument("--trials", type=int, default=200)
-    p_sv_fp.add_argument("--seed", type=int, default=0)
+    p_sv_fp.add_argument("--seed", type=_seed, default=0)
     p_sv_fp.add_argument("--max-degree", type=_degree, default=8)
     _add_common(p_sv_fp)
     p_sv_fp.set_defaults(func=cmd_svec2_fourth_power)
@@ -903,7 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=("all",) + SUITES, default="all")
     p_verify.add_argument("--p-max", type=int, default=VERIFY_PRIMES[-1])
     p_verify.add_argument("--max-degree", type=_degree, default=8)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.add_argument("--json", dest="json_out", default=None)
     p_verify.add_argument(
         "--mutate",

@@ -28,7 +28,6 @@ arrays of residues mod p:
 from __future__ import annotations
 
 import math
-import random
 
 import numpy as np
 
@@ -207,8 +206,9 @@ class TruncatedAlgebra:
 
     Elements are dicts degree -> coordinates holding only nonzero
     components.  A component is a (d,) vector, or a (trials, d) array
-    holding one element per row: `stack` builds such a batch, and every
-    operation broadcasts over the leading trial axis, a vector (such as
+    holding one element per row: `random_batch` draws such a batch,
+    `stack` builds one from per-trial elements, and every operation
+    broadcasts over the leading trial axis, a vector (such as
     `one()`) acting on every row.  `equal` is True only if every row
     agrees.  Subclasses set `p`, `depth` and `dims` (the dimension of
     each degree) and provide `product_table(a, b)`, the (da x db x dc)
@@ -282,22 +282,30 @@ class TruncatedAlgebra:
             np.any((u.get(m, 0) - v.get(m, 0)) % self.p) for m in set(u) | set(v)
         )
 
-    def random_element(
-        self, rng: random.Random, max_degree: int, homogeneous: bool = False
+    def random_batch(
+        self,
+        rng: np.random.Generator,
+        trials: int,
+        max_degree: int,
+        homogeneous: bool | np.ndarray = False,
     ) -> Elem:
-        """Uniform coordinates in every degree <= max_degree, or in one
-        random degree when `homogeneous`."""
-        degrees = (
-            [rng.randint(0, max_degree)]
-            if homogeneous
-            else range(min(max_degree, self.depth) + 1)
-        )
+        """A (trials x d)-per-degree batch of uniform coordinates in every
+        degree <= max_degree (and <= depth), one `rng.integers` call per
+        degree.  Rows marked by `homogeneous` (True for all, or a
+        (trials,) boolean mask) keep one degree drawn uniformly from that
+        range, with one more call for all of them, and are zero in the
+        others.  Degrees where every row is zero are dropped."""
+        check_degree(max_degree)
+        top = min(max_degree, self.depth)
+        rows = np.broadcast_to(np.asarray(homogeneous, dtype=bool), (trials,))
+        row_degree = rng.integers(0, top + 1, size=trials) if rows.any() else None
         out = {}
-        for m in degrees:
+        for m in range(top + 1):
             if self.dims[m] == 0:
                 continue
-            c = [rng.randrange(self.p) for _ in range(self.dims[m])]
-            c = np.array(c, dtype=np.int64)
+            c = rng.integers(0, self.p, size=(trials, self.dims[m]))
+            if row_degree is not None:
+                c[rows & (row_degree != m)] = 0
             if np.any(c):
                 out[m] = c
         return out

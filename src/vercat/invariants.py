@@ -277,9 +277,10 @@ def frobenius_check(
     Verifies (u+v)^p = u^p + v^p and (uv)^p = u^p v^p on random invariant
     elements of the truncated algebra, plus the vanishing S^p(L_i) = 0
     for every i >= 2, which is what kills the cross terms coming from
-    nontrivial isotypic components.  The trials' pairs are stacked into
-    one batch (charged against `max_entries` before any is drawn) and
-    each identity is evaluated once on it.
+    nontrivial isotypic components.  The trials' pairs are two
+    (trials x d)-per-degree batches from one `numpy.random.Generator`
+    seeded with `seed` (charged against `max_entries` before any is
+    drawn), and each identity is evaluated once on them.
     """
     p = alg.p
     if alg.depth < p:
@@ -287,13 +288,8 @@ def frobenius_check(
             f"truncation {alg.depth} admits no nontrivial p-th power (p = {p})"
         )
     alg.check_batch(trials, max_entries)
-    rng = random.Random(seed)
-    max_deg = alg.depth // p
-    us, vs = [], []
-    for _ in range(trials):
-        us.append(alg.random_element(rng, max_deg))
-        vs.append(alg.random_element(rng, max_deg))
-    u, v = alg.stack(us), alg.stack(vs)
+    rng = np.random.default_rng(seed)
+    u, v = (alg.random_batch(rng, trials, alg.depth // p) for _ in range(2))
     lhs = alg.power(alg.add(u, v), p)
     if not alg.equal(lhs, alg.add(alg.power(u, p), alg.power(v, p))):
         return False

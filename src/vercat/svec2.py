@@ -18,13 +18,12 @@ only bounds test grids; no algorithm assumes it.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import graded
-from .exactlin import GF, Mat, check_budget, kernel, matmul_mod, rank
+from .exactlin import GF, Mat, check_budget, kernel, matmul_mod, rank, rref
 
 GF2 = GF(2)
 
@@ -48,15 +47,18 @@ class DModule:
             raise ValueError("d^2 must vanish")
 
 
-def random_dmodule(rng: random.Random, dim: int) -> DModule:
+def random_dmodule(rng: np.random.Generator, dim: int) -> DModule:
     """A random DModule, d = P J P^-1 for a random invertible P and J a
-    random number of W blocks: every square-zero d can be drawn."""
-    pm = np.zeros((dim, dim), dtype=np.int64)
-    while rank(pm, 2) < dim:
-        pm = np.array([rng.randrange(2) for _ in range(dim * dim)]).reshape(dim, dim)
-    x = 2 * np.arange(rng.randint(0, dim // 2))  # J sends each e_x to e_(x+1)
-    pinv = Mat(GF2, pm).inverse().a
-    return DModule(dim, Mat(GF2, pm[:, x + 1] @ pinv[x] % 2))
+    random number of W blocks: every square-zero d can be drawn.  One
+    elimination of [P | I] gives both the rank of P and P^-1."""
+    eye = np.eye(dim, dtype=np.int64)
+    while True:
+        pm = rng.integers(0, 2, size=(dim, dim))
+        r, piv = rref(np.hstack([pm, eye]), 2)
+        if piv == list(range(dim)):  # no pivot in the I block: P invertible
+            break
+    x = 2 * np.arange(rng.integers(0, dim // 2 + 1))  # J sends each e_x to e_(x+1)
+    return DModule(dim, Mat(GF2, pm[:, x + 1] @ r[x, dim:] % 2))
 
 
 def trivial(n: int = 1) -> DModule:
@@ -206,10 +208,11 @@ def fourth_power_checks(
     (ab)^2 = a^2 b^2 + ab d(a) d(b).  Elements are sampled in degrees
     <= depth // 4 so fourth powers stay inside the truncation; the
     identities hold verbatim in the truncated quotient algebra.
-    Per-trial seeds are derived as seed + trial index.  The draws are
-    stacked into one batch (charged against `max_entries` before any is
-    drawn) and each identity is evaluated once on it, passing only if
-    every trial agrees.
+    All draws come from one `numpy.random.Generator` seeded with `seed`,
+    as five (trials x d)-per-degree batches (a, b and three summands;
+    odd rows of a are homogeneous), charged against `max_entries`
+    before any is drawn, and each identity is evaluated once on them,
+    passing only if every trial agrees.
     """
     if depth < 4:
         raise ValueError("truncation must admit at least one fourth power")
@@ -218,13 +221,9 @@ def fourth_power_checks(
     alg = sym_algebra(x, depth, max_entries)
     alg.check_batch(trials, max_entries)
     max_deg = depth // 4
-    draws: list[list[dict]] = [[] for _ in range(5)]  # a, b and three terms
-    for trial in range(trials):
-        rng = random.Random(seed + trial)
-        draws[0].append(alg.random_element(rng, max_deg, homogeneous=bool(trial % 2)))
-        for column in draws[1:]:
-            column.append(alg.random_element(rng, max_deg))
-    a, b, *terms = [alg.stack(column) for column in draws]
+    rng = np.random.default_rng(seed)
+    a = alg.random_batch(rng, trials, max_deg, homogeneous=np.arange(trials) % 2 == 1)
+    b, *terms = [alg.random_batch(rng, trials, max_deg) for _ in range(4)]
     da, db = alg.dmap(a), alg.dmap(b)
     a4 = alg.power(a, 4)
     ab = alg.mul(a, b)

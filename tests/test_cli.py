@@ -4,6 +4,8 @@ report determinism, and the result cache."""
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -23,6 +25,7 @@ from vercat.cli import (
     parse_dmodule_spec,
     parse_object_spec,
 )
+import vercat
 from vercat import svec2 as sv
 from vercat.verlinde import VerObject
 
@@ -172,6 +175,20 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["svec2", "fourth-power", "--module", "W", "--seed", "-1"],
+            ["verify", "--suite", "svec2", "--seed", "-1"],
+        ],
+        ids=["fourth-power", "verify"],
+    )
+    def test_negative_seed_is_usage_error(self, capsys, argv):
+        # seeded numpy generators take nonnegative seeds only
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == "" and "seed must be nonnegative" in err
 
     def test_p_max_error_names_the_largest_prime(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "fusion", "--p-max", "17")
@@ -770,3 +787,18 @@ def test_object_spec_errors_name_a_position(text):
 def test_dmodule_spec_errors_name_a_position(text):
     with pytest.raises(UsageError, match=r"position \d+"):
         parse_dmodule_spec(text)
+
+
+def test_parser_start_up_leaves_numpy_random_unloaded():
+    # loading numpy.random costs about 10 ms of every command's start-up;
+    # only the seeded checks that draw from it may import it
+    code = (
+        "import sys, vercat.cli; vercat.cli.build_parser(); "
+        "print('numpy.random' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vercat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -235,23 +235,19 @@ class TestTable:
 class TestPower:
     def test_svec2_power_is_iterated_mul(self):
         alg = svec2.sym_algebra(svec2.direct_sum(svec2.module_w(), svec2.trivial(1)), 8)
-        rng = random.Random(11)
-        for _ in range(10):
-            u = alg.random_element(rng, 1)
-            acc = alg.one()
-            for k in range(10):
-                assert alg.equal(alg.power(u, k), acc), k
-                acc = alg.mul(acc, u)
+        u = alg.random_batch(np.random.default_rng(11), 10, 1)
+        acc = alg.one()
+        for k in range(10):
+            assert alg.equal(alg.power(u, k), acc), k
+            acc = alg.mul(acc, u)
 
     def test_invariant_power_is_iterated_mul(self):
         alg = build_invariant_algebra(VerObject(5, (1, 1, 0, 0)), 10)
-        rng = random.Random(12)
-        for _ in range(10):
-            u = alg.random_element(rng, 2)
-            acc = alg.one()
-            for k in range(10):
-                assert alg.equal(alg.power(u, k), acc), k
-                acc = alg.mul_elems(acc, u)
+        u = alg.random_batch(np.random.default_rng(12), 10, 2)
+        acc = alg.one()
+        for k in range(10):
+            assert alg.equal(alg.power(u, k), acc), k
+            acc = alg.mul_elems(acc, u)
 
     def test_negative_exponent_rejected(self):
         alg = svec2.sym_algebra(svec2.module_w(), 4)
@@ -267,6 +263,11 @@ def dense(alg, u, rows: int) -> np.ndarray:
     for m, c in u.items():
         out[:, offsets[m] : offsets[m + 1]] = c
     return out
+
+
+def row(u, t: int):
+    """Row t of a batch, as an element with only nonzero components."""
+    return {m: c[t] for m, c in u.items() if c[t].any()}
 
 
 def invariants_of_1_plus_l2(p: int):
@@ -303,12 +304,13 @@ def algebra(label: str):
     st.integers(0, 5),
 )
 def test_batched_arithmetic_is_rowwise(label, seed, trials, k):
-    # every operation on stack(elems) is the stack of its per-element results
+    # every operation on a drawn batch is the stack of its per-row
+    # results; about half of the rows are homogeneous
     alg = algebra(label)
-    rng = random.Random(seed)
-    us = [alg.random_element(rng, 2, homogeneous=rng.random() < 0.5) for _ in range(trials)]
-    vs = [alg.random_element(rng, 2, homogeneous=rng.random() < 0.5) for _ in range(trials)]
-    u, v = alg.stack(us), alg.stack(vs)
+    rng = np.random.default_rng(seed)
+    u = alg.random_batch(rng, trials, 2, homogeneous=rng.random(trials) < 0.5)
+    v = alg.random_batch(rng, trials, 2, homogeneous=rng.random(trials) < 0.5)
+    us, vs = ([row(w, t) for t in range(trials)] for w in (u, v))
 
     def same(batched, rowwise):
         want = dense(alg, alg.stack(rowwise), trials)
@@ -344,12 +346,13 @@ class TestBatch:
 
     def test_equal_sees_a_difference_in_the_last_row_only(self):
         alg = svec2.sym_algebra(svec2.direct_sum(svec2.module_w(), svec2.trivial(1)), 8)
-        rng = random.Random(3)
-        elems = [alg.random_element(rng, 2) for _ in range(9)]
-        other = elems[:-1] + [alg.add(elems[-1], alg.from_vector(1, [0, 0, 1]))]
-        assert alg.equal(alg.stack(elems), alg.stack(elems))
-        assert not alg.equal(alg.stack(elems), alg.stack(other))
-        assert not alg.equal(alg.power(alg.stack(other), 1), alg.stack(elems))
+        elems = alg.random_batch(np.random.default_rng(3), 9, 2)
+        bump = np.zeros((9, 3), dtype=np.int64)
+        bump[-1, 2] = 1
+        other = alg.add(elems, {1: bump})
+        assert alg.equal(elems, elems)
+        assert not alg.equal(elems, other)
+        assert not alg.equal(alg.power(other, 1), elems)
 
     def test_contract_at_the_largest_prime_is_exact(self):
         # da * db = 40,000 terms: unreduced products (p-1)^3 would wrap
@@ -383,6 +386,86 @@ class TestBatch:
         alg.check_batch(250, max_entries=1000)
         with pytest.raises(BudgetExceeded, match="batch of 251 trials needs 1004 "):
             alg.check_batch(251, max_entries=1000)
+
+
+class CountingRng:
+    """A numpy Generator that counts its `integers` calls."""
+
+    def __init__(self, seed: int):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+class TestRandomBatch:
+    @pytest.mark.parametrize("label", sorted(ALGEBRAS))
+    def test_same_seed_same_batch(self, label):
+        alg = algebra(label)
+        for homogeneous in (False, True):
+            a, b, c = (
+                alg.random_batch(np.random.default_rng(seed), 8, 2, homogeneous)
+                for seed in (5, 5, 6)
+            )
+            assert sorted(a) == sorted(b)
+            assert all(np.array_equal(a[m], b[m]) for m in a)
+            assert not alg.equal(a, c)
+
+    @pytest.mark.parametrize("label", sorted(ALGEBRAS))
+    @pytest.mark.parametrize("max_degree", [0, 1, 2, 3, 9])
+    def test_homogeneous_rows_have_one_degree(self, label, max_degree):
+        alg = algebra(label)
+        batch = alg.random_batch(np.random.default_rng(1), 200, max_degree, True)
+        assert all(c.shape == (200, alg.dims[m]) for m, c in batch.items())
+        top = min(max_degree, alg.depth)
+        assert set(batch) <= set(range(top + 1))
+        support = np.array([[c[t].any() for c in batch.values()] for t in range(200)])
+        assert (support.sum(axis=1) <= 1).all()
+        # every degree that can hold a nonzero row is some row's degree
+        assert set(batch) == {m for m in range(top + 1) if alg.dims[m]}
+
+    @pytest.mark.parametrize("label", sorted(ALGEBRAS))
+    @pytest.mark.parametrize("max_degree", [0, 1, 2, 3, 9])
+    def test_batches_cover_every_degree_up_to_the_truncation(self, label, max_degree):
+        alg = algebra(label)
+        batch = alg.random_batch(np.random.default_rng(2), 50, max_degree)
+        top = min(max_degree, alg.depth)
+        assert sorted(batch) == [m for m in range(top + 1) if alg.dims[m]]
+        # no row is homogeneous by force: rows reach two degrees at once
+        if len(batch) > 1:
+            support = np.array([[c[t].any() for c in batch.values()] for t in range(50)])
+            assert (support.sum(axis=1) > 1).any()
+
+    def test_a_row_mask_makes_only_those_rows_homogeneous(self):
+        alg = algebra("S(W+1) D=6")
+        mask = np.arange(100) % 2 == 1
+        batch = alg.random_batch(np.random.default_rng(3), 100, 2, homogeneous=mask)
+        support = np.array([[c[t].any() for c in batch.values()] for t in range(100)])
+        assert (support[mask].sum(axis=1) <= 1).all()
+        assert (support[~mask].sum(axis=1) > 1).any()
+
+    def test_one_draw_per_degree(self):
+        # S(W) at depth 6 has nonzero dims in every degree; the homogeneous
+        # batch draws its row degrees with one more call
+        alg = algebra("S(W) D=6")
+        for homogeneous, calls in ((False, 4), (True, 5)):
+            rng = CountingRng(0)
+            alg.random_batch(rng, 1000, 3, homogeneous)
+            assert rng.calls == calls
+
+    def test_all_zero_degrees_are_dropped(self):
+        # degree 0 of the unit draws one residue mod 2 per row: a single
+        # row is zero there for some seed, and then has no component
+        alg = algebra("S(W) D=6")
+        seeds = range(20)
+        batches = [alg.random_batch(np.random.default_rng(s), 1, 0) for s in seeds]
+        assert {tuple(b) for b in batches} == {(), (0,)}
+        assert alg.random_batch(np.random.default_rng(0), 0, 3) == {}
+
+    def test_negative_max_degree_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            algebra("S(W) D=6").random_batch(np.random.default_rng(0), 4, -1)
 
 
 @pytest.mark.parametrize(

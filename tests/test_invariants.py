@@ -460,6 +460,15 @@ class TestFrobenius:
         with pytest.raises(BudgetExceeded, match="batch of 11 trials needs 11 "):
             frobenius_check(alg, trials=11, seed=0, max_entries=10)
 
+    def test_trial_batch_is_budgeted_before_drawing(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("elements drawn before the batch budget check")
+
+        monkeypatch.setattr(InvariantAlgebra, "random_batch", no_draws)
+        alg = build_invariant_algebra(VerObject(5, (1, 1, 0, 0)), 10)
+        with pytest.raises(BudgetExceeded, match="batch of 100000000 trials"):
+            frobenius_check(alg, trials=10**8, seed=0)
+
     def test_requires_room_for_pth_power(self):
         alg = build_invariant_algebra(VerObject(5, (1, 1, 0, 0)), 3)
         with pytest.raises(ValueError):

@@ -99,7 +99,7 @@ class TestRandomDModule:
             d = np.array([(bits >> t) & 1 for t in range(dim * dim)]).reshape(dim, dim)
             if not (d @ d % 2).any():
                 every.add(d.tobytes())
-        rng = random.Random(0)
+        rng = np.random.default_rng(0)
         drawn = {random_dmodule(rng, dim).d.a.tobytes() for _ in range(1000)}
         assert len(every) == count and drawn == every
 
@@ -214,17 +214,14 @@ class TestSymAlgebra:
             assert alg.dims[m] == dim
 
     def test_d_is_derivation_squaring_to_zero(self):
-        rng = random.Random(40)
+        rng = np.random.default_rng(40)
         alg = sym_algebra(module_w(), 6)
-        for _ in range(30):
-            a = alg.random_element(rng, 3)
-            b = alg.random_element(rng, 3)
-            lhs = alg.dmap(alg.mul(a, b))
-            rhs = alg.add(
-                alg.mul(alg.dmap(a), b), alg.mul(a, alg.dmap(b))
-            )
-            assert alg.equal(lhs, rhs)
-            assert alg.dmap(alg.dmap(a)) == {}
+        a = alg.random_batch(rng, 30, 3)
+        b = alg.random_batch(rng, 30, 3)
+        lhs = alg.dmap(alg.mul(a, b))
+        rhs = alg.add(alg.mul(alg.dmap(a), b), alg.mul(a, alg.dmap(b)))
+        assert alg.equal(lhs, rhs)
+        assert alg.dmap(alg.dmap(a)) == {}
 
     def test_d_commutativity_all_basis_pairs(self):
         for mod in (module_w(), direct_sum(module_w(), trivial(1))):
@@ -304,12 +301,10 @@ class TestFourthPower:
         # d(a) = 0 makes (ab)^2 = a^2 b^2 on the nose
         alg = sym_algebra(module_w(), 8)
         a = alg.from_vector(1, [0, 1])  # y is invariant
-        rng = random.Random(5)
-        for _ in range(20):
-            b = alg.random_element(rng, 2)
-            lhs = alg.power(alg.mul(a, b), 2)
-            rhs = alg.mul(alg.power(a, 2), alg.power(b, 2))
-            assert alg.equal(lhs, rhs)
+        b = alg.random_batch(np.random.default_rng(5), 20, 2)
+        lhs = alg.power(alg.mul(a, b), 2)
+        rhs = alg.mul(alg.power(a, 2), alg.power(b, 2))
+        assert alg.equal(lhs, rhs)
 
     def test_x_fourth_power(self):
         alg = sym_algebra(module_w(), 8)
@@ -342,7 +337,7 @@ class TestFourthPower:
         def no_draws(*args, **kwargs):
             raise AssertionError("elements drawn before the batch budget check")
 
-        monkeypatch.setattr(DGradedAlgebra, "random_element", no_draws)
+        monkeypatch.setattr(DGradedAlgebra, "random_batch", no_draws)
         with pytest.raises(BudgetExceeded, match="batch of 100000000 trials"):
             fourth_power_checks(module_w(), 8, 10**8, 0)
 
@@ -381,7 +376,5 @@ class TestInvariantsD:
 
     def test_fourth_powers_invariant(self):
         alg = sym_algebra(module_w(), 8)
-        rng = random.Random(9)
-        for _ in range(20):
-            a = alg.random_element(rng, 2)
-            assert alg.dmap(alg.power(a, 4)) == {}
+        a = alg.random_batch(np.random.default_rng(9), 20, 2)
+        assert alg.dmap(alg.power(a, 4)) == {}
