@@ -287,6 +287,8 @@ def frobenius_check(
         raise ValueError(
             f"truncation {alg.depth} admits no nontrivial p-th power (p = {p})"
         )
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     alg.check_batch(trials, max_entries)
     rng = np.random.default_rng(seed)
     u, v = (alg.random_batch(rng, trials, alg.depth // p) for _ in range(2))

@@ -399,6 +399,11 @@ class CountingRng:
         return self.rng.integers(*args, **kwargs)
 
 
+def degrees_per_row(batch, trials: int) -> np.ndarray:
+    """How many degrees each row of a batch is nonzero in."""
+    return sum((c.any(axis=1) for c in batch.values()), np.zeros(trials, dtype=int))
+
+
 class TestRandomBatch:
     @pytest.mark.parametrize("label", sorted(ALGEBRAS))
     def test_same_seed_same_batch(self, label):
@@ -420,8 +425,7 @@ class TestRandomBatch:
         assert all(c.shape == (200, alg.dims[m]) for m, c in batch.items())
         top = min(max_degree, alg.depth)
         assert set(batch) <= set(range(top + 1))
-        support = np.array([[c[t].any() for c in batch.values()] for t in range(200)])
-        assert (support.sum(axis=1) <= 1).all()
+        assert (degrees_per_row(batch, 200) <= 1).all()
         # every degree that can hold a nonzero row is some row's degree
         assert set(batch) == {m for m in range(top + 1) if alg.dims[m]}
 
@@ -434,16 +438,14 @@ class TestRandomBatch:
         assert sorted(batch) == [m for m in range(top + 1) if alg.dims[m]]
         # no row is homogeneous by force: rows reach two degrees at once
         if len(batch) > 1:
-            support = np.array([[c[t].any() for c in batch.values()] for t in range(50)])
-            assert (support.sum(axis=1) > 1).any()
+            assert (degrees_per_row(batch, 50) > 1).any()
 
     def test_a_row_mask_makes_only_those_rows_homogeneous(self):
         alg = algebra("S(W+1) D=6")
         mask = np.arange(100) % 2 == 1
         batch = alg.random_batch(np.random.default_rng(3), 100, 2, homogeneous=mask)
-        support = np.array([[c[t].any() for c in batch.values()] for t in range(100)])
-        assert (support[mask].sum(axis=1) <= 1).all()
-        assert (support[~mask].sum(axis=1) > 1).any()
+        counts = degrees_per_row(batch, 100)
+        assert (counts[mask] <= 1).all() and (counts[~mask] > 1).any()
 
     def test_one_draw_per_degree(self):
         # S(W) at depth 6 has nonzero dims in every degree; the homogeneous

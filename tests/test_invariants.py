@@ -469,6 +469,13 @@ class TestFrobenius:
         with pytest.raises(BudgetExceeded, match="batch of 100000000 trials"):
             frobenius_check(alg, trials=10**8, seed=0)
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_requires_a_trial(self, trials):
+        # zero trials would report the ring-map identities as holding
+        alg = build_invariant_algebra(VerObject(5, (1, 1, 0, 0)), 10)
+        with pytest.raises(ValueError, match="trial"):
+            frobenius_check(alg, trials=trials, seed=0)
+
     def test_requires_room_for_pth_power(self):
         alg = build_invariant_algebra(VerObject(5, (1, 1, 0, 0)), 3)
         with pytest.raises(ValueError):
