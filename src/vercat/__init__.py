@@ -4,8 +4,9 @@ algebras of symmetric algebras in Ver_p, and the characteristic-2
 supervector category sVec_2.
 
 All arithmetic is exact: modular residues over prime fields, arbitrary
-precision rationals over Q.  Floating point appears only inside
-`exactlin.matmul_mod`, where every partial sum is an integer below 2^53.
+precision rationals over Q.  Floating point appears only inside the
+product kernels `exactlin.matmul_mod` and `exactlin.contract_mod`,
+where every partial sum is an integer below 2^53.
 """
 
 __version__ = "0.1.0"

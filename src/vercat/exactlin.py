@@ -39,16 +39,40 @@ with other jobs, medians of 7), caps of 2^12, 2^14, 2^16 and 2^18 took
 GF(p) is accepted only for p <= MAX_PRIME = 65537.  Then (p-1)^2 <= 2^32,
 so a dot product of fewer than 2^31 residues, and hence every int64
 matrix product this package still forms, is exact before it is reduced
-mod p.  The hot products (element products `graded.contract` and the
-sVec_2 derivation on elements, both products of a `GradedTower.mu` step,
-the precomposition that builds each degree of `verlinde.SymTower` and its
-class coordinates, and the Jordan-type chain here) go through
-`matmul_mod` instead, which forms them on float64 BLAS, several times
-faster than numpy's int64 matmul, which has no BLAS.  That is exact too:
-every partial sum is an integer below k (p-1)^2 for inner size k, and
-float64 holds every integer below 2^53, which k < 2^21 guarantees at
-p = 65537; `matmul_mod` splits a larger k into chunks below that bound
-and sums their residues, so it answers every inner size.
+mod p.  The hot products go through two kernels on float64 BLAS
+instead, several times faster than numpy's int64 matmul, which has no
+BLAS, and the package forms floating point nowhere else.  Both rest on
+one fact: float64 holds every integer up to 2^53, so a sum of
+nonnegative integer terms whose total is below 2^53 is exact in any
+order BLAS adds them (every partial sum, and every product plus partial
+sum of a fused multiply-add, is an integer below the total, so nothing
+is rounded).
+
+`matmul_mod` takes both products of a `GradedTower.mu` step, the
+precomposition that builds each degree of `verlinde.SymTower` and its
+class coordinates, the sVec_2 derivation on elements and the Jordan-type
+chain here.  Its terms are products of two residues, at most (p-1)^2, so
+an inner size k below 2^53 / (p-1)^2 is exact (k < 2^21 at p = 65537);
+a larger k is split into chunks below that bound whose residues are
+summed, so it answers every inner size.
+
+`contract_mod` takes the element products (`graded.contract` and each
+output degree of `TruncatedAlgebra.mul`): the sum over degree pairs of
+the contractions of ca (x) cb against a (da x db x dc) structure tensor.
+A pair forms its outer product ca[i] cb[j] <= (p-1)^2 in float64, and
+its BLAS product has terms ca[i] cb[j] t[i, j, l] <= (p-1)^3, at most
+2^48 at p = 65537, all exact.  The pairs' products are added into one
+float64 accumulator without reducing.  Let K count the terms summed
+into it, da * db per pair, plus one for the residue a reduction leaves
+(p - 1 <= (p-1)^3).  Every entry is then at most K (p-1)^3, exact while
+K <= L = floor((2^53 - 1) / (p-1)^3).  Before a pair of k terms would
+bring K past L the accumulator is reduced mod p and K restarts at 1; a
+pair with k >= L (so that 1 + k could pass L) is reduced mod p itself,
+its outer product taken mod p and multiplied by `matmul_mod`'s chunks,
+and its residue counts as one term.  So no partial sum reaches 2^53.
+The accumulator is reduced once more at the end.  L is 2^53 - 1 at
+p = 2 and above 5 * 10^12 at p <= 13, where it never binds, and 31 at
+p = 65537, where K (p-1)^3 = K 2^48 reaches 2^53 at K = 32.
 
 Basis convention for tensor products: lexicographic with the left factor
 varying slowest, i.e. basis vector (i, j) of X (x) Y sits at index
@@ -64,6 +88,7 @@ to define negligible morphisms.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -282,9 +307,50 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if k > step:
         chunks = range(0, k, step)
         return sum(matmul_mod(a[..., i : i + step], b[..., i : i + step, :], p) for i in chunks) % p
-    c = (np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)).astype(np.int64)
+    return _residues(np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64), p)
+
+
+def _residues(c: np.ndarray, p: int) -> np.ndarray:
+    """A float64 array of nonnegative integers below 2^53, mod p, as int64."""
+    c = c.astype(np.int64)
     c -= p * (c // p)  # c % p: numpy divides by a scalar faster
     return c
+
+
+def contract_mod(pairs: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]], p: int) -> np.ndarray:
+    """The sum over `pairs` (ca, cb, table) of the contractions
+    sum_(i, j) ca[i] cb[j] table[i, j, :] mod p, as int64 residues.
+
+    Every array holds residues in [0, p).  ca and cb are (da,) and (db,)
+    vectors or (trials, da) and (trials, db) batches, a vector broadcasts
+    against a batch, and `table` is a (da x db x dc) structure tensor, dc
+    the same for every pair; the sum has the broadcast batch shape of all
+    pairs, then dc.  Pairs are read one at a time, and a pair's outer
+    product, (trials x da*db) in float64, is the only large array alive.
+    Each pair's BLAS product is added into one float64 accumulator, which
+    is reduced mod p at the end and whenever the running term count would
+    pass (2^53 - 1) // (p - 1)^3; a pair of that many terms or more goes
+    through `matmul_mod`'s chunks.  The module docstring has the proof.
+    """
+    limit = (2**53 - 1) // (p - 1) ** 3
+    acc, terms = None, 0
+    for ca, cb, table in pairs:
+        da, db, dc = table.shape
+        k = da * db
+        outer = ca.astype(np.float64)[..., :, None] * cb.astype(np.float64)[..., None, :]
+        batch = outer.shape[:-2]
+        outer = outer.reshape(math.prod(batch), k)
+        if k >= limit:  # too many terms for one exact sum: a residue, one term
+            prod, k = matmul_mod(_residues(outer, p), table.reshape(k, dc), p), 1
+        else:
+            prod = outer @ table.reshape(k, dc).astype(np.float64)
+        del outer  # freed before the next pair forms its own
+        if terms + k > limit:  # the accumulator becomes a residue, one term
+            acc, terms = _residues(acc, p).astype(np.float64), 1
+        prod = prod.reshape(*batch, dc)
+        acc = prod if acc is None else acc + prod
+        terms += k
+    return _residues(acc, p)
 
 
 def _zeros(rows: int, cols: int, p: int) -> np.ndarray:

@@ -21,17 +21,17 @@ arrays of residues mod p:
   one reading of mu(a, b) as a (da x db x dc) structure tensor;
 - `TruncatedAlgebra`: element arithmetic, where the product of degrees
   a and b contracts coordinates against a (da x db x dc) structure
-  tensor; every operation broadcasts over an optional leading trial
-  axis, so a seeded identity check runs once over all its trials.
+  tensor, and the pairs of each output degree are summed by one
+  `exactlin.contract_mod`; every operation broadcasts over an optional
+  leading trial axis, so a seeded identity check runs once over all its
+  trials.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .exactlin import check_budget, cokernel, matmul_mod
+from .exactlin import check_budget, cokernel, contract_mod, matmul_mod
 
 Elem = dict[int, np.ndarray]
 
@@ -190,15 +190,10 @@ def contract(ca: np.ndarray, cb: np.ndarray, table: np.ndarray, p: int) -> np.nd
 
     ca and cb are (da,) and (db,) vectors or (trials, da) and
     (trials, db) batches, and either may be a vector broadcast against
-    the other's batch.  The product is one outer product, reduced mod p,
-    and one `exactlin.matmul_mod`, (B, da*db) @ (da*db, dc) with the
-    batch axis flattened (B = 1 for two vectors), exact for every size.
+    the other's batch: the one-pair case of `exactlin.contract_mod`,
+    exact for every size.
     """
-    da, db, dc = table.shape
-    outer = ca[..., :, None] * cb[..., None, :]
-    batch = outer.shape[:-2]
-    outer = outer.reshape(math.prod(batch), da * db) % p
-    return matmul_mod(outer, table.reshape(da * db, dc), p).reshape(*batch, dc)
+    return contract_mod([(ca, cb, table)], p)
 
 
 class TruncatedAlgebra:
@@ -252,15 +247,17 @@ class TruncatedAlgebra:
         return out
 
     def mul(self, u: Elem, v: Elem) -> Elem:
-        """Product; components above the truncation are dropped."""
+        """Product; components above the truncation are dropped.  The
+        coordinates are reduced mod p once, and each output degree is one
+        `exactlin.contract_mod` over its degree pairs."""
         p = self.p
-        out: Elem = {}
+        u, v = ({m: c % p for m, c in w.items()} for w in (u, v))
+        pairs: dict[int, list] = {}
         for a, ca in u.items():
             for b, cb in v.items():
-                if a + b > self.depth:
-                    continue
-                c = contract(ca, cb, self.product_table(a, b), p)
-                out[a + b] = (out[a + b] + c) % p if a + b in out else c
+                if a + b <= self.depth:
+                    pairs.setdefault(a + b, []).append((ca, cb, self.product_table(a, b)))
+        out = {m: contract_mod(terms, p) for m, terms in pairs.items()}
         return {m: c for m, c in out.items() if np.any(c)}
 
     def power(self, u: Elem, k: int) -> Elem:

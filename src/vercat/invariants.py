@@ -231,6 +231,8 @@ def isotypic_stability_check(
     no whole mu(a, b) is formed and every product array is charged
     against `max_entries`.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     alg = InvariantAlgebra(x, depth, max_entries)
     p = alg.p
     rng = random.Random(seed)

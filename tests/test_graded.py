@@ -335,6 +335,79 @@ def python_int_contract(ca, cb, table, p) -> list[list[int]]:
     return ((o * table.astype(object)[None]).sum(axis=(1, 2)) % p).tolist()
 
 
+def python_int_mul(alg, u, v, rows: int) -> dict[int, list[list[int]]]:
+    """`mul` in Python integers: per output degree, the sum of
+    `python_int_contract` over its degree pairs, for every row."""
+    out: dict[int, list[list[int]]] = {}
+    for a, ca in u.items():
+        for b, cb in v.items():
+            if a + b <= alg.depth:
+                left = np.broadcast_to(ca, (rows, alg.dims[a]))
+                right = np.broadcast_to(cb, (rows, alg.dims[b]))
+                c = np.array(python_int_contract(left, right, alg.product_table(a, b), alg.p))
+                out[a + b] = (out.get(a + b, 0) + c) % alg.p
+    return {m: c.tolist() for m, c in out.items() if c.any()}
+
+
+class TableAlgebra(graded.TruncatedAlgebra):
+    """A truncated algebra with arbitrary residue structure tensors: `mul`
+    reads nothing else, and needs no associativity."""
+
+    def __init__(self, p: int, dims: list[int], rng: np.random.Generator, top: bool):
+        self.p, self.dims, self.depth = p, dims, len(dims) - 1
+        low = p - 64 if top and p > 64 else 0
+        self.tables = {
+            (a, b): rng.integers(low, p, (dims[a], dims[b], dims[a + b]))
+            for a in range(self.depth + 1)
+            for b in range(self.depth + 1 - a)
+        }
+
+    def product_table(self, a: int, b: int) -> np.ndarray:
+        return self.tables[a, b]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 13, 65537]),
+    st.lists(st.integers(3, 7), min_size=5, max_size=5),
+    st.integers(0, 2**32),
+    st.integers(1, 4),
+    st.booleans(),
+)
+def test_mul_is_exact_past_the_accumulation_bound(p, dims, seed, rows, top):
+    # every output degree sums several pairs, and degree 4 alone holds at
+    # least 5 * 3 * 3 = 45 terms per entry, past the 31 terms of one exact
+    # float64 sum at p = 65537; a 6 x 6 or 7 x 7 pair is past it alone
+    rng = np.random.default_rng(seed)
+    alg = TableAlgebra(p, dims, rng, top)
+    assert sum(dims[a] * dims[4 - a] for a in range(5)) > (2**53 - 1) // 65536**3
+    low = p - 64 if top and p > 64 else 0
+
+    def draw(shape_of):
+        return {m: rng.integers(low, p, shape_of(d)) for m, d in enumerate(dims)}
+
+    def wrapped(u):
+        # the same residues, unreduced: some negative, some past p
+        return {m: c + p * rng.integers(-3, 4, c.shape) for m, c in u.items()}
+
+    batch, vector = (lambda d: (rows, d)), (lambda d: (d,))
+    for left, right in ((batch, batch), (vector, batch), (batch, vector), (vector, vector)):
+        u, v = draw(left), draw(right)
+        want = python_int_mul(alg, u, v, rows)
+        for got in (alg.mul(u, v), alg.mul(wrapped(u), wrapped(v))):
+            assert sorted(got) == sorted(want)
+            for m, c in got.items():
+                assert c.dtype == np.int64
+                if left is vector and right is vector:
+                    assert c.shape == (dims[m],) and [c.tolist()] * rows == want[m]
+                else:
+                    assert c.shape == (rows, dims[m]) and c.tolist() == want[m]
+    # a square: both factors are the same unreduced dict
+    u = wrapped(draw(batch))
+    want = python_int_mul(alg, u, u, rows)
+    assert {m: c.tolist() for m, c in alg.mul(u, u).items()} == want
+
+
 class TestBatch:
     def test_stack_fills_missing_degrees_with_zeros(self):
         alg = svec2.sym_algebra(svec2.module_w(), 4)
@@ -486,20 +559,27 @@ def test_negative_degree_rejected(build):
 
 
 def test_hot_products_run_on_the_exact_kernel(monkeypatch):
-    # element products (graded.contract) and tower products (mu, and the
-    # precomposition of SymTower._build_degree) form their mod-p products
-    # through exactlin.matmul_mod, with unchanged answers
-    calls = []
+    # element products (graded.contract_mod, the kernel behind mul and
+    # contract) and tower products (mu, and the precomposition of
+    # SymTower._build_degree) form their mod-p products through the
+    # exactlin kernels, with unchanged answers
+    calls, contractions = [], []
 
     def counted(a, b, p):
         calls.append(p)
         return exactlin.matmul_mod(a, b, p)
 
+    def counted_contractions(pairs, p):
+        contractions.append(p)
+        return exactlin.contract_mod(pairs, p)
+
     for module in (graded, verlinde):
         monkeypatch.setattr(module, "matmul_mod", counted)
+    monkeypatch.setattr(graded, "contract_mod", counted_contractions)
     w1 = svec2.direct_sum(svec2.module_w(), svec2.trivial(1))
     report = svec2.fourth_power_checks(w1, 8, 20, 0)
     assert calls and set(calls) == {2}
+    assert contractions and set(contractions) == {2}
     names = ("d_square_zero", "d_of_fourth_power", "fourth_power_central")
     names += ("product_fourth_power", "sum_fourth_power", "square_rule")
     assert report == dict.fromkeys(names, True) | {"trials": 20, "seed": 0}

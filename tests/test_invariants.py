@@ -264,6 +264,12 @@ class TestIsotypicStability:
     def test_spec_instance(self):
         assert isotypic_stability_check(VerObject(5, (1, 1, 0, 0)), 10, 100, 42)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_requires_a_trial(self, trials):
+        # zero trials would report every product as pure
+        with pytest.raises(ValueError, match="at least one trial"):
+            isotypic_stability_check(VerObject(5, (1, 1, 0, 0)), 6, trials, 0)
+
     def test_other_objects(self):
         assert isotypic_stability_check(VerObject(3, (1, 1)), 6, 40, 0)
         assert isotypic_stability_check(VerObject(5, (0, 1, 1, 0)), 4, 30, 7)

@@ -10,6 +10,7 @@ import random
 import numpy as np
 import pytest
 
+from vercat import exactlin, graded
 from vercat.exactlin import GF, BudgetExceeded, Mat, quotient_basis
 from vercat.svec2 import (
     DGradedAlgebra,
@@ -212,6 +213,28 @@ class TestSymAlgebra:
         for m in range(4):
             dim, _ = brute_degree(direct_sum(module_w(), trivial(1)), m)
             assert alg.dims[m] == dim
+
+    @pytest.mark.parametrize(
+        "mod, rank",
+        [
+            (module_w(), 2),
+            (direct_sum(module_w(), trivial(1)), 4),
+            (direct_sum(module_w(), module_w()), 8),
+            (direct_sum(module_w(), trivial(2)), 7),
+        ],
+        ids=["W", "W+1", "2W", "W+2"],
+    )
+    def test_independent_relations_give_the_all_columns_tower(self, mod, rank):
+        # the algebra passes only the pivot columns of 1 + c; every column
+        # spans the same relations, so the quotient tower is the same
+        alg = sym_algebra(mod, 8)
+        n = mod.dim
+        rel = (np.eye(n * n, dtype=np.int64) + braiding(mod, mod).a) % 2
+        assert exactlin.rank(rel, 2) == rank < n * n  # dependent columns
+        q, keep = graded.quotient_tower(rel, n, 8, 2)
+        assert alg.dims == [qm.shape[0] for qm in q]
+        assert all(np.array_equal(a, b) for a, b in zip(alg.q, q, strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(alg.keep, keep, strict=True))
 
     def test_d_is_derivation_squaring_to_zero(self):
         rng = np.random.default_rng(40)
