@@ -100,9 +100,10 @@ class DGradedAlgebra(graded.GradedTower, graded.TruncatedAlgebra):
     Built by `graded.quotient_tower` with the relation 1 + c, passed as
     its pivot columns (an independent spanning set; the tower reads only
     their span): degree m is the quotient of (degree m-1) (x) X by the
-    image of the braiding relations.  Holds per-degree dimensions, quotient maps and kept
-    coordinates, the induced derivation d (x) 1 + 1 (x) d, and (lazily)
-    sections and multiplication maps, all as arrays over GF(2).
+    image of the braiding relations.  Holds per-degree dimensions,
+    quotient maps and kept coordinates, the induced derivation
+    d (x) 1 + 1 (x) d, and (lazily) sections and multiplication maps, all
+    as arrays over GF(2).
     """
 
     def __init__(self, x: DModule, depth: int, max_entries: int | None = None):
