@@ -24,17 +24,32 @@ the columns before them).
 
 A round is some forty numpy calls on small arrays, so an elimination
 costs about its round count in call overhead, which a batch pays once
-for all its members.  `nilpotent_partitions`, the Jordan types behind
-the fusion oracle (GF(p) only), runs the row-space chain
-row(N^k) = row(E_(k-1) N), E an echelon basis, on a batch kept stacked
-across levels: one `_echelon_rounds` call per level and one stacked
-`matmul_mod` per width class (each matrix padded to the next power of
-two, capped at the batch width).  A batch holds consecutive matrices
-whose padded array stays within BATCH_ENTRIES = 2^16 entries.  On the
-1,200 Jordan types of `verify --suite fusion` (2-vCPU x86-64 VM shared
-with other jobs, medians of 7), caps of 2^12, 2^14, 2^16 and 2^18 took
-1.30, 0.96, 0.61 and 0.47 s; 2^18 is faster, but its traced peak is
-14.4 MiB against 4.3 MiB at 2^16 (83 MiB with one batch per check).
+for all its members.  `_echelon_rounds` holds residues as int16 for
+p <= 181, where (p-1)^2 < 2^15, as int32 up to p = 46337 and as int64
+above.  `nilpotent_partitions`, the Jordan types behind the fusion
+oracle (GF(p) only), runs the row-space chain row(N^k) = row(E_(k-1) N),
+E an echelon basis, on a batch kept stacked across levels: one
+`_echelon_rounds` call per level and one stacked `matmul_mod` per width
+class (each member padded to the next power of two, capped at the batch
+width).  The members are pieces of the input: a matrix of SPLIT_SIZE =
+16 rows or more is split into the connected components of its nonzero
+pattern mod p, taken symmetrically.  A permutation conjugates the matrix
+to the direct sum of its components, so its Jordan type is the sorted
+union of theirs.  A batch holds each distinct piece once, compared by
+its full residue contents.  The oracle's tensor products J_a (x) J_b - 1
+of block sums split into one piece J_r (x) J_s - 1 per pair of blocks,
+and the pieces recur across pairs: the p = 7 monoidal check of `verify`
+eliminates 184 distinct pieces of at most 49 rows in two batches (14
+`_echelon_rounds` calls), where whole matrices took 19 batches of its
+300 modules of up to 221 rows (133 calls).  A batch runs before its
+padded array would pass BATCH_ENTRIES = 2^16 entries, or the matrices
+read since it last ran would pass 2^16 rows, which bounds the types
+waiting to be yielded.  On the 1,200 Jordan types of `verify --suite
+fusion` (2-vCPU x86-64 VM shared with other jobs, process time, best
+of three or four runs of 7), caps of 2^12, 2^14, 2^16 and 2^18 took 0.74,
+0.44, 0.27 and 0.22 s, against 0.81, 0.59, 0.40 and 0.33 s with whole
+matrices and int32 rounds; their tracemalloc peaks were 1.8, 2.2, 4.5
+and 13.7 MiB (4.4 MiB up to 2^16 and 14.5 MiB at 2^18 before).
 
 GF(p) is accepted only for p <= MAX_PRIME = 65537.  Then (p-1)^2 <= 2^32,
 so a dot product of fewer than 2^31 residues, and hence every int64
@@ -89,6 +104,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -214,6 +230,10 @@ def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 #: into one chain; see the module docstring.
 BATCH_ENTRIES = 2**16
 
+#: Smallest matrix that `nilpotent_partitions` splits into components; a
+#: smaller one costs the chain less than finding them.
+SPLIT_SIZE = 16
+
 
 @functools.cache
 def _inverses(p: int) -> np.ndarray:
@@ -240,22 +260,25 @@ def _echelon_rounds(
     is the row of piv holding member m's pivot (unscaled) at column c, or
     -1, which reads the zero row piv ends with.
     """
-    # r - c * pivot lies in (-(p-1)^2, p): int32 holds it for p <= 46337
-    r = r.astype(np.int32 if (p - 1) ** 2 < 2**31 else np.int64)
+    # r - c * pivot lies in (-(p-1)^2, p), and p * (r // p) in
+    # (-(p-1)^2 - p, p): int16 holds both for p <= 181, int32 for p <= 46337
+    square = (p - 1) ** 2
+    r = r.astype(np.int16 if square < 2**15 else np.int32 if square < 2**31 else np.int64)
     width = r.shape[1]
     base = owner * width
     piv = np.zeros((min(len(r), count * width) + 1, width), dtype=r.dtype)
     scale = np.zeros(len(piv), dtype=r.dtype)  # inverse of each leading entry
     slot = np.full(count * width, -1)
-    found = 0
-    while True:
+    inverse, found = _inverses(p), 0
+    while width:  # no columns, no pivots
         nz = r != 0
-        live = nz.any(axis=1)
+        lead = nz.argmax(axis=1)  # 0 on a zero row, which drops out
+        index = np.arange(len(r))
+        live = nz[index, lead]
         if not live.all():
-            r, nz, base = r[live], nz[live], base[live]
+            r, lead, base, index = r[live], lead[live], base[live], index[: live.sum()]
         if not len(r):
             break
-        lead = nz.argmax(axis=1)
         key = base + lead
         open_ = np.flatnonzero(slot[key] < 0)
         if open_.size:
@@ -266,14 +289,14 @@ def _echelon_rounds(
             take = open_[order[first]]
             end = found + len(take)
             piv[found:end] = r[take]
-            scale[found:end] = _inverses(p)[r[take, lead[take]]]
+            scale[found:end] = inverse[r[take, lead[take]]]
             slot[keys[first]] = np.arange(found, end)
             found = end
             if len(take) == len(r):  # every row is a new pivot: all cancel
                 break
         mine = slot[key]
-        factor = r[np.arange(len(r)), lead] * scale[mine] % p
-        r = r - factor[:, None] * piv[mine]
+        factor = r[index, lead] * scale[mine] % p
+        r -= factor[:, None] * piv[mine]  # r is a copy: astype and r[live] copy
         r -= p * (r // p)  # r % p: numpy divides by a scalar faster
     return piv, slot.reshape(count, width)
 
@@ -631,7 +654,7 @@ def nilpotent_partition(n: Mat) -> tuple[int, ...]:
 
 
 def _partition_batch(mats: list[np.ndarray], p: int) -> list[tuple[int, ...]]:
-    """Jordan types of square integer arrays mod p, together: row(N^k) =
+    """Jordan types of square arrays of residues mod p, together: row(N^k) =
     row(E_(k-1) N) for an echelon basis E_(k-1) of row(N^(k-1)), so each
     level is one `_echelon_rounds` call over the live members' rows.  Each
     width class reads its members' E from the slot table, cut to the
@@ -643,13 +666,12 @@ def _partition_batch(mats: list[np.ndarray], p: int) -> list[tuple[int, ...]]:
     top, classes = sizes.max(), {}
     for i, n in enumerate(sizes.tolist()):
         classes.setdefault(min(1 << (n - 1).bit_length(), top), []).append(i)
-    groups = []  # (c, members, their arrays mod p padded to c x c, as float64)
+    groups = []  # (c, members, their arrays padded to c x c, as float64)
     for c, members in sorted(classes.items()):
-        pad = np.zeros((len(members), c, c), dtype=np.int64)
+        pad = np.zeros((len(members), c, c))
         for k, i in enumerate(members):
             pad[k, : sizes[i], : sizes[i]] = mats[i]
-        pad -= p * (pad // p)
-        groups.append((c, np.array(members), pad.astype(np.float64)))
+        groups.append((c, np.array(members), pad))
     ranks, live = [sizes], sizes > 0
     rows = [(np.repeat(m, c), pad.reshape(len(m) * c, c)) for c, m, pad in groups]
     while rows:
@@ -678,33 +700,99 @@ def _partition_batch(mats: list[np.ndarray], p: int) -> list[tuple[int, ...]]:
     return [tuple(np.repeat(np.arange(len(blocks), 0, -1), b[::-1]).tolist()) for b in blocks.T]
 
 
+def _components(r: np.ndarray) -> list[np.ndarray]:
+    """The connected components of the graph on the rows of the square
+    array `r` with an edge i - j wherever r[i, j] or r[j, i] is nonzero,
+    as ascending index arrays ordered by their least index.
+
+    Each vertex holds a label, a vertex of its component no larger than
+    itself; labels start as the indices, and each round takes the least
+    label across every edge, then the label of that label.  Following
+    labels ends at a root, a vertex labelled by itself, so one root means
+    one component; otherwise rounds run until nothing changes, when each
+    component is labelled by its least vertex."""
+    n = len(r)
+    i, j = np.divmod(np.flatnonzero(r != 0), n)
+    label = index = np.arange(n)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, i, label[j])
+        np.minimum.at(low, j, label[i])
+        low = low[low]
+        if np.count_nonzero(low == index) <= 1:
+            return [index]
+        if (low == label).all():
+            break
+        label = low
+    order = np.argsort(label, kind="stable")
+    ends = np.cumsum(np.bincount(label, minlength=n)[label == index]).tolist()
+    return [order[start:end] for start, end in zip([0, *ends], ends)]
+
+
 def _nilpotent_partitions(items: Iterable[tuple[np.ndarray, Field]]) -> Iterator[tuple[int, ...]]:
-    """`nilpotent_partitions` of (integer array, field) pairs."""
-    field, batch, rows, width = None, [], 0, 0
+    """`nilpotent_partitions` of (integer array, field) pairs.  An array of
+    SPLIT_SIZE rows or more is split into the connected components of its
+    nonzero pattern mod p, and a batch holds the distinct pieces, keyed by
+    their full residue contents; an array's Jordan type is the sorted
+    union of its pieces' types (a permutation conjugates it to their
+    direct sum)."""
+    field, p = None, 0
+    batch: dict[tuple[int, bytes], np.ndarray] = {}  # (size, residue bytes) -> component
+    rows = width = read = 0  # read: rows of the arrays read since the batch last ran
+    waiting = deque()  # (types found, batch keys still open) per array not yet yielded
+
+    def run():
+        nonlocal batch, rows, width, read
+        types = dict(zip(batch, _partition_batch(list(batch.values()), p)))
+        for found, open_ in waiting:
+            found.extend(part for key in open_ for part in types[key])
+            open_.clear()
+        batch, rows, width, read = {}, 0, 0, 0
+
     for a, f in items:
         field = field or f
         if f != field:
             raise ValueError(f"field mismatch: {field} vs {f}")
+        p = field.characteristic
+        if not p:
+            raise ValueError("Jordan types are computed over GF(p) only")
         n = len(a)
         if a.shape != (n, n):
             raise ValueError("nilpotent_partition requires a square matrix")
-        if batch and (rows + n) * max(width, n) > BATCH_ENTRIES:
-            yield from _partition_batch(batch, field.characteristic)
-            batch, rows, width = [], 0, 0
-        batch.append(a)
-        rows, width = rows + n, max(width, n)
+        if batch and read + n > BATCH_ENTRIES:  # bounds the arrays waiting
+            run()
+        r = a % p
+        open_ = []  # the batch keys of this array's pieces
+        waiting.append(([], open_))
+        for index in _components(r) if n >= SPLIT_SIZE else [range(n)]:
+            c = r if len(index) == n else r[index[:, None], index]
+            key = len(c), c.tobytes()
+            if key not in batch:
+                if batch and (rows + len(c)) * max(width, len(c)) > BATCH_ENTRIES:
+                    run()
+                batch[key] = np.frombuffer(key[1], dtype=c.dtype).reshape(c.shape)
+                rows, width = rows + len(c), max(width, len(c))
+            open_.append(key)
+        read += n
+        while waiting and not waiting[0][1]:
+            yield tuple(sorted(waiting.popleft()[0], reverse=True))
     if batch:
-        yield from _partition_batch(batch, field.characteristic)
+        run()
+    for found, _ in waiting:
+        yield tuple(sorted(found, reverse=True))
 
 
 def nilpotent_partitions(ns: Iterable[Mat]) -> Iterator[tuple[int, ...]]:
     """Jordan block sizes of each nilpotent matrix of `ns`, in order.
 
-    The matrices must share one field GF(p).  They are read lazily, and
-    runs of consecutive ones whose stacked rows, padded to the widest of
-    them, hold at most BATCH_ENTRIES entries are eliminated together (a
-    larger matrix runs alone).  Raises ValueError on a matrix that is not
-    square or not nilpotent, on a field other than the first one's, or
-    over Q.
+    The matrices must share one field GF(p).  They are read lazily.  One
+    of size at least SPLIT_SIZE is cut into the connected components of
+    its nonzero pattern mod p; the distinct pieces of consecutive
+    matrices, each once however often it recurs, are eliminated together
+    while their stacked rows, padded to the widest piece, hold at most
+    BATCH_ENTRIES entries (a larger piece runs alone), and the matrices
+    read meanwhile hold at most BATCH_ENTRIES rows.  Nothing is kept
+    between calls.  Raises ValueError on a matrix that is not square or
+    not nilpotent, on a field other than the first one's, or over Q.
     """
     return _nilpotent_partitions((n.a, n.field) for n in ns)

@@ -248,6 +248,25 @@ class TestExitCodes:
         assert code == EXIT_CHECK_FAILED
         assert "counterexample" in out
 
+    def test_mutation_reaches_the_ring_laws(self, capsys):
+        # the ring laws read the mutated rule table too: without the p - r
+        # bound it is neither commutative nor associative from p = 5 on,
+        # while p = 3 and the unit pairing are untouched
+        code, out, _ = run(
+            capsys,
+            "verify",
+            "--suite", "fusion",
+            "--mutate", "drop-pr-bound",
+            "--format", "json",
+        )
+        assert code == EXIT_CHECK_FAILED
+        failed = {c["name"] for c in json.loads(out)["checks"] if not c["passed"]}
+        assert failed == {
+            *(f"fusion-oracle p={p}" for p in (5, 7, 11, 13)),
+            *(f"fusion-commutative p={p}" for p in (5, 7, 11)),
+            *(f"fusion-associative p={p}" for p in (5, 7, 11)),
+        }
+
     def test_clean_verify_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "char0")
         assert code == EXIT_OK

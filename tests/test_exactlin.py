@@ -12,6 +12,8 @@ from vercat.exactlin import (
     RATIONALS,
     Field,
     Mat,
+    _echelon_rounds,
+    _rref_mod,
     matmul_mod,
     nilpotent_partition,
     nilpotent_partitions,
@@ -342,6 +344,45 @@ class TestNilpotentPartitions:
             nilpotent_partition(n)
         with pytest.raises(ValueError, match=r"GF\(p\) only"):
             list(nilpotent_partitions([n, n]))
+
+
+def _rank_partition(n: np.ndarray, p: int) -> tuple[int, ...]:
+    """The Jordan type of a nilpotent array from the ranks of its powers,
+    each by the int64 `_rref_mod`: rank N^(k-1) - rank N^k blocks have
+    size at least k."""
+    ranks, power = [len(n)], np.eye(len(n), dtype=np.int64)
+    while ranks[-1]:
+        power = power @ n % p
+        ranks.append(len(_rref_mod(power, p)[1]))
+    at_least = [a - b for a, b in zip(ranks, ranks[1:])] + [0]
+    sizes = range(len(at_least) - 1, 0, -1)
+    return tuple(k for k in sizes for _ in range(at_least[k - 1] - at_least[k]))
+
+
+class TestInt16Boundary:
+    """p = 181 is the last prime with (p-1)^2 < 2^15, where the rounds hold
+    residues as int16; p = 191 holds them as int32.  Entries p - 1 make
+    the rounds subtract (p-1)^2, the extreme of their range."""
+
+    @pytest.mark.parametrize("p, dtype", [(181, np.int16), (191, np.int32)])
+    def test_entries_at_p_minus_one(self, p, dtype):
+        rng = np.random.default_rng(p)
+        nils = []
+        for n in (4, 12, 30):
+            for density in (0.2, 0.5, 1.0):
+                a = (p - 1) * (rng.random((n, n)) < density).astype(np.int64)
+                a[n // 2 :] = a[: n - n // 2]  # rank deficient
+                assert pivots(a, p) == _rref_mod(a, p)[1]
+                a = (p - 1) * (rng.random((n, n)) < density).astype(np.int64)
+                assert pivots(a, p) == _rref_mod(a, p)[1]
+                # strictly upper triangular, so nilpotent, in a permuted basis
+                perm = rng.permutation(n)
+                nils.append(np.triu(a, 1)[perm][:, perm])
+        want = [_rank_partition(n, p) for n in nils]
+        assert [nilpotent_partition(Mat(GF(p), n)) for n in nils] == want
+        assert list(nilpotent_partitions(Mat(GF(p), n) for n in nils)) == want
+        piv, _ = _echelon_rounds(a, np.zeros(len(a), dtype=np.intp), 1, p)
+        assert piv.dtype == dtype
 
 
 def _int_product(a, b, p):

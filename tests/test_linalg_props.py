@@ -8,12 +8,14 @@ array functions they delegate to.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vercat.exactlin
 from vercat.exactlin import (
     BATCH_ENTRIES,
     GF,
@@ -21,6 +23,7 @@ from vercat.exactlin import (
     Mat,
     _echelon_mod,
     _is_prime,
+    _partition_batch,
     cokernel,
     kernel,
     nilpotent_partitions,
@@ -357,6 +360,54 @@ def test_batched_jordan_types(case):
         assert piv == want
         assert rows.shape == (len(piv), m.cols)
         assert rref(rows, p)[0].tolist() == r[: len(piv)].tolist()
+
+
+@st.composite
+def component_batch(draw):
+    """p in {2, 3, 5, 7, 13}, a batch cap, and (partition, nilpotent
+    residue array) members, some repeated: sums of Jordan blocks (J_1
+    blocks are isolated zero rows and columns), single blocks J_s and
+    J_r (x) J_s (one component each) and tensor products of two sums of
+    blocks, each conjugated by a random permutation.  A member's
+    partition is the sorted union of its blocks' partitions, each block
+    run through the whole-matrix chain on its own.  The smallest caps
+    make most batches run in the middle of a member."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    cap = draw(st.sampled_from([64, 1024, BATCH_ENTRIES]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = st.integers(1, min(p, 7))
+    kinds = st.sampled_from(["sum", "block", "tensor-block", "tensor"])
+    members = []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=6)):
+        if kind == "sum":
+            left = draw(st.lists(sizes, min_size=1, max_size=6)) + [1] * draw(st.integers(0, 12))
+            right = [1]
+        elif kind == "block":
+            left, right = [draw(st.integers(1, p))], [1]
+        elif kind == "tensor-block":
+            left, right = [draw(sizes)], [draw(sizes)]
+        else:
+            left = draw(st.lists(sizes, min_size=1, max_size=3))
+            right = draw(st.lists(sizes, min_size=1, max_size=3))
+        blocks = [jordan_nilpotent([r], [s]) % p for r in left for s in right]
+        parts = sorted((x for b in blocks for x in _partition_batch([b], p)[0]), reverse=True)
+        a = jordan_nilpotent(left, right) % p
+        perm = rng.permutation(len(a))
+        members.append((tuple(parts), a[perm][:, perm]))
+    repeats = draw(st.lists(st.integers(0, len(members) - 1), max_size=4))
+    members += [members[i] for i in repeats]
+    return p, cap, [members[i] for i in rng.permutation(len(members))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(component_batch())
+def test_jordan_types_by_components(case):
+    p, cap, members = case
+    mats = [Mat(GF(p), a) for _, a in members]
+    with mock.patch.object(vercat.exactlin, "BATCH_ENTRIES", cap):
+        got = list(nilpotent_partitions(mats))
+    assert got == [parts for parts, _ in members]
+    assert got == [_partition_batch([a], p)[0] for _, a in members]
 
 
 # -- the einsum Gram matrix of the trace pairing ------------------------------
