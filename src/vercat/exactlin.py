@@ -660,8 +660,6 @@ def _partition_batch(mats: list[np.ndarray], p: int) -> list[tuple[int, ...]]:
     width class reads its members' E from the slot table, cut to the
     class's top rank, and forms their next rows E N by one `matmul_mod`.
     """
-    if not p:
-        raise ValueError("Jordan types are computed over GF(p) only")
     sizes = np.array([len(n) for n in mats])
     top, classes = sizes.max(), {}
     for i, n in enumerate(sizes.tolist()):
