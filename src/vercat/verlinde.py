@@ -476,13 +476,19 @@ class _PairBasis:
     the first indices (tops) of the size-j summands, j < p.  Inside a
     summand of size c at top o, column o + k of `t` is N^(c-1-k) of the
     chain generator and row o + k of `tinv` is (row o) N^k, where
-    N = g_a (x) g_b - 1.
+    N = g_a (x) g_b - 1.  Row s of `row_chains[j]` is rows top, ...,
+    top+j-1 of `tinv` side by side for the s-th size-j summand, and column
+    s of `col_chains[j]` columns top, ..., top+j-1 of `t`, entries (x, k).
+    `top_cols` is the columns of `t` at all tops of `tops_by_size`, in order.
     """
 
     sizes: tuple[int, ...]
     tops_by_size: dict[int, np.ndarray]
     t: np.ndarray
     tinv: np.ndarray
+    row_chains: dict[int, np.ndarray]
+    col_chains: dict[int, np.ndarray]
+    top_cols: np.ndarray
 
 
 _PAIR_BASES: dict[tuple[int, int, int], _PairBasis] = {}
@@ -583,93 +589,118 @@ def _pair_basis(p: int, a: int, b: int) -> _PairBasis:
     assert sum(sizes) == n and np.array_equal((tinv @ t) % p, np.eye(n, dtype=np.int64))
     assert np.array_equal((tinv @ g_t) % p, jordan), "pair basis is not a Jordan basis"
     tops = {j: starts[np.equal(sizes, j)] for j in dict.fromkeys(sizes) if j < p}
-    out = _PairBasis(tuple(sizes), tops, t, tinv)
+    chains = {j: o[:, None] + np.arange(j) for j, o in tops.items()}
+    rows = {j: tinv[c].reshape(len(c), -1) for j, c in chains.items()}
+    cols = {j: t[:, c].transpose(0, 2, 1).reshape(-1, len(c)) for j, c in chains.items()}
+    out = _PairBasis(tuple(sizes), tops, t, tinv, rows, cols, t[:, starts[np.less(sizes, p)]])
     _PAIR_BASES[key] = out
     return out
+
+
+def _triple_tops(p: int, c: int, n: int, n2: int) -> dict[int, np.ndarray]:
+    """The top columns of the size-j summands (j < p) of (J_c (x) J_n) (x)
+    J_n2, read-only, in the basis T_(c,n) (x) 1 followed by T_(e,n2) on
+    every resulting J_e (x) J_n2 (e < p).  No other column is formed."""
+    basis = _pair_basis(p, c, n)
+    cols: dict[int, list[np.ndarray]] = {}
+    for e, starts in basis.tops_by_size.items():
+        inner = _pair_basis(p, e, n2)
+        chains = basis.t[:, starts[:, None] + np.arange(e)]  # cn x starts x e
+        col = (chains @ inner.top_cols.reshape(e, -1) % p).reshape(c * n, len(starts), n2, -1)
+        col = col.transpose(0, 2, 1, 3).reshape(c * n * n2, len(starts), -1)
+        k = 0
+        for j, tops in inner.tops_by_size.items():
+            cols.setdefault(j, []).append(col[:, :, k : k + len(tops)].reshape(c * n * n2, -1))
+            k += len(tops)
+    return {j: _frozen(np.concatenate(c, axis=1)) for j, c in cols.items()}
 
 
 class _TensorFrame:
     """V (x) X for literal Jordan-block sums V and X, with every block pair
     J_c (x) J_n brought to Jordan normal form by its pair basis.
 
-    `pieces` holds (global indices of J_c (x) J_n inside V (x) X, pair
-    basis); `summands[j]` lists (piece number, local tops) of the size-j
-    summands, j < p.  Size-p summands are negligible and never listed.
+    The pairs of one size pair (c, n) share that basis, so each method
+    makes one product per (c, n), not one per pair: `pieces[c, n]` stacks
+    the global indices of the pieces J_c (x) J_n in V (x) X (pieces x cn).
+    The size-j summands, j < p, are numbered piece by piece (V's blocks
+    outer, X's inner), then by top; `counts[j]` is their number, and
+    `summands[j]` lists per (c, n) the pair basis, the piece indices and
+    the (pieces x tops) summand numbers.  Size-p summands are negligible
+    and never listed.
     """
 
-    __slots__ = ("p", "sizes_x", "dim", "pieces", "summands")
+    __slots__ = ("p", "sizes_x", "dim", "pieces", "summands", "counts")
 
     def __init__(self, p: int, sizes_v: tuple[int, ...], sizes_x: tuple[int, ...]):
         nx = sum(sizes_x)
-        self.p = p
-        self.sizes_x = sizes_x
-        self.dim = sum(sizes_v) * nx
-        self.pieces: list[tuple[np.ndarray, _PairBasis]] = []
-        self.summands: dict[int, list[tuple[int, np.ndarray]]] = {}
-        oc = 0
-        for c in sizes_v:
-            on = 0
-            for n in sizes_x:
-                idx = ((oc + np.arange(c))[:, None] * nx + on + np.arange(n)).reshape(-1)
-                basis = _pair_basis(p, c, n)
-                for j, tops in basis.tops_by_size.items():
-                    self.summands.setdefault(j, []).append((len(self.pieces), tops))
-                self.pieces.append((idx, basis))
-                on += n
-            oc += c
+        self.p, self.sizes_x, self.dim = p, sizes_x, sum(sizes_v) * nx
+        grid = np.arange(self.dim).reshape(-1, nx)
+        pieces: dict[tuple[int, int], list] = {}
+        numbers: dict[tuple[int, int, int], list[int]] = {}
+        self.counts: Counter = Counter()
+        for c, oc in zip(sizes_v, itertools.accumulate(sizes_v, initial=0)):
+            for n, on in zip(sizes_x, itertools.accumulate(sizes_x, initial=0)):
+                pieces.setdefault((c, n), []).append(grid[oc : oc + c, on : on + n].reshape(-1))
+                for j, tops in _pair_basis(p, c, n).tops_by_size.items():
+                    first = self.counts[j]
+                    numbers.setdefault((c, n, j), []).extend(range(first, first + len(tops)))
+                    self.counts[j] += len(tops)
+        self.pieces = {cn: np.array(idx) for cn, idx in pieces.items()}
+        self.summands: dict[int, list[tuple[_PairBasis, np.ndarray, np.ndarray]]] = {}
+        for (c, n, j), num in numbers.items():
+            idx = self.pieces[c, n]
+            entry = (_pair_basis(p, c, n), idx, np.array(num).reshape(len(idx), -1))
+            self.summands.setdefault(j, []).append(entry)
 
-    def count(self, j: int) -> int:
-        return sum(len(tops) for _, tops in self.summands.get(j, ()))
-
-    def rows(self, j: int, k: int, coeff: np.ndarray) -> np.ndarray:
-        """coeff @ (rows top+k of T^-1 at the size-j summands): t x dim."""
-        out = np.zeros((coeff.shape[0], self.dim), dtype=np.int64)
-        pos = 0
-        for piece, tops in self.summands[j]:
-            idx, basis = self.pieces[piece]
-            c = coeff[:, pos : pos + len(tops)]
-            out[:, idx] = (c @ basis.tinv[tops + k]) % self.p
-            pos += len(tops)
+    def tops(self, j: int) -> np.ndarray:
+        """The rows of T^-1 at the tops of the size-j summands, scattered
+        in summand order: counts[j] x dim."""
+        out = np.zeros((self.counts[j], self.dim), dtype=np.int64)
+        for basis, idx, num in self.summands[j]:
+            out[num[:, :, None], idx[:, None, :]] = basis.row_chains[j][:, : idx.shape[1]]
         return out
 
-    def cols(self, j: int, k: int, coeff: np.ndarray) -> np.ndarray:
-        """(columns top+k of T at the size-j summands) @ coeff: dim x t."""
-        out = np.zeros((self.dim, coeff.shape[1]), dtype=np.int64)
-        pos = 0
-        for piece, tops in self.summands[j]:
-            idx, basis = self.pieces[piece]
-            c = coeff[pos : pos + len(tops)]
-            out[idx] = (basis.t[:, tops + k] @ c) % self.p
-            pos += len(tops)
-        return out
+    def chains(self, j: int, coeff: np.ndarray) -> np.ndarray:
+        """coeff @ (rows top+k of T^-1 at the size-j summands) for every
+        k < j, as the chains [w, wN, ..., wN^(j-1)] of the rows w of
+        coeff @ tops(j), stacked: (t * j) x dim for t coefficient rows."""
+        t = coeff.shape[0]
+        out = np.zeros((t, j, self.dim), dtype=np.int64)
+        for basis, idx, num in self.summands[j]:
+            prod = coeff[:, num].reshape(-1, num.shape[1]) @ basis.row_chains[j] % self.p
+            out[:, :, idx] = prod.reshape(t, len(idx), j, -1).transpose(0, 2, 1, 3)
+        return out.reshape(t * j, self.dim)
 
-    def tensor_tops(self) -> dict[int, list[tuple[np.ndarray, np.ndarray]]]:
+    def cols(self, j: int, coeff: np.ndarray) -> np.ndarray:
+        """(columns top+k of T at the size-j summands) @ coeff for every
+        k < j: dim x (t * j), column s * j + k for coefficient column s."""
+        t = coeff.shape[1]
+        out = np.zeros((self.dim, t, j), dtype=np.int64)
+        for basis, idx, num in self.summands[j]:
+            c = coeff[num].transpose(1, 0, 2).reshape(num.shape[1], -1)
+            prod = basis.col_chains[j] @ c % self.p
+            out[idx] = prod.reshape(idx.shape[1], j, len(idx), t).transpose(2, 0, 3, 1)
+        return out.reshape(self.dim, t * j)
+
+    def tensor_tops(self, local: dict) -> dict[int, list[tuple[np.ndarray, np.ndarray]]]:
         """Top columns of a Jordan basis of (V (x) X) (x) X, per size j < p.
 
-        Each piece J_c (x) J_n is normalized by T_(c,n) (x) 1, then every
-        resulting J_e (x) J_n' (e < p) by T_(e,n'); only the columns at the
-        tops of the size-j summands of that product are formed.  Entries
-        are (global indices of a (J_c (x) J_n) (x) J_n' block, the top
-        columns of all its size-j summands), one entry per block and j.
+        One entry per (c, n, n') and j: (the global indices of the blocks
+        (J_c (x) J_n) (x) J_n', stacked, their local top columns of size j).
+        The local columns are `_triple_tops`, kept in `local` per (c, n, n').
         """
-        p = self.p
-        nx = sum(self.sizes_x)
+        nx, sx = sum(self.sizes_x), np.asarray(self.sizes_x)
+        ox = np.cumsum(sx) - sx
         out: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-        for idx, basis in self.pieces:
-            on = 0
-            for n2 in self.sizes_x:
-                gidx = (idx[:, None] * nx + on + np.arange(n2)).reshape(-1)
-                cols: dict[int, list[np.ndarray]] = {}
-                for e, starts in basis.tops_by_size.items():
-                    inner = _pair_basis(p, e, n2)
-                    for j, tops in inner.tops_by_size.items():
-                        z = inner.t[:, tops].reshape(e, n2 * len(tops))
-                        for o in starts:
-                            col = basis.t[:, o : o + e] @ z % p
-                            cols.setdefault(j, []).append(col.reshape(-1, len(tops)))
-                for j, c in cols.items():
-                    out.setdefault(j, []).append((gidx, np.hstack(c)))
-                on += n2
+        for (c, n), idx in self.pieces.items():
+            for n2 in dict.fromkeys(self.sizes_x):
+                key = (c, n, n2)
+                if key not in local:
+                    local[key] = _triple_tops(self.p, *key)
+                x2 = ox[sx == n2, None] + np.arange(n2)
+                gidx = (idx[:, None, :, None] * nx + x2[None, :, None, :]).reshape(-1, c * n * n2)
+                for j, cols in local[key].items():
+                    out.setdefault(j, []).append((gidx, cols))
         return out
 
 
@@ -680,14 +711,16 @@ class _TensorFrame:
 
 class _Degrees:
     """The built degree data of one `SymTower`: `sizes`, `q`, `zero_from`,
-    the kernel rows `kernels[m, j]`, the tensor frames and the sections.
+    the kernel rows `kernels[m, j]`, the tensor frames, the local top
+    columns `tops[c, n, n']` of the triple products (`_triple_tops`) and
+    the sections.
 
     Every array in it is read-only once formed, so the towers that share
     it cannot write into each other's degrees.  It holds no reference to a
     tower, so it dies with the last tower that holds it.
     """
 
-    __slots__ = ("sizes", "q", "zero_from", "kernels", "frames", "sections", "__weakref__")
+    __slots__ = ("sizes", "q", "zero_from", "kernels", "frames", "tops", "sections", "__weakref__")
 
     def __init__(self, sizes_x: tuple[int, ...], depth: int, max_entries: int | None):
         self.sizes: list[tuple[int, ...]] = [(1,)]
@@ -703,6 +736,7 @@ class _Degrees:
         # (m, j) -> kernel rows whose chains are q_m's size-j rows
         self.kernels: dict[tuple[int, int], np.ndarray] = {}
         self.frames: dict[int, _TensorFrame] = {}
+        self.tops: dict[tuple[int, int, int], dict[int, np.ndarray]] = {}
         self.sections: dict[int, np.ndarray] = {}
 
 
@@ -727,8 +761,8 @@ class SymTower(graded.GradedTower):
     degree vanishes all higher degrees vanish (each S^m is a quotient of
     S^(m-1) (x) X), so construction stops early.
 
-    The built degrees (`sizes`, `q`, `zero_from`, kernel rows, frames and
-    sections: `_Degrees`) are shared among the towers alive on one
+    The built degrees (`sizes`, `q`, `zero_from`, kernel rows, frames,
+    triple-product tops and sections: `_Degrees`) are shared among the towers alive on one
     (p, X, depth, max_entries): a tower built while another on that key
     is still held reads the other's degrees instead of building its own.
     Nothing outlives the last holder, so there is no cache across calls
@@ -784,10 +818,12 @@ class SymTower(graded.GradedTower):
         A = V_(m-2) (x) X (x) X and B = V_(m-1) (x) X, in Jordan coordinates.
 
         B's classes into J_j are the rows of T_B^-1 at the tops of its
-        size-j summands; the class coordinates of a first row w over A are
-        w at the top columns of a Jordan basis of A; and the chain
-        [w, wN, ...] of a kernel combination is the same combination of
-        the following T_B^-1 rows (the combinations are kept per j for
+        size-j summands (`_TensorFrame.tops`); the class coordinates of a
+        first row w over A are w at the top columns of a Jordan basis of A,
+        one product per (c, n, n') on the local columns the tower keeps in
+        `_Degrees.tops`; and the chains [w, wN, ...] of the kernel
+        combinations are the same combinations of the following T_B^-1
+        rows (`_TensorFrame.chains`; the combinations are kept per j for
         `section`).  Rows of q_m are grouped per block, ordered
         [w, wN, ..., wN^(j-1)].  The precomposed class rows of each j, and
         q_m as its rows accumulate, are charged against `max_entries`
@@ -801,12 +837,12 @@ class SymTower(graded.GradedTower):
             return
         p, nx, budget = self.p, self.nx, self.max_entries
         a_dim = self.dim(m - 2) * nx * nx
-        a_tops = self._frame(m - 2).tensor_tops()
+        a_tops = self._frame(m - 2).tensor_tops(deg.tops)
         frame, q_prev = self._frame(m - 1), self.q[m - 1]
         sizes: list[int] = []
         q_rows: list[np.ndarray] = []
         for j in range(p - 1, 0, -1):
-            count = frame.count(j)
+            count = frame.counts[j]
             if count == 0:
                 continue
             if j not in a_tops:
@@ -816,20 +852,24 @@ class SymTower(graded.GradedTower):
                 # reps @ phi, contracted factor by factor so the relation
                 # map is never materialized: (q_(m-1) (x) 1_X) is one
                 # product of the reps, X factor moved to the rows, by q_(m-1)
-                reps = frame.rows(j, 0, np.eye(count, dtype=np.int64))
-                reps = reps.reshape(count, -1, nx).transpose(0, 2, 1)
+                reps = frame.tops(j).reshape(count, -1, nx).transpose(0, 2, 1)
                 pre = matmul_mod(reps.reshape(count * nx, -1), q_prev, p)
                 pre = pre.reshape(count, nx, -1).transpose(0, 2, 1).reshape(count, a_dim)
                 pre = graded.minus_swap(pre, nx) % p
-                coords = [matmul_mod(pre[:, idx], cols, p) for idx, cols in a_tops[j]]
-                ker = kernel(np.hstack(coords).T, p).T  # rows: kernels of precomposition
+                coords = np.concatenate([
+                    matmul_mod(pre[:, idx].reshape(-1, idx.shape[1]), cols, p).reshape(count, -1)
+                    for idx, cols in a_tops[j]
+                ], axis=1)
+                if count > 1:
+                    ker = kernel(coords.T, p).T  # rows: kernels of precomposition
+                else:  # a lone class survives exactly when all its coordinates vanish
+                    ker = np.ones((int(not coords.any()), 1), dtype=np.int64)
             if ker.shape[0] == 0:
                 continue
             deg.kernels[m, j] = _frozen(ker)
             rows = sum(sizes) + j * ker.shape[0]
             check_budget(rows * frame.dim, budget, f"S^{m}: projection rows")
-            chains = np.stack([frame.rows(j, k, ker) for k in range(j)], axis=1)
-            q_rows.append(chains.reshape(-1, frame.dim))
+            q_rows.append(frame.chains(j, ker))
             sizes.extend([j] * ker.shape[0])
         deg.sizes.append(tuple(sizes))
         deg.q.append(
@@ -864,8 +904,7 @@ class SymTower(graded.GradedTower):
             coeff = solve_array(self._deg.kernels[b, j], eye, self.p)
             if coeff is None:
                 raise AssertionError("projection classes are not surjective")
-            for k in range(j):
-                s[:, offsets + k] = frame.cols(j, k, coeff)
+            s[:, (offsets[:, None] + np.arange(j)).reshape(-1)] = frame.cols(j, coeff)
         sections[b] = _frozen(s)
         return s
 

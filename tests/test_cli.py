@@ -249,9 +249,10 @@ class TestExitCodes:
         assert "counterexample" in out
 
     def test_mutation_reaches_the_ring_laws(self, capsys):
-        # the ring laws read the mutated rule table too: without the p - r
-        # bound it is neither commutative nor associative from p = 5 on,
-        # while p = 3 and the unit pairing are untouched
+        # the ring laws and the quotient-monoidal law read the mutated rule
+        # table too: without the p - r bound it is neither commutative nor
+        # associative from p = 5 on, and the oracle's images of a (x) b no
+        # longer match, while p = 3 and the unit pairing are untouched
         code, out, _ = run(
             capsys,
             "verify",
@@ -265,6 +266,7 @@ class TestExitCodes:
             *(f"fusion-oracle p={p}" for p in (5, 7, 11, 13)),
             *(f"fusion-commutative p={p}" for p in (5, 7, 11)),
             *(f"fusion-associative p={p}" for p in (5, 7, 11)),
+            *(f"quotient-monoidal p={p}" for p in (5, 7)),
         }
 
     def test_clean_verify_suite(self, capsys):

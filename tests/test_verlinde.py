@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vercat import svec2
 from vercat.exactlin import BudgetExceeded, Mat
@@ -15,6 +17,7 @@ from vercat.verlinde import (
     MultSeries,
     SymTower,
     VerObject,
+    _TensorFrame,
     _pair_basis,
     _ver_sym_power_direct,
     fusion,
@@ -530,6 +533,10 @@ TOWER_DIGESTS = [
     (11, (1, 2), 12, "63642c52f39dd1cffc0a5e3e3d612e88a1cf98cef3e7964c89822db65d6c591a"),
     (11, (3, 5), 4, "b849f521e7f77e55eab3ab41c1ca3e20fce91876fabc2f10f377d81850876316"),
     (13, (2,), 12, "0b40a89326ca2886a248d8a48c7026f6335142d1d8569b5e5315a6eeeee7ff27"),
+    # repeated summands: tensor frames with several pieces of one (c, n)
+    (5, (1, 1, 3, 4), 6, "513a89c61661796fc779451b710faed60343c6c5a2af533509a7a83860d13653"),
+    (7, (2, 2, 3), 5, "357e5d182e90b82e9d6e8e1dbaf5553c059b5c4cb69aad4b45719afc30c3cf21"),
+    (11, (2, 2, 2), 5, "47a0f8d518c0ec4be6f9efd7bb5d7b1cc2d4b1d6a250f0daf489da2e709707b1"),
 ]
 
 
@@ -589,6 +596,131 @@ class TestSymTowerInternals:
                     @ np.kron(np.eye(tw.dim(a), dtype=np.int64), tw.section(b))
                 ) % tw.p
                 assert np.array_equal(tw.mu(a, b), kron), (type(tw).__name__, a, b)
+
+
+class _BlockFrame:
+    """The per-block reference for `_TensorFrame`: every block pair
+    J_c (x) J_n of V (x) X on its own, pieces in the order of V's blocks,
+    then X's, and each size-j summand numbered in that order."""
+
+    def __init__(self, p, sizes_v, sizes_x):
+        nx = sum(sizes_x)
+        self.p, self.sizes_x, self.dim = p, sizes_x, sum(sizes_v) * nx
+        self.pieces, self.summands = [], {}
+        oc = 0
+        for c in sizes_v:
+            on = 0
+            for n in sizes_x:
+                idx = ((oc + np.arange(c))[:, None] * nx + on + np.arange(n)).reshape(-1)
+                basis = _pair_basis(p, c, n)
+                for j, tops in basis.tops_by_size.items():
+                    self.summands.setdefault(j, []).append((len(self.pieces), tops))
+                self.pieces.append((idx, basis))
+                on += n
+            oc += c
+
+    def rows(self, j, k, coeff):
+        """coeff @ (rows top+k of T^-1 at the size-j summands)."""
+        out = np.zeros((coeff.shape[0], self.dim), dtype=np.int64)
+        pos = 0
+        for piece, tops in self.summands[j]:
+            idx, basis = self.pieces[piece]
+            out[:, idx] = coeff[:, pos : pos + len(tops)] @ basis.tinv[tops + k] % self.p
+            pos += len(tops)
+        return out
+
+    def cols(self, j, k, coeff):
+        """(columns top+k of T at the size-j summands) @ coeff."""
+        out = np.zeros((self.dim, coeff.shape[1]), dtype=np.int64)
+        pos = 0
+        for piece, tops in self.summands[j]:
+            idx, basis = self.pieces[piece]
+            out[idx] = basis.t[:, tops + k] @ coeff[pos : pos + len(tops)] % self.p
+            pos += len(tops)
+        return out
+
+    def tensor_tops(self):
+        """(global indices, top columns) per block (J_c (x) J_n) (x) J_n'
+        and summand J_e of J_c (x) J_n, per size j."""
+        nx, out = sum(self.sizes_x), {}
+        for idx, basis in self.pieces:
+            on = 0
+            for n2 in self.sizes_x:
+                gidx = (idx[:, None] * nx + on + np.arange(n2)).reshape(-1)
+                for e, starts in basis.tops_by_size.items():
+                    inner = _pair_basis(self.p, e, n2)
+                    for j, tops in inner.tops_by_size.items():
+                        z = inner.t[:, tops].reshape(e, -1)
+                        for o in starts:
+                            col = basis.t[:, o : o + e] @ z % self.p
+                            out.setdefault(j, []).append((gidx, col.reshape(-1, len(tops))))
+                on += n2
+        return out
+
+
+def _top_columns(entries):
+    """The columns of tensor-top entries as sorted (global row, value)
+    tuples: entries hold one block's indices or a stack of them."""
+    out = []
+    for gidx, cols in entries:
+        for g in np.reshape(gidx, (-1, cols.shape[0])):
+            for col in cols.T:
+                nz = np.flatnonzero(col)
+                out.append(tuple(zip(g[nz].tolist(), col[nz].tolist())))
+    return sorted(out)
+
+
+@st.composite
+def frame_sizes(draw):
+    # few distinct sizes, so block pairs of one (c, n) repeat
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    pool = draw(st.lists(st.integers(1, min(p - 1, 6)), min_size=1, max_size=3))
+    sizes_v = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    sizes_x = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    return p, tuple(sizes_v), tuple(sizes_x), draw(st.integers(0, 2**32 - 1))
+
+
+class TestTensorFrame:
+    """The frame that handles the block pairs of one (c, n) together
+    against the per-block reference, summand numbering included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(frame_sizes())
+    def test_grouped_frame_matches_per_block_reference(self, case):
+        p, sizes_v, sizes_x, seed = case
+        frame, ref = _TensorFrame(p, sizes_v, sizes_x), _BlockFrame(p, sizes_v, sizes_x)
+        rng = np.random.default_rng(seed)
+        assert set(frame.summands) == set(ref.summands)
+        for j in ref.summands:
+            count = frame.counts[j]
+            assert count == sum(len(tops) for _, tops in ref.summands[j])
+            assert np.array_equal(frame.tops(j), ref.rows(j, 0, np.eye(count, dtype=np.int64)))
+            coeff = rng.integers(0, p, size=(3, count))
+            want = np.stack([ref.rows(j, k, coeff) for k in range(j)], axis=1)
+            assert np.array_equal(frame.chains(j, coeff), want.reshape(-1, ref.dim))
+            coeff = rng.integers(0, p, size=(count, 2))
+            want = np.stack([ref.cols(j, k, coeff) for k in range(j)], axis=2)
+            assert np.array_equal(frame.cols(j, coeff), want.reshape(ref.dim, -1))
+        local = {}
+        got, want = frame.tensor_tops(local), ref.tensor_tops()
+        assert set(got) == set(want)
+        for j in want:
+            assert _top_columns(got[j]) == _top_columns(want[j]), j
+        # one local entry per (c, n, n'), read-only, reused by the next call
+        assert set(local) == {(c, n, n2) for c in sizes_v for n in sizes_x for n2 in sizes_x}
+        again = frame.tensor_tops(local)
+        for j in got:
+            assert all(a[1] is b[1] for a, b in zip(got[j], again[j]))
+            assert not any(cols.flags.writeable for _, cols in got[j])
+
+    def test_triple_tops_are_shared_degree_data(self):
+        # towers alive on one key read one cache of triple-product tops
+        x = L(7, 2) + L(7, 2) + L(7, 3)
+        first, second = SymTower(x, 5), SymTower(x, 5)
+        assert second._deg is first._deg and first._deg.tops
+        sizes = {s for m in range(4) for s in first.sizes[m]}
+        assert {c for c, _, _ in first._deg.tops} <= sizes
+        assert {(n, n2) for _, n, n2 in first._deg.tops} <= {(2, 2), (2, 3), (3, 2), (3, 3)}
 
 
 class TestPairBasis:
