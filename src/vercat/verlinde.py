@@ -762,13 +762,13 @@ class SymTower(graded.GradedTower):
     S^(m-1) (x) X), so construction stops early.
 
     The built degrees (`sizes`, `q`, `zero_from`, kernel rows, frames,
-    triple-product tops and sections: `_Degrees`) are shared among the towers alive on one
-    (p, X, depth, max_entries): a tower built while another on that key
-    is still held reads the other's degrees instead of building its own.
-    Nothing outlives the last holder, so there is no cache across calls
-    and no setting.  The products `_mu` stay with each tower, so a reader
-    that patches or corrupts `mu` sees its own products recomputed.
-    Shared arrays are read-only.
+    triple-product tops and sections: `_Degrees`) are shared among the
+    towers alive on one (p, X, depth, max_entries): a tower built while
+    another on that key is still held reads the other's degrees instead
+    of building its own.  Nothing outlives the last holder, so there is no
+    cache across calls and no setting.  The products `_mu` stay with each
+    tower, so a reader that patches or corrupts `mu` sees its own products
+    recomputed.  Shared arrays are read-only.
     """
 
     def __init__(self, x: VerObject, depth: int, max_entries: int | None = None):
