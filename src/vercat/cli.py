@@ -238,7 +238,8 @@ class ResultCache:
         except (OSError, ValueError):
             return None
         if (
-            payload.get("version") != __version__
+            not isinstance(payload, dict)
+            or payload.get("version") != __version__
             or payload.get("key") != key
             or payload.get("checksum") != self._checksum(payload.get("value"))
         ):

@@ -71,12 +71,12 @@ an inner size k below 2^53 / (p-1)^2 is exact (k < 2^21 at p = 65537);
 a larger k is split into chunks below that bound whose residues are
 summed, so it answers every inner size.
 
-`contract_mod` takes the element products (`graded.contract` and each
-output degree of `TruncatedAlgebra.mul`): the sum over degree pairs of
-the contractions of ca (x) cb against a (da x db x dc) structure tensor.
-A pair forms its outer product ca[i] cb[j] <= (p-1)^2 in float64, and
-its BLAS product has terms ca[i] cb[j] t[i, j, l] <= (p-1)^3, at most
-2^48 at p = 65537, all exact.  The pairs' products are added into one
+`contract_mod` takes the element products (each output degree of
+`TruncatedAlgebra.mul`): the sum over degree pairs of the contractions
+of ca (x) cb against a (da x db x dc) structure tensor.  A pair forms
+its outer product ca[i] cb[j] <= (p-1)^2 in float64, and its BLAS
+product has terms ca[i] cb[j] t[i, j, l] <= (p-1)^3, at most 2^48 at
+p = 65537, all exact.  The pairs' products are added into one
 float64 accumulator without reducing.  Let K count the terms summed
 into it, da * db per pair, plus one for the residue a reduction leaves
 (p - 1 <= (p-1)^3).  Every entry is then at most K (p-1)^3, exact while
@@ -504,11 +504,6 @@ class Mat:
         np.fill_diagonal(m.a, 1 if field.is_modular else Fraction(1))
         return m
 
-    @staticmethod
-    def hstack(mats: list["Mat"]) -> "Mat":
-        f = mats[0].field
-        return Mat(f, np.hstack([m.a for m in mats]))
-
     # -- basic structure ----------------------------------------------------
 
     @property
@@ -615,35 +610,11 @@ class Mat:
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
             raise ValueError("inverse requires a square matrix")
-        x = solve(self, Mat.identity(self.field, self.rows))
+        p = self.field.characteristic
+        x = solve_array(self.a, Mat.identity(self.field, self.rows).a, p)
         if x is None:
             raise ValueError("matrix is singular")
-        return x
-
-
-def solve(a: Mat, b: Mat) -> Mat | None:
-    """`solve_array` on checked matrices of one field."""
-    a._check_same_field(b)
-    x = solve_array(a.a, b.a, a.field.characteristic)
-    return None if x is None else Mat(a.field, x)
-
-
-def quotient_basis(v: Mat, w: Mat) -> tuple[Mat, Mat]:
-    """Coset representatives and projection for span(v) / span(w).
-
-    `v` must have independent columns (pass the identity for the ambient
-    space).  Raises ValueError when span(w) is not contained in span(v).
-    Returns (representatives, projection): representatives are ambient
-    columns; projection maps v-coordinates onto quotient coordinates and
-    kills the w-coordinates (`cokernel` of w in v's basis).
-    """
-    v._check_same_field(w)
-    p = v.field.characteristic
-    c = solve_array(v.a, w.a, p)
-    if c is None:
-        raise ValueError("w is not contained in the span of v")
-    proj, free = cokernel(c, p)
-    return Mat(v.field, v.a[:, free]), Mat(v.field, proj)
+        return Mat(self.field, x)
 
 
 def nilpotent_partition(n: Mat) -> tuple[int, ...]:

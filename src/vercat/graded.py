@@ -184,18 +184,6 @@ def _left_columns(m: np.ndarray, da: int, w: int, left: tuple[int, ...]) -> np.n
     return m.reshape(r, da, w)[:, list(left)].reshape(r, len(left) * w)
 
 
-def contract(ca: np.ndarray, cb: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
-    """Product coordinates of reduced homogeneous coordinates ca, cb
-    against the (da x db x dc) structure tensor `table`.
-
-    ca and cb are (da,) and (db,) vectors or (trials, da) and
-    (trials, db) batches, and either may be a vector broadcast against
-    the other's batch: the one-pair case of `exactlin.contract_mod`,
-    exact for every size.
-    """
-    return contract_mod([(ca, cb, table)], p)
-
-
 class TruncatedAlgebra:
     """Elements of a graded algebra over GF(p), truncated above `depth`.
 

@@ -117,12 +117,6 @@ class InvariantAlgebra(graded.TruncatedAlgebra):
         """Structure constants: table[k, l] = coords of (e_k^a) * (e_l^b)."""
         return self.iso_table(a, b, 1)
 
-    def multiply_coords(
-        self, a: int, ca: np.ndarray, b: int, cb: np.ndarray
-    ) -> np.ndarray:
-        p = self.p
-        return graded.contract(ca % p, cb % p, self.product_table(a, b), p)
-
     def mul(self, u: dict, v: dict) -> dict:
         # every product, powers included, enters through mul_elems, so a
         # trace of mul_elems counts all of them
@@ -216,7 +210,7 @@ def isotypic_stability_check(
     s * t must again be pure of type i.  A trial checks that the product
     representative h: J_i -> V_m is an exact intertwiner, and for i = 1
     that its class matches the structure constants (the Reynolds
-    property rho(s a) = s rho(a)), testing the `table`/`contract` reading
+    property rho(s a) = s rho(a)), testing the `product_table`/`mul` reading
     against this direct contraction.  Any failure flags an
     implementation bug, never new mathematics.
 
@@ -262,8 +256,8 @@ def isotypic_stability_check(
         gj, gv = module((i,)).g.a, module(alg.tower.sizes[m]).g.a  # J_i, V_m
         if not np.array_equal((h @ gj) % p, (gv @ h) % p):
             return False
-        got = alg.iso_class_of(m, i, h)
-        if i == 1 and not np.array_equal(got, alg.multiply_coords(a, ca, b, cb)):
+        got = {m: alg.iso_class_of(m, i, h)}
+        if i == 1 and not alg.equal(got, alg.mul({a: ca}, {b: cb})):
             return False
     return True
 

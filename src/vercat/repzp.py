@@ -83,19 +83,6 @@ class ZpModule:
             raise ValueError("generator is not unipotent of order dividing p")
 
 
-@dataclass(frozen=True, eq=False)
-class HomSpace:
-    """A basis of the intertwiners source -> target."""
-
-    source: ZpModule
-    target: ZpModule
-    basis: tuple[Mat, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
 def jordan_module(p: int, parts: list[int] | tuple[int, ...]) -> ZpModule:
     """Direct sum of Jordan blocks J_{parts[0]} (+) J_{parts[1]} (+) ..."""
     for x in parts:
@@ -176,16 +163,6 @@ def hom_stack(a: ZpModule, b: ZpModule) -> np.ndarray:
     )
     k = kernel(system, a.p)
     return k.T.reshape(k.shape[1], b.dim, a.dim)
-
-
-def hom_space(a: ZpModule, b: ZpModule) -> HomSpace:
-    """All intertwiners a -> b, as a basis of matrices."""
-    return HomSpace(a, b, tuple(Mat(GF(a.p), t) for t in hom_stack(a, b)))
-
-
-def fixed_points(m: ZpModule) -> Mat:
-    """Basis of the invariant subspace ker(g - 1), as columns."""
-    return m.nilpotent().kernel_basis()
 
 
 def sym_power(m: ZpModule, degree: int, max_entries: int | None = None) -> ZpModule:

@@ -238,17 +238,6 @@ def _trace_radical(a: ZpModule, b: ZpModule) -> tuple[np.ndarray, np.ndarray]:
     return fwd, kernel(gram.T, a.p)
 
 
-def negligible_radical(a: ZpModule, b: ZpModule) -> list[Mat]:
-    """Basis of the negligible morphisms N(a, b) inside Hom(a, b).
-
-    f is negligible iff tr(f u) = 0 for every u: b -> a; the radical of
-    that pairing is computed on hom-space bases.
-    """
-    fwd, coeffs = _trace_radical(a, b)
-    rad = np.tensordot(coeffs.T, fwd, axes=1) % a.p
-    return [Mat(GF(a.p), f) for f in rad]
-
-
 @dataclass(frozen=True, eq=False)
 class VerHom:
     """Hom(a, b) / N(a, b) with chosen lift matrices for the classes."""
@@ -586,8 +575,10 @@ def _pair_basis(p: int, a: int, b: int) -> _PairBasis:
     for o, s in zip(starts, sizes):
         jordan[o : o + s - 1, o + 1 : o + s] += np.eye(s - 1, dtype=np.int64)
     g_t = (t + _nil_cols(t, a, b, p)) % p
-    assert sum(sizes) == n and np.array_equal((tinv @ t) % p, np.eye(n, dtype=np.int64))
-    assert np.array_equal((tinv @ g_t) % p, jordan), "pair basis is not a Jordan basis"
+    if sum(sizes) != n or not np.array_equal((tinv @ t) % p, np.eye(n, dtype=np.int64)):
+        raise AssertionError("pair basis is not invertible")
+    if not np.array_equal((tinv @ g_t) % p, jordan):
+        raise AssertionError("pair basis is not a Jordan basis")
     tops = {j: starts[np.equal(sizes, j)] for j in dict.fromkeys(sizes) if j < p}
     chains = {j: o[:, None] + np.arange(j) for j, o in tops.items()}
     rows = {j: tinv[c].reshape(len(c), -1) for j, c in chains.items()}
@@ -991,8 +982,8 @@ def sym_alg_series(
     tower = SymTower(x, depth, max_entries)
     degrees = tuple(tower.multiplicities(m) for m in range(depth + 1))
     finite = tower.zero_from is not None
-    if finite:
-        assert x.mult_of(1) == 0, "a trivial summand cannot vanish in S(X)"
+    if finite and x.mult_of(1):
+        raise AssertionError("a trivial summand cannot vanish in S(X)")
     total = sum(degrees, VerObject.zero(x.p)) if finite else None
     return MultSeries(x.p, degrees, finite, total)
 

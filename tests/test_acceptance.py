@@ -15,6 +15,7 @@ import numpy as np
 from vercat.exactlin import GF, Mat
 from vercat.repzp import (
     braiding as rep_braiding,
+    hom_stack,
     jordan_module,
     jordan_type,
     sym_power,
@@ -23,7 +24,6 @@ from vercat.repzp import (
 from vercat.verlinde import (
     VerObject,
     fusion_rule,
-    negligible_radical,
     poly_factor_check,
     quotient,
     series_product,
@@ -119,7 +119,8 @@ def test_06_semisimplicity_of_quotient():
                 dim = ver_hom(jordan_module(p, [i]), jordan_module(p, [j])).dim
                 assert dim == (1 if i == j else 0), (p, i, j)
         jp = jordan_module(p, [p])
-        assert len(negligible_radical(jp, jp)) == p  # End(J_p) entirely negligible
+        # End(J_p) entirely negligible
+        assert len(hom_stack(jp, jp)) == p and ver_hom(jp, jp).dim == 0
     report(6, "dim Hom_Ver(L_i, L_j) = delta_ij and End(J_p) negligible",
            time.time() - t0)
 

@@ -426,6 +426,23 @@ class TestCache:
         assert code == EXIT_OK
         assert json.loads(out)["results"][0]["verlinde"] == "L3"  # recomputed
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"L4"', "null", '{"version": "0.1'])
+    def test_unreadable_entry_is_recomputed(self, capsys, tmp_path, text):
+        # valid JSON that is not an object is as corrupt as a truncated file
+        argv = [
+            "sympow", "--p", "5", "--object", "L2", "--degree", "2",
+            "--cache-dir", str(tmp_path),
+        ]
+        code, first, _ = run(capsys, *argv)
+        (entry,) = os.listdir(tmp_path)
+        path = os.path.join(tmp_path, entry)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code2, again, _ = run(capsys, *argv)
+        assert code == code2 == EXIT_OK and again == first
+        with open(path, encoding="utf-8") as fh:
+            assert isinstance(json.load(fh), dict)  # the entry is rewritten
+
     def test_failed_write_keeps_old_entry(self, tmp_path, monkeypatch):
         cache = ResultCache(str(tmp_path))
         cache.put("k", {"verlinde": "L3"})

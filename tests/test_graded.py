@@ -443,13 +443,13 @@ class TestBatch:
         for ca, cb, table in cases:
             # batch x batch, and a vector broadcast against the other's batch
             for left, right in ((ca, cb), (ca[0], cb), (ca, cb[0])):
-                got = graded.contract(left, right, table, p)
+                got = exactlin.contract_mod([(left, right, table)], p)
                 want = python_int_contract(
                     np.broadcast_to(left, ca.shape), np.broadcast_to(right, cb.shape), table, p
                 )
                 assert got.shape == (len(ca), dc) and got.tolist() == want
             # vector x vector: one (dc,) vector
-            got = graded.contract(ca[0], cb[0], table, p)
+            got = exactlin.contract_mod([(ca[0], cb[0], table)], p)
             assert got.shape == (dc,)
             assert got.tolist() == python_int_contract(ca[:1], cb[:1], table, p)[0]
 
@@ -559,8 +559,8 @@ def test_negative_degree_rejected(build):
 
 
 def test_hot_products_run_on_the_exact_kernel(monkeypatch):
-    # element products (graded.contract_mod, the kernel behind mul and
-    # contract) and tower products (mu, and the precomposition of
+    # element products (`contract_mod` as graded imports it, the kernel
+    # behind mul) and tower products (mu, and the precomposition of
     # SymTower._build_degree) form their mod-p products through the
     # exactlin kernels, with unchanged answers
     calls, contractions = [], []

@@ -28,13 +28,11 @@ from vercat.exactlin import (
     kernel,
     nilpotent_partitions,
     pivots,
-    quotient_basis,
     rank,
     rref,
-    solve,
     solve_array,
 )
-from vercat.repzp import hom_space, hom_stack, jordan_module
+from vercat.repzp import hom_stack, jordan_module
 from vercat.verlinde import _trace_gram
 
 PROPS = settings(max_examples=60, deadline=None)
@@ -281,19 +279,24 @@ def test_mat_methods_delegate(case):
 
 @PROPS
 @given(linear_system())
-def test_solve_and_quotient_basis_delegate(case):
-    p, a, b = case
+def test_inverse_and_quotient_through_solve_array(case):
+    """`Mat.inverse` is `solve_array` against the identity, and the
+    quotient of the whole space by span(a) reads the same `cokernel`
+    through `solve_array`'s coordinates over the identity basis."""
+    p, a, _ = case
     field = field_of(p)
-    x = solve(Mat(field, a), Mat(field, b))
-    want = solve_array(a, b, p)
-    assert (x is None) == (want is None)
-    if want is not None:
-        assert x.a.tolist() == want.tolist()
-    n = a.shape[0]
-    reps, proj = quotient_basis(Mat.identity(field, n), Mat(field, a))
+    n = min(a.shape)
+    square = Mat(field, a[:n, :n])
+    want = solve_array(square.a, Mat.identity(field, n).a, p)
+    if want is None:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            square.inverse()
+    else:
+        assert square.inverse().a.tolist() == want.tolist()
+    coords = solve_array(Mat.identity(field, a.shape[0]).a, a, p)
     q, free = cokernel(a, p)
-    assert proj.a.tolist() == q.tolist()
-    assert reps.a.tolist() == Mat.identity(field, n).a[:, free].tolist()
+    got_q, got_free = cokernel(coords, p)
+    assert (got_q.tolist(), got_free) == (q.tolist(), free)
 
 
 # -- batched Jordan types -----------------------------------------------------
@@ -420,7 +423,8 @@ def test_trace_gram_is_pairwise_trace(p):
         for sb in parts:
             a, b = jordan_module(p, sa), jordan_module(p, sb)
             gram = _trace_gram(hom_stack(a, b), hom_stack(b, a), p)
-            fwd, bwd = hom_space(a, b).basis, hom_space(b, a).basis
+            fwd = [Mat(GF(p), f) for f in hom_stack(a, b)]
+            bwd = [Mat(GF(p), u) for u in hom_stack(b, a)]
             want = [[(f @ u).trace() for u in bwd] for f in fwd]
             assert gram.shape == (len(fwd), len(bwd))
             assert gram.tolist() == want

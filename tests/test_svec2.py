@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from vercat import exactlin, graded
-from vercat.exactlin import GF, BudgetExceeded, Mat, quotient_basis
+from vercat.exactlin import GF, BudgetExceeded, Mat, cokernel
 from vercat.svec2 import (
     DGradedAlgebra,
     DModule,
@@ -61,12 +61,13 @@ def brute_degree(x: DModule, m: int):
         )
         rel_cols.append(eye + tau)
     rel = (
-        Mat.hstack(rel_cols).image_basis()
+        Mat(F2, np.hstack([r.a for r in rel_cols])).image_basis()
         if rel_cols
         else Mat.zeros(F2, n**m, 0)
     )
-    reps, proj = quotient_basis(eye, rel)
-    return proj.rows, proj @ big_d @ reps
+    # the unit vectors at `free` are the coset representatives
+    proj, free = cokernel(rel.a, 2)
+    return len(proj), Mat(F2, proj @ big_d.a[:, free])
 
 
 class TestDModule:

@@ -1,15 +1,20 @@
-"""The benchmark tracer (`perfbench/tracer.py`) wraps vercat functions and
-methods by attribute name; a rename in the package must fail here rather
-than silently break `perfbench/run.py --trace 1`."""
+"""Checks on the source tree itself.
 
+The benchmark tracer (`perfbench/tracer.py`) wraps vercat functions and
+methods by attribute name; a rename in the package must fail here rather
+than silently break `perfbench/run.py --trace 1`.  The package's own
+correctness checks raise AssertionError explicitly, so `python -O` keeps
+them."""
+
+import ast
+import glob
 import importlib.util
 import os
 
 import vercat.cli
 
-TRACER = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracer.py"
-)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
 
 
 def test_tracer_layers_resolve():
@@ -21,3 +26,20 @@ def test_tracer_layers_resolve():
         assert callable(getattr(owner, attr, None)), name
     for suite, attr in tracer.SUITES.items():
         assert callable(getattr(vercat.cli, attr, None)), suite
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` compiles assert statements out; a check that guards an
+    # answer must survive it
+    paths = sorted(glob.glob(os.path.join(ROOT, "src", "vercat", "*.py")))
+    assert paths
+    found = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        found += [
+            f"{os.path.basename(path)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == []

@@ -3,26 +3,29 @@ multiplicity series.  The fusion formula and the decomposition oracle are
 independent routes and their agreement anchors everything else."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vercat import svec2
-from vercat.exactlin import BudgetExceeded, Mat
-from vercat.repzp import hom_space, jordan_module, jordan_type, tensor, trivial_module
+from vercat import svec2, verlinde
+from vercat.exactlin import GF, BudgetExceeded, Mat, solve_array
+from vercat.repzp import hom_stack, jordan_module, jordan_type, tensor, trivial_module
 from vercat.verlinde import (
     MultSeries,
     SymTower,
     VerObject,
     _TensorFrame,
     _pair_basis,
+    _trace_radical,
     _ver_sym_power_direct,
     fusion,
     fusion_rule,
-    negligible_radical,
     poly_factor_check,
     quotient,
     quotients,
@@ -36,6 +39,14 @@ from vercat.repzp import sym_power
 
 def L(p, i):
     return VerObject.simple(p, i)
+
+
+def radical(a, b):
+    """A basis of the negligible maps a -> b, stacked (h x b.dim x a.dim):
+    the radical's coefficient columns taken over `_trace_radical`'s hom
+    basis."""
+    fwd, coeffs = _trace_radical(a, b)
+    return np.tensordot(coeffs.T, fwd, axes=1) % a.p
 
 
 def rand_module(rng, p, max_parts=3):
@@ -193,19 +204,17 @@ class TestNegligibleRadical:
     def test_end_jp_entirely_negligible(self):
         for p in (3, 5):
             jp = jordan_module(p, [p])
-            rad = negligible_radical(jp, jp)
+            rad = radical(jp, jp)
             assert len(rad) == p  # all of End(J_p)
-            stacked = Mat.hstack([Mat(r.field, r.a.reshape(-1, 1)) for r in rad])
-            ident = Mat.identity(rad[0].field, p)
-            from vercat.exactlin import solve
-
-            assert solve(stacked, Mat(ident.field, ident.a.reshape(-1, 1))) is not None
+            stacked = rad.reshape(p, p * p).T
+            ident = np.eye(p, dtype=np.int64).reshape(-1, 1)
+            assert solve_array(stacked, ident, p) is not None
 
     def test_codimension_one_for_simples(self):
         for p in (3, 5, 7):
             for i in range(1, p):
                 ji = jordan_module(p, [i])
-                assert len(negligible_radical(ji, ji)) == i - 1
+                assert len(hom_stack(ji, ji)) - ver_hom(ji, ji).dim == i - 1
 
     def test_full_between_distinct_simples(self):
         for p in (5, 7):
@@ -213,10 +222,8 @@ class TestNegligibleRadical:
                 for j in range(1, p):
                     if i == j:
                         continue
-                    rad = negligible_radical(
-                        jordan_module(p, [i]), jordan_module(p, [j])
-                    )
-                    assert len(rad) == min(i, j)
+                    a, b = jordan_module(p, [i]), jordan_module(p, [j])
+                    assert len(hom_stack(a, b)) - ver_hom(a, b).dim == min(i, j)
 
     def test_tensor_ideal_property(self):
         # a negligible f tensored with anything stays negligible
@@ -227,16 +234,15 @@ class TestNegligibleRadical:
             b = jordan_module(p, [rng.randint(1, 3)])
             c = jordan_module(p, [rng.randint(1, 2)])
             d = jordan_module(p, [rng.randint(1, 2)])
-            rad = negligible_radical(a, b)
-            if not rad:
+            rad = radical(a, b)
+            if not len(rad):
                 continue
-            n = rad[rng.randrange(len(rad))]
-            gs = hom_space(c, d).basis
-            g = gs[rng.randrange(len(gs))]
+            n = Mat(GF(p), rad[rng.randrange(len(rad))])
+            gs = hom_stack(c, d)
+            g = Mat(GF(p), gs[rng.randrange(len(gs))])
             big = n.kron(g)  # A (x) C -> B (x) D
-            back = hom_space(tensor(b, d), tensor(a, c)).basis
-            for u in back:
-                assert (big @ u).trace() == 0
+            for u in hom_stack(tensor(b, d), tensor(a, c)):
+                assert (big @ Mat(GF(p), u)).trace() == 0
 
 
 class TestVerHom:
@@ -269,9 +275,9 @@ class TestVerHom:
         a = jordan_module(p, [2, 1])
         b = jordan_module(p, [5, 3])
         c = jordan_module(p, [3])
-        hom_ab = hom_space(a, b).basis
-        rad_ab = negligible_radical(a, b)
-        hom_bc = hom_space(b, c).basis
+        hom_ab = [Mat(GF(p), f) for f in hom_stack(a, b)]
+        rad_ab = [Mat(GF(p), f) for f in radical(a, b)]
+        hom_bc = [Mat(GF(p), f) for f in hom_stack(b, c)]
         vh = ver_hom(a, c)
         for _ in range(20):
             u = hom_ab[rng.randrange(len(hom_ab))].scale(rng.randrange(1, p))
@@ -752,6 +758,22 @@ class TestPairBasis:
                     jordan = jordan_module(p, list(pb.sizes)).g.a
                     assert np.array_equal((pb.t @ pb.tinv) % p, np.eye(a * b))
                     assert np.array_equal((pb.tinv @ g @ pb.t) % p, jordan)
+
+    def test_corrupted_basis_raises_under_python_o(self):
+        # the conjugation checks raise AssertionError themselves, so the
+        # assert-stripping `python -O` still rejects a wrong basis
+        code = (
+            "from vercat import verlinde\n"
+            "verlinde._nil_rows = lambda v, a, b, p: v % p\n"
+            "verlinde._pair_basis(5, 2, 3)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(verlinde.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 1
+        assert "AssertionError: pair basis is not" in out.stderr
 
 
 class TestFullTables:
