@@ -811,8 +811,6 @@ def _prime(text: str) -> int:
         GF(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    if value < 2:
-        raise argparse.ArgumentTypeError("p must be a prime")
     return value
 
 

@@ -1,11 +1,13 @@
-"""Field-generic exact dense linear algebra over GF(p) and over Q.
+"""Exact dense linear algebra over GF(p), and over Q in the array functions.
 
 All linear algebra of the package is done by the array functions
 `rref`, `pivots`, `rank`, `kernel`, `solve_array` and `cokernel`.  Each
-takes the characteristic p, with p = 0 meaning Q: int64 residues over
-GF(p), `fractions.Fraction` entries in object arrays over Q.  `Mat` is
-the checked public type; its elimination methods delegate to the array
-functions.  Every operation is exact and deterministic.
+takes the characteristic p: int64 residues over GF(p), or, with p = 0,
+`fractions.Fraction` entries in object arrays over Q, which only the
+char-0 demo `invariants.char0_counterexample` uses.  `Field`, `GF` and
+`Mat`, the checked public matrix type, are GF(p) only; `Mat.inverse` is
+`solve_array` against the identity.  Every operation is exact and
+deterministic.
 
 There is one Gauss-Jordan, `_rref_mod`, for both fields: `rref` runs
 it, one pivot per step, because `kernel`, `solve_array` and `cokernel`
@@ -15,8 +17,8 @@ kernel, `_echelon_rounds`: forward elimination in rounds, where every
 row whose leading column has no pivot yet can become one in the same
 round.  It takes the stacked rows of many arrays ("members") and keeps
 one pivot slot per (member, column), so each member gets its own pivot
-columns and echelon rows; `pivots` (hence `rank`, `Mat.image_basis` and
-the hom-class anchor in `verlinde`) runs it on one array.  The two
+columns and echelon rows; `pivots` (hence `rank` and the hom-class
+anchor in `verlinde`) runs it on one array.  The two
 eliminations agree: both leave a basis of the row space with distinct
 leading columns, and those columns are the same for every such basis
 (the pivot columns of a row space are the columns not in the span of
@@ -94,10 +96,10 @@ varying slowest, i.e. basis vector (i, j) of X (x) Y sits at index
 i * dim(Y) + j.  `Mat.kron` and every module in this package share this
 convention; cross-module equality tests depend on it.
 
-The trace here is the plain matrix trace.  For representations of a
-finite group with the swap braiding the canonical pivotal structure is
-the identity, so this agrees with the categorical (spherical) trace used
-to define negligible morphisms.
+The trace that defines negligible morphisms (`verlinde._trace_gram`) is
+the plain matrix trace.  For representations of a finite group with the
+swap braiding the canonical pivotal structure is the identity, so this
+agrees with the categorical (spherical) trace.
 """
 
 from __future__ import annotations
@@ -153,28 +155,18 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Field:
-    """GF(p) for a prime p, or the rationals when characteristic == 0."""
+    """GF(p) for a prime p <= MAX_PRIME."""
 
     characteristic: int
 
     def __post_init__(self):
         p = self.characteristic
-        if p == 0:
-            return
-        if p < 0 or p > MAX_PRIME or not _is_prime(p):
-            raise ValueError(
-                f"characteristic must be 0 or a prime <= {MAX_PRIME}, got {p}"
-            )
-
-    @property
-    def is_modular(self) -> bool:
-        return self.characteristic != 0
+        if p > MAX_PRIME or not _is_prime(p):
+            raise ValueError(f"characteristic must be a prime <= {MAX_PRIME}, got {p}")
 
     def __str__(self):
-        return f"GF({self.characteristic})" if self.is_modular else "Q"
+        return f"GF({self.characteristic})"
 
-
-RATIONALS = Field(0)
 
 _gf_cache: dict[int, Field] = {}
 
@@ -299,21 +291,6 @@ def _echelon_rounds(
         r -= factor[:, None] * piv[mine]  # r is a copy: astype and r[live] copy
         r -= p * (r // p)  # r % p: numpy divides by a scalar faster
     return piv, slot.reshape(count, width)
-
-
-def _echelon_mod(members: list[np.ndarray], p: int) -> list[tuple[list[int], np.ndarray]]:
-    """Pivot columns and echelon rows of each integer array mod p: the
-    members stacked for one `_echelon_rounds`, rows sorted by column."""
-    owner = np.repeat(np.arange(len(members)), [len(m) for m in members])
-    r = np.zeros((len(owner), max((m.shape[1] for m in members), default=0)), dtype=np.int64)
-    for i, m in enumerate(members):
-        r[owner == i, : m.shape[1]] = m % p
-    piv, slot = _echelon_rounds(r, owner, len(members), p)
-    out = []
-    for m, rows in zip(members, slot):
-        cols = np.flatnonzero(rows[: m.shape[1]] >= 0)
-        out.append((cols.tolist(), piv[rows[cols], : m.shape[1]].astype(np.int64)))
-    return out
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -467,42 +444,28 @@ def cokernel(rel: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 class Mat:
-    """Dense exact matrix over GF(p) or Q."""
+    """Dense exact matrix over GF(p): int64 residues in [0, p)."""
 
     __slots__ = ("field", "a")
 
     def __init__(self, field: Field, entries):
         self.field = field
-        if field.is_modular:
-            raw = np.asarray(entries)
-            if raw.size and (
-                np.issubdtype(raw.dtype, np.floating)
-                or np.issubdtype(raw.dtype, np.complexfloating)
-            ):
-                raise ValueError("floating point entries are not allowed")
-            a = raw.astype(np.int64)
-            if a.ndim != 2:
-                raise ValueError("matrix entries must be 2-dimensional")
-            self.a = a % field.characteristic
-        else:
-            a = np.asarray(entries, dtype=object)
-            if a.ndim != 2:
-                raise ValueError("matrix entries must be 2-dimensional")
-            self.a = _fractions(a)
-        if self.a.dtype != np.int64 and field.is_modular:
-            raise ValueError("modular matrices must be integer valued")
+        a = np.asarray(entries)
+        if a.size and a.dtype.kind in "fc":
+            raise ValueError("floating point entries are not allowed")
+        if a.ndim != 2:
+            raise ValueError("matrix entries must be 2-dimensional")
+        self.a = a.astype(np.int64) % field.characteristic
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Mat":
-        return Mat(field, _zeros(rows, cols, field.characteristic))
+        return Mat(field, np.zeros((rows, cols), dtype=np.int64))
 
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
-        m = Mat.zeros(field, n, n)
-        np.fill_diagonal(m.a, 1 if field.is_modular else Fraction(1))
-        return m
+        return Mat(field, np.eye(n, dtype=np.int64))
 
     # -- basic structure ----------------------------------------------------
 
@@ -516,102 +479,43 @@ class Mat:
 
     @property
     def T(self) -> "Mat":
-        return Mat(self.field, self.a.T.copy())
-
-    def copy(self) -> "Mat":
-        return Mat(self.field, self.a.copy())
+        return Mat(self.field, self.a.T)
 
     def is_zero(self) -> bool:
-        if self.field.is_modular:
-            return not self.a.any()
-        return all(x == 0 for x in self.a.flat)
+        return not self.a.any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.field == other.field and self.a.shape == other.a.shape and (
-            np.array_equal(self.a, other.a)
-            if self.field.is_modular
-            else all(x == y for x, y in zip(self.a.flat, other.a.flat))
-        )
-
-    def __hash__(self):
-        raise TypeError("Mat is mutable, not hashable")
-
-    def __repr__(self):
-        return f"Mat({self.field}, {self.a.tolist()!r})"
+        return self.field == other.field and np.array_equal(self.a, other.a)
 
     def _check_same_field(self, other: "Mat") -> None:
         if self.field != other.field:
             raise ValueError(f"field mismatch: {self.field} vs {other.field}")
 
-    # -- arithmetic ---------------------------------------------------------
+    # -- arithmetic (the constructor reduces mod p) ---------------------------
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check_same_field(other)
-        p = self.field.characteristic
-        prod = self.a @ other.a
-        return Mat(self.field, prod % p if p else prod)
+        return Mat(self.field, self.a @ other.a)
 
     def __add__(self, other: "Mat") -> "Mat":
         self._check_same_field(other)
-        p = self.field.characteristic
-        s = self.a + other.a
-        return Mat(self.field, s % p if p else s)
+        return Mat(self.field, self.a + other.a)
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._check_same_field(other)
-        p = self.field.characteristic
-        s = self.a - other.a
-        return Mat(self.field, s % p if p else s)
-
-    def __neg__(self) -> "Mat":
-        p = self.field.characteristic
-        return Mat(self.field, (-self.a) % p if p else -self.a)
-
-    def scale(self, c) -> "Mat":
-        p = self.field.characteristic
-        if p:
-            return Mat(self.field, (self.a * (int(c) % p)) % p)
-        return Mat(self.field, self.a * Fraction(c))
-
-    def trace(self):
-        if self.rows != self.cols:
-            raise ValueError("trace requires a square matrix")
-        p = self.field.characteristic
-        t = sum(self.a[i, i] for i in range(self.rows))
-        return int(t) % p if p else Fraction(t)
+        return Mat(self.field, self.a - other.a)
 
     def kron(self, other: "Mat") -> "Mat":
         """Kronecker product; left factor index varies slowest."""
         self._check_same_field(other)
-        p = self.field.characteristic
-        k = np.kron(self.a, other.a)
-        return Mat(self.field, k % p if p else k)
-
-    # -- elimination (delegated to the array functions) ----------------------
-
-    def rref(self) -> tuple["Mat", list[int]]:
-        """Reduced row echelon form and its pivot columns."""
-        r, piv = rref(self.a, self.field.characteristic)
-        return Mat(self.field, r), piv
-
-    def rank(self) -> int:
-        return rank(self.a, self.field.characteristic)
-
-    def kernel_basis(self) -> "Mat":
-        """Columns spanning ker(self); self @ result == 0 exactly."""
-        return Mat(self.field, kernel(self.a, self.field.characteristic))
-
-    def image_basis(self) -> "Mat":
-        """Columns of self forming a basis of the column span."""
-        return Mat(self.field, self.a[:, pivots(self.a, self.field.characteristic)])
+        return Mat(self.field, np.kron(self.a, other.a))
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
             raise ValueError("inverse requires a square matrix")
-        p = self.field.characteristic
-        x = solve_array(self.a, Mat.identity(self.field, self.rows).a, p)
+        x = solve_array(self.a, np.eye(self.rows, dtype=np.int64), self.field.characteristic)
         if x is None:
             raise ValueError("matrix is singular")
         return Mat(self.field, x)
@@ -620,7 +524,7 @@ class Mat:
 def nilpotent_partition(n: Mat) -> tuple[int, ...]:
     """Jordan block sizes of a nilpotent matrix over GF(p), weakly
     decreasing: a batch of one of `nilpotent_partitions`.  Raises
-    ValueError when the input is not square or not nilpotent, or over Q."""
+    ValueError when the input is not square or not nilpotent."""
     return next(nilpotent_partitions([n]))
 
 
@@ -723,8 +627,6 @@ def _nilpotent_partitions(items: Iterable[tuple[np.ndarray, Field]]) -> Iterator
         if f != field:
             raise ValueError(f"field mismatch: {field} vs {f}")
         p = field.characteristic
-        if not p:
-            raise ValueError("Jordan types are computed over GF(p) only")
         n = len(a)
         if a.shape != (n, n):
             raise ValueError("nilpotent_partition requires a square matrix")
@@ -762,6 +664,6 @@ def nilpotent_partitions(ns: Iterable[Mat]) -> Iterator[tuple[int, ...]]:
     BATCH_ENTRIES entries (a larger piece runs alone), and the matrices
     read meanwhile hold at most BATCH_ENTRIES rows.  Nothing is kept
     between calls.  Raises ValueError on a matrix that is not square or
-    not nilpotent, on a field other than the first one's, or over Q.
+    not nilpotent, or on a field other than the first one's.
     """
     return _nilpotent_partitions((n.a, n.field) for n in ns)

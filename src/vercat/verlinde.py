@@ -81,9 +81,7 @@ class VerObject:
     mult: tuple[int, ...]
 
     def __post_init__(self):
-        if self.p == 0:  # GF(0) is Q, not a characteristic of Ver_p
-            raise ValueError("characteristic must be a prime, got 0")
-        GF(self.p)  # raises for any other p that is not a prime GF accepts
+        GF(self.p)  # raises for any p that is not a prime GF accepts
         if len(self.mult) != self.p - 1:
             raise ValueError(f"need {self.p - 1} multiplicities, got {len(self.mult)}")
         if any(m < 0 for m in self.mult):
@@ -458,23 +456,19 @@ def _ver_cokernel(
 
 @dataclass(frozen=True, eq=False)
 class _PairBasis:
-    """Exact change of basis putting J_a (x) J_b into Jordan normal form.
+    """The layouts that readers use of the Jordan basis T of J_a (x) J_b
+    (`_jordan_basis`), which itself is not kept.
 
-    `tinv @ (g_a (x) g_b) @ t` is the block-diagonal unipotent Jordan
-    matrix with block sizes `sizes` (descending); `tops_by_size[j]` lists
-    the first indices (tops) of the size-j summands, j < p.  Inside a
-    summand of size c at top o, column o + k of `t` is N^(c-1-k) of the
-    chain generator and row o + k of `tinv` is (row o) N^k, where
-    N = g_a (x) g_b - 1.  Row s of `row_chains[j]` is rows top, ...,
-    top+j-1 of `tinv` side by side for the s-th size-j summand, and column
-    s of `col_chains[j]` columns top, ..., top+j-1 of `t`, entries (x, k).
-    `top_cols` is the columns of `t` at all tops of `tops_by_size`, in order.
+    `sizes` are T's block sizes (descending); `tops_by_size[j]` lists the
+    first indices (tops) of the size-j summands, j < p.  Row s of
+    `row_chains[j]` is rows top, ..., top+j-1 of T^-1 side by side for the
+    s-th size-j summand, and column s of `col_chains[j]` columns top, ...,
+    top+j-1 of T, entries (x, k).  `top_cols` is the columns of T at all
+    tops of `tops_by_size`, in order.
     """
 
     sizes: tuple[int, ...]
     tops_by_size: dict[int, np.ndarray]
-    t: np.ndarray
-    tinv: np.ndarray
     row_chains: dict[int, np.ndarray]
     col_chains: dict[int, np.ndarray]
     top_cols: np.ndarray
@@ -503,8 +497,14 @@ def _nil_rows(v: np.ndarray, a: int, b: int, p: int) -> np.ndarray:
     return out.reshape(v.shape[::-1]).T % p
 
 
-def _pair_basis(p: int, a: int, b: int) -> _PairBasis:
-    """Jordan basis of J_a (x) J_b over GF(p), cached per (p, a, b).
+def _jordan_basis(p: int, a: int, b: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """A Jordan basis of J_a (x) J_b over GF(p): (sizes, T, T^-1), built
+    afresh on every call.
+
+    T^-1 (g_a (x) g_b) T is the block-diagonal unipotent Jordan matrix
+    with block sizes `sizes` (descending).  Inside a summand of size c at
+    top o, column o + k of T is N^(c-1-k) of the chain generator and row
+    o + k of T^-1 is (row o) N^k, where N = g_a (x) g_b - 1.
 
     In the basis e_i (x) e_j, the columns C = e_i (x) e_(b-1) (i < a)
     generate the module over k[N] and the rows R = e_i (x) e_0 generate
@@ -518,12 +518,8 @@ def _pair_basis(p: int, a: int, b: int) -> _PairBasis:
     row chains (for T^-1) are biorthogonal and T^-1 comes with T.  The
     sizes come out as the fusion rule plus (a+b-p)^+ copies of p
     (Iima-Iwamatsu); they are not assumed, and the conjugation identity
-    is asserted once.
+    is checked on every build.
     """
-    key = (p, a, b)
-    hit = _PAIR_BASES.get(key)
-    if hit is not None:
-        return hit
     n, h = a * b, min(a, b)
     grid = np.arange(n).reshape(a, b)
     col_gen, row_gen = (grid[:, -1], grid[:, 0]) if a <= b else (grid[-1], grid[0])
@@ -579,11 +575,22 @@ def _pair_basis(p: int, a: int, b: int) -> _PairBasis:
         raise AssertionError("pair basis is not invertible")
     if not np.array_equal((tinv @ g_t) % p, jordan):
         raise AssertionError("pair basis is not a Jordan basis")
+    return sizes, t, tinv
+
+
+def _pair_basis(p: int, a: int, b: int) -> _PairBasis:
+    """The chain layouts of `_jordan_basis(p, a, b)`, cached per (p, a, b)."""
+    key = (p, a, b)
+    hit = _PAIR_BASES.get(key)
+    if hit is not None:
+        return hit
+    sizes, t, tinv = _jordan_basis(p, a, b)
+    starts = np.cumsum([0] + sizes[:-1])
     tops = {j: starts[np.equal(sizes, j)] for j in dict.fromkeys(sizes) if j < p}
     chains = {j: o[:, None] + np.arange(j) for j, o in tops.items()}
     rows = {j: tinv[c].reshape(len(c), -1) for j, c in chains.items()}
     cols = {j: t[:, c].transpose(0, 2, 1).reshape(-1, len(c)) for j, c in chains.items()}
-    out = _PairBasis(tuple(sizes), tops, t, tinv, rows, cols, t[:, starts[np.less(sizes, p)]])
+    out = _PairBasis(tuple(sizes), tops, rows, cols, t[:, starts[np.less(sizes, p)]])
     _PAIR_BASES[key] = out
     return out
 
@@ -596,7 +603,7 @@ def _triple_tops(p: int, c: int, n: int, n2: int) -> dict[int, np.ndarray]:
     cols: dict[int, list[np.ndarray]] = {}
     for e, starts in basis.tops_by_size.items():
         inner = _pair_basis(p, e, n2)
-        chains = basis.t[:, starts[:, None] + np.arange(e)]  # cn x starts x e
+        chains = basis.col_chains[e].reshape(c * n, e, -1).transpose(0, 2, 1)  # cn x starts x e
         col = (chains @ inner.top_cols.reshape(e, -1) % p).reshape(c * n, len(starts), n2, -1)
         col = col.transpose(0, 2, 1, 3).reshape(c * n * n2, len(starts), -1)
         k = 0
@@ -713,14 +720,15 @@ class _Degrees:
 
     __slots__ = ("sizes", "q", "zero_from", "kernels", "frames", "tops", "sections", "__weakref__")
 
-    def __init__(self, sizes_x: tuple[int, ...], depth: int, max_entries: int | None):
+    def __init__(self, x: VerObject, depth: int, max_entries: int | None):
         self.sizes: list[tuple[int, ...]] = [(1,)]
         self.q: list[np.ndarray | None] = [None]
         self.zero_from: int | None = None
         if depth >= 1:
-            nx = sum(sizes_x)
+            # charged from dim X before X's blocks are listed, one int each
+            nx = x.dim
             check_budget(nx * nx, max_entries, "S^1: projection rows")
-            self.sizes.append(sizes_x)
+            self.sizes.append(x.block_sizes())
             self.q.append(_frozen(np.eye(nx, dtype=np.int64)))
             if nx == 0:
                 self.zero_from = 1
@@ -773,7 +781,7 @@ class SymTower(graded.GradedTower):
         key = (x.p, tuple(x.mult), depth, max_entries)
         self._deg = _LIVE.get(key)
         if self._deg is None:
-            self._deg = _Degrees(x.block_sizes(), depth, max_entries)
+            self._deg = _Degrees(x, depth, max_entries)
             for m in range(2, depth + 1):
                 self._build_degree(m)
             _LIVE[key] = self._deg

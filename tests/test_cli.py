@@ -77,6 +77,12 @@ class TestExitCodes:
         code, _, _ = run(capsys, "fusion", "--p", "4", "--l", "1", "--r", "1")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("p", ["0", "1", "-3", "4", "65539"])
+    def test_p_must_be_a_prime_gf_accepts(self, capsys, p):
+        code, out, err = run(capsys, "fusion", "--p", p, "--l", "1", "--r", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert "must be a prime <= 65537" in err
+
     def test_prime_above_int64_exact_bound(self, capsys):
         code, _, err = run(
             capsys, "fusion", "--p", "4294967311", "--l", "1", "--r", "1"
@@ -620,6 +626,30 @@ def test_large_object_is_refused_before_its_first_array(capsys, argv, charge):
     ))
     assert code == EXIT_BUDGET and out == "" and charge in err
     assert peak < 8 * 2**20
+
+
+# 10^20 - 1 copies of L2: its block list does not fit an index
+HUGE = "99999999999999999999*L2"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sympow", "--p", "5", "--object", HUGE, "--degree", "1"),
+        ("symalg", "--p", "5", "--object", HUGE, "--max-degree", "1", "--report", "invariants"),
+    ],
+    ids=["sympow", "symalg"],
+)
+def test_object_past_an_index_is_refused_before_its_blocks(capsys, argv):
+    # (dim X)^2 is charged from dim X, before X's blocks are listed
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BUDGET and out == ""
+    assert "S^1: projection rows needs 39999999999999999999200000000000000000004 " in err
+
+
+def test_object_past_an_index_at_degree_zero(capsys):
+    code, out, _ = run(capsys, "sympow", "--p", "5", "--object", HUGE, "--degree", "0")
+    assert code == EXIT_OK and out.strip() == "L1"
 
 
 def test_ambient_sympow_fits_the_budget_of_its_tower(capsys):

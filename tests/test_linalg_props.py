@@ -3,8 +3,8 @@
 `rref`, `rank`, `kernel`, `solve_array` and `cokernel` are held to a
 pure-Python reference (Python ints mod p, `Fraction` over Q) on random
 matrices over random primes, 2 and 65537 included, and over Q (p = 0);
-`pivots` is held to the pivots of `rref`, and the `Mat` methods to the
-array functions they delegate to.
+`pivots` is held to the pivots of `rref`, and `Mat`, which is GF(p)
+only, to the array functions on the same matrices.
 """
 
 from fractions import Fraction
@@ -19,9 +19,9 @@ import vercat.exactlin
 from vercat.exactlin import (
     BATCH_ENTRIES,
     GF,
-    RATIONALS,
+    Field,
     Mat,
-    _echelon_mod,
+    _echelon_rounds,
     _is_prime,
     _partition_batch,
     cokernel,
@@ -197,8 +197,19 @@ def zeros(rows: int, cols: int) -> list[list]:
     return [[0] * cols for _ in range(rows)]
 
 
-def field_of(p: int):
-    return GF(p) if p else RATIONALS
+def echelon_members(members: list[np.ndarray], p: int) -> list[tuple[list[int], np.ndarray]]:
+    """Pivot columns and echelon rows of each integer array mod p: the
+    members stacked for one `_echelon_rounds`, rows sorted by column."""
+    owner = np.repeat(np.arange(len(members)), [len(m) for m in members])
+    r = np.zeros((len(owner), max((m.shape[1] for m in members), default=0)), dtype=np.int64)
+    for i, m in enumerate(members):
+        r[owner == i, : m.shape[1]] = m % p
+    piv, slot = _echelon_rounds(r, owner, len(members), p)
+    out = []
+    for m, rows in zip(members, slot):
+        cols = np.flatnonzero(rows[: m.shape[1]] >= 0)
+        out.append((cols.tolist(), piv[rows[cols], : m.shape[1]].astype(np.int64)))
+    return out
 
 
 # -- the array functions against the reference -------------------------------
@@ -260,19 +271,24 @@ def test_cokernel_projection(case):
     assert times(q, np.eye(n, dtype=np.int64)[:, free], p) == ident
 
 
-# -- Mat delegates to the array functions -------------------------------------
+# -- Mat over GF(p) against the array functions --------------------------------
 
 
 @PROPS
 @given(field_matrix())
 def test_mat_methods_delegate(case):
+    """`Mat` holds the residues of its entries, and its inverse, where
+    there is one, is that of `solve_array`; over Q (p = 0) there is no
+    `Mat`, and the array functions alone answer."""
     p, a = case
-    m = Mat(field_of(p), a)
-    r, piv = m.rref()
-    assert (r.a.tolist(), piv) == (rref(a, p)[0].tolist(), rref(a, p)[1])
-    assert m.rank() == rank(a, p)
-    assert m.kernel_basis().a.tolist() == kernel(a, p).tolist()
-    assert m.image_basis().a.tolist() == a[:, rref(a, p)[1]].tolist()
+    if not p:
+        with pytest.raises(ValueError, match="got 0"):
+            Mat(Field(0), a)
+        return
+    m = Mat(GF(p), a)
+    assert m.a.tolist() == (a % p).tolist()
+    assert m.T.a.tolist() == (a % p).T.tolist()
+    assert m.is_zero() == (rank(a, p) == 0)
     if a.shape[0] == a.shape[1] and rank(a, p) == a.shape[0]:
         assert m @ m.inverse() == Mat.identity(m.field, len(a))
 
@@ -284,16 +300,19 @@ def test_inverse_and_quotient_through_solve_array(case):
     quotient of the whole space by span(a) reads the same `cokernel`
     through `solve_array`'s coordinates over the identity basis."""
     p, a, _ = case
-    field = field_of(p)
     n = min(a.shape)
-    square = Mat(field, a[:n, :n])
-    want = solve_array(square.a, Mat.identity(field, n).a, p)
-    if want is None:
-        with pytest.raises(ValueError, match="matrix is singular"):
-            square.inverse()
-    else:
-        assert square.inverse().a.tolist() == want.tolist()
-    coords = solve_array(Mat.identity(field, a.shape[0]).a, a, p)
+    square = a[:n, :n]
+    want = solve_array(square, np.eye(n, dtype=np.int64), p)
+    assert (want is None) == (rank(square, p) < n)
+    if want is not None:
+        assert times(square, want, p) == np.eye(n, dtype=np.int64).tolist()
+    if p:
+        if want is None:
+            with pytest.raises(ValueError, match="matrix is singular"):
+                Mat(GF(p), square).inverse()
+        else:
+            assert Mat(GF(p), square).inverse().a.tolist() == want.tolist()
+    coords = solve_array(np.eye(a.shape[0], dtype=np.int64), a, p)
     q, free = cokernel(a, p)
     got_q, got_free = cokernel(coords, p)
     assert (got_q.tolist(), got_free) == (q.tolist(), free)
@@ -309,7 +328,7 @@ def conjugated_nilpotent(rng, p: int, parts: list[int]) -> Mat:
     nil = jordan_module(p, parts).nilpotent()
     while True:
         change = Mat(GF(p), rng.integers(0, p, (n, n)))
-        if change.rank() == n:
+        if rank(change.a, p) == n:
             return change @ nil @ change.inverse()
 
 
@@ -358,7 +377,7 @@ def test_batched_jordan_types(case):
     assert list(nilpotent_partitions(mats)) == [parts for parts, _ in members]
     # the kernel, over the whole mixed batch: each member's pivots are those
     # of its reduced form, and its echelon rows span the same row space
-    for m, (piv, rows) in zip(mats, _echelon_mod([m.a for m in mats], p)):
+    for m, (piv, rows) in zip(mats, echelon_members([m.a for m in mats], p)):
         r, want = rref(m.a, p)
         assert piv == want
         assert rows.shape == (len(piv), m.cols)
@@ -425,6 +444,6 @@ def test_trace_gram_is_pairwise_trace(p):
             gram = _trace_gram(hom_stack(a, b), hom_stack(b, a), p)
             fwd = [Mat(GF(p), f) for f in hom_stack(a, b)]
             bwd = [Mat(GF(p), u) for u in hom_stack(b, a)]
-            want = [[(f @ u).trace() for u in bwd] for f in fwd]
+            want = [[int(np.trace((f @ u).a)) % p for u in bwd] for f in fwd]
             assert gram.shape == (len(fwd), len(bwd))
             assert gram.tolist() == want

@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from vercat.exactlin import GF, BudgetExceeded, Mat, cokernel
+from vercat.exactlin import GF, BudgetExceeded, Mat, cokernel, kernel, pivots, rank
 from vercat.graded import quotient_tower, swap
 from vercat.repzp import (
     JordanType,
@@ -35,7 +35,7 @@ def rand_conjugate(rng, m: ZpModule) -> ZpModule:
         p_mat = Mat(
             f, [[rng.randrange(m.p) for _ in range(m.dim)] for _ in range(m.dim)]
         )
-        if p_mat.rank() == m.dim:
+        if rank(p_mat.a, m.p) == m.dim:
             break
     return ZpModule(m.p, m.dim, p_mat @ m.g @ p_mat.inverse())
 
@@ -62,9 +62,10 @@ def brute_sym_power(p: int, parts, m: int):
             Mat.identity(f, n ** (m - i - 1))
         )
         rel_cols.append(eye - tau)
-    rel = Mat(f, np.hstack([r.a for r in rel_cols])).image_basis()
+    rel = np.hstack([r.a for r in rel_cols])
+    rel = rel[:, pivots(rel, p)]  # a basis of the column span
     # the unit vectors at `free` are the coset representatives
-    proj, free = cokernel(rel.a, p)
+    proj, free = cokernel(rel, p)
     return ZpModule(p, len(proj), Mat(f, proj @ g_t.a[:, free]))
 
 
@@ -193,20 +194,20 @@ class TestHomStack:
                 assert t @ a.g == b.g @ t
             if len(hs):
                 stacked = Mat(a.g.field, hs.reshape(len(hs), -1).T)
-                assert stacked.rank() == len(hs)
+                assert rank(stacked.a, a.p) == len(hs)
 
 
 class TestFixedPoints:
     def test_trivial(self):
-        assert trivial_module(5, 4).nilpotent().kernel_basis().cols == 4
+        assert kernel(trivial_module(5, 4).nilpotent().a, 5).shape[1] == 4
 
     def test_single_block(self):
         for n in (1, 3, 5):
-            assert jordan_module(5, [n]).nilpotent().kernel_basis().cols == 1
+            assert kernel(jordan_module(5, [n]).nilpotent().a, 5).shape[1] == 1
 
     def test_tensor_square(self):
         t = tensor(jordan_module(3, [2]), jordan_module(3, [2]))
-        assert t.nilpotent().kernel_basis().cols == 2
+        assert kernel(t.nilpotent().a, 3).shape[1] == 2
 
     def test_counts_parts(self):
         rng = random.Random(4)
@@ -216,7 +217,7 @@ class TestFixedPoints:
                 (rng.randint(1, p) for _ in range(rng.randint(1, 4))), reverse=True
             )
             m = jordan_module(p, parts)
-            assert m.nilpotent().kernel_basis().cols == len(parts)
+            assert kernel(m.nilpotent().a, p).shape[1] == len(parts)
 
 
 class TestBraiding:
@@ -290,8 +291,8 @@ class TestSymPower:
             for k in range(1, m + 1):
                 proj = q[k] @ np.kron(proj, np.eye(n, dtype=np.int64)) % p
                 g_m = np.kron(g_m, mod.g.a)
+            assert rank(proj, p) == s.dim
             proj = Mat(GF(p), proj)
-            assert proj.rank() == s.dim
             assert proj @ Mat(GF(p), g_m) == s.g @ proj
 
     def test_budget(self):
@@ -308,6 +309,6 @@ class TestCategoricalDimension:
         for p in (3, 5, 7):
             for i in range(1, p + 1):
                 m = jordan_module(p, [i])
-                assert Mat.identity(GF(p), m.dim).trace() == i % p
+                assert int(np.trace(Mat.identity(GF(p), m.dim).a)) % p == i % p
         # J_p has categorical dimension 0: the hallmark of negligibility
-        assert Mat.identity(GF(5), 5).trace() == 0
+        assert int(np.trace(Mat.identity(GF(5), 5).a)) % 5 == 0

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from vercat.verlinde import (
     SymTower,
     VerObject,
     _TensorFrame,
+    _jordan_basis,
     _pair_basis,
     _trace_radical,
     _ver_sym_power_direct,
@@ -242,7 +244,7 @@ class TestNegligibleRadical:
             g = Mat(GF(p), gs[rng.randrange(len(gs))])
             big = n.kron(g)  # A (x) C -> B (x) D
             for u in hom_stack(tensor(b, d), tensor(a, c)):
-                assert (big @ Mat(GF(p), u)).trace() == 0
+                assert int(np.trace((big @ Mat(GF(p), u)).a)) % p == 0
 
 
 class TestVerHom:
@@ -280,9 +282,10 @@ class TestVerHom:
         hom_bc = [Mat(GF(p), f) for f in hom_stack(b, c)]
         vh = ver_hom(a, c)
         for _ in range(20):
-            u = hom_ab[rng.randrange(len(hom_ab))].scale(rng.randrange(1, p))
-            f = hom_bc[rng.randrange(len(hom_bc))].scale(rng.randrange(1, p))
-            n = rad_ab[rng.randrange(len(rad_ab))].scale(rng.randrange(p))
+            # the constructor reduces the scaled entries mod p
+            u = Mat(GF(p), hom_ab[rng.randrange(len(hom_ab))].a * rng.randrange(1, p))
+            f = Mat(GF(p), hom_bc[rng.randrange(len(hom_bc))].a * rng.randrange(1, p))
+            n = Mat(GF(p), rad_ab[rng.randrange(len(rad_ab))].a * rng.randrange(p))
             assert vh.reduce(f @ (u + n)) == vh.reduce(f @ u)
 
 
@@ -357,6 +360,19 @@ def test_symtower_budget_errors_name_the_degree():
         BudgetExceeded, match=r"^S\^3: precomposed class rows needs 486 "
     ):
         ver_sym_power(VerObject(5, (3, 0, 0, 0)), 3, max_entries=400)
+
+
+def test_symtower_charges_dim_x_before_listing_blocks():
+    # X = 10^7 L2: a list of its blocks would hold 10^7 entries
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=r"^S\^1: projection rows needs 400000000000000 "):
+            SymTower(VerObject(5, (0, 10**7, 0, 0)), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert SymTower(VerObject(5, (0, 10**7, 0, 0)), 0).multiplicities(0) == L(5, 1)
 
 
 def test_symtower_charges_only_formed_arrays():
@@ -607,7 +623,8 @@ class TestSymTowerInternals:
 class _BlockFrame:
     """The per-block reference for `_TensorFrame`: every block pair
     J_c (x) J_n of V (x) X on its own, pieces in the order of V's blocks,
-    then X's, and each size-j summand numbered in that order."""
+    then X's, and each size-j summand numbered in that order.  It reads T
+    and T^-1 whole, from the uncached `_jordan_basis`."""
 
     def __init__(self, p, sizes_v, sizes_x):
         nx = sum(sizes_x)
@@ -621,7 +638,7 @@ class _BlockFrame:
                 basis = _pair_basis(p, c, n)
                 for j, tops in basis.tops_by_size.items():
                     self.summands.setdefault(j, []).append((len(self.pieces), tops))
-                self.pieces.append((idx, basis))
+                self.pieces.append((idx, basis, *_jordan_basis(p, c, n)[1:]))
                 on += n
             oc += c
 
@@ -630,8 +647,8 @@ class _BlockFrame:
         out = np.zeros((coeff.shape[0], self.dim), dtype=np.int64)
         pos = 0
         for piece, tops in self.summands[j]:
-            idx, basis = self.pieces[piece]
-            out[:, idx] = coeff[:, pos : pos + len(tops)] @ basis.tinv[tops + k] % self.p
+            idx, _, _, tinv = self.pieces[piece]
+            out[:, idx] = coeff[:, pos : pos + len(tops)] @ tinv[tops + k] % self.p
             pos += len(tops)
         return out
 
@@ -640,8 +657,8 @@ class _BlockFrame:
         out = np.zeros((self.dim, coeff.shape[1]), dtype=np.int64)
         pos = 0
         for piece, tops in self.summands[j]:
-            idx, basis = self.pieces[piece]
-            out[idx] = basis.t[:, tops + k] @ coeff[pos : pos + len(tops)] % self.p
+            idx, _, t, _ = self.pieces[piece]
+            out[idx] = t[:, tops + k] @ coeff[pos : pos + len(tops)] % self.p
             pos += len(tops)
         return out
 
@@ -649,16 +666,16 @@ class _BlockFrame:
         """(global indices, top columns) per block (J_c (x) J_n) (x) J_n'
         and summand J_e of J_c (x) J_n, per size j."""
         nx, out = sum(self.sizes_x), {}
-        for idx, basis in self.pieces:
+        for idx, basis, t, _ in self.pieces:
             on = 0
             for n2 in self.sizes_x:
                 gidx = (idx[:, None] * nx + on + np.arange(n2)).reshape(-1)
                 for e, starts in basis.tops_by_size.items():
-                    inner = _pair_basis(self.p, e, n2)
+                    inner, inner_t = _pair_basis(self.p, e, n2), _jordan_basis(self.p, e, n2)[1]
                     for j, tops in inner.tops_by_size.items():
-                        z = inner.t[:, tops].reshape(e, -1)
+                        z = inner_t[:, tops].reshape(e, -1)
                         for o in starts:
-                            col = basis.t[:, o : o + e] @ z % self.p
+                            col = t[:, o : o + e] @ z % self.p
                             out.setdefault(j, []).append((gidx, col.reshape(-1, len(tops))))
                 on += n2
         return out
@@ -753,11 +770,30 @@ class TestPairBasis:
         for p in (3, 5, 7):
             for a in range(1, p + 1):
                 for b in range(1, p + 1):
-                    pb = _pair_basis(p, a, b)
+                    sizes, t, tinv = _jordan_basis(p, a, b)
+                    assert tuple(sizes) == _pair_basis(p, a, b).sizes
                     g = tensor(jordan_module(p, [a]), jordan_module(p, [b])).g.a
-                    jordan = jordan_module(p, list(pb.sizes)).g.a
-                    assert np.array_equal((pb.t @ pb.tinv) % p, np.eye(a * b))
-                    assert np.array_equal((pb.tinv @ g @ pb.t) % p, jordan)
+                    jordan = jordan_module(p, sizes).g.a
+                    assert np.array_equal((t @ tinv) % p, np.eye(a * b))
+                    assert np.array_equal((tinv @ g @ t) % p, jordan)
+
+    def test_cache_keeps_only_the_chain_layouts(self):
+        # T and T^-1 whole are not kept; the layouts are theirs, cut per size
+        for p in (3, 5, 7):
+            for a in range(1, p + 1):
+                for b in range(1, p + 1):
+                    pb = _pair_basis(p, a, b)
+                    assert not hasattr(pb, "t") and not hasattr(pb, "tinv")
+                    sizes, t, tinv = _jordan_basis(p, a, b)
+                    tops = [o for starts in pb.tops_by_size.values() for o in starts]
+                    assert np.array_equal(pb.top_cols, t[:, tops])
+                    for j, starts in pb.tops_by_size.items():
+                        chains = starts[:, None] + np.arange(j)
+                        assert np.array_equal(
+                            pb.row_chains[j], tinv[chains].reshape(len(starts), -1)
+                        )
+                        cols = t[:, chains].transpose(0, 2, 1).reshape(-1, len(starts))
+                        assert np.array_equal(pb.col_chains[j], cols)
 
     def test_corrupted_basis_raises_under_python_o(self):
         # the conjugation checks raise AssertionError themselves, so the
