@@ -366,6 +366,19 @@ def _series_payload(x: VerObject, depth: int, max_entries) -> dict:
     }
 
 
+def _symalg_payload(x: VerObject, depth: int, which: str, max_entries) -> dict:
+    """The JSON result of `symalg --report which`."""
+    if which == "hilbert":
+        return _series_payload(x, depth, max_entries)
+    if which == "module-finiteness":
+        selected, stabilized = inv_mod.module_finiteness_check(x, depth, max_entries)
+        return {"module_generators": [[m, i] for m, i in selected], "stabilized": stabilized}
+    alg = inv_mod.build_invariant_algebra(x, depth, max_entries)
+    if which == "invariants":
+        return {"invariant_dims": alg.inv_dims()}
+    return {"generator_degrees": [[m, c] for m, c in inv_mod.generator_degrees(alg)]}
+
+
 def cmd_symalg(args) -> Report:
     p = args.p
     x = parse_object_spec(args.object, p)
@@ -374,12 +387,12 @@ def cmd_symalg(args) -> Report:
         "symalg",
         {"p": p, "object": str(x), "max_degree": depth, "report": args.report},
     )
+    value = cached(
+        args,
+        f"symalg:{args.report}|p={p}|object={x}|degree={depth}",
+        lambda: _symalg_payload(x, depth, args.report, args.max_entries),
+    )
     if args.report == "hilbert":
-        value = cached(
-            args,
-            f"symalg:hilbert|p={p}|object={x}|degree={depth}",
-            lambda: _series_payload(x, depth, args.max_entries),
-        )
         line = ", ".join(value["series_str"])
         line += f"; {'finite' if value['finite'] else 'truncated'}"
         if value["total_dim"] is not None:
@@ -391,35 +404,21 @@ def cmd_symalg(args) -> Report:
         report.csv = [["degree"] + [f"L{i}" for i in range(1, p)]]
         report.csv += [[m] + mult for m, mult in enumerate(value["series"])]
     elif args.report == "module-finiteness":
-        selected, stabilized = inv_mod.module_finiteness_check(
-            x, depth, args.max_entries
-        )
-        value = {
-            "module_generators": [[m, i] for m, i in selected],
-            "stabilized": stabilized,
-        }
-        gens = ", ".join(f"(deg {m}, L{i})" for m, i in selected)
+        gens = ", ".join(f"(deg {m}, L{i})" for m, i in value["module_generators"])
         report.table = [
             f"module generators over invariants: {gens}; "
-            f"{'stabilized' if stabilized else 'NOT stabilized'} "
+            f"{'stabilized' if value['stabilized'] else 'NOT stabilized'} "
             "(evidence up to truncation, not a proof)"
         ]
         report.csv = [["degree", "simple"]] + value["module_generators"]
+    elif args.report == "invariants":
+        dims = value["invariant_dims"]
+        report.table = ["invariant dims: " + ", ".join(str(d) for d in dims)]
+        report.csv = [["degree", "invariant_dim"]] + [[m, d] for m, d in enumerate(dims)]
     else:
-        alg = inv_mod.build_invariant_algebra(x, depth, args.max_entries)
-        if args.report == "invariants":
-            dims = alg.inv_dims()
-            value = {"invariant_dims": dims}
-            report.table = ["invariant dims: " + ", ".join(str(d) for d in dims)]
-            report.csv = [["degree", "invariant_dim"]]
-            report.csv += [[m, d] for m, d in enumerate(dims)]
-        else:
-            gens = inv_mod.generator_degrees(alg)
-            value = {"generator_degrees": gens}
-            report.table = [
-                "new generators per degree: " + ", ".join(f"{m}:{c}" for m, c in gens)
-            ]
-            report.csv = [["degree", "new_generators"]] + [list(g) for g in gens]
+        gens = value["generator_degrees"]
+        report.table = ["new generators per degree: " + ", ".join(f"{m}:{c}" for m, c in gens)]
+        report.csv = [["degree", "new_generators"]] + gens
     report.results.append(value)
     return report
 
@@ -450,8 +449,7 @@ def cmd_svec2_fourth_power(args) -> Report:
         versions={"seed": args.seed},
     )
     for name, val in rep.items():
-        if name not in ("trials", "seed"):
-            report.add_check(name, bool(val))
+        report.add_check(name, val)
     return report
 
 
@@ -715,8 +713,7 @@ def suite_svec2(report: Report, args) -> None:
     for label, mod in labelled:
         rep = sv.fourth_power_checks(mod, 8, 200, seed, max_entries)
         for name, val in rep.items():
-            if name not in ("trials", "seed"):
-                report.add_check(f"svec2 {label} {name}", bool(val), "200 trials")
+            report.add_check(f"svec2 {label} {name}", val, "200 trials")
     rng = np.random.default_rng(seed)
     ok = True
     for _ in range(100):

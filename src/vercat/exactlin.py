@@ -38,20 +38,16 @@ width).  The members are pieces of the input: a matrix of SPLIT_SIZE =
 pattern mod p, taken symmetrically.  A permutation conjugates the matrix
 to the direct sum of its components, so its Jordan type is the sorted
 union of theirs.  A batch holds each distinct piece once, compared by
-its full residue contents.  The oracle's tensor products J_a (x) J_b - 1
+its full residue contents: the oracle's tensor products J_a (x) J_b - 1
 of block sums split into one piece J_r (x) J_s - 1 per pair of blocks,
-and the pieces recur across pairs: the p = 7 monoidal check of `verify`
-eliminates 184 distinct pieces of at most 49 rows in two batches (14
-`_echelon_rounds` calls), where whole matrices took 19 batches of its
-300 modules of up to 221 rows (133 calls).  A batch runs before its
-padded array would pass BATCH_ENTRIES = 2^16 entries, or the matrices
-read since it last ran would pass 2^16 rows, which bounds the types
-waiting to be yielded.  On the 1,200 Jordan types of `verify --suite
-fusion` (2-vCPU x86-64 VM shared with other jobs, process time, best
-of three or four runs of 7), caps of 2^12, 2^14, 2^16 and 2^18 took 0.74,
-0.44, 0.27 and 0.22 s, against 0.81, 0.59, 0.40 and 0.33 s with whole
-matrices and int32 rounds; their tracemalloc peaks were 1.8, 2.2, 4.5
-and 13.7 MiB (4.4 MiB up to 2^16 and 14.5 MiB at 2^18 before).
+and the pieces recur across pairs.  All distinct pieces of a matrix
+join one batch, under one rule: a batch stays within BATCH_ENTRIES =
+2^16 padded entries (its pieces' rows, stacked and padded to the widest
+piece) unless one matrix's own distinct pieces exceed it; that matrix
+then runs alone, and its padded pieces hold no more than its n^2
+entries.  A batch also runs before the matrices it holds would pass
+2^16 rows, which bounds the types held back.  Each run yields the types
+of the matrices it holds, in order, and carries nothing into the next.
 
 GF(p) is accepted only for p <= MAX_PRIME = 65537.  Then (p-1)^2 <= 2^32,
 so a dot product of fewer than 2^31 residues, and hence every int64
@@ -106,7 +102,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -602,26 +597,26 @@ def _components(r: np.ndarray) -> list[np.ndarray]:
     return [order[start:end] for start, end in zip([0, *ends], ends)]
 
 
+def _held_types(
+    batch: dict[tuple[int, bytes], np.ndarray], held: list[list[tuple[int, bytes]]], p: int
+) -> Iterator[tuple[int, ...]]:
+    """The Jordan type of each held matrix, from one `_partition_batch`
+    over the batch's pieces: the sorted union of its pieces' types."""
+    types = dict(zip(batch, _partition_batch(list(batch.values()), p)))
+    for keys in held:
+        yield tuple(sorted((part for key in keys for part in types[key]), reverse=True))
+
+
 def _nilpotent_partitions(items: Iterable[tuple[np.ndarray, Field]]) -> Iterator[tuple[int, ...]]:
-    """`nilpotent_partitions` of (integer array, field) pairs.  An array of
-    SPLIT_SIZE rows or more is split into the connected components of its
-    nonzero pattern mod p, and a batch holds the distinct pieces, keyed by
-    their full residue contents; an array's Jordan type is the sorted
-    union of its pieces' types (a permutation conjugates it to their
-    direct sum)."""
+    """`nilpotent_partitions` of (integer array, field) pairs.  Each array
+    is split and its distinct pieces keyed by their residue contents first;
+    the batch runs before they join it if its new pieces would take it
+    past BATCH_ENTRIES padded entries, or its arrays past BATCH_ENTRIES
+    rows."""
     field, p = None, 0
-    batch: dict[tuple[int, bytes], np.ndarray] = {}  # (size, residue bytes) -> component
-    rows = width = read = 0  # read: rows of the arrays read since the batch last ran
-    waiting = deque()  # (types found, batch keys still open) per array not yet yielded
-
-    def run():
-        nonlocal batch, rows, width, read
-        types = dict(zip(batch, _partition_batch(list(batch.values()), p)))
-        for found, open_ in waiting:
-            found.extend(part for key in open_ for part in types[key])
-            open_.clear()
-        batch, rows, width, read = {}, 0, 0, 0
-
+    batch: dict[tuple[int, bytes], np.ndarray] = {}  # (size, residue bytes) -> piece
+    held: list[list[tuple[int, bytes]]] = []  # the piece keys of each array held
+    rows = width = read = 0  # the batch's stacked rows and widest piece; held rows
     for a, f in items:
         field = field or f
         if f != field:
@@ -630,27 +625,26 @@ def _nilpotent_partitions(items: Iterable[tuple[np.ndarray, Field]]) -> Iterator
         n = len(a)
         if a.shape != (n, n):
             raise ValueError("nilpotent_partition requires a square matrix")
-        if batch and read + n > BATCH_ENTRIES:  # bounds the arrays waiting
-            run()
         r = a % p
-        open_ = []  # the batch keys of this array's pieces
-        waiting.append(([], open_))
+        keys = []
         for index in _components(r) if n >= SPLIT_SIZE else [range(n)]:
             c = r if len(index) == n else r[index[:, None], index]
-            key = len(c), c.tobytes()
-            if key not in batch:
-                if batch and (rows + len(c)) * max(width, len(c)) > BATCH_ENTRIES:
-                    run()
-                batch[key] = np.frombuffer(key[1], dtype=c.dtype).reshape(c.shape)
-                rows, width = rows + len(c), max(width, len(c))
-            open_.append(key)
+            keys.append((len(c), c.tobytes()))
+        pieces = dict.fromkeys(keys)  # each distinct piece once, in order
+        new = [size for size, data in pieces if (size, data) not in batch]
+        if batch and (
+            read + n > BATCH_ENTRIES or (rows + sum(new)) * max([width, *new]) > BATCH_ENTRIES
+        ):
+            yield from _held_types(batch, held, p)
+            batch, held, rows, width, read = {}, [], 0, 0, 0
+        for size, data in pieces:
+            if (size, data) not in batch:
+                batch[size, data] = np.frombuffer(data, dtype=r.dtype).reshape(size, size)
+                rows, width = rows + size, max(width, size)
+        held.append(keys)
         read += n
-        while waiting and not waiting[0][1]:
-            yield tuple(sorted(waiting.popleft()[0], reverse=True))
-    if batch:
-        run()
-    for found, _ in waiting:
-        yield tuple(sorted(found, reverse=True))
+    if held:
+        yield from _held_types(batch, held, p)
 
 
 def nilpotent_partitions(ns: Iterable[Mat]) -> Iterator[tuple[int, ...]]:
@@ -659,11 +653,12 @@ def nilpotent_partitions(ns: Iterable[Mat]) -> Iterator[tuple[int, ...]]:
     The matrices must share one field GF(p).  They are read lazily.  One
     of size at least SPLIT_SIZE is cut into the connected components of
     its nonzero pattern mod p; the distinct pieces of consecutive
-    matrices, each once however often it recurs, are eliminated together
-    while their stacked rows, padded to the widest piece, hold at most
-    BATCH_ENTRIES entries (a larger piece runs alone), and the matrices
-    read meanwhile hold at most BATCH_ENTRIES rows.  Nothing is kept
-    between calls.  Raises ValueError on a matrix that is not square or
-    not nilpotent, or on a field other than the first one's.
+    matrices, each once however often it recurs, are eliminated together,
+    every piece of a matrix in the same batch.  A batch holds at most
+    BATCH_ENTRIES entries once its rows are padded to the widest piece,
+    unless it is one matrix whose own pieces hold more, and its matrices
+    hold at most BATCH_ENTRIES rows.  Nothing is kept between calls.
+    Raises ValueError on a matrix that is not square or not nilpotent, or
+    on a field other than the first one's.
     """
     return _nilpotent_partitions((n.a, n.field) for n in ns)

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactlin import (
-    GF,
-    Mat,
-    _nilpotent_partitions,
-    check_budget,
-    kernel,
-    nilpotent_partition,
-)
+from .exactlin import GF, Mat, _nilpotent_partitions, check_budget, kernel
 from .graded import check_degree, induced, quotient_tower, swap
 
 
@@ -104,8 +97,9 @@ def trivial_module(p: int, n: int = 1) -> ZpModule:
 
 
 def jordan_type(m: ZpModule) -> JordanType:
-    """Partition classifying the module up to isomorphism."""
-    return JordanType(nilpotent_partition(m.nilpotent()))
+    """Partition classifying the module up to isomorphism: a batch of one
+    of `jordan_types`."""
+    return next(jordan_types([m]))
 
 
 def jordan_types(ms: Iterable[ZpModule]) -> Iterator[JordanType]:

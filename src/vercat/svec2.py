@@ -202,7 +202,7 @@ def invariants_d(alg: DGradedAlgebra) -> list[Mat]:
 
 def fourth_power_checks(
     x: DModule, depth: int, trials: int, seed: int, max_entries: int | None = None
-) -> dict[str, bool | int]:
+) -> dict[str, bool]:
     """Randomized verification of the fourth-power identities in S(X).
 
     For seeded random elements a, b (homogeneous and not), checks
@@ -245,6 +245,4 @@ def fourth_power_checks(
         "product_fourth_power": alg.equal(ab4, alg.mul(a4, b4)),
         "sum_fourth_power": alg.equal(alg.power(total, 4), sum_of_fourths),
         "square_rule": alg.equal(ab2, rule),
-        "trials": trials,
-        "seed": seed,
     }

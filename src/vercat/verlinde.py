@@ -65,7 +65,7 @@ from .exactlin import (
     solve_array,
 )
 from . import graded
-from .repzp import ZpModule, hom_stack, jordan_module, jordan_type, jordan_types
+from .repzp import ZpModule, hom_stack, jordan_module, jordan_types
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +197,9 @@ def quotient(m: ZpModule) -> VerObject:
     and are discarded.
 
     Correctness anchor: the Jordan fusion oracle, the slow route that the
-    closed fusion rule is checked against.
+    closed fusion rule is checked against; a batch of one of `quotients`.
     """
-    return VerObject.from_blocks(m.p, jordan_type(m).parts)
+    return next(quotients([m]))
 
 
 def quotients(ms: Iterable[ZpModule]) -> Iterator[VerObject]:
@@ -566,10 +566,7 @@ def _jordan_basis(p: int, a: int, b: int) -> tuple[list[int], np.ndarray, np.nda
         t = np.hstack([t, new_t])
         tinv = np.vstack([tinv, new_tinv])
         sizes.extend([k] * m)
-    starts = np.cumsum([0] + sizes[:-1])
-    jordan = np.eye(n, dtype=np.int64)
-    for o, s in zip(starts, sizes):
-        jordan[o : o + s - 1, o + 1 : o + s] += np.eye(s - 1, dtype=np.int64)
+    jordan = jordan_module(p, sizes).g.a
     g_t = (t + _nil_cols(t, a, b, p)) % p
     if sum(sizes) != n or not np.array_equal((tinv @ t) % p, np.eye(n, dtype=np.int64)):
         raise AssertionError("pair basis is not invertible")

@@ -143,8 +143,6 @@ def test_08_fourth_power_identity_suite():
     for mod in (sv.module_w(), sv.direct_sum(sv.module_w(), sv.trivial(1))):
         rep = sv.fourth_power_checks(mod, 8, 200, 7)
         for name, val in rep.items():
-            if name in ("trials", "seed"):
-                continue
             assert val, name
     report(8, "all six fourth-power identities, 200 seeded trials on S(W), S(W+1)",
            time.time() - t0)

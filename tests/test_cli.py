@@ -484,6 +484,33 @@ class TestCache:
         )
         assert len(os.listdir(tmp_path)) == 1
 
+    @pytest.mark.parametrize("which", ["hilbert", "invariants", "generators", "module-finiteness"])
+    def test_every_symalg_report_is_served_from_its_entry(
+        self, capsys, tmp_path, monkeypatch, which
+    ):
+        argv = [
+            "symalg", "--p", "5", "--object", "1+L2", "--max-degree", "5",
+            "--report", which, "--format", "json",
+        ]
+
+        def bytes_of(out):
+            return re.sub(r'"timestamp":"[^"]*"', '"timestamp":"T"', out)
+
+        code, fresh, _ = run(capsys, *argv, "--no-cache")
+        code1, first, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        (entry,) = os.listdir(tmp_path)
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a cached symalg report was rebuilt")
+
+        monkeypatch.setattr(vercat.cli, "sym_alg_series", unbuilt)
+        for name in ("build_invariant_algebra", "module_finiteness_check"):
+            monkeypatch.setattr(vercat.invariants, name, unbuilt)
+        code2, again, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == code1 == code2 == EXIT_OK
+        assert os.listdir(tmp_path) == [entry]
+        assert bytes_of(fresh) == bytes_of(first) == bytes_of(again)
+
 
 # ---------------------------------------------------------------------------
 # one command path: exact outputs, argparse-level input checks, spec grammar

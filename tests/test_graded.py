@@ -582,7 +582,7 @@ def test_hot_products_run_on_the_exact_kernel(monkeypatch):
     assert contractions and set(contractions) == {2}
     names = ("d_square_zero", "d_of_fourth_power", "fourth_power_central")
     names += ("product_fourth_power", "sum_fourth_power", "square_rule")
-    assert report == dict.fromkeys(names, True) | {"trials": 20, "seed": 0}
+    assert report == dict.fromkeys(names, True)
     calls.clear()
     mu = SymTower(VerObject(5, (1, 1, 0, 0)), 6).mu(2, 3)
     assert calls and set(calls) == {5}

@@ -19,6 +19,7 @@ import vercat.exactlin
 from vercat.exactlin import (
     BATCH_ENTRIES,
     GF,
+    SPLIT_SIZE,
     Field,
     Mat,
     _echelon_rounds,
@@ -392,8 +393,8 @@ def component_batch(draw):
     J_r (x) J_s (one component each) and tensor products of two sums of
     blocks, each conjugated by a random permutation.  A member's
     partition is the sorted union of its blocks' partitions, each block
-    run through the whole-matrix chain on its own.  The smallest caps
-    make most batches run in the middle of a member."""
+    run through the whole-matrix chain on its own.  Under the smallest
+    caps most members run in a batch of their own."""
     p = draw(st.sampled_from([2, 3, 5, 7, 13]))
     cap = draw(st.sampled_from([64, 1024, BATCH_ENTRIES]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -430,6 +431,55 @@ def test_jordan_types_by_components(case):
         got = list(nilpotent_partitions(mats))
     assert got == [parts for parts, _ in members]
     assert got == [_partition_batch([a], p)[0] for _, a in members]
+
+
+def distinct_pieces(a: np.ndarray) -> set[bytes]:
+    """The residue bytes of the pieces the chain eliminates for the square
+    residue array `a`: `a` itself below SPLIT_SIZE rows, else its
+    diagonal blocks on the connected components of the symmetric nonzero
+    pattern, found by depth-first search, indices ascending."""
+    n = len(a)
+    if n < SPLIT_SIZE:
+        return {a.tobytes()}
+    seen, out = set(), set()
+    for start in range(n):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, component = [start], []
+        while stack:
+            i = stack.pop()
+            component.append(i)
+            for j in np.flatnonzero(a[i] | a[:, i]).tolist():
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        component.sort()
+        out.add(a[np.ix_(component, component)].tobytes())
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(component_batch())
+def test_each_member_is_eliminated_in_one_batch(case):
+    # a batch stays within the cap unless it is one member's own pieces
+    p, _, members = case
+    cap, mats, calls = 64, [Mat(GF(p), a) for _, a in members], []
+
+    def recorded(batch, q):
+        sizes = [len(b) for b in batch]
+        calls.append(({b.tobytes() for b in batch}, sum(sizes) * max(sizes)))
+        return _partition_batch(batch, q)
+
+    with mock.patch.object(vercat.exactlin, "BATCH_ENTRIES", cap):
+        with mock.patch.object(vercat.exactlin, "_partition_batch", recorded):
+            # the last batch run before a type is yielded is the one that found it
+            found = [(parts, len(calls) - 1) for parts in nilpotent_partitions(mats)]
+    assert [parts for parts, _ in found] == [parts for parts, _ in members]
+    for m, (_, call) in zip(mats, found):
+        assert distinct_pieces(m.a) <= calls[call][0]
+    for pieces, entries in calls:
+        assert entries <= cap or any(pieces == distinct_pieces(m.a) for m in mats)
 
 
 # -- the einsum Gram matrix of the trace pairing ------------------------------
