@@ -14,8 +14,8 @@ except for the `timestamp` field.
 
 Caching: `--cache-dir` flag, else the VERLINDE_CACHE_DIR environment
 variable, else no caching.  One file per entry, keyed by the canonical
-parameter string; payloads carry a checksum and corrupted entries are
-recomputed, never trusted.
+parameter string and the effective `--max-entries`; payloads carry a
+checksum and corrupted entries are recomputed, never trusted.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .exactlin import GF, BudgetExceeded, Mat, check_budget
+from .exactlin import DEFAULT_MAX_ENTRIES, GF, BudgetExceeded, Mat, check_budget
 from . import repzp
 from .repzp import jordan_module, jordan_type, sym_power, tensor
 from . import verlinde
@@ -267,12 +267,15 @@ class ResultCache:
 
 
 def cached(args, key: str, compute):
-    """compute(), through the result cache when one is configured."""
+    """compute(), through the result cache when one is configured; the key
+    ends with the effective budget, so no entry crosses budgets."""
     directory = None if args.no_cache else (
         args.cache_dir or os.environ.get("VERLINDE_CACHE_DIR")
     )
     if not directory:
         return compute()
+    budget = DEFAULT_MAX_ENTRIES if args.max_entries is None else args.max_entries
+    key += f"|max_entries={budget}"
     cache = ResultCache(directory)
     value = cache.get(key)
     if value is None:

@@ -25,7 +25,7 @@ import numpy as np
 from . import graded
 from .exactlin import kernel, rank
 from .repzp import jordan_module
-from .verlinde import SymTower, VerObject, _trace_gram, ver_sym_power
+from .verlinde import SymTower, VerObject, ver_sym_power
 
 
 class InvariantAlgebra(graded.TruncatedAlgebra):
@@ -192,13 +192,6 @@ def module_finiteness_check(
     window = max(1, -(-depth // 3))  # ceil, and never empty
     stabilized = all(m <= depth - window for m, _ in selected)
     return selected, stabilized
-
-
-def negligible(f: np.ndarray, back: np.ndarray, p: int) -> bool:
-    """Whether f: J_i -> J_s (an s x i array) is negligible, i.e.
-    tr(f u) = 0 for every u in `back`, a basis of Hom(J_s, J_i) stacked
-    as (h x i x s) (`repzp.hom_stack`)."""
-    return not _trace_gram(f[None], back, p).any()
 
 
 def isotypic_stability_check(

@@ -27,6 +27,7 @@ from vercat.cli import (
 )
 import vercat
 from vercat import svec2 as sv
+from vercat.exactlin import DEFAULT_MAX_ENTRIES
 from vercat.verlinde import VerObject
 
 
@@ -483,6 +484,35 @@ class TestCache:
             "sympow", "--p", "3", "--object", "L2", "--degree", "2",
         )
         assert len(os.listdir(tmp_path)) == 1
+
+    def test_entry_is_not_served_under_a_smaller_budget(self, capsys, tmp_path):
+        argv = [
+            "sympow", "--p", "5", "--object", "L2", "--degree", "3",
+            "--cache-dir", str(tmp_path),
+        ]
+        assert run(capsys, *argv)[0] == EXIT_OK
+        assert run(capsys, *argv, "--max-entries", "1")[0] == EXIT_BUDGET
+        assert run(capsys, *argv, "--max-entries", "1", "--no-cache")[0] == EXIT_BUDGET
+
+    @pytest.mark.parametrize("budget", [None, 5000])
+    def test_entry_is_served_at_the_same_budget(self, capsys, tmp_path, monkeypatch, budget):
+        # no flag and the default spelled out are the same effective budget
+        flags = [] if budget is None else ["--max-entries", str(budget)]
+        again = flags or ["--max-entries", str(DEFAULT_MAX_ENTRIES)]
+        argv = [
+            "sympow", "--p", "5", "--object", "L2", "--degree", "3",
+            "--cache-dir", str(tmp_path),
+        ]
+        code1, first, _ = run(capsys, *argv, *flags)
+        (entry,) = os.listdir(tmp_path)
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a cached sympow result was recomputed")
+
+        monkeypatch.setattr(vercat.cli, "ver_sym_power", unbuilt)
+        code2, second, _ = run(capsys, *argv, *again)
+        assert code1 == code2 == EXIT_OK and second == first
+        assert os.listdir(tmp_path) == [entry]
 
     @pytest.mark.parametrize("which", ["hilbert", "invariants", "generators", "module-finiteness"])
     def test_every_symalg_report_is_served_from_its_entry(

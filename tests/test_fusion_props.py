@@ -1,6 +1,7 @@
 """Property tests: the closed fusion rule of Ver_p satisfies the laws of
 a based commutative ring, for random primes p <= 31 and random simples,
-and `fusion` extends it bilinearly to random objects."""
+and `fusion` extends it bilinearly to random objects, sparse ones with
+huge multiplicities up to p = 211."""
 
 import pytest
 from hypothesis import given, settings
@@ -84,3 +85,28 @@ def test_fusion_is_the_bilinear_sum_of_the_rule(case):
     assert fusion(a, b) == VerObject(p, tuple(want))
     with pytest.raises(ValueError, match="prime mismatch"):
         fusion(a, VerObject.zero(other))
+
+
+@st.composite
+def sparse_pairs(draw):
+    """Two objects of a few simples each, multiplicities up to 10^12, at
+    primes 101, 103 and 211."""
+    p = draw(st.sampled_from([101, 103, 211]))
+    support = st.dictionaries(st.integers(1, p - 1), st.integers(1, 10**12), max_size=4)
+    return tuple(
+        VerObject(p, tuple(d.get(i, 0) for i in range(1, p)))
+        for d in (draw(support), draw(support))
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_pairs())
+def test_fusion_is_the_bilinear_sum_of_the_rule_at_large_primes(case):
+    a, b = case
+    p = a.p
+    want = [0] * (p - 1)
+    for r, x in enumerate(a.mult, 1):
+        for s, y in enumerate(b.mult, 1):
+            for t, m in enumerate(fusion_rule(p, r, s) if x and y else ()):
+                want[t] += x * y * m
+    assert fusion(a, b) == VerObject(p, tuple(want))

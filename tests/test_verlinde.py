@@ -155,10 +155,18 @@ class TestFusion:
         with pytest.raises(ValueError):
             fusion(L(3, 1), L(5, 1))
 
+    def test_exact_past_int64(self):
+        # 10^20 exceeds int64; numpy-integer multiplicities are exact too
+        for m in (10**10, np.int64(10**10)):
+            a, b = VerObject(5, (m, 0, 0, 0)), VerObject(5, (0, m, 0, 0))
+            assert fusion(a, a) == VerObject(5, (10**20, 0, 0, 0))
+            assert fusion(b, L(5, 3)) == VerObject(5, (0, m, 0, m))
+            assert fusion(b, VerObject(5, (0, 0, m, 0))) == VerObject(5, (0, 10**20, 0, 10**20))
+
     @pytest.mark.parametrize("p", [103, 65537])
     def test_large_prime_reads_the_rule(self, p):
-        # above p = 102 the (p-1)^3 table is not built; the product reads
-        # fusion_rule on the simples present only
+        # the product visits only the pairs of simples present, so its cost
+        # follows the supports, not p; the sum below reads fusion_rule on them
         a = VerObject(p, tuple(2 if i in (1, p - 3) else 0 for i in range(p - 1)))
         b = L(p, 3) + L(p, p - 1)
         total = VerObject.zero(p)
