@@ -593,6 +593,45 @@ def test_symalg_report_exact_output(capsys, report, fmt):
     assert out == SYMALG_OUTPUTS[report, fmt]
 
 
+# JSON payloads where Rep(Z/pZ), Ver_p and the invariant algebra meet: the
+# oracle's dropped J_p count, an ambient S^5(J_2) = J5 + J1 against the
+# intrinsic 0, and invariant dimensions above 1
+PAYLOAD_OUTPUTS = {
+    "fusion-oracle": (
+        ["fusion", "--p", "7", "--l", "3", "--r", "5", "--oracle"],
+        '{"checks":[{"details":"1 negligible block(s) J7 dropped",'
+        '"name":"fusion-oracle p=7 r=3 s=5","passed":true}],"command":"fusion",'
+        '"parameters":{"l":3,"oracle":true,"p":7,"r":5},"results":[{"fusion":'
+        '"L3 + L5","l":3,"mult":[0,0,1,0,1,0],"p":7,"r":5}],"timestamp":"T",'
+        '"versions":{"artifact":"0.1.0"}}\n',
+    ),
+    "sympow-both": (
+        ["sympow", "--p", "5", "--object", "L2", "--degree", "5", "--ambient", "both"],
+        '{"checks":[],"command":"sympow","parameters":{"ambient":"both",'
+        '"degree":5,"object":"L2","p":5},"results":[{"agree":false,'
+        '"jordan":"J5 + J1","jordan_parts":[5,1],"verlinde":"0",'
+        '"verlinde_mult":[0,0,0,0]}],"timestamp":"T",'
+        '"versions":{"artifact":"0.1.0"}}\n',
+    ),
+    "symalg-invariants": (
+        ["symalg", "--p", "7", "--object", "1+L3", "--max-degree", "8",
+         "--report", "invariants"],
+        '{"checks":[],"command":"symalg","parameters":{"max_degree":8,'
+        '"object":"L1 + L3","p":7,"report":"invariants"},"results":'
+        '[{"invariant_dims":[1,1,2,2,3,3,3,3,3]}],"timestamp":"T",'
+        '"versions":{"artifact":"0.1.0"}}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOAD_OUTPUTS))
+def test_payload_exact_output(capsys, name):
+    argv, want = PAYLOAD_OUTPUTS[name]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    assert re.sub(r'"timestamp":"[^"]*"', '"timestamp":"T"', out) == want
+
+
 @pytest.mark.parametrize(
     "argv",
     [
