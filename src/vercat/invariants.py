@@ -63,17 +63,11 @@ class InvariantAlgebra(graded.TruncatedAlgebra):
             for offs in self._inv_offsets:
                 rng.shuffle(offs)
         self.dims = [len(offs) for offs in self._inv_offsets]
-        if self.inv_dim(0) != 1:
+        if self.dims[0] != 1:
             raise AssertionError("degree 0 must be one-dimensional")
         self._tables: dict[tuple[int, int, int], np.ndarray] = {}
 
     # -- degree data ---------------------------------------------------------
-
-    def inv_dim(self, m: int) -> int:
-        return self.dims[m]
-
-    def inv_dims(self) -> list[int]:
-        return list(self.dims)
 
     def offsets(self, m: int, i: int) -> list[int]:
         """Offsets in V_m of the size-i blocks, in class-coordinate order."""
@@ -156,7 +150,7 @@ def generator_degrees(alg: InvariantAlgebra) -> list[tuple[int, int]]:
     with g < m a degree that has new generators (every monomial in the
     generators is a generator times the rest), so only those are ranked.
     """
-    out, gens = [(0, alg.inv_dim(0))], []
+    out, gens = [(0, alg.dims[0])], []
     for m in range(1, alg.depth + 1):
         out.append((m, _new_classes(alg, m, 1, gens)))
         if out[-1][1]:
@@ -226,7 +220,7 @@ def isotypic_stability_check(
     types_present = [
         (m, i) for m in range(depth + 1) for i in range(1, p) if alg.iso_dim(m, i)
     ]
-    inv_degrees = [a for a in range(depth + 1) if alg.inv_dim(a) > 0]
+    inv_degrees = [a for a in range(depth + 1) if alg.dims[a] > 0]
     module = functools.cache(functools.partial(jordan_module, p))  # sizes -> J-sum
 
     def draw(k: int) -> np.ndarray:
@@ -238,13 +232,13 @@ def isotypic_stability_check(
         if not choices:
             continue
         a = rng.choice(choices)
-        ca, cb = draw(alg.inv_dim(a)), draw(alg.iso_dim(b, i))
+        ca, cb = draw(alg.dims[a]), draw(alg.iso_dim(b, i))
         psi = alg.iso_matrix(b, i, cb)
         m = a + b
         # the invariant's representative is sum_k ca[k] e_k over the
         # invariant offsets of V_a, so only those columns of mu(a, b) are read
         mu = alg.tower.mu(a, b, tuple(alg.offsets(a, 1)))
-        mu = mu.reshape(alg.tower.dim(m), alg.inv_dim(a), alg.tower.dim(b))
+        mu = mu.reshape(alg.tower.dim(m), alg.dims[a], alg.tower.dim(b))
         h = (np.tensordot(mu, ca, axes=(1, 0)) % p) @ psi % p
         gj, gv = module((i,)).g.a, module(alg.tower.sizes[m]).g.a  # J_i, V_m
         if not np.array_equal((h @ gj) % p, (gv @ h) % p):

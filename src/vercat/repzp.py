@@ -25,29 +25,6 @@ from .exactlin import GF, Mat, _nilpotent_partitions, check_budget, kernel
 from .graded import check_degree, induced, quotient_tower, swap
 
 
-@dataclass(frozen=True)
-class JordanType:
-    """A partition of Jordan block sizes, weakly decreasing, parts <= p."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(x < 1 for x in self.parts):
-            raise ValueError("parts must be positive")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError("parts must be weakly decreasing")
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def multiplicity(self, k: int) -> int:
-        return sum(1 for x in self.parts if x == k)
-
-    def __str__(self):
-        return "[" + ",".join(str(x) for x in self.parts) + "]"
-
-
 @dataclass(frozen=True, eq=False)
 class ZpModule:
     """A Z/pZ-module in characteristic p: the generator acts by `g`."""
@@ -96,19 +73,19 @@ def trivial_module(p: int, n: int = 1) -> ZpModule:
     return jordan_module(p, [1] * n)
 
 
-def jordan_type(m: ZpModule) -> JordanType:
-    """Partition classifying the module up to isomorphism: a batch of one
-    of `jordan_types`."""
+def jordan_type(m: ZpModule) -> tuple[int, ...]:
+    """Partition classifying the module up to isomorphism, its Jordan
+    block sizes weakly decreasing: a batch of one of `jordan_types`."""
     return next(jordan_types([m]))
 
 
-def jordan_types(ms: Iterable[ZpModule]) -> Iterator[JordanType]:
+def jordan_types(ms: Iterable[ZpModule]) -> Iterator[tuple[int, ...]]:
     """`jordan_type` of each module of `ms`, in order, eliminated in
     batches by `nilpotent_partitions`; the modules are read lazily and
     must share one prime.  The chain reads each g - 1 as a plain array."""
-    nils = ((m.g.a - np.eye(m.dim, dtype=np.int64), m.g.field) for m in ms)
-    for parts in _nilpotent_partitions(nils):
-        yield JordanType(parts)
+    return _nilpotent_partitions(
+        (m.g.a - np.eye(m.dim, dtype=np.int64), m.g.field) for m in ms
+    )
 
 
 def _check_same_prime(a: ZpModule, b: ZpModule) -> None:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import weakref
 from collections import Counter
 from collections.abc import Iterable, Iterator
@@ -73,13 +74,19 @@ from .repzp import ZpModule, hom_stack, jordan_module, jordan_types
 
 @dataclass(frozen=True)
 class VerObject:
-    """An element of the fusion ring: multiplicities of L_1, ..., L_{p-1}."""
+    """An element of the fusion ring: multiplicities of L_1, ..., L_{p-1},
+    stored as a tuple of Python ints (any integer type is accepted)."""
 
     p: int
     mult: tuple[int, ...]
 
     def __post_init__(self):
         GF(self.p)  # raises for any p that is not a prime GF accepts
+        try:
+            mult = tuple(map(operator.index, self.mult))
+        except TypeError:
+            raise ValueError("multiplicities must be integers") from None
+        object.__setattr__(self, "mult", mult)
         if len(self.mult) != self.p - 1:
             raise ValueError(f"need {self.p - 1} multiplicities, got {len(self.mult)}")
         if any(m < 0 for m in self.mult):
@@ -175,13 +182,13 @@ def fusion(a: VerObject, b: VerObject) -> VerObject:
     parity read off.  Exact in Python integers at any multiplicity and p."""
     if a.p != b.p:
         raise ValueError("prime mismatch")
-    p, left = a.p, [(r, int(x)) for r, x in enumerate(a.mult, 1) if x]
+    p, left = a.p, [(r, x) for r, x in enumerate(a.mult, 1) if x]
     diff = [0] * (p + 2)  # diff[k] for L_k, with room past hi
     for s, y in enumerate(b.mult, 1):
         if y:
             for r, x in left:
                 lo, hi = _rule_range(p, r, s)
-                xy = x * int(y)
+                xy = x * y
                 diff[lo] += xy
                 diff[hi + 2] -= xy
     for k in range(3, p):
@@ -211,8 +218,8 @@ def quotients(ms: Iterable[ZpModule]) -> Iterator[VerObject]:
     first = next(ms, None)
     if first is None:
         return
-    for jt in jordan_types(itertools.chain([first], ms)):
-        yield VerObject.from_blocks(first.p, jt.parts)
+    for parts in jordan_types(itertools.chain([first], ms)):
+        yield VerObject.from_blocks(first.p, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +244,20 @@ def _trace_radical(a: ZpModule, b: ZpModule) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class VerHom:
-    """Hom(a, b) / N(a, b) with chosen lift matrices for the classes."""
+    """Hom(a, b) / N(a, b): a basis of Hom(a, b) and the projection of its
+    coordinates onto the classes."""
 
     source: ZpModule
     target: ZpModule
-    classes: tuple[Mat, ...]
     _hom_basis: np.ndarray  # h x b.dim x a.dim
     _class_proj: np.ndarray  # hom coordinates -> class coordinates
 
     @property
     def dim(self) -> int:
-        return len(self.classes)
+        return self._class_proj.shape[0]
 
     def reduce(self, f: Mat) -> tuple[int, ...]:
-        """Coordinates of the class of f over the chosen class basis."""
+        """Coordinates of the class of f over the class basis."""
         p, h = self.source.p, self._hom_basis
         coords = solve_array(h.reshape(len(h), f.a.size).T, f.a.reshape(-1, 1), p)
         if coords is None:
@@ -265,9 +272,7 @@ def ver_hom(a: ZpModule, b: ZpModule) -> VerHom:
     of the trace pairing; the tests hold the fusion rule and `quotient`
     to its dimensions."""
     fwd, rad_coeffs = _trace_radical(a, b)
-    proj, free = cokernel(rad_coeffs, a.p)
-    classes = tuple(Mat(GF(a.p), fwd[i]) for i in free)
-    return VerHom(a, b, classes, fwd, proj)
+    return VerHom(a, b, fwd, cokernel(rad_coeffs, a.p)[0])
 
 
 # ---------------------------------------------------------------------------

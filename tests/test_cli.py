@@ -197,6 +197,28 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert out == "" and "seed must be nonnegative" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sympow", "--p", "5", "--object", "L2", "--degree", "2"],
+            ["fusion", "--p", "7", "--l", "3", "--r", "5", "--oracle"],
+            ["svec2", "sympow", "--module", "W", "--degree", "2"],
+            ["verify", "--suite", "char0"],
+        ],
+        ids=["sympow", "fusion", "svec2-sympow", "verify"],
+    )
+    def test_negative_budget_is_usage_error(self, capsys, argv):
+        # refused while parsing, before any charge could name it
+        code, out, err = run(capsys, *argv, "--max-entries", "-1")
+        assert code == EXIT_USAGE
+        assert out == "" and "budget must be nonnegative, got -1" in err
+
+    def test_zero_budget_is_a_budget(self, capsys):
+        argv = ["sympow", "--p", "5", "--object", "L2", "--max-entries", "0"]
+        assert run(capsys, *argv, "--degree", "0")[:2] == (EXIT_OK, "L1\n")
+        code, _, err = run(capsys, *argv, "--degree", "2")
+        assert code == EXIT_BUDGET and "budget is 0" in err
+
     def test_p_max_error_names_the_largest_prime(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "fusion", "--p-max", "17")
         assert code == EXIT_USAGE

@@ -53,15 +53,15 @@ def ver(p: int, summands) -> VerObject:
 class TestBuild:
     def test_unit_object_truncated_polynomials(self):
         alg = build_invariant_algebra(VerObject.unit(5), 6)
-        assert alg.inv_dims() == [1] * 7
+        assert alg.dims == [1] * 7
 
     def test_l2_p5_constants_only(self):
         alg = build_invariant_algebra(VerObject.simple(5, 2), 6)
-        assert alg.inv_dims() == [1, 0, 0, 0, 0, 0, 0]
+        assert alg.dims == [1, 0, 0, 0, 0, 0, 0]
 
     def test_two_l2_p3_degree2(self):
         alg = build_invariant_algebra(VerObject(3, (0, 2)), 4)
-        assert alg.inv_dim(2) == 1  # one copy of the unit inside L2 (x) L2
+        assert alg.dims[2] == 1  # one copy of the unit inside L2 (x) L2
 
     def test_dims_match_sympower_multiplicity(self):
         for p, mult, depth in [
@@ -72,7 +72,7 @@ class TestBuild:
             x = VerObject(p, mult)
             alg = build_invariant_algebra(x, depth)
             for m in range(depth + 1):
-                assert alg.inv_dim(m) == ver_sym_power(x, m).mult_of(1), (p, mult, m)
+                assert alg.dims[m] == ver_sym_power(x, m).mult_of(1), (p, mult, m)
 
     def test_isotypic_basis_elements(self):
         alg = build_invariant_algebra(VerObject(5, (1, 1, 0, 0)), 4)
@@ -85,7 +85,7 @@ class TestBuild:
 def product(alg, a, ca, b, cb):
     """Degree a + b of the product of homogeneous elements {a: ca} and
     {b: cb}, zero when `mul` leaves that component out."""
-    zero = np.zeros(alg.inv_dim(a + b), dtype=np.int64)
+    zero = np.zeros(alg.dims[a + b], dtype=np.int64)
     return alg.mul({a: ca}, {b: cb}).get(a + b, zero)
 
 
@@ -97,15 +97,15 @@ class TestProducts:
                 for c in range(1, 4):
                     if a + b + c > alg.depth:
                         continue
-                    for ka in range(alg.inv_dim(a)):
-                        for kb in range(alg.inv_dim(b)):
-                            ea = np.eye(alg.inv_dim(a), dtype=np.int64)[ka]
-                            eb = np.eye(alg.inv_dim(b), dtype=np.int64)[kb]
+                    for ka in range(alg.dims[a]):
+                        for kb in range(alg.dims[b]):
+                            ea = np.eye(alg.dims[a], dtype=np.int64)[ka]
+                            eb = np.eye(alg.dims[b], dtype=np.int64)[kb]
                             ab = product(alg, a, ea, b, eb)
                             ba = product(alg, b, eb, a, ea)
                             assert np.array_equal(ab, ba)
-                            for kc in range(alg.inv_dim(c)):
-                                ec = np.eye(alg.inv_dim(c), dtype=np.int64)[kc]
+                            for kc in range(alg.dims[c]):
+                                ec = np.eye(alg.dims[c], dtype=np.int64)[kc]
                                 lhs = product(alg, a + b, ab, c, ec)
                                 rhs = product(
                                     alg, a, ea, b + c, product(alg, b, eb, c, ec)
@@ -116,8 +116,8 @@ class TestProducts:
         alg = build_invariant_algebra(VerObject(3, (1, 1)), 6)
         one = np.array([1], dtype=np.int64)
         for m in range(1, 6):
-            for k in range(alg.inv_dim(m)):
-                e = np.eye(alg.inv_dim(m), dtype=np.int64)[k]
+            for k in range(alg.dims[m]):
+                e = np.eye(alg.dims[m], dtype=np.int64)[k]
                 assert np.array_equal(product(alg, 0, one, m, e), e)
 
 
