@@ -683,13 +683,13 @@ def suite_invariants(report: Report, args) -> None:
     )
     report.add_check(
         "frobenius p=5 X=1+L2 D=10",
-        inv_mod.frobenius_check(alg, 50, seed, max_entries),
+        inv_mod.frobenius_check(alg, 50, seed),
         "50 random pairs",
     )
     alg3 = inv_mod.build_invariant_algebra(VerObject(3, (1, 1)), 9, max_entries)
     report.add_check(
         "frobenius p=3 X=1+L2 D=9",
-        inv_mod.frobenius_check(alg3, 50, seed, max_entries),
+        inv_mod.frobenius_check(alg3, 50, seed),
         "50 random pairs",
     )
     x5 = VerObject.simple(5, 2)

@@ -193,9 +193,9 @@ class TruncatedAlgebra:
     `stack` builds one from per-trial elements, and every operation
     broadcasts over the leading trial axis, a vector (such as
     `one()`) acting on every row.  `equal` is True only if every row
-    agrees.  Subclasses set `p`, `depth` and `dims` (the dimension of
-    each degree) and provide `product_table(a, b)`, the (da x db x dc)
-    structure tensor of degrees a and b.
+    agrees.  Subclasses set `p`, `depth`, `dims` (the dimension of each
+    degree) and `max_entries`, and provide `product_table(a, b)`, the
+    (da x db x dc) structure tensor of degrees a and b.
     """
 
     def zero(self) -> Elem:
@@ -215,16 +215,16 @@ class TruncatedAlgebra:
                 out[m][t] = c
         return out
 
-    def check_batch(self, trials: int, max_entries: int | None) -> None:
-        """Charge a `trials`-row batch against the budget before it is
-        drawn: its largest array is the (trials x da*db) outer product
-        of one degree pair with a + b <= depth."""
+    def check_batch(self, trials: int) -> None:
+        """Charge a `trials`-row batch against `max_entries`, the budget the
+        algebra was built with, before it is drawn: its largest array is
+        the (trials x da*db) outer product of a degree pair, a + b <= depth."""
         widest = max(
             self.dims[a] * self.dims[b]
             for a in range(self.depth + 1)
             for b in range(self.depth + 1 - a)
         )
-        check_budget(trials * widest, max_entries, f"a batch of {trials} trials")
+        check_budget(trials * widest, self.max_entries, f"a batch of {trials} trials")
 
     def add(self, u: Elem, v: Elem) -> Elem:
         out = {}

@@ -222,7 +222,7 @@ def fourth_power_checks(
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     alg = sym_algebra(x, depth, max_entries)
-    alg.check_batch(trials, max_entries)
+    alg.check_batch(trials)
     max_deg = depth // 4
     rng = np.random.default_rng(seed)
     a = alg.random_batch(rng, trials, max_deg, homogeneous=np.arange(trials) % 2 == 1)

@@ -404,10 +404,7 @@ class _HomClasses:
 
 
 def _ver_cokernel(
-    a_blk: _Blocks,
-    b_blk: _Blocks,
-    apply_phi,
-    max_entries: int | None = None,
+    a_blk: _Blocks, b_blk: _Blocks, apply_phi
 ) -> tuple[tuple[int, ...], np.ndarray]:
     """Cokernel in Ver_p of the morphism class of phi: A -> B.
 
@@ -417,14 +414,15 @@ def _ver_cokernel(
     canonical J_p-free realization of the cokernel (descending) and the
     projection matrix B -> C representing the quotient class.  Rows of
     the projection are grouped per block, ordered [w, wN, ..., wN^(j-1)]
-    for the class row w.
+    for the class row w.  Its arrays are charged against the default
+    budget.
 
     Correctness anchor: this first-row route checks the Jordan-coordinate
     cokernels of `SymTower._build_degree`; only `_ver_sym_power_direct`
     calls it.
     """
     p = b_blk.p
-    check_budget(b_blk.dim * b_blk.dim, max_entries, "nilpotent of the cokernel target")
+    check_budget(b_blk.dim * b_blk.dim, None, "nilpotent of the cokernel target")
     nb = b_blk.nilpotent_full()
     sizes: list[int] = []
     q_rows: list[np.ndarray] = []
@@ -436,9 +434,7 @@ def _ver_cokernel(
         if ha.total == 0 or a_blk.dim == 0:
             ker = np.eye(hb.total, dtype=np.int64)
         else:
-            check_budget(
-                hb.total * a_blk.dim, max_entries, "precomposed class rows"
-            )
+            check_budget(hb.total * a_blk.dim, None, "precomposed class rows")
             coords = ha.reduce(apply_phi(hb.reps) % p)
             ker = kernel(coords.T, p).T  # rows: kernels of precomposition
         for c in ker:
@@ -849,25 +845,24 @@ class SymTower(graded.GradedTower):
             count = frame.counts[j]
             if count == 0:
                 continue
-            if j not in a_tops:
-                ker = np.eye(count, dtype=np.int64)
-            else:
-                check_budget(count * a_dim, budget, f"S^{m}: precomposed class rows")
-                # reps @ phi, contracted factor by factor so the relation
-                # map is never materialized: (q_(m-1) (x) 1_X) is one
-                # product of the reps, X factor moved to the rows, by q_(m-1)
-                reps = frame.tops(j).reshape(count, -1, nx).transpose(0, 2, 1)
-                pre = matmul_mod(reps.reshape(count * nx, -1), q_prev, p)
-                pre = pre.reshape(count, nx, -1).transpose(0, 2, 1).reshape(count, a_dim)
-                pre = graded.minus_swap(pre, nx) % p
-                coords = np.concatenate([
-                    matmul_mod(pre[:, idx].reshape(-1, idx.shape[1]), cols, p).reshape(count, -1)
-                    for idx, cols in a_tops[j]
-                ], axis=1)
-                if count > 1:
-                    ker = kernel(coords.T, p).T  # rows: kernels of precomposition
-                else:  # a lone class survives exactly when all its coordinates vanish
-                    ker = np.ones((int(not coords.any()), 1), dtype=np.int64)
+            check_budget(count * a_dim, budget, f"S^{m}: precomposed class rows")
+            # reps @ phi, contracted factor by factor so the relation
+            # map is never materialized: (q_(m-1) (x) 1_X) is one
+            # product of the reps, X factor moved to the rows, by q_(m-1)
+            reps = frame.tops(j).reshape(count, -1, nx).transpose(0, 2, 1)
+            pre = matmul_mod(reps.reshape(count * nx, -1), q_prev, p)
+            pre = pre.reshape(count, nx, -1).transpose(0, 2, 1).reshape(count, a_dim)
+            pre = graded.minus_swap(pre, nx) % p
+            # q_(m-1) (x) 1_X: A -> B is split epi, so every size-j summand
+            # of B has one in A and a_tops[j] exists
+            coords = np.concatenate([
+                matmul_mod(pre[:, idx].reshape(-1, idx.shape[1]), cols, p).reshape(count, -1)
+                for idx, cols in a_tops[j]
+            ], axis=1)
+            if count > 1:
+                ker = kernel(coords.T, p).T  # rows: kernels of precomposition
+            else:  # a lone class survives exactly when all its coordinates vanish
+                ker = np.ones((int(not coords.any()), 1), dtype=np.int64)
             if ker.shape[0] == 0:
                 continue
             deg.kernels[m, j] = _frozen(ker)
@@ -957,7 +952,7 @@ def _ver_sym_power_direct(x: VerObject, m: int) -> VerObject:
         return np.hstack(parts)
 
     a_blk = _Blocks.disjoint_union([t_blk] * (m - 1))
-    sizes, _ = _ver_cokernel(a_blk, t_blk, apply_phi, None)
+    sizes, _ = _ver_cokernel(a_blk, t_blk, apply_phi)
     return VerObject.from_blocks(p, sizes)
 
 

@@ -30,6 +30,8 @@ from vercat import svec2 as sv
 from vercat.exactlin import DEFAULT_MAX_ENTRIES
 from vercat.verlinde import VerObject
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -266,6 +268,19 @@ class TestExitCodes:
         code, out, _ = run(capsys, "verify", "--suite", "svec2")
         assert code == EXIT_OK
         assert out.strip().endswith("19/19 checks passed")
+
+    @pytest.mark.parametrize("suite", ["sympow", "invariants"])
+    def test_suite_matches_the_recorded_verify_all(self, capsys, suite):
+        # the benchmark's record of `verify --suite all` at the default seed
+        # (read only here) holds the same-named checks, details included
+        path = os.path.join(ROOT, "perfbench", "expected.json")
+        with open(path) as f:
+            recorded = json.load(f)["verify-all"]["checks"]
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--format", "json")
+        checks = json.loads(out)["checks"]
+        names = {c["name"] for c in checks}
+        assert code == EXIT_OK and checks
+        assert checks == [c for c in recorded if c["name"] in names]
 
     def test_check_failure_via_mutation(self, capsys):
         code, out, _ = run(

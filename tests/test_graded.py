@@ -455,10 +455,10 @@ class TestBatch:
 
     def test_batch_budget_counts_trials_times_widest_pair(self):
         # S(W) to depth 8 has dims 1, 2, 2, ...: the widest pair is 2 x 2
-        alg = svec2.sym_algebra(svec2.module_w(), 8)
-        alg.check_batch(250, max_entries=1000)
+        alg = svec2.sym_algebra(svec2.module_w(), 8, max_entries=1000)
+        alg.check_batch(250)
         with pytest.raises(BudgetExceeded, match="batch of 251 trials needs 1004 "):
-            alg.check_batch(251, max_entries=1000)
+            alg.check_batch(251)
 
 
 class CountingRng:

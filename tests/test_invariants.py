@@ -22,6 +22,7 @@ from vercat.invariants import (
     InvariantAlgebra,
     build_invariant_algebra,
     char0_counterexample,
+    _intertwines,
     frobenius_check,
     generator_degrees,
     isotypic_stability_check,
@@ -73,13 +74,6 @@ class TestBuild:
             alg = build_invariant_algebra(x, depth)
             for m in range(depth + 1):
                 assert alg.dims[m] == ver_sym_power(x, m).mult_of(1), (p, mult, m)
-
-    def test_isotypic_basis_elements(self):
-        alg = build_invariant_algebra(VerObject(5, (1, 1, 0, 0)), 4)
-        for i in range(1, 5):
-            for e in np.eye(alg.iso_dim(2, i), dtype=np.int64):
-                h = alg.iso_matrix(2, i, e)
-                assert np.array_equal(alg.iso_class_of(2, i, h), e)
 
 
 def product(alg, a, ca, b, cb):
@@ -273,6 +267,30 @@ class TestNegligible:
 
 
 class TestIsotypicStability:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_shift_test_matches_dense_generators(self, p):
+        # reference: h g_J = g_V h with the dense generators of J_i and V;
+        # half the maps are intertwiners (a random mix of a Hom basis), half
+        # are those with one entry moved or uniform random entries
+        rng = np.random.default_rng(p)
+        verdicts = set()
+        for trial in range(60):
+            i = int(rng.integers(1, p + 1))
+            sizes = tuple(int(s) for s in rng.integers(1, p + 1, size=rng.integers(1, 4)))
+            gj, gv = jordan_module(p, [i]).g.a, jordan_module(p, sizes).g.a
+            basis = hom_stack(jordan_module(p, [i]), jordan_module(p, sizes))
+            h = np.tensordot(rng.integers(0, p, len(basis)), basis, axes=(0, 0)) % p
+            if trial % 4 == 1:
+                h[rng.integers(len(h)), rng.integers(i)] += 1
+            elif trial % 4 == 2:
+                h = rng.integers(0, p, h.shape)
+            h %= p
+            dense = np.array_equal(h @ gj % p, gv @ h % p)
+            ends = np.cumsum(sizes) - 1
+            assert _intertwines(h, ends) == dense, (p, i, sizes, h)
+            verdicts.add(dense)
+        assert verdicts == {True, False}
+
     def test_spec_instance(self):
         assert isotypic_stability_check(VerObject(5, (1, 1, 0, 0)), 10, 100, 42)
 
@@ -475,8 +493,17 @@ class TestFrobenius:
         alg = build_invariant_algebra(VerObject(5, (1, 1, 0, 0)), 10)
         with pytest.raises(BudgetExceeded, match="batch of 100000000 trials"):
             frobenius_check(alg, trials=10**8, seed=0)
+        small = build_invariant_algebra(VerObject.unit(5), 10, max_entries=10)
         with pytest.raises(BudgetExceeded, match="batch of 11 trials needs 11 "):
-            frobenius_check(alg, trials=11, seed=0, max_entries=10)
+            frobenius_check(small, trials=11, seed=0)
+
+    def test_batch_is_charged_at_the_algebras_budget(self):
+        # the tower and products of this algebra fit 300 entries, and its
+        # widest degree pair is 1 x 1: 300 trials fit, 301 do not
+        alg = build_invariant_algebra(VerObject(5, (1, 1, 0, 0)), 10, max_entries=300)
+        assert frobenius_check(alg, trials=300, seed=0)
+        with pytest.raises(BudgetExceeded, match="batch of 301 trials needs 301 "):
+            frobenius_check(alg, trials=301, seed=0)
 
     def test_trial_batch_is_budgeted_before_drawing(self, monkeypatch):
         def no_draws(*args, **kwargs):

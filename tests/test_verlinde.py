@@ -499,6 +499,23 @@ class TestPolyFactorCheck:
         ok, y = poly_factor_check(s, 2)
         assert not ok and y is None
 
+    def test_needs_a_zero_tail_within_the_truncation(self):
+        # S(1 + L2) / k[x] = S(L2) is nonzero through degree 3 at p = 5, so
+        # a truncation at 3 certifies no zero tail and one at 4 does
+        x = VerObject(5, (1, 1, 0, 0))
+        assert poly_factor_check(sym_alg_series(x, 3), 1) == (False, None)
+        ok, y = poly_factor_check(sym_alg_series(x, 4), 1)
+        assert ok and y == VerObject(5, (1, 1, 1, 1))
+
+    def test_quotient_restarting_after_a_zero_fails(self):
+        # by k[x], 1, 1, 1, 1, 1 deconvolves to 1, 0, 0, 0, 0, and
+        # 1, 1, 2, 2, 2 to 1, 0, 1, 0, 0: no S(Z) series restarts
+        unit = VerObject.unit(5)
+        steady = MultSeries(5, tuple(unit.scale(c) for c in (1, 1, 1, 1, 1)), False, None)
+        assert poly_factor_check(steady, 1) == (True, unit)
+        restart = MultSeries(5, tuple(unit.scale(c) for c in (1, 1, 2, 2, 2)), False, None)
+        assert poly_factor_check(restart, 1) == (False, None)
+
     def test_series_mismatch_errors(self):
         s3 = sym_alg_series(L(3, 2), 4)
         s5 = sym_alg_series(L(5, 2), 4)
