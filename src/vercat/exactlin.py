@@ -29,11 +29,12 @@ costs about its round count in call overhead, which a batch pays once
 for all its members.  `_echelon_rounds` holds residues as int16 for
 p <= 181, where (p-1)^2 < 2^15, as int32 up to p = 46337 and as int64
 above.  `nilpotent_partitions`, the Jordan types behind the fusion
-oracle (GF(p) only), runs the row-space chain row(N^k) = row(E_(k-1) N),
-E an echelon basis, on a batch kept stacked across levels: one
-`_echelon_rounds` call per level and one stacked `matmul_mod` per width
-class (each member padded to the next power of two, capped at the batch
-width).  The members are pieces of the input: a matrix of SPLIT_SIZE =
+oracle, reads one lazy stream of (integer array, prime p) pairs over one
+GF(p) (`nilpotent_partition` is a batch of one `Mat`).  It runs the
+row-space chain row(N^k) = row(E_(k-1) N), E an echelon basis, on a
+batch kept stacked across levels: one `_echelon_rounds` call per level
+and one stacked `matmul_mod` per width class (each member padded to the
+next power of two, capped at the batch width).  The members are pieces of the input: a matrix of SPLIT_SIZE =
 16 rows or more is split into the connected components of its nonzero
 pattern mod p, taken symmetrically.  A permutation conjugates the matrix
 to the direct sum of its components, so its Jordan type is the sorted
@@ -520,7 +521,7 @@ def nilpotent_partition(n: Mat) -> tuple[int, ...]:
     """Jordan block sizes of a nilpotent matrix over GF(p), weakly
     decreasing: a batch of one of `nilpotent_partitions`.  Raises
     ValueError when the input is not square or not nilpotent."""
-    return next(nilpotent_partitions([n]))
+    return next(nilpotent_partitions([(n.a, n.field.characteristic)]))
 
 
 def _partition_batch(mats: list[np.ndarray], p: int) -> list[tuple[int, ...]]:
@@ -607,21 +608,27 @@ def _held_types(
         yield tuple(sorted((part for key in keys for part in types[key]), reverse=True))
 
 
-def _nilpotent_partitions(items: Iterable[tuple[np.ndarray, Field]]) -> Iterator[tuple[int, ...]]:
-    """`nilpotent_partitions` of (integer array, field) pairs.  Each array
-    is split and its distinct pieces keyed by their residue contents first;
-    the batch runs before they join it if its new pieces would take it
-    past BATCH_ENTRIES padded entries, or its arrays past BATCH_ENTRIES
-    rows."""
-    field, p = None, 0
+def nilpotent_partitions(items: Iterable[tuple[np.ndarray, int]]) -> Iterator[tuple[int, ...]]:
+    """Jordan block sizes of each nilpotent matrix of `items`, (integer
+    array, prime p) pairs, in order, over GF(p).
+
+    The pairs are read lazily and must share one prime, which `GF` checks
+    once.  Each array is split, and its distinct pieces keyed by their
+    residue contents, as the module docstring says; a batch runs before an
+    array's new pieces would take it past BATCH_ENTRIES padded entries, or
+    its arrays past BATCH_ENTRIES rows.  Nothing is kept between calls.
+    Raises ValueError on an array that is not square or not nilpotent, on
+    a prime `GF` rejects, or on a prime other than the first one's.
+    """
+    p = None
     batch: dict[tuple[int, bytes], np.ndarray] = {}  # (size, residue bytes) -> piece
     held: list[list[tuple[int, bytes]]] = []  # the piece keys of each array held
     rows = width = read = 0  # the batch's stacked rows and widest piece; held rows
-    for a, f in items:
-        field = field or f
-        if f != field:
-            raise ValueError(f"field mismatch: {field} vs {f}")
-        p = field.characteristic
+    for a, q in items:
+        if p is None:
+            p = GF(q).characteristic
+        elif q != p:
+            raise ValueError(f"field mismatch: GF({p}) vs GF({q})")
         n = len(a)
         if a.shape != (n, n):
             raise ValueError("nilpotent_partition requires a square matrix")
@@ -645,20 +652,3 @@ def _nilpotent_partitions(items: Iterable[tuple[np.ndarray, Field]]) -> Iterator
         read += n
     if held:
         yield from _held_types(batch, held, p)
-
-
-def nilpotent_partitions(ns: Iterable[Mat]) -> Iterator[tuple[int, ...]]:
-    """Jordan block sizes of each nilpotent matrix of `ns`, in order.
-
-    The matrices must share one field GF(p).  They are read lazily.  One
-    of size at least SPLIT_SIZE is cut into the connected components of
-    its nonzero pattern mod p; the distinct pieces of consecutive
-    matrices, each once however often it recurs, are eliminated together,
-    every piece of a matrix in the same batch.  A batch holds at most
-    BATCH_ENTRIES entries once its rows are padded to the widest piece,
-    unless it is one matrix whose own pieces hold more, and its matrices
-    hold at most BATCH_ENTRIES rows.  Nothing is kept between calls.
-    Raises ValueError on a matrix that is not square or not nilpotent, or
-    on a field other than the first one's.
-    """
-    return _nilpotent_partitions((n.a, n.field) for n in ns)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactlin import GF, Mat, _nilpotent_partitions, check_budget, kernel
+from .exactlin import GF, Mat, check_budget, kernel, nilpotent_partitions
 from .graded import check_degree, induced, quotient_tower, swap
 
 
@@ -83,9 +83,7 @@ def jordan_types(ms: Iterable[ZpModule]) -> Iterator[tuple[int, ...]]:
     """`jordan_type` of each module of `ms`, in order, eliminated in
     batches by `nilpotent_partitions`; the modules are read lazily and
     must share one prime.  The chain reads each g - 1 as a plain array."""
-    return _nilpotent_partitions(
-        (m.g.a - np.eye(m.dim, dtype=np.int64), m.g.field) for m in ms
-    )
+    return nilpotent_partitions((m.g.a - np.eye(m.dim, dtype=np.int64), m.p) for m in ms)
 
 
 def _check_same_prime(a: ZpModule, b: ZpModule) -> None:

@@ -47,7 +47,7 @@ import math
 import operator
 import weakref
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -363,9 +363,6 @@ class _HomClasses:
             nj = (njm1 @ nil) % p
             w = kernel(nj.T, p).T  # rows spanning the left kernel of N^j
             ker = kernel(nj, p)  # columns spanning ker N^j
-            if w.shape[0] == 0 or ker.shape[1] == 0:
-                per_block.append((idx, None, None, 0))
-                continue
             pair = (w @ njm1 @ ker) % p  # pairing rows against kernel vectors
             piv = pivots(pair.T, p)
             reps_local = w[piv]
@@ -431,12 +428,9 @@ def _ver_cokernel(
         if hb.total == 0:
             continue
         ha = _HomClasses(a_blk, j)
-        if ha.total == 0 or a_blk.dim == 0:
-            ker = np.eye(hb.total, dtype=np.int64)
-        else:
-            check_budget(hb.total * a_blk.dim, None, "precomposed class rows")
-            coords = ha.reduce(apply_phi(hb.reps) % p)
-            ker = kernel(coords.T, p).T  # rows: kernels of precomposition
+        check_budget(hb.total * a_blk.dim, None, "precomposed class rows")
+        coords = ha.reduce(apply_phi(hb.reps) % p)
+        ker = kernel(coords.T, p).T  # rows: kernels of precomposition
         for c in ker:
             w = (c @ hb.reps) % p
             chain = np.empty((j, b_blk.dim), dtype=np.int64)
@@ -681,12 +675,17 @@ class _TensorFrame:
             out[idx] = prod.reshape(idx.shape[1], j, len(idx), t).transpose(2, 0, 3, 1)
         return out.reshape(self.dim, t * j)
 
-    def tensor_tops(self, local: dict) -> dict[int, list[tuple[np.ndarray, np.ndarray]]]:
+    def tensor_tops(
+        self, local: dict, charge: Callable[[int, int], None]
+    ) -> dict[int, list[tuple[np.ndarray, np.ndarray]]]:
         """Top columns of a Jordan basis of (V (x) X) (x) X, per size j < p.
 
         One entry per (c, n, n') and j: (the global indices of the blocks
         (J_c (x) J_n) (x) J_n', stacked, their local top columns of size j).
-        The local columns are `_triple_tops`, kept in `local` per (c, n, n').
+        The local columns are `_triple_tops`, kept in `local` per (c, n, n');
+        before one is computed, `charge(e, n')` is called for the largest
+        summand J_e of J_c (x) J_n.  Of the pair bases it reads, J_e (x) J_n'
+        is then the largest but J_c (x) J_n, which the frame's charge covers.
         """
         nx, sx = sum(self.sizes_x), np.asarray(self.sizes_x)
         ox = np.cumsum(sx) - sx
@@ -695,6 +694,7 @@ class _TensorFrame:
             for n2 in dict.fromkeys(self.sizes_x):
                 key = (c, n, n2)
                 if key not in local:
+                    charge(max(_pair_basis(self.p, c, n).tops_by_size), n2)
                     local[key] = _triple_tops(self.p, *key)
                 x2 = ox[sx == n2, None] + np.arange(n2)
                 gidx = (idx[:, None, :, None] * nx + x2[None, :, None, :]).reshape(-1, c * n * n2)
@@ -805,10 +805,24 @@ class SymTower(graded.GradedTower):
     def multiplicities(self, m: int) -> VerObject:
         return VerObject.from_blocks(self.p, self.sizes[m])
 
-    def _frame(self, m: int) -> _TensorFrame:
-        """V_m (x) X in Jordan-normal coordinates."""
+    def _pair_charge(self, m: int) -> Callable[[int, int], None]:
+        """The charge of the pair basis of J_a (x) J_b that degree m reads:
+        `_jordan_basis` forms (ab) x (ab) arrays.  A basis cached in
+        `_PAIR_BASES` is charged as if it were built, so a warm cache
+        answers as a cold one."""
+
+        def charge(a: int, b: int) -> None:
+            check_budget((a * b) ** 2, self.max_entries, f"S^{m}: pair basis J{a} (x) J{b}")
+
+        return charge
+
+    def _frame(self, m: int, charge: Callable[[int, int], None]) -> _TensorFrame:
+        """V_m (x) X in Jordan-normal coordinates; its largest pair basis is
+        charged before the frame is built."""
         frames = self._deg.frames
         if m not in frames:
+            if self.sizes[m]:
+                charge(max(self.sizes[m]), max(self.sizes[1]))
             frames[m] = _TensorFrame(self.p, self.sizes[m], self.sizes[1])
         return frames[m]
 
@@ -825,8 +839,9 @@ class SymTower(graded.GradedTower):
         combinations are the same combinations of the following T_B^-1
         rows (`_TensorFrame.chains`; the combinations are kept per j for
         `section`).  Rows of q_m are grouped per block, ordered
-        [w, wN, ..., wN^(j-1)].  The precomposed class rows of each j, and
-        q_m as its rows accumulate, are charged against `max_entries`
+        [w, wN, ..., wN^(j-1)].  The largest pair basis of each new frame
+        and each new triple-product key, the precomposed class rows of each
+        j, and q_m as its rows accumulate, are charged against `max_entries`
         before they are formed; errors name the degree.  q_m and the kernel
         rows are read-only once recorded.
         """
@@ -837,8 +852,9 @@ class SymTower(graded.GradedTower):
             return
         p, nx, budget = self.p, self.nx, self.max_entries
         a_dim = self.dim(m - 2) * nx * nx
-        a_tops = self._frame(m - 2).tensor_tops(deg.tops)
-        frame, q_prev = self._frame(m - 1), self.q[m - 1]
+        charge = self._pair_charge(m)
+        a_tops = self._frame(m - 2, charge).tensor_tops(deg.tops, charge)
+        frame, q_prev = self._frame(m - 1, charge), self.q[m - 1]
         sizes: list[int] = []
         q_rows: list[np.ndarray] = []
         for j in range(p - 1, 0, -1):
@@ -895,7 +911,7 @@ class SymTower(graded.GradedTower):
         if b == 1:
             sections[1] = self.q[1]  # q_1 = 1_X, read-only
             return sections[1]
-        frame = self._frame(b - 1)
+        frame = self._frame(b - 1, self._pair_charge(b))
         s = np.zeros((frame.dim, self.dim(b)), dtype=np.int64)
         for j in sorted(set(self.sizes[b]), reverse=True):
             offsets = np.asarray(self.block_offsets(b, j))

@@ -834,6 +834,15 @@ def test_large_dmodule_degree_one_is_quick(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_svec2_injectivity_ambient_starts_with_w(capsys):
+    # the sub-line y must map into a leading W summand of the ambient module
+    code, out, err = run(
+        capsys, "svec2", "injectivity", "--sub", "y", "--amb", "1+W", "--max-degree", "3",
+    )
+    assert code == EXIT_USAGE and out == ""
+    assert "ambient module must start with a W summand" in err
+
+
 def test_svec2_relation_matrix_only_from_degree_two(capsys):
     # dim X = 60: the degree-2 relations would hold 60^4 int64 entries
     (code, out, _), peak = _peak_bytes(lambda: run(

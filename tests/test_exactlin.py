@@ -327,25 +327,32 @@ class TestNilpotentPartition:
 
 class TestNilpotentPartitions:
     def test_not_nilpotent_inside_batch(self):
-        good = Mat(F5, [[0, 1], [0, 0]])
+        good = np.array([[0, 1], [0, 0]])
         # rank N = rank N^2 = 1: the chain stops dropping above zero
-        bad = Mat(F5, [[0, 1, 0], [0, 0, 0], [0, 0, 2]])
-        for batch in ([good, bad, good], [good, Mat.identity(F5, 3)]):
+        bad = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 2]])
+        for batch in ([good, bad, good], [good, np.eye(3, dtype=np.int64)]):
             with pytest.raises(ValueError, match="not nilpotent"):
-                list(nilpotent_partitions(batch))
+                list(nilpotent_partitions((a, 5) for a in batch))
 
     def test_mixed_field_batch(self):
-        with pytest.raises(ValueError, match="field mismatch"):
-            list(nilpotent_partitions([Mat.zeros(F5, 2, 2), Mat.zeros(F3, 2, 2)]))
+        zero = np.zeros((2, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match=r"^field mismatch: GF\(5\) vs GF\(3\)$"):
+            list(nilpotent_partitions([(zero, 5), (zero, 3)]))
+
+    @pytest.mark.parametrize("p", [0, 1, 4, 65539])
+    def test_prime_rejected_by_gf(self, p):
+        with pytest.raises(ValueError, match="characteristic must be a prime"):
+            list(nilpotent_partitions([(np.zeros((2, 2), dtype=np.int64), p)]))
 
     def test_not_square(self):
+        pairs = [(np.zeros((2, 2), dtype=np.int64), 5), (np.zeros((2, 3), dtype=np.int64), 5)]
         with pytest.raises(ValueError, match="square"):
-            list(nilpotent_partitions([Mat.zeros(F5, 2, 2), Mat.zeros(F5, 2, 3)]))
+            list(nilpotent_partitions(pairs))
 
     def test_reads_lazily(self):
         # an endless stream still yields its first results
-        block = Mat(F5, [[0, 1], [0, 0]])
-        first = islice(nilpotent_partitions(repeat(block)), 3)
+        block = np.array([[0, 1], [0, 0]])
+        first = islice(nilpotent_partitions(repeat((block, 5))), 3)
         assert list(first) == [(2,)] * 3
 
     def test_empty_stream(self):
@@ -355,13 +362,13 @@ class TestNilpotentPartitions:
         # sizes 5 to 8 share the padded width class 8; the 6 x 6 member has
         # a unit eigenvalue, its neighbours in the class are nilpotent
         def shift(n):
-            return Mat(F5, np.eye(n, k=1, dtype=np.int64))
+            return np.eye(n, k=1, dtype=np.int64), 5
 
         bad = np.eye(6, k=1, dtype=np.int64)
         bad[5, 5] = 1
         assert list(nilpotent_partitions([shift(5), shift(7), shift(8)])) == [(5,), (7,), (8,)]
         with pytest.raises(ValueError, match="not nilpotent"):
-            list(nilpotent_partitions([shift(5), Mat(F5, bad), shift(7), shift(8)]))
+            list(nilpotent_partitions([shift(5), (bad, 5), shift(7), shift(8)]))
 
 
 def _rank_partition(n: np.ndarray, p: int) -> tuple[int, ...]:
@@ -398,7 +405,7 @@ class TestInt16Boundary:
                 nils.append(np.triu(a, 1)[perm][:, perm])
         want = [_rank_partition(n, p) for n in nils]
         assert [nilpotent_partition(Mat(GF(p), n)) for n in nils] == want
-        assert list(nilpotent_partitions(Mat(GF(p), n) for n in nils)) == want
+        assert list(nilpotent_partitions((n, p) for n in nils)) == want
         piv, _ = _echelon_rounds(a, np.zeros(len(a), dtype=np.intp), 1, p)
         assert piv.dtype == dtype
 

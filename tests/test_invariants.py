@@ -489,6 +489,13 @@ class TestFrobenius:
         alg = build_invariant_algebra(VerObject(5, (1, 1, 0, 0)), 10)
         assert not frobenius_check(alg, trials=50, seed=0)
 
+    def test_degrees_without_invariants_are_skipped(self):
+        # S(L2) at p = 5 is L1, L2, L3, L4, 0: only degree 0 has invariants,
+        # so every other degree of the trial batch is empty
+        alg = build_invariant_algebra(VerObject.simple(5, 2), 5)
+        assert alg.dims == [1, 0, 0, 0, 0, 0]
+        assert frobenius_check(alg, 10, 0)
+
     def test_trial_batch_is_budgeted(self):
         alg = build_invariant_algebra(VerObject(5, (1, 1, 0, 0)), 10)
         with pytest.raises(BudgetExceeded, match="batch of 100000000 trials"):

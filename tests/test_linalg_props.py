@@ -375,7 +375,7 @@ def nilpotent_batch(draw):
 def test_batched_jordan_types(case):
     p, members = case
     mats = [m for _, m in members]
-    assert list(nilpotent_partitions(mats)) == [parts for parts, _ in members]
+    assert list(nilpotent_partitions((m.a, p) for m in mats)) == [parts for parts, _ in members]
     # the kernel, over the whole mixed batch: each member's pivots are those
     # of its reduced form, and its echelon rows span the same row space
     for m, (piv, rows) in zip(mats, echelon_members([m.a for m in mats], p)):
@@ -426,9 +426,8 @@ def component_batch(draw):
 @given(component_batch())
 def test_jordan_types_by_components(case):
     p, cap, members = case
-    mats = [Mat(GF(p), a) for _, a in members]
     with mock.patch.object(vercat.exactlin, "BATCH_ENTRIES", cap):
-        got = list(nilpotent_partitions(mats))
+        got = list(nilpotent_partitions((a, p) for _, a in members))
     assert got == [parts for parts, _ in members]
     assert got == [_partition_batch([a], p)[0] for _, a in members]
 
@@ -464,7 +463,7 @@ def distinct_pieces(a: np.ndarray) -> set[bytes]:
 def test_each_member_is_eliminated_in_one_batch(case):
     # a batch stays within the cap unless it is one member's own pieces
     p, _, members = case
-    cap, mats, calls = 64, [Mat(GF(p), a) for _, a in members], []
+    cap, mats, calls = 64, [a for _, a in members], []
 
     def recorded(batch, q):
         sizes = [len(b) for b in batch]
@@ -474,12 +473,12 @@ def test_each_member_is_eliminated_in_one_batch(case):
     with mock.patch.object(vercat.exactlin, "BATCH_ENTRIES", cap):
         with mock.patch.object(vercat.exactlin, "_partition_batch", recorded):
             # the last batch run before a type is yielded is the one that found it
-            found = [(parts, len(calls) - 1) for parts in nilpotent_partitions(mats)]
+            found = [(parts, len(calls) - 1) for parts in nilpotent_partitions((a, p) for a in mats)]
     assert [parts for parts, _ in found] == [parts for parts, _ in members]
-    for m, (_, call) in zip(mats, found):
-        assert distinct_pieces(m.a) <= calls[call][0]
+    for a, (_, call) in zip(mats, found):
+        assert distinct_pieces(a) <= calls[call][0]
     for pieces, entries in calls:
-        assert entries <= cap or any(pieces == distinct_pieces(m.a) for m in mats)
+        assert entries <= cap or any(pieces == distinct_pieces(a) for a in mats)
 
 
 # -- the einsum Gram matrix of the trace pairing ------------------------------

@@ -374,14 +374,27 @@ class TestVerSymPower:
 
 
 def test_symtower_budget_errors_name_the_degree():
+    # S^3 reads the pair basis of J9 (x) J5 (J9 a summand of S^2 L5 = L9 + L5 + L1)
     with pytest.raises(
-        BudgetExceeded, match=r"^S\^4: precomposed class rows needs 1125 "
+        BudgetExceeded, match=r"^S\^3: pair basis J9 \(x\) J5 needs 2025 "
     ):
         ver_sym_power(VerObject.simple(11, 5), 4, max_entries=1000)
     with pytest.raises(
         BudgetExceeded, match=r"^S\^3: precomposed class rows needs 486 "
     ):
         ver_sym_power(VerObject(5, (3, 0, 0, 0)), 3, max_entries=400)
+
+
+def test_symtower_charges_pair_bases_built_or_cached():
+    # the (6 * 6)^2-entry pair basis of J6 (x) J6, whatever is cached
+    message = r"^S\^2: pair basis J6 \(x\) J6 needs 1296 "
+    with pytest.raises(BudgetExceeded, match=message):
+        SymTower(VerObject.simple(11, 6), 2, max_entries=1000)
+    warm = SymTower(VerObject.simple(11, 6), 2)
+    assert (11, 6, 6) in verlinde._PAIR_BASES
+    with pytest.raises(BudgetExceeded, match=message):
+        SymTower(VerObject.simple(11, 6), 2, max_entries=1000)
+    assert SymTower(VerObject.simple(11, 6), 2, max_entries=1296).sizes == warm.sizes
 
 
 def test_symtower_charges_dim_x_before_listing_blocks():
@@ -606,6 +619,12 @@ class TestSymTowerInternals:
         tw = SymTower(VerObject(5, (1, 1, 0, 0)), 6)
         _assert_mu_intertwines(tw, [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (4, 2)])
 
+    def test_mu_past_the_depth_is_rejected(self):
+        tw = SymTower(VerObject(5, (1, 1, 0, 0)), 3)
+        assert tw.mu(1, 2).shape == (tw.dim(3), tw.dim(1) * tw.dim(2))
+        with pytest.raises(ValueError, match="exceeds the tower depth"):
+            tw.mu(2, 2)
+
     def test_section_is_right_inverse_class(self):
         _assert_sections_split(SymTower(VerObject(5, (1, 1, 0, 0)), 5))
         _assert_sections_split(SymTower(VerObject(3, (1, 1)), 9))
@@ -763,14 +782,18 @@ class TestTensorFrame:
             coeff = rng.integers(0, p, size=(count, 2))
             want = np.stack([ref.cols(j, k, coeff) for k in range(j)], axis=2)
             assert np.array_equal(frame.cols(j, coeff), want.reshape(ref.dim, -1))
-        local = {}
-        got, want = frame.tensor_tops(local), ref.tensor_tops()
+        local, charged = {}, []
+        got, want = frame.tensor_tops(local, lambda a, b: charged.append((a, b))), ref.tensor_tops()
         assert set(got) == set(want)
         for j in want:
             assert _top_columns(got[j]) == _top_columns(want[j]), j
         # one local entry per (c, n, n'), read-only, reused by the next call
         assert set(local) == {(c, n, n2) for c in sizes_v for n in sizes_x for n2 in sizes_x}
-        again = frame.tensor_tops(local)
+        # each new key charges its largest inner pair basis J_e (x) J_n' once
+        largest = [(max(_pair_basis(p, c, n).tops_by_size), n2) for c, n, n2 in local]
+        assert charged == largest
+        again = frame.tensor_tops(local, lambda a, b: charged.append((a, b)))
+        assert len(charged) == len(local)
         for j in got:
             assert all(a[1] is b[1] for a, b in zip(got[j], again[j]))
             assert not any(cols.flags.writeable for _, cols in got[j])
