@@ -28,27 +28,43 @@ A round is some forty numpy calls on small arrays, so an elimination
 costs about its round count in call overhead, which a batch pays once
 for all its members.  `_echelon_rounds` holds residues as int16 for
 p <= 181, where (p-1)^2 < 2^15, as int32 up to p = 46337 and as int64
-above.  `nilpotent_partitions`, the Jordan types behind the fusion
-oracle, reads one lazy stream of (integer array, prime p) pairs over one
-GF(p) (`nilpotent_partition` is a batch of one `Mat`).  It runs the
-row-space chain row(N^k) = row(E_(k-1) N), E an echelon basis, on a
-batch kept stacked across levels: one `_echelon_rounds` call per level
-and one stacked `matmul_mod` per width class (each member padded to the
-next power of two, capped at the batch width).  The members are pieces of the input: a matrix of SPLIT_SIZE =
-16 rows or more is split into the connected components of its nonzero
-pattern mod p, taken symmetrically.  A permutation conjugates the matrix
-to the direct sum of its components, so its Jordan type is the sorted
-union of theirs.  A batch holds each distinct piece once, compared by
-its full residue contents: the oracle's tensor products J_a (x) J_b - 1
-of block sums split into one piece J_r (x) J_s - 1 per pair of blocks,
-and the pieces recur across pairs.  All distinct pieces of a matrix
-join one batch, under one rule: a batch stays within BATCH_ENTRIES =
-2^16 padded entries (its pieces' rows, stacked and padded to the widest
-piece) unless one matrix's own distinct pieces exceed it; that matrix
-then runs alone, and its padded pieces hold no more than its n^2
-entries.  A batch also runs before the matrices it holds would pass
-2^16 rows, which bounds the types held back.  Each run yields the types
-of the matrices it holds, in order, and carries nothing into the next.
+above.  It never rewrites a pivot row once chosen, so a caller can feed
+rows made from the pivots of one round into the next round.
+
+`nilpotent_partitions`, the Jordan types behind the fusion oracle, reads
+one lazy stream of (integer array, prime p) pairs over one GF(p)
+(`nilpotent_partition` is a batch of one `Mat`).  Its members are pieces
+of the input: a matrix of SPLIT_SIZE = 16 rows or more is split into the
+connected components of its nonzero pattern mod p, taken symmetrically.
+A permutation conjugates the matrix to the direct sum of its components,
+so its Jordan type is the sorted union of theirs.  The pieces are keyed
+by their full residue contents, held in the narrowest unsigned type that
+holds a residue (uint8 for p <= 256, uint16 below 65537, uint32 at it):
+the oracle's tensor products J_a (x) J_b - 1 of block sums split into
+one piece J_r (x) J_s - 1 per pair of blocks, and the pieces recur
+across pairs.  A window holds matrices until the next one would take it
+past WINDOW_ROWS = 2^16 rows, which bounds the types held back, or its
+distinct pieces past WINDOW_RESIDUES = 2^20 residues.  The window then
+eliminates each distinct piece once, in ascending size, in sub-batches
+of at most BATCH_ENTRIES = 2^16 padded entries (their rows stacked and
+padded to the widest piece's width); a larger piece runs alone.  So a
+small piece is neither padded to a large one nor kept waiting for its
+rounds.  The window yields its matrices' types in order and carries
+nothing into the next.
+
+A sub-batch runs every level of the row-space chain row(N^k) =
+row(E_(k-1) N), E an echelon basis, in one `_echelon_rounds` loop, its
+slots keyed by (member, level, column).  A pivot row E found at level k
+is fed back as E N, by one padded `matmul_mod` per width class (each
+member padded to the next power of two, capped at the widest), and
+joins level k + 1 in the next round, so the levels run pipelined and
+a sub-batch costs about its widest member's walk once, not once per
+level.  The rank of N^k is the pivot count of level k.  A nilpotent N
+of size n has N^n = 0, so a pivot at level n shows that N is not
+nilpotent.  The pivot rows of all levels stay alive until the loop
+ends, so a loop takes at most CHAIN_BYTES = 2^22 bytes' worth of levels
+(at least 32 for a sub-batch of int16 rounds) and the next one starts
+from the rows fed past its last level.
 
 GF(p) is accepted only for p <= MAX_PRIME = 65537.  Then (p-1)^2 <= 2^32,
 so a dot product of fewer than 2^31 residues, and hence every int64
@@ -103,7 +119,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -214,9 +230,18 @@ def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return r, pivots
 
 
-#: Largest padded batch, in entries, that `nilpotent_partitions` stacks
-#: into one chain; see the module docstring.
+#: Largest padded sub-batch, in entries, that `nilpotent_partitions`
+#: stacks into one chain; see the module docstring.
 BATCH_ENTRIES = 2**16
+
+#: Most rows of the arrays, and residues of their distinct pieces, that a
+#: window of `nilpotent_partitions` holds before it runs.
+WINDOW_ROWS = 2**16
+WINDOW_RESIDUES = 2**20
+
+#: Most bytes of pivot rows that one elimination of `_partition_batch`
+#: holds; it takes fewer levels of the chain at once to stay within it.
+CHAIN_BYTES = 2**22
 
 #: Smallest matrix that `nilpotent_partitions` splits into components; a
 #: smaller one costs the chain less than finding them.
@@ -232,8 +257,20 @@ def _inverses(p: int) -> np.ndarray:
     return inv.astype(np.int32)
 
 
+def _round_dtype(p: int) -> np.dtype:
+    """The residue type of `_echelon_rounds` mod p: r - c * pivot lies in
+    (-(p-1)^2, p), and p * (r // p) in (-(p-1)^2 - p, p), so int16 holds
+    both for p <= 181 and int32 for p <= 46337."""
+    square = (p - 1) ** 2
+    return np.dtype(np.int16 if square < 2**15 else np.int32 if square < 2**31 else np.int64)
+
+
 def _echelon_rounds(
-    r: np.ndarray, owner: np.ndarray, count: int, p: int
+    r: np.ndarray,
+    owner: np.ndarray,
+    count: int,
+    p: int,
+    feed: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Echelon bases mod p of `count` members at once, by forward
     elimination in rounds.  `r` (not modified) stacks the members' rows as
@@ -243,19 +280,21 @@ def _echelon_rounds(
     column) without a pivot takes the member's first such row (one stable
     argsort), and every row subtracts the multiple of its member's pivot
     there that clears it (a new pivot row cancels itself), through a per-p
-    table of inverses.  Leading columns only move right and zero rows drop
+    table of inverses.  A pivot row is never rewritten once chosen, so
+    `feed`, if given, can read the new pivot rows of a round and their
+    members, ascending by member, and return more (rows, members) of
+    residues, which join in the next round; it raises to stop the loop.
+    Without a feed, leading columns only move right and zero rows drop
     out, so at most `width` rounds run.  Returns (piv, slot): slot[m, c]
     is the row of piv holding member m's pivot (unscaled) at column c, or
     -1, which reads the zero row piv ends with.
     """
-    # r - c * pivot lies in (-(p-1)^2, p), and p * (r // p) in
-    # (-(p-1)^2 - p, p): int16 holds both for p <= 181, int32 for p <= 46337
-    square = (p - 1) ** 2
-    r = r.astype(np.int16 if square < 2**15 else np.int32 if square < 2**31 else np.int64)
+    dtype = _round_dtype(p)
+    r = r.astype(dtype)
     width = r.shape[1]
     base = owner * width
-    piv = np.zeros((min(len(r), count * width) + 1, width), dtype=r.dtype)
-    scale = np.zeros(len(piv), dtype=r.dtype)  # inverse of each leading entry
+    piv = np.zeros((min(len(r), count * width) + 1, width), dtype=dtype)
+    scale = np.zeros(len(piv), dtype=dtype)  # inverse of each leading entry
     slot = np.full(count * width, -1)
     inverse, found = _inverses(p), 0
     while width:  # no columns, no pivots
@@ -269,6 +308,7 @@ def _echelon_rounds(
             break
         key = base + lead
         open_ = np.flatnonzero(slot[key] < 0)
+        fed = None
         if open_.size:
             order = np.argsort(key[open_], kind="stable")
             keys = key[open_][order]
@@ -276,17 +316,29 @@ def _echelon_rounds(
             first[1:] = keys[1:] != keys[:-1]
             take = open_[order[first]]
             end = found + len(take)
+            if end >= len(piv):  # only fed rows outgrow the first bound
+                grow = min(max(end + 1, 2 * len(piv)), count * width + 1) - len(piv)
+                piv = np.concatenate([piv, np.zeros((grow, width), dtype=dtype)])
+                scale = np.concatenate([scale, np.zeros(grow, dtype=dtype)])
             piv[found:end] = r[take]
             scale[found:end] = inverse[r[take, lead[take]]]
             slot[keys[first]] = np.arange(found, end)
+            if feed is not None:
+                fed = feed(piv[found:end], keys[first] // width)
             found = end
             if len(take) == len(r):  # every row is a new pivot: all cancel
-                break
-        mine = slot[key]
-        factor = r[index, lead] * scale[mine] % p
-        r -= factor[:, None] * piv[mine]  # r is a copy: astype and r[live] copy
-        r -= p * (r // p)  # r % p: numpy divides by a scalar faster
-    return piv, slot.reshape(count, width)
+                if fed is None:
+                    break
+                r, base = r[:0], base[:0]
+        if len(r):
+            mine = slot[key]
+            factor = r[index, lead] * scale[mine] % p
+            r -= factor[:, None] * piv[mine]  # r is a copy: astype and r[live] copy
+            r -= p * (r // p)  # r % p: numpy divides by a scalar faster
+        if fed is not None:
+            r = np.concatenate([r, fed[0].astype(dtype)])
+            base = np.concatenate([base, fed[1] * width])
+    return piv[: found + 1], slot.reshape(count, width)
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -349,6 +401,13 @@ def contract_mod(pairs: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]], p: 
     return _residues(acc, p)
 
 
+def _check_integral(a: np.ndarray) -> np.ndarray:
+    """`a` itself; raises ValueError if it has floating point entries."""
+    if a.size and a.dtype.kind in "fc":
+        raise ValueError("floating point entries are not allowed")
+    return a
+
+
 def _zeros(rows: int, cols: int, p: int) -> np.ndarray:
     if p:
         return np.zeros((rows, cols), dtype=np.int64)
@@ -383,12 +442,13 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of `a` over GF(p), or over Q when p = 0,
     and its pivot columns.  The input is not modified; over Q its entries
     may be ints or Fractions."""
-    return _rref_mod(a, p)
+    return _rref_mod(_check_integral(a), p)
 
 
 def pivots(a: np.ndarray, p: int) -> list[int]:
     """Pivot columns of `a` over GF(p), or over Q when p = 0; equal to
     `rref(a, p)[1]`, without forming the reduced form over GF(p)."""
+    _check_integral(a)
     if not p:
         return _rref_mod(a, p)[1]
     slot = _echelon_rounds(a % p, np.zeros(len(a), dtype=np.intp), 1, p)[1]
@@ -446,9 +506,7 @@ class Mat:
 
     def __init__(self, field: Field, entries):
         self.field = field
-        a = np.asarray(entries)
-        if a.size and a.dtype.kind in "fc":
-            raise ValueError("floating point entries are not allowed")
+        a = _check_integral(np.asarray(entries))
         if a.ndim != 2:
             raise ValueError("matrix entries must be 2-dimensional")
         self.a = a.astype(np.int64) % field.characteristic
@@ -525,48 +583,76 @@ def nilpotent_partition(n: Mat) -> tuple[int, ...]:
 
 
 def _partition_batch(mats: list[np.ndarray], p: int) -> list[tuple[int, ...]]:
-    """Jordan types of square arrays of residues mod p, together: row(N^k) =
-    row(E_(k-1) N) for an echelon basis E_(k-1) of row(N^(k-1)), so each
-    level is one `_echelon_rounds` call over the live members' rows.  Each
-    width class reads its members' E from the slot table, cut to the
-    class's top rank, and forms their next rows E N by one `matmul_mod`.
+    """Jordan types of square arrays of residues mod p, together, by one
+    `_echelon_rounds` loop over every level of their chains, as the module
+    docstring says.  Level k of a member of size n (1 <= k <= n) is a
+    member of the elimination, fed first with the member's rows at k = 1;
+    the feed raises "not nilpotent" on a pivot at level n.  The members
+    run in ascending size, so each width class is a run of them.  A loop
+    takes depth = CHAIN_BYTES // (rows x width x residue bytes) levels and
+    carries the rows fed past them into the next loop.
     """
-    sizes = np.array([len(n) for n in mats])
-    top, classes = sizes.max(), {}
-    for i, n in enumerate(sizes.tolist()):
-        classes.setdefault(min(1 << (n - 1).bit_length(), top), []).append(i)
-    groups = []  # (c, members, their arrays padded to c x c, as float64)
-    for c, members in sorted(classes.items()):
-        pad = np.zeros((len(members), c, c))
-        for k, i in enumerate(members):
-            pad[k, : sizes[i], : sizes[i]] = mats[i]
-        groups.append((c, np.array(members), pad))
-    ranks, live = [sizes], sizes > 0
-    rows = [(np.repeat(m, c), pad.reshape(len(m) * c, c)) for c, m, pad in groups]
-    while rows:
-        r = np.zeros((sum(len(o) for o, _ in rows), max(x.shape[1] for _, x in rows)))
-        start = 0
-        for o, x in rows:
-            r[start : start + len(o), : x.shape[1]] = x
-            start += len(o)
-        piv, slot = _echelon_rounds(r, np.concatenate([o for o, _ in rows]), len(mats), p)
-        rank = (slot >= 0).sum(axis=1)
-        if (live & (rank == ranks[-1])).any():
+    sizes = np.array([len(n) for n in mats], dtype=np.intp)
+    order = np.argsort(sizes, kind="stable")
+    size = sizes[order]
+    top = int(size[-1]) if len(size) else 0
+    padded = np.array([min(1 << (n - 1).bit_length(), top) for n in size.tolist()])
+    classes = []  # (c, first member, end, the members padded to c x c, float64)
+    for c in sorted(set(padded[size > 0].tolist())):
+        lo, hi = np.flatnonzero((padded == c) & (size > 0))[[0, -1]] + [0, 1]
+        pad = np.zeros((hi - lo, c, c))
+        for k, i in enumerate(range(lo, hi)):
+            pad[k, : size[i], : size[i]] = mats[order[i]]
+        classes.append((c, lo, hi, pad))
+
+    def feed(rows: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if final[groups].any():
             raise ValueError("matrix is not nilpotent")
-        ranks.append(rank)
-        live, rows = rank > 0, []
-        for c, members, pad in groups:
-            if live[members].any():
-                m = members[live[members]]
-                # each member's pivot slots first, cut at the class's top rank
-                index = -np.sort(-slot[m, :c], axis=1)[:, : rank[m].max()]
-                prod = matmul_mod(piv[:, :c][index], pad[live[members]], p)
-                has = index >= 0
-                rows.append((m[np.nonzero(has)[0]], prod[has]))
-    # rank(N^(k-1)) - 2 rank(N^k) + rank(N^(k+1)) blocks of size k, at row k - 1
-    ranks = np.array([*ranks, 0 * sizes])
-    blocks = ranks[:-2] - 2 * ranks[1:-1] + ranks[2:]
-    return [tuple(np.repeat(np.arange(len(blocks), 0, -1), b[::-1]).tolist()) for b in blocks.T]
+        mine, out = member[groups], np.zeros((len(groups), top), dtype=np.int64)
+        for c, lo, hi, pad in classes:
+            a, b = np.searchsorted(mine, [lo, hi])
+            if a < b:  # each member's rows stacked, over a run of the class's members
+                new = np.ones(b - a, dtype=bool)
+                new[1:] = mine[a + 1 : b] != mine[a : b - 1]
+                place = np.arange(b - a) - np.flatnonzero(new)[np.cumsum(new) - 1]
+                run = mine[a:b] - mine[a]
+                stack = np.zeros((run[-1] + 1, place.max() + 1, c))
+                stack[run, place] = rows[a:b, :c]
+                prod = matmul_mod(stack, pad[mine[a] - lo : mine[b - 1] - lo + 1], p)
+                out[a:b, :c] = prod[run, place]
+        past = level[groups] == last  # rows of the next elimination's first level
+        if past.any():
+            carry.append((out[past], mine[past]))
+            return out[~past], groups[~past] + 1
+        return out, groups + 1
+
+    chain = np.zeros((len(size), top + 2), dtype=np.int64)  # rank N^k at [member, k]
+    chain[:, 0] = size
+    level_bytes = max(1, int(size.sum()) * top) * _round_dtype(p).itemsize
+    depth = max(1, CHAIN_BYTES // level_bytes)
+    rows = np.zeros((int(size.sum()), top), dtype=np.int64)
+    owner, first = np.repeat(np.arange(len(size)), size), 1  # rows at level first
+    for i, at in enumerate((np.cumsum(size) - size).tolist()):
+        rows[at : at + size[i], : size[i]] = mats[order[i]]
+    while len(rows):
+        last = first + depth - 1
+        count = np.clip(np.minimum(size, last) - first + 1, 0, None)
+        start = np.cumsum(count) - count  # member i's level k is group start[i] + k - first
+        member = np.repeat(np.arange(len(size)), count)
+        level = np.arange(len(member)) - start[member] + first
+        final = level == size[member]  # a pivot there shows N^n != 0
+        carry: list[tuple[np.ndarray, np.ndarray]] = []
+        slot = _echelon_rounds(rows, start[owner], len(member), p, feed)[1]
+        chain[member, level] = (slot >= 0).sum(axis=1)
+        # the rows fed past level last, and their members, or none
+        rows, owner = (np.concatenate(x) for x in zip(*carry)) if carry else ((), ())
+        first = last + 1
+    # rank(N^(k-1)) - 2 rank(N^k) + rank(N^(k+1)) blocks of size k
+    blocks = chain[:, :-2] - 2 * chain[:, 1:-1] + chain[:, 2:]
+    types: list[tuple[int, ...]] = [()] * len(mats)
+    for i, b in zip(order.tolist(), blocks):
+        types[i] = tuple(np.repeat(np.arange(top, 0, -1), b[::-1]).tolist())
+    return types
 
 
 def _components(r: np.ndarray) -> list[np.ndarray]:
@@ -598,14 +684,28 @@ def _components(r: np.ndarray) -> list[np.ndarray]:
     return [order[start:end] for start, end in zip([0, *ends], ends)]
 
 
-def _held_types(
-    batch: dict[tuple[int, bytes], np.ndarray], held: list[list[tuple[int, bytes]]], p: int
+def _window_types(
+    pieces: dict[tuple[int, bytes], int], held: list[list[int]], dtype: type, p: int
 ) -> Iterator[tuple[int, ...]]:
-    """The Jordan type of each held matrix, from one `_partition_batch`
-    over the batch's pieces: the sorted union of its pieces' types."""
-    types = dict(zip(batch, _partition_batch(list(batch.values()), p)))
-    for keys in held:
-        yield tuple(sorted((part for key in keys for part in types[key]), reverse=True))
+    """The Jordan type of each held matrix, the sorted union of its
+    pieces' types.  Each piece runs once, in ascending size, in
+    `_partition_batch` calls that stay within BATCH_ENTRIES padded entries
+    (their rows times the widest piece's) unless they hold one piece."""
+    runs: list[list[tuple[int, bytes]]] = []
+    rows = 0  # of the last run
+    for key in sorted(pieces, key=lambda key: key[0]):
+        if not runs or (rows + key[0]) * key[0] > BATCH_ENTRIES:
+            runs.append([])
+            rows = 0
+        runs[-1].append(key)
+        rows += key[0]
+    types: list[tuple[int, ...]] = [()] * len(pieces)
+    for run in runs:
+        mats = [np.frombuffer(data, dtype=dtype).reshape(n, n) for n, data in run]
+        for key, parts in zip(run, _partition_batch(mats, p)):
+            types[pieces[key]] = parts
+    for indices in held:
+        yield tuple(sorted((part for i in indices for part in types[i]), reverse=True))
 
 
 def nilpotent_partitions(items: Iterable[tuple[np.ndarray, int]]) -> Iterator[tuple[int, ...]]:
@@ -614,41 +714,43 @@ def nilpotent_partitions(items: Iterable[tuple[np.ndarray, int]]) -> Iterator[tu
 
     The pairs are read lazily and must share one prime, which `GF` checks
     once.  Each array is split, and its distinct pieces keyed by their
-    residue contents, as the module docstring says; a batch runs before an
-    array's new pieces would take it past BATCH_ENTRIES padded entries, or
-    its arrays past BATCH_ENTRIES rows.  Nothing is kept between calls.
-    Raises ValueError on an array that is not square or not nilpotent, on
-    a prime `GF` rejects, or on a prime other than the first one's.
+    residue contents, as the module docstring says.  A window holds arrays
+    until the next one would take it past WINDOW_ROWS rows or its distinct
+    pieces past WINDOW_RESIDUES residues; then it runs and yields their
+    types.  Nothing is kept between calls.  Raises ValueError on floating
+    point entries, on an array that is not square or not nilpotent, on a
+    prime `GF` rejects, or on a prime other than the first one's.
     """
-    p = None
-    batch: dict[tuple[int, bytes], np.ndarray] = {}  # (size, residue bytes) -> piece
-    held: list[list[tuple[int, bytes]]] = []  # the piece keys of each array held
-    rows = width = read = 0  # the batch's stacked rows and widest piece; held rows
+    p = dtype = None
+    pieces: dict[tuple[int, bytes], int] = {}  # (size, residue bytes) -> its index
+    held: list[list[int]] = []  # the piece indices of each array held
+    rows = residues = 0  # the arrays' rows held; the residues of their pieces
     for a, q in items:
         if p is None:
             p = GF(q).characteristic
+            dtype = np.uint8 if p <= 2**8 else np.uint16 if p <= 2**16 else np.uint32
         elif q != p:
             raise ValueError(f"field mismatch: GF({p}) vs GF({q})")
-        n = len(a)
-        if a.shape != (n, n):
+        _check_integral(a)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("nilpotent_partition requires a square matrix")
-        r = a % p
+        n = len(a)
+        r = (a % p).astype(dtype)
         keys = []
         for index in _components(r) if n >= SPLIT_SIZE else [range(n)]:
             c = r if len(index) == n else r[index[:, None], index]
             keys.append((len(c), c.tobytes()))
-        pieces = dict.fromkeys(keys)  # each distinct piece once, in order
-        new = [size for size, data in pieces if (size, data) not in batch]
-        if batch and (
-            read + n > BATCH_ENTRIES or (rows + sum(new)) * max([width, *new]) > BATCH_ENTRIES
+        new = [key[0] for key in dict.fromkeys(keys) if key not in pieces]
+        if held and (
+            rows + n > WINDOW_ROWS or residues + sum(s * s for s in new) > WINDOW_RESIDUES
         ):
-            yield from _held_types(batch, held, p)
-            batch, held, rows, width, read = {}, [], 0, 0, 0
-        for size, data in pieces:
-            if (size, data) not in batch:
-                batch[size, data] = np.frombuffer(data, dtype=r.dtype).reshape(size, size)
-                rows, width = rows + size, max(width, size)
-        held.append(keys)
-        read += n
+            yield from _window_types(pieces, held, dtype, p)
+            pieces, held, rows, residues = {}, [], 0, 0
+        for key in keys:
+            if key not in pieces:
+                pieces[key] = len(pieces)
+                residues += key[0] ** 2
+        held.append([pieces[key] for key in keys])
+        rows += n
     if held:
-        yield from _held_types(batch, held, p)
+        yield from _window_types(pieces, held, dtype, p)

@@ -805,8 +805,9 @@ def test_sympow_comparison_asserts_its_law(capsys):
 
 
 def test_fusion_suite_memory(capsys):
-    # the oracle streams its modules and eliminates them in batches of at
-    # most 2^16 padded entries (4.7 MiB peak); one batch per check reaches 83 MiB
+    # the oracle streams its modules through windows of at most 2^20 piece
+    # residues, eliminated in sub-batches of at most 2^16 padded entries
+    # (4.7 MiB peak); one batch per check reaches 83 MiB
     (code, out, err), peak = _peak_bytes(
         lambda: run(capsys, "verify", "--suite", "fusion")
     )

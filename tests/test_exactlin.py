@@ -3,15 +3,18 @@
 import random
 from fractions import Fraction
 from itertools import islice, product, repeat
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import vercat.exactlin
 from vercat.exactlin import (
     GF,
     Field,
     Mat,
     _echelon_rounds,
+    _partition_batch,
     _rref_mod,
     matmul_mod,
     nilpotent_partition,
@@ -330,7 +333,12 @@ class TestNilpotentPartitions:
         good = np.array([[0, 1], [0, 0]])
         # rank N = rank N^2 = 1: the chain stops dropping above zero
         bad = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 2]])
-        for batch in ([good, bad, good], [good, np.eye(3, dtype=np.int64)]):
+        # J_5 (+) [3]: rank N^k drops to 1 at k = 5 and stays there, so only
+        # a pivot at level 6 = n shows that N^n != 0
+        late = np.zeros((6, 6), dtype=np.int64)
+        late[:5, :5] = np.eye(5, k=1, dtype=np.int64)
+        late[5, 5] = 3
+        for batch in ([good, bad, good], [good, np.eye(3, dtype=np.int64)], [late]):
             with pytest.raises(ValueError, match="not nilpotent"):
                 list(nilpotent_partitions((a, 5) for a in batch))
 
@@ -349,11 +357,19 @@ class TestNilpotentPartitions:
         with pytest.raises(ValueError, match="square"):
             list(nilpotent_partitions(pairs))
 
-    def test_reads_lazily(self):
-        # an endless stream still yields its first results
-        block = np.array([[0, 1], [0, 0]])
-        first = islice(nilpotent_partitions(repeat((block, 5))), 3)
-        assert list(first) == [(2,)] * 3
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 2, 2)])
+    def test_not_a_matrix(self, shape):
+        # a 0-d array has no len(); none of these is a square matrix
+        with pytest.raises(ValueError, match="^nilpotent_partition requires a square matrix$"):
+            list(nilpotent_partitions([(np.zeros(shape, dtype=np.int64), 5)]))
+
+    @pytest.mark.parametrize("n, p", [(2, 5), (17, 65537)])
+    def test_reads_lazily(self, n, p):
+        # an endless stream of one block still yields its first results; J_17
+        # is split (one component), and its window closes on its rows
+        block = np.eye(n, k=1, dtype=np.int64)
+        first = islice(nilpotent_partitions(repeat((block, p))), 3)
+        assert list(first) == [(n,)] * 3
 
     def test_empty_stream(self):
         assert list(nilpotent_partitions([])) == []
@@ -369,6 +385,73 @@ class TestNilpotentPartitions:
         assert list(nilpotent_partitions([shift(5), shift(7), shift(8)])) == [(5,), (7,), (8,)]
         with pytest.raises(ValueError, match="not nilpotent"):
             list(nilpotent_partitions([shift(5), (bad, 5), shift(7), shift(8)]))
+
+    def test_not_nilpotent_inside_sorted_sub_batch(self):
+        # the sub-batch runs its pieces in ascending size: the 4 x 4 member
+        # with the unit eigenvalue sits between nilpotent ones
+        shifts = [np.eye(n, k=1, dtype=np.int64) for n in (6, 2, 5, 3)]
+        bad = np.eye(4, k=1, dtype=np.int64)
+        bad[3, 3] = 3
+        assert _partition_batch(shifts, 5) == [(6,), (2,), (5,), (3,)]
+        with pytest.raises(ValueError, match="^matrix is not nilpotent$"):
+            _partition_batch([*shifts[:2], bad, *shifts[2:]], 5)
+        with pytest.raises(ValueError, match="^matrix is not nilpotent$"):
+            list(nilpotent_partitions((a, 5) for a in [*shifts[:2], bad, *shifts[2:]]))
+
+    def test_deep_pipelines_in_one_window(self):
+        # single blocks at p = 65537 feed every level up to n - 1, beside
+        # 0 x 0 and 1 x 1 members; each block also in a random basis
+        p, rng, calls = 65537, random.Random(65537), []
+        items, want = [], []
+        for n in (17, 33, 65):
+            shift = np.eye(n, k=1, dtype=np.int64)
+            while True:
+                change = Mat(GF(p), rand_array(rng, p, n, n))
+                if rank(change.a, p) == n:
+                    break
+            dense = (change @ Mat(GF(p), shift) @ change.inverse()).a
+            empty, one = np.zeros((0, 0), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)
+            items += [shift, empty, dense, one]
+            want += [(n,), (), (n,), (1,)]
+
+        def recorded(mats, q):
+            calls.append([a.dtype for a in mats])
+            return _partition_batch(mats, q)
+
+        with mock.patch.object(vercat.exactlin, "_partition_batch", recorded):
+            assert list(nilpotent_partitions((a, p) for a in items)) == want
+        # one window and one sub-batch of its 8 distinct pieces
+        assert [len(c) for c in calls] == [8]
+        assert {d for c in calls for d in c} == {np.dtype(np.uint32)}
+
+    @pytest.mark.parametrize("p, dtype", [(251, np.uint8), (257, np.uint16), (65521, np.uint16)])
+    def test_pieces_held_in_narrowest_type(self, p, dtype):
+        calls = []
+
+        def recorded(mats, q):
+            calls.append({a.dtype for a in mats})
+            return _partition_batch(mats, q)
+
+        block = (p - 1) * np.eye(3, k=1, dtype=np.int64)
+        with mock.patch.object(vercat.exactlin, "_partition_batch", recorded):
+            assert list(nilpotent_partitions([(block, p), (-block, p)])) == [(3,), (3,)]
+        assert calls == [{np.dtype(dtype)}]
+
+    def test_levels_split_at_chain_bytes(self):
+        # int64 rounds at p = 65537: a 64 x 64 piece takes 64 * 64 * 8 bytes
+        # a level, so a bound of four levels runs J_64 in 16 eliminations
+        p, n, calls = 65537, 64, []
+        shift = np.eye(n, k=1, dtype=np.int64)
+
+        def recorded(*args):
+            piv, slot = _echelon_rounds(*args)
+            calls.append(piv[:-1].nbytes)
+            return piv, slot
+
+        with mock.patch.object(vercat.exactlin, "CHAIN_BYTES", 4 * n * n * 8):
+            with mock.patch.object(vercat.exactlin, "_echelon_rounds", recorded):
+                assert list(nilpotent_partitions([(shift, p)])) == [(n,)]
+        assert len(calls) == 16 and max(calls) <= 4 * n * n * 8
 
 
 def _rank_partition(n: np.ndarray, p: int) -> tuple[int, ...]:
@@ -486,3 +569,23 @@ class TestEntries:
     def test_float_entries_rejected(self):
         with pytest.raises(ValueError):
             Mat(F5, [[1.5, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("p", [3, 0])
+    @pytest.mark.parametrize("entries", [[[0.5, 1.0]], [[1.5, 0.0]], [[1.0, 0.0]], [[1j, 0]]])
+    def test_array_functions_reject_floats(self, entries, p):
+        # truncating [[0.5, 1.0]] would read pivot column 1, [[1.5, 0.0]]
+        # a 1.5 entry; even integral floats are refused, as by Mat
+        a, b = np.array(entries), np.zeros((1, 1), dtype=np.int64)
+        for call in (rref, pivots, rank, kernel, cokernel, lambda a, p: solve_array(a, b, p)):
+            with pytest.raises(ValueError, match="^floating point entries are not allowed$"):
+                call(a, p)
+
+    def test_jordan_types_reject_floats(self):
+        with pytest.raises(ValueError, match="^floating point entries are not allowed$"):
+            list(nilpotent_partitions([(np.array([[0, 0.5], [0, 0]]), 3)]))
+
+    def test_empty_float_arrays_pass(self):
+        # Mat's rule: an empty array has no entries to truncate
+        assert pivots(np.zeros((0, 3)), 3) == []
+        assert rref(np.zeros((2, 0)), 3)[1] == []
+        assert list(nilpotent_partitions([(np.zeros((0, 0)), 3)])) == [()]

@@ -459,26 +459,52 @@ def distinct_pieces(a: np.ndarray) -> set[bytes]:
 
 
 @settings(max_examples=30, deadline=None)
-@given(component_batch())
-def test_each_member_is_eliminated_in_one_batch(case):
-    # a batch stays within the cap unless it is one member's own pieces
+@given(component_batch(), st.sampled_from([16, 64, 2**16]), st.sampled_from([64, 1024, 2**20]))
+def test_windows_run_each_piece_once_in_sorted_sub_batches(case, window_rows, window_residues):
+    # a window runs each distinct piece of its matrices once, in ascending
+    # size, in sub-batches within the cap unless they hold one piece, and
+    # closes only when the next matrix would pass one of its two limits
     p, _, members = case
-    cap, mats, calls = 64, [a for _, a in members], []
+    cap, mats, calls, read, out = 64, [a for _, a in members], [], [0], []
 
     def recorded(batch, q):
-        sizes = [len(b) for b in batch]
-        calls.append(({b.tobytes() for b in batch}, sum(sizes) * max(sizes)))
+        # (matrices read, types yielded, the pieces as int64 residue bytes)
+        pieces = [b.astype(np.int64).tobytes() for b in batch]
+        calls.append((read[0], len(out), pieces, [len(b) for b in batch]))
         return _partition_batch(batch, q)
 
-    with mock.patch.object(vercat.exactlin, "BATCH_ENTRIES", cap):
-        with mock.patch.object(vercat.exactlin, "_partition_batch", recorded):
-            # the last batch run before a type is yielded is the one that found it
-            found = [(parts, len(calls) - 1) for parts in nilpotent_partitions((a, p) for a in mats)]
-    assert [parts for parts, _ in found] == [parts for parts, _ in members]
-    for a, (_, call) in zip(mats, found):
-        assert distinct_pieces(a) <= calls[call][0]
-    for pieces, entries in calls:
-        assert entries <= cap or any(pieces == distinct_pieces(a) for a in mats)
+    def stream():
+        for a in mats:
+            read[0] += 1
+            yield a, p
+
+    with mock.patch.multiple(
+        vercat.exactlin,
+        BATCH_ENTRIES=cap,
+        WINDOW_ROWS=window_rows,
+        WINDOW_RESIDUES=window_residues,
+        _partition_batch=recorded,
+    ):
+        for parts in nilpotent_partitions(stream()):
+            out.append(parts)
+    assert out == [parts for parts, _ in members]
+    for *_, sizes in calls:
+        assert len(sizes) == 1 or sum(sizes) * max(sizes) <= cap
+    # a window's calls all come after the types of the windows before it
+    starts = sorted({done for _, done, _, _ in calls})
+    for lo, hi in zip(starts, [*starts[1:], len(mats)]):
+        window = [call for call in calls if call[1] == lo]
+        held = set().union(*(distinct_pieces(a) for a in mats[lo:hi]))
+        assert sorted(b for call in window for b in call[2]) == sorted(held)
+        sizes = [n for call in window for n in call[3]]
+        assert sizes == sorted(sizes)
+        # it ran once the matrix that closed it was read, and no later one
+        assert {call[0] for call in window} == {min(hi + 1, len(mats))}
+        rows, residues = sum(len(a) for a in mats[lo:hi]), sum(len(b) // 8 for b in held)
+        assert hi - lo == 1 or (rows <= window_rows and residues <= window_residues)
+        if hi < len(mats):
+            more = sum(len(b) // 8 for b in distinct_pieces(mats[hi]) - held)
+            assert rows + len(mats[hi]) > window_rows or residues + more > window_residues
 
 
 # -- the einsum Gram matrix of the trace pairing ------------------------------
