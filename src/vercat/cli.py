@@ -485,29 +485,27 @@ def cmd_svec2_injectivity(args) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _fusion_rule_mutated(p: int, r: int, s: int) -> tuple[int, ...]:
-    # negative control: drop the p-r bound from the fusion formula
-    out = [0] * (p - 1)
-    for i in range(1, min(r, s, p - s) + 1):
-        idx = abs(r - s) + 2 * i - 1
-        if idx <= p - 1:
-            out[idx - 1] += 1
-    return tuple(out)
+def _rule_range_without_pr_bound(p: int, r: int, s: int) -> tuple[int, int]:
+    """`verlinde._rule_range` with its p - r bound dropped."""
+    return abs(r - s) + 1, min(r + s, abs(r - s) + 2 * (p - s), p) - 1
 
+
+#: Negative controls: `--mutate` name -> (suite, owner, attribute, a stand-in
+#: for owner.attribute while that suite runs), failing through the library
+MUTANTS = {"drop-pr-bound": ("fusion", verlinde, "_rule_range", _rule_range_without_pr_bound)}
 
 #: The primes the fusion suite checks; `--p-max` must lie in their range.
 VERIFY_PRIMES = (3, 5, 7, 11, 13)
 
 
 def suite_fusion(report: Report, args) -> None:
-    rule = fusion_rule if args.mutate is None else _fusion_rule_mutated
     primes = [p for p in VERIFY_PRIMES if p <= args.p_max]
     for p in primes:
         grid = [(r, s) for r in range(1, p) for s in range(1, p)]
         blocks = (tensor(jordan_module(p, [r]), jordan_module(p, [s])) for r, s in grid)
         bad = None  # the first counterexample
         for (r, s), oracle in zip(grid, quotients(blocks)):
-            formula = VerObject(p, rule(p, r, s))
+            formula = VerObject(p, fusion_rule(p, r, s))
             if formula != oracle and bad is None:
                 bad = (
                     f"counterexample (p,r,s)=({p},{r},{s}): "
@@ -515,11 +513,10 @@ def suite_fusion(report: Report, args) -> None:
                 )
         count = f"{(p - 1) ** 2} instances"
         report.add_check(f"fusion-oracle p={p}", bad is None, bad or count)
-    tables = {}  # per prime, for the ring laws and the quotient-monoidal law
     for p in [q for q in primes if q <= 11]:
-        # the ring laws, read off the table t[r-1, s-1] = rule(p, r, s) by
-        # contractions: (L_r L_s) L_t and L_r (L_s L_t), indexed [r, s, t]
-        t = tables[p] = np.array([[rule(p, r, s) for s in range(1, p)] for r in range(1, p)])
+        # the ring laws, read off the table t[r-1, s-1] = fusion_rule(p, r, s)
+        # by contractions: (L_r L_s) L_t and L_r (L_s L_t), indexed [r, s, t]
+        t = np.array([[fusion_rule(p, r, s) for s in range(1, p)] for r in range(1, p)])
         left = np.einsum("rsu,utv->rstv", t, t)
         right = np.einsum("stu,ruv->rstv", t, t)
         report.add_check(f"fusion-commutative p={p}", np.array_equal(t, t.transpose(1, 0, 2)))
@@ -540,42 +537,38 @@ def suite_fusion(report: Report, args) -> None:
         # every pair is drawn and checked, so a failure leaves the draws alone
         ok = True
         for t, a, b in zip(images, images, images):  # consecutive triples
-            ok &= t.mult == tuple(np.einsum("r,s,rsu->u", a.mult, b.mult, tables[p]).tolist())
+            ok &= t == verlinde.fusion(a, b)
         report.add_check(f"quotient-monoidal p={p}", ok, "100 random pairs, seeded")
 
 
 def suite_sympow(report: Report, args) -> None:
     max_entries = args.max_entries
     for p in (3, 5, 7):
-        ok = True
-        bad = None
+        bad = None  # the first counterexample
         for n in range(1, min(5, p)):
             for m in range(7):
                 smod = sym_power(jordan_module(p, [n]), m, max_entries)
                 want = math.comb(n + m - 1, n - 1)
-                if smod.dim != want:
-                    ok = False
+                if smod.dim != want and bad is None:
                     bad = (p, n, m, smod.dim, want)
         report.add_check(
             f"sym-dim-binomial p={p}",
-            ok,
-            "grid n<=4, m<=6" if ok else f"counterexample {bad}",
+            bad is None,
+            f"counterexample {bad}" if bad else "grid n<=4, m<=6",
         )
     for p in (3, 5, 7, 11):
         if p > args.p_max:
             continue
         ns = range(2, p) if p <= 7 else range(2, 6)
-        ok = True
-        bad = None
+        bad = None  # the first counterexample
         for n in ns:
             v = ver_sym_power(VerObject.simple(p, n), p - n + 1, max_entries)
-            if not v.is_zero():
-                ok = False
+            if not v.is_zero() and bad is None:
                 bad = (p, n)
         report.add_check(
             f"sympow-vanishing p={p}",
-            ok,
-            f"S^(p-n+1)(L_n) = 0 for n in {list(ns)}" if ok else f"fails at {bad}",
+            bad is None,
+            f"fails at {bad}" if bad else f"S^(p-n+1)(L_n) = 0 for n in {list(ns)}",
         )
     rng = random.Random(args.seed)
     ok = True
@@ -585,8 +578,7 @@ def suite_sympow(report: Report, args) -> None:
         b = jordan_module(p, [rng.randint(1, p) for _ in range(rng.randint(1, 2))])
         c_ab = repzp.braiding(a, b)
         c_ba = repzp.braiding(b, a)
-        if not (c_ba @ c_ab == Mat.identity(GF(p), a.dim * b.dim)):
-            ok = False
+        ok &= c_ba @ c_ab == Mat.identity(GF(p), a.dim * b.dim)
     report.add_check("braiding-symmetry repzp", ok, "100 random pairs, seeded")
     # S(X+Y) outgrows the default budget: 2L2+2L3 at p = 5 (seed 12) forms a
     # 1,392,000-entry array, so this check runs at 2^24 unless one is given
@@ -606,8 +598,7 @@ def suite_sympow(report: Report, args) -> None:
             rhs = verlinde.series_product(
                 sym_alg_series(x, 6, budget), sym_alg_series(y, 6, budget)
             )
-            if lhs.degrees != rhs.degrees:
-                ok = False
+            ok &= lhs.degrees == rhs.degrees
         report.add_check(
             f"series-sum-product p={p}", ok, "S(X+Y) = S(X)*S(Y) degreewise, 5 pairs"
         )
@@ -782,9 +773,17 @@ def cmd_verify(args) -> Report:
         )
     if "char0" in suites and args.max_degree < 3:
         raise UsageError("the char0 suite needs --max-degree >= 3")
+    target, owner, attr, replacement = MUTANTS.get(args.mutate, (None,) * 4)
     for name in suites:
-        # looked up at call time, so a wrapper rebound on this module runs
-        globals()["suite_" + name.replace("-", "_")](report, args)
+        if name == target:
+            original = getattr(owner, attr)
+            setattr(owner, attr, replacement)
+        try:
+            # looked up at call time, so a wrapper rebound on this module runs
+            globals()["suite_" + name.replace("-", "_")](report, args)
+        finally:
+            if name == target:
+                setattr(owner, attr, original)
     passed = sum(c["passed"] for c in report.checks)
     report.table = report.lines() + [f"{passed}/{len(report.checks)} checks passed"]
     return report
@@ -901,7 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--json", dest="json_out", default=None)
     p_verify.add_argument(
         "--mutate",
-        choices=("drop-pr-bound",),
+        choices=tuple(MUTANTS),
         default=None,
         help="negative control: corrupt the fusion formula",
     )

@@ -2,12 +2,14 @@
 report determinism, and the result cache."""
 
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from vercat.cli import (
     parse_object_spec,
 )
 import vercat
+from vercat import cli, graded, verlinde
 from vercat import svec2 as sv
 from vercat.exactlin import DEFAULT_MAX_ENTRIES
 from vercat.verlinde import VerObject
@@ -317,6 +320,165 @@ class TestExitCodes:
         code, out, _ = run(capsys, "verify", "--suite", "char0")
         assert code == EXIT_OK
         assert "EXPECTED-NONTERMINATION" in out
+
+
+_REAL_MU = graded.GradedTower.mu
+
+
+def _bumped_mu(tower, a, b, left=None):
+    """`GradedTower.mu` with entry 0 of every product of positive degrees
+    raised by 1."""
+    out = _REAL_MU(tower, a, b, left)
+    if a >= 1 and b >= 1:
+        out = out.copy()  # mu(a, 1) is q_(a+1) itself
+        out.flat[0] += 1
+    return out
+
+
+def _plus_swap(rows: np.ndarray, n: int) -> np.ndarray:
+    """`graded.minus_swap` with 1 + swap for 1 - swap."""
+    b = rows.reshape(*rows.shape[:-1], -1, n, n)
+    return (b + np.swapaxes(b, -1, -2)).reshape(rows.shape)
+
+
+def _plain_swap(a: sv.DModule, b: sv.DModule) -> np.ndarray:
+    """`svec2._braiding` without its d (x) d twist."""
+    return graded.swap(a.dim, b.dim)
+
+
+_SVEC2_MU_FAILS = {
+    f"svec2 {label} {name}"
+    for label in ("S(W)", "S(W+1)")
+    for name in ("d_of_fourth_power", "product_fourth_power", "sum_fourth_power",
+                 "square_rule", "d-commutativity")
+} | {"svec2 fourth-powers-invariant"}
+
+
+class TestMutants:
+    """A negative control replaces one library attribute while its suite
+    runs (`cli.MUTANTS`): the suite fails through the library itself, the
+    attribute is the original again afterwards, and the suite passes
+    unmutated once the run is over."""
+
+    @staticmethod
+    def verify(capsys, monkeypatch, suite, owner, attr, replacement, where=None):
+        original = getattr(owner, attr)
+        monkeypatch.setitem(cli.MUTANTS, "control", (suite, owner, attr, replacement))
+        try:
+            return run(
+                capsys, "verify", "--suite", where or suite,
+                "--mutate", "control", "--format", "json",
+            )
+        finally:
+            assert getattr(owner, attr) is original
+
+    @staticmethod
+    def passes_unmutated(capsys, suite):
+        return run(capsys, "verify", "--suite", suite)[0] == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "suite, owner, attr, replacement, total, failed",
+        [
+            ("svec2", sv, "_braiding", _plain_swap, 19, {
+                "svec2-noninjectivity <y> in W",
+                "svec2 dim S^2(W) = 2",
+                *(f"svec2 {label} {name}" for label in ("S(W)", "S(W+1)")
+                  for name in ("d_square_zero", "square_rule", "d-commutativity")),
+            }),
+            ("svec2", graded.GradedTower, "mu", _bumped_mu, 19, _SVEC2_MU_FAILS),
+            ("invariants", graded.GradedTower, "mu", _bumped_mu, 7, {
+                "module-finiteness p=5 X=1+L2", "isotypic-stability p=5 X=1+L2",
+            }),
+            ("sympow", verlinde, "_rule_range", cli._rule_range_without_pr_bound,
+             10, {"series-sum-product p=5"}),
+            ("sympow-comparison", graded, "minus_swap", _plus_swap, 2, {
+                "sympow-comparison below-p", "sympow-comparison p=3 L2 m=3",
+            }),
+        ],
+        ids=["svec2-plain-swap", "svec2-bumped-mu", "invariants-bumped-mu",
+             "sympow-drop-pr-bound", "sympow-comparison-plus-swap"],
+    )
+    def test_the_suite_fails(
+        self, capsys, monkeypatch, suite, owner, attr, replacement, total, failed
+    ):
+        code, out, _ = self.verify(capsys, monkeypatch, suite, owner, attr, replacement)
+        checks = json.loads(out)["checks"]
+        assert code == EXIT_CHECK_FAILED and len(checks) == total
+        assert {c["name"] for c in checks if not c["passed"]} == failed
+        assert self.passes_unmutated(capsys, suite)
+
+    @pytest.mark.parametrize("suite", ["sympow", "invariants"])
+    def test_a_raising_run_restores_the_attribute(self, capsys, monkeypatch, suite):
+        # S^2 turns exterior, so S(1 + X) vanishes from some degree on
+        with pytest.raises(AssertionError, match=r"^a trivial summand cannot vanish in S\(X\)$"):
+            self.verify(capsys, monkeypatch, suite, graded, "minus_swap", _plus_swap)
+        # only once the error is released: its traceback holds the towers
+        # built under the mutant, and `verlinde._LIVE` hands their degrees
+        # to any tower built on the same key meanwhile
+        assert self.passes_unmutated(capsys, suite)
+
+    def test_the_mutant_stays_in_its_suite(self, capsys, monkeypatch):
+        # under --suite all the sympow suite runs unmutated: its
+        # series-sum-product p=5 fails when the range reaches it
+        code, out, _ = self.verify(
+            capsys, monkeypatch, *cli.MUTANTS["drop-pr-bound"], where="all"
+        )
+        checks = json.loads(out)["checks"]
+        failed = {c["name"] for c in checks if not c["passed"]}
+        assert code == EXIT_CHECK_FAILED and len(checks) == 59
+        assert failed == {
+            *(f"fusion-oracle p={p}" for p in (5, 7, 11, 13)),
+            *(f"fusion-{law} p={p}" for law in ("commutative", "associative")
+              for p in (5, 7, 11)),
+            *(f"quotient-monoidal p={p}" for p in (5, 7)),
+        }
+        assert self.passes_unmutated(capsys, "fusion")
+
+
+class TestSympowCounterexamples:
+    """With two failing cases, a sympow-suite check names the first."""
+
+    def failing_check(self, capsys, name):
+        code, out, _ = run(capsys, "verify", "--suite", "sympow", "--format", "json")
+        failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+        assert code == EXIT_CHECK_FAILED and [c["name"] for c in failed] == [name]
+        return failed[0]["details"]
+
+    def test_sym_dim_binomial(self, capsys, monkeypatch):
+        def sym_power(mod, m, max_entries=None):
+            # one dimension too many at (p, n, m) = (3, 1, 2) and (3, 2, 5)
+            want = math.comb(mod.dim + m - 1, mod.dim - 1)
+            wrong = (mod.p, mod.dim, m) in {(3, 1, 2), (3, 2, 5)}
+            return SimpleNamespace(dim=want + 1 if wrong else want)
+
+        monkeypatch.setattr(cli, "sym_power", sym_power)
+        details = self.failing_check(capsys, "sym-dim-binomial p=3")
+        assert details == "counterexample (3, 1, 2, 2, 1)"
+
+    def test_sympow_vanishing(self, capsys, monkeypatch):
+        def ver_sym_power(x, m, max_entries=None):
+            # S^(p-n+1)(L_n) left nonzero at (p, n) = (5, 2) and (5, 4)
+            wrong = (x.p, x.dim) in {(5, 2), (5, 4)}
+            return VerObject.unit(x.p) if wrong else VerObject.zero(x.p)
+
+        monkeypatch.setattr(cli, "ver_sym_power", ver_sym_power)
+        assert self.failing_check(capsys, "sympow-vanishing p=5") == "fails at (5, 2)"
+
+
+def test_sympow_suite_below_p_max_11(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "sympow", "--p-max", "7")
+    assert code == EXIT_OK and out.splitlines()[-1] == "9/9 checks passed"
+    assert "sympow-vanishing p=7" in out and "sympow-vanishing p=11" not in out
+
+
+def test_svec2_injective_up_to_the_depth(capsys):
+    # S(<y>) -> S(W) first fails in degree 2, so it holds to degree 1
+    argv = ["svec2", "injectivity", "--sub", "y", "--amb", "W", "--max-degree", "1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and out == "injective up to degree 1\n"
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["results"] == [{"line": "injective up to degree 1"}]
 
 
 class TestOutputs:

@@ -589,3 +589,21 @@ class TestEntries:
         assert pivots(np.zeros((0, 3)), 3) == []
         assert rref(np.zeros((2, 0)), 3)[1] == []
         assert list(nilpotent_partitions([(np.zeros((0, 0)), 3)])) == [()]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: solve_array(np.zeros((2, 2), np.int64), np.zeros((3, 1), np.int64), 5),
+            "row count mismatch",
+        ),
+        (lambda: Mat(F5, [1, 2, 3]), "matrix entries must be 2-dimensional"),
+        (lambda: Mat(F5, [[1, 0, 0], [0, 1, 0]]).inverse(), "inverse requires a square matrix"),
+    ],
+    ids=["solve-rows", "one-dimensional-entries", "non-square-inverse"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

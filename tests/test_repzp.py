@@ -311,3 +311,28 @@ class TestCategoricalDimension:
                 assert int(np.trace(Mat.identity(GF(p), m.dim).a)) % p == i % p
         # J_p has categorical dimension 0: the hallmark of negligibility
         assert int(np.trace(Mat.identity(GF(5), 5).a)) % 5 == 0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: ZpModule(3, 2, Mat.identity(GF(3), 3)),
+            "generator matrix shape does not match dim",
+        ),
+        (
+            lambda: ZpModule(3, 2, Mat.identity(GF(5), 2)),
+            "generator matrix must live over GF(p)",
+        ),
+        # g = 2 has order 2, which does not divide 3
+        (
+            lambda: ZpModule(3, 1, Mat(GF(3), [[2]])).validate(),
+            "generator is not unipotent of order dividing p",
+        ),
+    ],
+    ids=["shape", "field", "not-unipotent"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -397,3 +397,25 @@ class TestInvariantsD:
         alg = sym_algebra(module_w(), 8)
         a = alg.random_batch(np.random.default_rng(9), 20, 2)
         assert alg.dmap(alg.power(a, 4)) == {}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: DModule(2, Mat.zeros(F2, 3, 3)), "d must be square of size dim"),
+        (lambda: DModule(1, Mat.zeros(GF(3), 1, 1)), "d must live over GF(2)"),
+        (
+            lambda: injectivity_check(trivial(1), module_w(), Mat.zeros(GF(3), 2, 1), 2),
+            "inclusion must be a GF(2) matrix from U to W",
+        ),
+        (
+            lambda: injectivity_check(trivial(1), module_w(), Mat.zeros(F2, 1, 2), 2),
+            "inclusion must be a GF(2) matrix from U to W",
+        ),
+    ],
+    ids=["shape", "field", "inclusion-field", "inclusion-shape"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

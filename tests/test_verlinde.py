@@ -886,3 +886,32 @@ class TestFullTables:
                 assert table[n][m] == table[m + 1][n - 1], (m, n)
                 checked += 1
         assert checked == 99
+
+
+_J2 = jordan_module(3, [2])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: VerObject.simple(5, 5), "simple index 5 out of range [1, 4]"),
+        (lambda: L(5, 2) + L(3, 1), "prime mismatch"),
+        (lambda: L(5, 2).scale(-1), "multiplicities must stay nonnegative"),
+        (lambda: fusion_rule(5, 2, 5), "simple indices out of range"),
+        # the transpose of J_2's nilpotent part does not commute with it
+        (
+            lambda: ver_hom(_J2, _J2).reduce(_J2.nilpotent().T),
+            "f is not an intertwiner",
+        ),
+    ],
+    ids=["simple-index", "sum-across-primes", "negative-scale", "rule-index",
+         "reduce-non-intertwiner"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_direct_sym_power_degree_zero():
+    assert _ver_sym_power_direct(L(5, 3), 0) == VerObject.unit(5)
