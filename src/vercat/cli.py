@@ -30,6 +30,7 @@ import re
 import sys
 import tempfile
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -776,14 +777,17 @@ def cmd_verify(args) -> Report:
     target, owner, attr, replacement = MUTANTS.get(args.mutate, (None,) * 4)
     for name in suites:
         if name == target:
-            original = getattr(owner, attr)
+            # the mutant's towers go to a table of their own, not to later runs
+            original, live = getattr(owner, attr), verlinde._LIVE
             setattr(owner, attr, replacement)
+            verlinde._LIVE = weakref.WeakValueDictionary()
         try:
             # looked up at call time, so a wrapper rebound on this module runs
             globals()["suite_" + name.replace("-", "_")](report, args)
         finally:
             if name == target:
                 setattr(owner, attr, original)
+                verlinde._LIVE = live
     passed = sum(c["passed"] for c in report.checks)
     report.table = report.lines() + [f"{passed}/{len(report.checks)} checks passed"]
     return report

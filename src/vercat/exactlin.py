@@ -1,28 +1,28 @@
-"""Exact dense linear algebra over GF(p), and over Q in the array functions.
+"""Exact dense linear algebra over GF(p).
 
 All linear algebra of the package is done by the array functions
 `rref`, `pivots`, `rank`, `kernel`, `solve_array` and `cokernel`.  Each
-takes the characteristic p: int64 residues over GF(p), or, with p = 0,
-`fractions.Fraction` entries in object arrays over Q, which only the
-char-0 demo `invariants.char0_counterexample` uses.  `Field`, `GF` and
-`Mat`, the checked public matrix type, are GF(p) only; `Mat.inverse` is
-`solve_array` against the identity.  Every operation is exact and
-deterministic.
+takes integer arrays and a prime p and answers over GF(p) in int64
+residues; `rref` and `pivots`, which the others go through, check p by
+`GF` and refuse any entry that is not an integer.  `Field`, `GF` and
+`Mat`, the checked public matrix type, hold the same residues;
+`Mat.inverse` is `solve_array` against the identity.  Every operation
+is exact and deterministic.
 
-There is one Gauss-Jordan, `_rref_mod`, for both fields: `rref` runs
-it, one pivot per step, because `kernel`, `solve_array` and `cokernel`
-read the reduced form itself.  Over GF(p), callers that read only pivot
-columns or a basis of the row space use the one other elimination
-kernel, `_echelon_rounds`: forward elimination in rounds, where every
-row whose leading column has no pivot yet can become one in the same
-round.  It takes the stacked rows of many arrays ("members") and keeps
-one pivot slot per (member, column), so each member gets its own pivot
-columns and echelon rows; `pivots` (hence `rank` and the hom-class
-anchor in `verlinde`) runs it on one array.  The two
-eliminations agree: both leave a basis of the row space with distinct
-leading columns, and those columns are the same for every such basis
-(the pivot columns of a row space are the columns not in the span of
-the columns before them).
+There is one Gauss-Jordan, `_rref_mod`: `rref` runs it, one pivot per
+step, because `kernel`, `solve_array` and `cokernel` read the reduced
+form itself.  Callers that read only pivot columns or a basis of the
+row space use the one other elimination kernel, `_echelon_rounds`:
+forward elimination in rounds, where every row whose leading column
+has no pivot yet can become one in the same round.  It takes the
+stacked rows of many arrays ("members") and keeps one pivot slot per
+(member, column), so each member gets its own pivot columns and
+echelon rows; `pivots` (hence `rank` and the hom-class anchor in
+`verlinde`) runs it on one array.  The two eliminations agree: both
+leave a basis of the row space with distinct leading columns, and
+those columns are the same for every such basis (the pivot columns of
+a row space are the columns not in the span of the columns before
+them).
 
 A round is some forty numpy calls on small arrays, so an elimination
 costs about its round count in call overhead, which a batch pays once
@@ -121,7 +121,6 @@ import functools
 import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -190,18 +189,14 @@ def GF(p: int) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# array-level kernels (int64 mod p fast path, Fraction object path)
+# array-level kernels
 # ---------------------------------------------------------------------------
 
 
-_fractions = np.frompyfunc(Fraction, 1, 1)
-
-
 def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of `a` over GF(p), or over Q when p = 0,
-    plus pivot columns.  The field enters only where entries are
-    converted, a pivot row is scaled and the other rows are updated."""
-    r = a % p if p else _fractions(a)
+    """Reduced row echelon form of the integer array `a` over GF(p), as
+    int64 residues (reduced before widening), plus pivot columns."""
+    r = (a % p).astype(np.int64, copy=False)
     rows, cols = r.shape
     pivots: list[int] = []
     lead = 0
@@ -214,16 +209,12 @@ def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pr = lead + int(nz[0])
         if pr != lead:
             r[[lead, pr]] = r[[pr, lead]]
-        if p:
-            r[lead] = (r[lead] * pow(int(r[lead, c]), -1, p)) % p
-        else:
-            r[lead] = r[lead] / r[lead, c]
+        r[lead] = (r[lead] * pow(int(r[lead, c]), -1, p)) % p
         other = np.nonzero(r[:, c])[0]
         other = other[other != lead]
         if other.size:
             update = r[other] - np.outer(r[other, c], r[lead])
-            if p:
-                update -= p * (update // p)  # % p, faster on negative int64
+            update -= p * (update // p)  # % p, faster on negative int64
             r[other] = update
         pivots.append(c)
         lead += 1
@@ -402,16 +393,12 @@ def contract_mod(pairs: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]], p: 
 
 
 def _check_integral(a: np.ndarray) -> np.ndarray:
-    """`a` itself; raises ValueError if it has floating point entries."""
+    """`a` itself; raises ValueError on an entry that is not an integer."""
     if a.size and a.dtype.kind in "fc":
         raise ValueError("floating point entries are not allowed")
+    if a.dtype.kind not in "biu" and not all(isinstance(x, (int, np.integer)) for x in a.flat):
+        raise ValueError("entries must be integers")
     return a
-
-
-def _zeros(rows: int, cols: int, p: int) -> np.ndarray:
-    if p:
-        return np.zeros((rows, cols), dtype=np.int64)
-    return np.full((rows, cols), Fraction(0), dtype=object)
 
 
 def _free(cols: int, pivots: list[int]) -> list[int]:
@@ -430,27 +417,24 @@ def _kernel_from_rref(r: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
     """
     cols = r.shape[1]
     free = _free(cols, pivots)
-    k = _zeros(cols, len(free), p)
-    if free:
-        k[free, range(len(free))] = 1 if p else Fraction(1)
-        block = -r[: len(pivots), free]
-        k[pivots] = block % p if p else block
+    k = np.zeros((cols, len(free)), dtype=np.int64)
+    k[free, range(len(free))] = 1
+    k[pivots] = -r[: len(pivots), free] % p
     return k
 
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of `a` over GF(p), or over Q when p = 0,
-    and its pivot columns.  The input is not modified; over Q its entries
-    may be ints or Fractions."""
+    """Reduced row echelon form of the integer array `a` over GF(p), as
+    int64 residues, and its pivot columns; `a` is not modified."""
+    GF(p)
     return _rref_mod(_check_integral(a), p)
 
 
 def pivots(a: np.ndarray, p: int) -> list[int]:
-    """Pivot columns of `a` over GF(p), or over Q when p = 0; equal to
-    `rref(a, p)[1]`, without forming the reduced form over GF(p)."""
+    """Pivot columns of the integer array `a` over GF(p): `rref(a, p)[1]`,
+    without forming the reduced form."""
+    GF(p)
     _check_integral(a)
-    if not p:
-        return _rref_mod(a, p)[1]
     slot = _echelon_rounds(a % p, np.zeros(len(a), dtype=np.intp), 1, p)[1]
     return np.flatnonzero(slot[0] >= 0).tolist()
 
@@ -477,7 +461,7 @@ def solve_array(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     r, piv = rref(np.hstack([a, b]), p)
     if piv and piv[-1] >= cols:
         return None
-    x = _zeros(cols, b.shape[1], p)
+    x = np.zeros((cols, b.shape[1]), dtype=np.int64)
     x[piv] = r[: len(piv), cols:]
     return x
 
@@ -717,9 +701,9 @@ def nilpotent_partitions(items: Iterable[tuple[np.ndarray, int]]) -> Iterator[tu
     residue contents, as the module docstring says.  A window holds arrays
     until the next one would take it past WINDOW_ROWS rows or its distinct
     pieces past WINDOW_RESIDUES residues; then it runs and yields their
-    types.  Nothing is kept between calls.  Raises ValueError on floating
-    point entries, on an array that is not square or not nilpotent, on a
-    prime `GF` rejects, or on a prime other than the first one's.
+    types.  Nothing is kept between calls.  Raises ValueError on a
+    non-integer entry, on an array that is not square or not nilpotent,
+    on a prime `GF` rejects, or on a prime other than the first one's.
     """
     p = dtype = None
     pieces: dict[tuple[int, bytes], int] = {}  # (size, residue bytes) -> its index

@@ -11,18 +11,18 @@ multiplication classes of the symmetric-power tower.
 The characteristic-0 counterexample lives here as well: the invariants
 of Q[x] (x) Lambda(y, z) with the odd derivation x -> y acquire one new
 generator in every degree, the behaviour positive characteristic rules
-out.  It is the only rational-field computation in the package.
+out.  The derivation and the products send monomials to multiples of
+monomials, so it counts monomials and needs no linear algebra over Q.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import numpy as np
 
 from . import graded
-from .exactlin import kernel, rank
+from .exactlin import rank
 from .verlinde import SymTower, VerObject, ver_sym_power
 
 
@@ -286,7 +286,8 @@ def frobenius_check(alg: InvariantAlgebra, trials: int = 50, seed: int = 0) -> b
 
 
 def _super_mono_mul(m1, m2):
-    """Product of normal-ordered monomials x^a y^e z^d over Q; None if zero."""
+    """Product of normal-ordered monomials x^a y^e z^f: (monomial, sign),
+    or None if it is zero."""
     a1, e1, d1 = m1
     a2, e2, d2 = m2
     if (e1 and e2) or (d1 and d2):
@@ -295,70 +296,36 @@ def _super_mono_mul(m1, m2):
     return (a1 + a2, e1 + e2, d1 + d2), sign
 
 
+def _derive(mono):
+    """The monomial of D(x^a y^e z^f), x^(a-1) y z^f with coefficient a,
+    when e = 0 < a; None where D kills it."""
+    a, e, f = mono
+    return (a - 1, 1, f) if a and not e else None
+
+
 def char0_counterexample(depth: int) -> list[tuple[int, int]]:
     """New-generator counts of the invariants of Q[x] (x) Lambda(y, z).
 
-    The derivation sends x to y and kills y, z; invariants are
-    ker(D) intersected with the even part, computed degree by degree over
-    exact rationals.  One new generator appears in every degree from 2
-    on (the classes x^(d-2) y z), so the counts never stabilize: the
-    pattern positive characteristic forbids, where x^p is invariant.
+    The derivation D sends x to y and kills y, z; invariants are the even
+    part of ker(D).  D sends a monomial to a multiple of one or to 0, so
+    ker(D) is spanned by the even monomials it kills once the others have
+    distinct images (AssertionError otherwise), and the products, signed
+    monomials or 0, span the monomials they reach.  One new generator
+    appears in every degree from 2 on (x^(d-2) y z): the counts never
+    stabilize, which positive characteristic forbids (x^p is invariant).
     """
     if depth < 3:
         raise ValueError("need depth >= 3 to exhibit the pattern")
-
-    def degree_basis(d):
-        out = []
-        for e in (0, 1):
-            for dz in (0, 1):
-                a = d - e - dz
-                if a >= 0:
-                    out.append((a, e, dz))
-        return out
-
-    def parity(mono):
-        return (mono[1] + mono[2]) % 2
-
-    inv_bases: list[list[dict]] = []  # per degree: invariant vectors as dicts
+    invariant = []  # per degree: the even monomials D kills
     for d in range(depth + 1):
-        basis = degree_basis(d)
-        even = [m for m in basis if parity(m) == 0]
-        # the derivation preserves total degree (x, y, z all have degree 1)
-        # and maps the even part into the odd part of the same degree
-        dmat = np.full((len(basis), len(even)), Fraction(0), dtype=object)
-        for c, mono in enumerate(even):
-            a, e, dz = mono
-            if a >= 1 and e == 0:
-                dmat[basis.index((a - 1, 1, dz)), c] = Fraction(a)
-        ker = kernel(dmat, 0)  # over Q
-        inv_bases.append(
-            [{even[r]: col[r] for r in range(len(even)) if col[r] != 0} for col in ker.T]
-        )
+        even = [(d - 2 * k, k, k) for k in (0, 1) if d >= 2 * k]
+        images = [image for image in map(_derive, even) if image]
+        if len(set(images)) < len(images):
+            raise AssertionError(f"D identifies two monomials of degree {d}")
+        invariant.append([m for m in even if not _derive(m)])
 
-    def mul_vec(u: dict, v: dict) -> dict:
-        out: dict = {}
-        for m1, c1 in u.items():
-            for m2, c2 in v.items():
-                prod = _super_mono_mul(m1, m2)
-                if prod is None:
-                    continue
-                mono, sign = prod
-                out[mono] = out.get(mono, Fraction(0)) + sign * c1 * c2
-        return {m: c for m, c in out.items() if c != 0}
+    def reached(d):  # the monomials that products of lower degrees reach
+        pairs = ((u, v) for a in range(1, d) for u in invariant[a] for v in invariant[d - a])
+        return {prod[0] for u, v in pairs if (prod := _super_mono_mul(u, v))}
 
-    counts = []
-    for d in range(depth + 1):
-        basis_d = [m for m in degree_basis(d) if parity(m) == 0]
-        dim = len(inv_bases[d])
-        if d == 0:
-            counts.append((0, dim))
-            continue
-        rows = []
-        for a in range(1, d):
-            for u in inv_bases[a]:
-                for v in inv_bases[d - a]:
-                    w = mul_vec(u, v)
-                    rows.append([w.get(m, Fraction(0)) for m in basis_d])
-        new = dim - (rank(np.array(rows, dtype=object), 0) if rows else 0)
-        counts.append((d, new))
-    return counts
+    return [(d, len(invariant[d]) - len(reached(d))) for d in range(depth + 1)]

@@ -410,12 +410,14 @@ class TestMutants:
     @pytest.mark.parametrize("suite", ["sympow", "invariants"])
     def test_a_raising_run_restores_the_attribute(self, capsys, monkeypatch, suite):
         # S^2 turns exterior, so S(1 + X) vanishes from some degree on
-        with pytest.raises(AssertionError, match=r"^a trivial summand cannot vanish in S\(X\)$"):
+        vanished = r"^a trivial summand cannot vanish in S\(X\)$"
+        with pytest.raises(AssertionError, match=vanished) as held:
             self.verify(capsys, monkeypatch, suite, graded, "minus_swap", _plus_swap)
-        # only once the error is released: its traceback holds the towers
-        # built under the mutant, and `verlinde._LIVE` hands their degrees
-        # to any tower built on the same key meanwhile
+        # while the error's traceback still holds the towers built under the
+        # mutant: they sit in the mutated run's own `verlinde._LIVE`, so no
+        # tower built on the same key now reads their degrees
         assert self.passes_unmutated(capsys, suite)
+        del held
 
     def test_the_mutant_stays_in_its_suite(self, capsys, monkeypatch):
         # under --suite all the sympow suite runs unmutated: its

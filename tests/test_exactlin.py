@@ -1,6 +1,7 @@
 """Exact linear algebra: spec examples, enumeration oracles, random grids."""
 
 import random
+import signal
 from fractions import Fraction
 from itertools import islice, product, repeat
 from unittest import mock
@@ -28,28 +29,44 @@ from vercat.exactlin import (
 )
 
 F3, F5 = GF(3), GF(5)
-# the array functions' characteristics: GF(2), GF(5), GF(13) and Q (p = 0)
-CHARS = [2, 5, 13, 0]
+
+#: Every public array function, called on (a, p)
+ARRAY_FUNCTIONS = {
+    "rref": rref,
+    "pivots": pivots,
+    "rank": rank,
+    "kernel": kernel,
+    "solve_array": lambda a, p: solve_array(a, np.zeros((len(a), 1), dtype=np.int64), p),
+    "cokernel": cokernel,
+}
+
+
+def within_a_second(call):
+    """call(), or TimeoutError if it runs for more than a second."""
+
+    def expire(signum, frame):
+        raise TimeoutError("still running after a second")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        return call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# the array functions' fields in the loops below
+CHARS = [2, 5, 13]
 
 
 def rand_array(rng, p, rows, cols):
-    """Random residues mod p, or random small Fractions over Q (p = 0)."""
-    if p:
-        a = np.zeros((rows, cols), dtype=np.int64)
-        for i in range(rows):
-            for j in range(cols):
-                a[i, j] = rng.randrange(p)
-        return a
-    a = np.full((rows, cols), Fraction(0), dtype=object)
+    """Random residues mod p."""
+    a = np.zeros((rows, cols), dtype=np.int64)
     for i in range(rows):
         for j in range(cols):
-            a[i, j] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            a[i, j] = rng.randrange(p)
     return a
-
-
-def reduced(a: np.ndarray, p: int) -> list:
-    """The entries of `a` mod p, or as they are over Q (p = 0), as lists."""
-    return (a % p if p else a).tolist()
 
 
 def enum_kernel_dim(a: np.ndarray, p: int) -> int:
@@ -78,7 +95,7 @@ class TestField:
                     make(bad)
 
     def test_no_matrix_over_q(self):
-        # Q is p = 0 in the array functions only
+        # there is no field of characteristic 0, for Mat or the array functions
         with pytest.raises(ValueError, match="got 0"):
             Mat(Field(0), [[1, 2], [3, 4]])
 
@@ -143,8 +160,7 @@ class TestRankKernel:
         for p in CHARS:
             for _ in range(25):
                 a = rand_array(rng, p, rng.randint(1, 5), rng.randint(1, 6))
-                prod = reduced(a @ kernel(a, p), p)
-                assert all(x == 0 for row in prod for x in row)
+                assert not (a @ kernel(a, p) % p).any()
 
     def test_kernel_dim_by_enumeration(self):
         rng = random.Random(7)
@@ -181,10 +197,10 @@ class TestSolveInverse:
             for _ in range(20):
                 a = rand_array(rng, p, rng.randint(1, 4), rng.randint(1, 4))
                 x_true = rand_array(rng, p, a.shape[1], 2)
-                b = np.array(reduced(a @ x_true, p), dtype=a.dtype)
+                b = a @ x_true % p
                 x = solve_array(a, b, p)
                 assert x is not None
-                assert reduced(a @ x, p) == b.tolist()
+                assert (a @ x % p).tolist() == b.tolist()
 
     def test_solve_inconsistent(self):
         a = Mat(F5, [[1, 2], [2, 4]])
@@ -192,26 +208,20 @@ class TestSolveInverse:
         assert solve_array(a.a, b.a, 5) is None
 
     def test_inverse(self):
-        # `Mat.inverse` over GF(5); over Q, its array route at p = 0
         rng = random.Random(9)
-        eye = np.eye(3, dtype=np.int64)
-        for p in (5, 0):
-            for _ in range(10):
-                while True:
-                    a = rand_array(rng, p, 3, 3)
-                    if rank(a, p) == 3:
-                        break
-                if p:
-                    m = Mat(GF(p), a)
-                    assert m @ m.inverse() == Mat.identity(GF(p), 3)
-                else:
-                    assert reduced(a @ solve_array(a, eye, p), p) == eye.tolist()
+        for _ in range(10):
+            while True:
+                a = rand_array(rng, 5, 3, 3)
+                if rank(a, 5) == 3:
+                    break
+            m = Mat(F5, a)
+            assert m @ m.inverse() == Mat.identity(F5, 3)
 
     def test_inverse_singular(self):
         a = np.array([[1, 2], [2, 4]])
         with pytest.raises(ValueError, match="matrix is singular"):
             Mat(F5, a).inverse()
-        assert solve_array(a, np.eye(2, dtype=np.int64), 0) is None
+        assert solve_array(a, np.eye(2, dtype=np.int64), 5) is None
 
 
 class TestQuotientBasis:
@@ -570,15 +580,58 @@ class TestEntries:
         with pytest.raises(ValueError):
             Mat(F5, [[1.5, 2.0], [3.0, 4.0]])
 
-    @pytest.mark.parametrize("p", [3, 0])
+    # p = 0 is refused before the entries are read: see the next test
+    @pytest.mark.parametrize("p", [3])
     @pytest.mark.parametrize("entries", [[[0.5, 1.0]], [[1.5, 0.0]], [[1.0, 0.0]], [[1j, 0]]])
     def test_array_functions_reject_floats(self, entries, p):
         # truncating [[0.5, 1.0]] would read pivot column 1, [[1.5, 0.0]]
         # a 1.5 entry; even integral floats are refused, as by Mat
-        a, b = np.array(entries), np.zeros((1, 1), dtype=np.int64)
-        for call in (rref, pivots, rank, kernel, cokernel, lambda a, p: solve_array(a, b, p)):
+        for call in ARRAY_FUNCTIONS.values():
             with pytest.raises(ValueError, match="^floating point entries are not allowed$"):
-                call(a, p)
+                call(np.array(entries), p)
+
+    @pytest.mark.parametrize("p", [0, 1, 4, -3, 65539])
+    @pytest.mark.parametrize("name", ARRAY_FUNCTIONS)
+    def test_array_functions_refuse_non_primes(self, name, p):
+        # GF(p) is checked before anything is read: at p = 1 the table of
+        # inverses would raise to the power p - 2 = -1 and never stop, at
+        # p = 4 a rank would be read over a ring that is not a field
+        a = np.array([[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match=f"^characteristic must be a prime <= 65537, got {p}$"):
+            within_a_second(lambda: ARRAY_FUNCTIONS[name](a, p))
+
+    def test_fraction_entries_refused(self):
+        # read as integers, 1/2 would be 0 mod 5 rather than 3
+        half = Fraction(1, 2)
+        for call in ARRAY_FUNCTIONS.values():
+            with pytest.raises(ValueError, match="^entries must be integers$"):
+                call(np.array([[half, 1], [1, 2]], dtype=object), 5)
+        with pytest.raises(ValueError, match="^entries must be integers$"):
+            Mat(F5, [[half]])
+        with pytest.raises(ValueError, match="^entries must be integers$"):
+            list(nilpotent_partitions([(np.array([[0, half], [0, 0]], dtype=object), 5)]))
+
+    def test_object_arrays_of_ints_pass(self):
+        # 2^70 = 4 mod 5 only as a Python int; int64 cannot hold it
+        a = np.array([[2**70, 2], [2, 1]], dtype=object)
+        assert rank(a, 5) == 1 and rref(a, 5)[0].tolist() == [[1, 3], [0, 0]]
+        assert Mat(F5, np.array([[1, 2]], dtype=object)) == Mat(F5, [[1, 2]])
+        nil = np.array([[0, 1], [0, 0]], dtype=object)
+        assert list(nilpotent_partitions([(nil, 5)])) == [(2,)]
+
+    @pytest.mark.parametrize(
+        "dtype, p, rows",
+        [
+            (np.uint8, 13, [[4, 8, 12, 9], [10, 4, 10, 3], [0, 9, 1, 2], [1, 12, 9, 12]]),
+            (np.int8, 101, [[64, 51, 27, 31], [7, 1, 17, 82], [92, 50, 61, 98], [71, 52, 44, 12]]),
+            (np.uint64, 13, [[0, 2, 2, 7], [9, 4, 3, 8], [0, 12, 2, 3], [9, 6, 5, 2]]),
+        ],
+    )
+    def test_narrow_and_unsigned_types_reduce_exactly(self, dtype, p, rows):
+        # eliminated in the input's own type these overflowed or wrapped
+        a = np.array(rows)
+        (r, piv), (want, want_piv) = rref(a.astype(dtype), p), rref(a, p)
+        assert r.dtype == np.int64 and (r.tolist(), piv) == (want.tolist(), want_piv)
 
     def test_jordan_types_reject_floats(self):
         with pytest.raises(ValueError, match="^floating point entries are not allowed$"):

@@ -1,6 +1,7 @@
 """Invariant algebras: degree spaces, products, generator counts,
-module finiteness, Frobenius behaviour, the rational-field
-counterexample, and the degree data their towers share."""
+module finiteness, Frobenius behaviour, the characteristic-0
+counterexample counted on monomials, and the degree data their towers
+share."""
 
 import gc
 import json
@@ -16,13 +17,14 @@ from hypothesis import strategies as st
 
 from vercat.exactlin import BudgetExceeded
 from vercat.repzp import hom_stack, jordan_module
-from vercat import verlinde
+from vercat import graded, invariants, verlinde
 from vercat.verlinde import SymTower, VerObject, ver_sym_power
 from vercat.invariants import (
     InvariantAlgebra,
     build_invariant_algebra,
     char0_counterexample,
     _intertwines,
+    _super_mono_mul,
     frobenius_check,
     generator_degrees,
     isotypic_stability_check,
@@ -341,6 +343,28 @@ class TestIsotypicStability:
         monkeypatch.setattr(SymTower, "mu", corrupted)
         assert not isotypic_stability_check(ver(p, [1, 2]), depth, trials, seed)
 
+    def test_corrupted_structure_constants_fail_the_reynolds_comparison(self, monkeypatch):
+        # negative control for the i = 1 comparison alone: the structure
+        # constants are off by one, the product maps (tower.mu) are not, so
+        # every intertwiner test passes and only the comparison can fail
+        table, intertwines, verdicts = InvariantAlgebra.product_table, _intertwines, []
+
+        def corrupted(self, a, b):
+            t = table(self, a, b)
+            if a >= 1 and b >= 1 and t.size:
+                t = t.copy()
+                t.flat[0] = (t.flat[0] + 1) % self.p
+            return t
+
+        def recorded(h, ends):
+            verdicts.append(intertwines(h, ends))
+            return verdicts[-1]
+
+        monkeypatch.setattr(InvariantAlgebra, "product_table", corrupted)
+        monkeypatch.setattr(invariants, "_intertwines", recorded)
+        assert not isotypic_stability_check(VerObject(5, (1, 1, 0, 0)), 10, 100, 42)
+        assert verdicts and all(verdicts)
+
     def test_reads_only_invariant_columns(self):
         # whole mu(a, b) maps of this tower peak at 8.4 MiB under tracemalloc
         tracemalloc.start()
@@ -539,6 +563,28 @@ class TestFrobenius:
             for i in range(2, p):
                 assert ver_sym_power(VerObject.simple(p, i), p).is_zero()
 
+    def test_a_product_that_breaks_multiplicativity_fails(self, monkeypatch):
+        # negative control for (uv)^p = u^p v^p alone: powers and sums are
+        # true, the check's own products drop their top degree, which
+        # u^p v^p reaches at depth 10 = 2p and (uv)^p keeps
+        true = graded.TruncatedAlgebra.mul
+
+        def topless(self, u, v):
+            return {m: c for m, c in true(self, u, v).items() if m < self.depth}
+
+        monkeypatch.setattr(InvariantAlgebra, "mul", true)
+        monkeypatch.setattr(InvariantAlgebra, "mul_elems", topless)
+        alg = build_invariant_algebra(VerObject(5, (1, 1, 0, 0)), 10)
+        assert not frobenius_check(alg)
+
+    def test_a_power_that_does_not_vanish_fails(self, monkeypatch):
+        # negative control for the vanishing clause alone: the ring-map
+        # identities hold, and S^p(L_i) reads as the unit
+        alg = build_invariant_algebra(VerObject(5, (1, 1, 0, 0)), 10)
+        assert frobenius_check(alg)
+        monkeypatch.setattr(invariants, "ver_sym_power", lambda x, m: VerObject.unit(x.p))
+        assert not frobenius_check(alg)
+
 
 class TestChar0Counterexample:
     def test_degree_zero_constants(self):
@@ -565,3 +611,29 @@ class TestChar0Counterexample:
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             char0_counterexample(2)
+
+    def test_counts_at_every_depth_to_40(self):
+        # the constants, nothing in degree 1, then x^(d-2) y z in every degree
+        for depth in range(3, 41):
+            want = [(0, 1), (1, 0)] + [(d, 1) for d in range(2, depth + 1)]
+            assert char0_counterexample(depth) == want
+
+    def test_odd_generators_anticommute(self):
+        # no product of invariants reaches the sign: each one holds y z
+        y, z = (0, 1, 0), (0, 0, 1)
+        assert _super_mono_mul(y, z) == ((0, 1, 1), 1)
+        assert _super_mono_mul(z, y) == ((0, 1, 1), -1)
+        assert _super_mono_mul(y, y) is None and _super_mono_mul(z, z) is None
+
+    def test_a_map_identifying_two_monomials_raises(self, monkeypatch):
+        # x^a y z -> x^(a+1) y beside x^(a+2) -> (a+2) x^(a+1) y: in degree 2
+        # the kernel is no longer spanned by the monomials D kills
+        derive = invariants._derive
+
+        def identifying(mono):
+            a, e, f = mono
+            return (a + 1, 1, 0) if e and f else derive(mono)
+
+        monkeypatch.setattr(invariants, "_derive", identifying)
+        with pytest.raises(AssertionError, match="^D identifies two monomials of degree 2$"):
+            char0_counterexample(3)

@@ -1,13 +1,11 @@
 """Property tests for the array layer of `vercat.exactlin`.
 
 `rref`, `rank`, `kernel`, `solve_array` and `cokernel` are held to a
-pure-Python reference (Python ints mod p, `Fraction` over Q) on random
-matrices over random primes, 2 and 65537 included, and over Q (p = 0);
-`pivots` is held to the pivots of `rref`, and `Mat`, which is GF(p)
-only, to the array functions on the same matrices.
+pure-Python reference (Python ints mod p) on random matrices over random
+primes, 2 and 65537 included; `pivots` is held to the pivots of `rref`,
+and `Mat` to the array functions on the same matrices.
 """
 
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -20,7 +18,6 @@ from vercat.exactlin import (
     BATCH_ENTRIES,
     GF,
     SPLIT_SIZE,
-    Field,
     Mat,
     _echelon_rounds,
     _is_prime,
@@ -45,16 +42,12 @@ def next_prime(n: int) -> int:
     return n
 
 
-# p = 0 is Q; 65537 is the largest prime GF accepts
-CHARS = st.one_of(
-    st.sampled_from([0, 2, 65537]), st.integers(2, 65537).map(next_prime)
-)
+# 65537 is the largest prime GF accepts
+CHARS = st.one_of(st.sampled_from([2, 65537]), st.integers(2, 65537).map(next_prime))
 
 
 def entries(p: int):
-    if p:
-        return st.integers(0, p - 1)
-    return st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return st.integers(0, p - 1)
 
 
 @st.composite
@@ -64,23 +57,9 @@ def matrix(draw, p: int, rows: int, cols: int) -> np.ndarray:
     inner = draw(st.integers(0, 6))
     left = draw(st.lists(entries(p), min_size=rows * inner, max_size=rows * inner))
     right = draw(st.lists(entries(p), min_size=inner * cols, max_size=inner * cols))
-    dtype = np.int64 if p else object
-    a = np.array(left, dtype=dtype).reshape(rows, inner)
-    b = np.array(right, dtype=dtype).reshape(inner, cols)
-    prod = a @ b
-    if p:
-        return prod % p
-    out = np.full((rows, cols), Fraction(0), dtype=object)
-    out[...] = prod  # an empty inner dimension leaves zeros
-    return out
-
-
-def _as_field(a: np.ndarray, p: int) -> np.ndarray:
-    if p:
-        return a % p
-    out = np.full(a.shape, Fraction(0), dtype=object)
-    out[...] = a
-    return out
+    a = np.array(left, dtype=np.int64).reshape(rows, inner)
+    b = np.array(right, dtype=np.int64).reshape(inner, cols)
+    return a @ b % p
 
 
 def jordan_nilpotent(parts_a: list[int], parts_b: list[int]) -> np.ndarray:
@@ -112,26 +91,24 @@ def composition(rng, n: int) -> list[int]:
 def field_matrix(draw):
     """Small low-rank matrices, larger sparse ones (up to 40 x 40, some
     rows combinations of others), and powers of the nilpotent part of a
-    tensor product of Jordan modules.  Over Q the larger kinds stay at
-    most 12 x 12, where Fraction elimination stays quick."""
+    tensor product of Jordan modules."""
     p = draw(CHARS)
     kind = draw(st.sampled_from(["low-rank", "sparse", "jordan"]))
     if kind == "low-rank":
         rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
         return p, draw(matrix(p, rows, cols))
-    big = 40 if p else 12
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "sparse":
-        rows, cols = draw(st.integers(0, big)), draw(st.integers(0, big))
+        rows, cols = draw(st.integers(0, 40)), draw(st.integers(0, 40))
         density = draw(st.sampled_from([0.05, 0.2, 0.5]))
         a = rng.integers(-3, 4, (rows, cols)) * (rng.random((rows, cols)) < density)
         if rows >= 3:  # dependent rows
             a[rng.integers(rows)] = a[rng.integers(rows)] - 2 * a[rng.integers(rows)]
-        return p, _as_field(a, p)
+        return p, a % p
     da = draw(st.integers(1, 6))
-    db = draw(st.integers(1, big // da))
+    db = draw(st.integers(1, 40 // da))
     n = jordan_nilpotent(composition(rng, da), composition(rng, db))
-    return p, _as_field(np.linalg.matrix_power(n, draw(st.integers(1, 3))), p)
+    return p, np.linalg.matrix_power(n, draw(st.integers(1, 3))) % p
 
 
 @st.composite
@@ -146,9 +123,9 @@ def linear_system(draw):
 
 def ref_rref(a: np.ndarray, p: int) -> tuple[list[list], list[int]]:
     def red(x):
-        return x % p if p else x
+        return x % p
 
-    m = [[red(int(x)) if p else Fraction(x) for x in row] for row in a.tolist()]
+    m = [[red(int(x)) for x in row] for row in a.tolist()]
     cols = a.shape[1]
     pivots: list[int] = []
     for c in range(cols):
@@ -157,7 +134,7 @@ def ref_rref(a: np.ndarray, p: int) -> tuple[list[list], list[int]]:
         if pr is None:
             continue
         m[lead], m[pr] = m[pr], m[lead]
-        inv = pow(m[lead][c], -1, p) if p else 1 / m[lead][c]
+        inv = pow(m[lead][c], -1, p)
         m[lead] = [red(x * inv) for x in m[lead]]
         for i in range(len(m)):
             if i != lead and m[i][c] != 0:
@@ -172,13 +149,12 @@ def ref_kernel(a: np.ndarray, p: int) -> list[list]:
     the reduced form placed at the pivot positions."""
     m, pivots = ref_rref(a, p)
     cols = a.shape[1]
-    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
     out = []
     for f in (c for c in range(cols) if c not in pivots):
-        v = [zero] * cols
-        v[f] = one
+        v = [0] * cols
+        v[f] = 1
         for row, pc in enumerate(pivots):
-            v[pc] = (-m[row][f]) % p if p else -m[row][f]
+            v[pc] = (-m[row][f]) % p
         out.append(v)
     return [list(col) for col in zip(*out)] if out else [[] for _ in range(cols)]
 
@@ -191,7 +167,7 @@ def times(a: np.ndarray, b: np.ndarray, p: int) -> list[list]:
         [sum((al[i][t] * bl[t][j] for t in range(inner)), 0) for j in range(cols)]
         for i in range(rows)
     ]
-    return [[x % p if p else x for x in row] for row in out]
+    return [[x % p for x in row] for row in out]
 
 
 def zeros(rows: int, cols: int) -> list[list]:
@@ -279,13 +255,8 @@ def test_cokernel_projection(case):
 @given(field_matrix())
 def test_mat_methods_delegate(case):
     """`Mat` holds the residues of its entries, and its inverse, where
-    there is one, is that of `solve_array`; over Q (p = 0) there is no
-    `Mat`, and the array functions alone answer."""
+    there is one, is that of `solve_array`."""
     p, a = case
-    if not p:
-        with pytest.raises(ValueError, match="got 0"):
-            Mat(Field(0), a)
-        return
     m = Mat(GF(p), a)
     assert m.a.tolist() == (a % p).tolist()
     assert m.T.a.tolist() == (a % p).T.tolist()
@@ -307,12 +278,11 @@ def test_inverse_and_quotient_through_solve_array(case):
     assert (want is None) == (rank(square, p) < n)
     if want is not None:
         assert times(square, want, p) == np.eye(n, dtype=np.int64).tolist()
-    if p:
-        if want is None:
-            with pytest.raises(ValueError, match="matrix is singular"):
-                Mat(GF(p), square).inverse()
-        else:
-            assert Mat(GF(p), square).inverse().a.tolist() == want.tolist()
+    if want is None:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            Mat(GF(p), square).inverse()
+    else:
+        assert Mat(GF(p), square).inverse().a.tolist() == want.tolist()
     coords = solve_array(np.eye(a.shape[0], dtype=np.int64), a, p)
     q, free = cokernel(a, p)
     got_q, got_free = cokernel(coords, p)
