@@ -30,12 +30,11 @@ import re
 import sys
 import tempfile
 import time
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, graded
 from .exactlin import DEFAULT_MAX_ENTRIES, GF, BudgetExceeded, Mat, check_budget
 from . import repzp
 from .repzp import jordan_module, jordan_type, sym_power, tensor
@@ -656,9 +655,9 @@ def suite_invariants(report: Report, args) -> None:
         tail_zero,
         f"counts {[c for _, c in gens]}",
     )
-    # tautological: while `alg` is alive, sym_alg_series reads the very
-    # same built degrees (towers on one key share them), until the closed
-    # form for S^m (ROADMAP item 2) replaces the right side
+    # tautological: sym_alg_series reads the very same built degrees (the
+    # command's towers on one key share them), until the closed form for
+    # S^m (ROADMAP item 2) replaces the right side
     series = sym_alg_series(x, 10, max_entries)
     cross = all(alg.dims[m] == series[m].mult_of(1) for m in range(11))
     report.add_check("invariant-dims-match-sympow p=5 X=1+L2", cross)
@@ -776,18 +775,19 @@ def cmd_verify(args) -> Report:
         raise UsageError("the char0 suite needs --max-degree >= 3")
     target, owner, attr, replacement = MUTANTS.get(args.mutate, (None,) * 4)
     for name in suites:
-        if name == target:
-            # the mutant's towers go to a table of their own, not to later runs
-            original, live = getattr(owner, attr), verlinde._LIVE
-            setattr(owner, attr, replacement)
-            verlinde._LIVE = weakref.WeakValueDictionary()
+        # looked up at call time, so a wrapper rebound on this module runs
+        suite = globals()["suite_" + name.replace("-", "_")]
+        if name != target:
+            suite(report, args)
+            continue
+        # the mutant's towers go to a store of their own, not to later suites
+        original = getattr(owner, attr)
+        setattr(owner, attr, replacement)
         try:
-            # looked up at call time, so a wrapper rebound on this module runs
-            globals()["suite_" + name.replace("-", "_")](report, args)
+            with graded.tower_store():
+                suite(report, args)
         finally:
-            if name == target:
-                setattr(owner, attr, original)
-                verlinde._LIVE = live
+            setattr(owner, attr, original)
     passed = sum(c["passed"] for c in report.checks)
     report.table = report.lines() + [f"{passed}/{len(report.checks)} checks passed"]
     return report
@@ -920,7 +920,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        report = args.func(args)
+        # one store per command: every tower it builds is built once
+        with graded.tower_store():
+            report = args.func(args)
         if getattr(args, "json_out", None):
             with open(args.json_out, "w", encoding="utf-8") as fh:
                 fh.write(report.to_json())

@@ -4,10 +4,15 @@ All linear algebra of the package is done by the array functions
 `rref`, `pivots`, `rank`, `kernel`, `solve_array` and `cokernel`.  Each
 takes integer arrays and a prime p and answers over GF(p) in int64
 residues; `rref` and `pivots`, which the others go through, check p by
-`GF` and refuse any entry that is not an integer.  `Field`, `GF` and
-`Mat`, the checked public matrix type, hold the same residues;
-`Mat.inverse` is `solve_array` against the identity.  Every operation
-is exact and deterministic.
+`GF`, which takes any integer type and hands back a Python int.  Every
+array entry point (`rref`, `pivots`, `Mat`, `nilpotent_partitions`)
+reads its entries through one routine, `_residues_of`: it refuses any
+entry that is not an integer and reduces every integer dtype mod p
+exactly, without the wrap-around or overflow of reducing in a type
+that cannot hold p or its entries.  `Field`, `GF` and `Mat`, the
+checked public matrix type, hold the same residues; `Mat.inverse` is
+`solve_array` against the identity.  Every operation is exact and
+deterministic.
 
 There is one Gauss-Jordan, `_rref_mod`: `rref` runs it, one pivot per
 step, because `kernel`, `solve_array` and `cokernel` read the reduced
@@ -71,12 +76,12 @@ so a dot product of fewer than 2^31 residues, and hence every int64
 matrix product this package still forms, is exact before it is reduced
 mod p.  The hot products go through two kernels on float64 BLAS
 instead, several times faster than numpy's int64 matmul, which has no
-BLAS, and the package forms floating point nowhere else.  Both rest on
-one fact: float64 holds every integer up to 2^53, so a sum of
-nonnegative integer terms whose total is below 2^53 is exact in any
-order BLAS adds them (every partial sum, and every product plus partial
-sum of a fused multiply-add, is an integer below the total, so nothing
-is rounded).
+BLAS, except on tiny operands, and the package forms floating point
+nowhere else.  Both rest on one fact: float64 holds every integer up
+to 2^53, so a sum of nonnegative integer terms whose total is below
+2^53 is exact in any order BLAS adds them (every partial sum, and every
+product plus partial sum of a fused multiply-add, is an integer below
+the total, so nothing is rounded).
 
 `matmul_mod` takes both products of a `GradedTower.mu` step, the
 precomposition that builds each degree of `verlinde.SymTower` and its
@@ -84,7 +89,10 @@ class coordinates, the sVec_2 derivation on elements and the Jordan-type
 chain here.  Its terms are products of two residues, at most (p-1)^2, so
 an inner size k below 2^53 / (p-1)^2 is exact (k < 2^21 at p = 65537);
 a larger k is split into chunks below that bound whose residues are
-summed, so it answers every inner size.
+summed, so it answers every inner size.  A product of fewer than
+TINY_MADDS = 2^12 multiply-adds, counting every batch axis, skips the
+float round trip: it is formed in int64, exact since k (p-1)^2 < 2^63,
+and reduced once, which costs less at that size.
 
 `contract_mod` takes the element products (each output degree of
 `TruncatedAlgebra.mul`): the sum over degree pairs of the contractions
@@ -119,6 +127,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
@@ -166,13 +175,13 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Field:
-    """GF(p) for a prime p <= MAX_PRIME."""
+    """GF(p) for a prime p <= MAX_PRIME, held as a Python int."""
 
     characteristic: int
 
     def __post_init__(self):
         p = self.characteristic
-        if p > MAX_PRIME or not _is_prime(p):
+        if type(p) is not int or p > MAX_PRIME or not _is_prime(p):
             raise ValueError(f"characteristic must be a prime <= {MAX_PRIME}, got {p}")
 
     def __str__(self):
@@ -183,6 +192,12 @@ _gf_cache: dict[int, Field] = {}
 
 
 def GF(p: int) -> Field:
+    """The field GF(p); p may be any integer type, and the field holds it
+    as a Python int (`operator.index`), so callers read p from it."""
+    try:
+        p = operator.index(p)
+    except TypeError:
+        raise ValueError(f"characteristic must be a prime <= {MAX_PRIME}, got {p}") from None
     if p not in _gf_cache:
         _gf_cache[p] = Field(p)
     return _gf_cache[p]
@@ -195,8 +210,8 @@ def GF(p: int) -> Field:
 
 def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of the integer array `a` over GF(p), as
-    int64 residues (reduced before widening), plus pivot columns."""
-    r = (a % p).astype(np.int64, copy=False)
+    int64 residues (`_residues_of`), plus pivot columns."""
+    r = _residues_of(a, p)
     rows, cols = r.shape
     pivots: list[int] = []
     lead = 0
@@ -332,16 +347,33 @@ def _echelon_rounds(
     return piv[: found + 1], slot.reshape(count, width)
 
 
+#: Most multiply-adds, batch axes included, of a `matmul_mod` product
+#: formed in int64 rather than float64 BLAS: below it the int64 product
+#: and one reduction cost less than the float round trip.  On one
+#: OpenBLAS thread at p = 11, (16 x 16) @ (16 x 16) took 5.9 us in int64
+#: against 6.6 us through float64, and (16 x 32) @ (32 x 32) 13.7 us
+#: against 8.7 us; (1 x 25) @ (25 x 1) took 3.5 against 5.8 us.  On the
+#: three benchmark workloads, 2^12 to 2^14 read the same within noise.
+TINY_MADDS = 2**12
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for arrays of residues in [0, p), 2-D or stacked as
-    (..., m, k) @ (..., k, n), formed by float64 BLAS, as an int64 array.
+    (..., m, k) @ (..., k, n), as an int64 array.
 
-    Every partial sum of an inner size k is an integer below k (p-1)^2,
-    exact in double precision whatever order BLAS adds in while that is
-    below 2^53.  A larger k is split into chunks below that bound (at
-    p = MAX_PRIME, (p-1)^2 = 2^32 and a chunk holds 2^21 - 1 terms), each
-    chunk's product is reduced mod p, and the residues are summed.
+    A product of fewer than TINY_MADDS multiply-adds is formed in int64
+    and reduced once: its entries are below k (p-1)^2 < 2^63.  A larger
+    one goes through float64 BLAS.  There every partial sum of an inner
+    size k is an integer below k (p-1)^2, exact in double precision
+    whatever order BLAS adds in while that is below 2^53.  A larger k is
+    split into chunks below that bound (at p = MAX_PRIME, (p-1)^2 = 2^32
+    and a chunk holds 2^21 - 1 terms), each chunk's product is reduced
+    mod p, and the residues are summed.
     """
+    if max(a.size * b.shape[-1], b.size * a.shape[-2]) < TINY_MADDS:
+        c = np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)
+        c -= p * (c // p)  # c % p: numpy divides by a scalar faster
+        return c
     k, step = a.shape[-1], (2**53 - 1) // (p - 1) ** 2
     if k > step:
         chunks = range(0, k, step)
@@ -392,13 +424,24 @@ def contract_mod(pairs: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]], p: 
     return _residues(acc, p)
 
 
-def _check_integral(a: np.ndarray) -> np.ndarray:
-    """`a` itself; raises ValueError on an entry that is not an integer."""
-    if a.size and a.dtype.kind in "fc":
+def _residues_of(a, p: int) -> np.ndarray:
+    """The entries of the integer array `a` mod p, as a new int64 array of
+    residues in [0, p); raises ValueError on an entry that is not an
+    integer.  Every integer dtype is reduced exactly: one of at most 63
+    bits widens to int64 first, since p need not fit its own type, and
+    uint64, which int64 would wrap, is reduced first; Python integers of
+    any size in an object array are reduced one by one."""
+    a = np.asarray(a)
+    kind = a.dtype.kind
+    if kind in "iub":
+        if kind == "u" and a.dtype.itemsize == 8:
+            return (a % np.uint64(p)).astype(np.int64)
+        return a.astype(np.int64, copy=False) % p
+    if a.size and kind in "fc":
         raise ValueError("floating point entries are not allowed")
-    if a.dtype.kind not in "biu" and not all(isinstance(x, (int, np.integer)) for x in a.flat):
+    if not all(isinstance(x, (int, np.integer)) for x in a.flat):
         raise ValueError("entries must be integers")
-    return a
+    return np.array([int(x) % p for x in a.flat], dtype=np.int64).reshape(a.shape)
 
 
 def _free(cols: int, pivots: list[int]) -> list[int]:
@@ -426,16 +469,14 @@ def _kernel_from_rref(r: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of the integer array `a` over GF(p), as
     int64 residues, and its pivot columns; `a` is not modified."""
-    GF(p)
-    return _rref_mod(_check_integral(a), p)
+    return _rref_mod(a, GF(p).characteristic)
 
 
 def pivots(a: np.ndarray, p: int) -> list[int]:
     """Pivot columns of the integer array `a` over GF(p): `rref(a, p)[1]`,
     without forming the reduced form."""
-    GF(p)
-    _check_integral(a)
-    slot = _echelon_rounds(a % p, np.zeros(len(a), dtype=np.intp), 1, p)[1]
+    p = GF(p).characteristic
+    slot = _echelon_rounds(_residues_of(a, p), np.zeros(len(a), dtype=np.intp), 1, p)[1]
     return np.flatnonzero(slot[0] >= 0).tolist()
 
 
@@ -490,10 +531,9 @@ class Mat:
 
     def __init__(self, field: Field, entries):
         self.field = field
-        a = _check_integral(np.asarray(entries))
-        if a.ndim != 2:
+        self.a = _residues_of(entries, field.characteristic)
+        if self.a.ndim != 2:
             raise ValueError("matrix entries must be 2-dimensional")
-        self.a = a.astype(np.int64) % field.characteristic
 
     # -- constructors -------------------------------------------------------
 
@@ -715,11 +755,10 @@ def nilpotent_partitions(items: Iterable[tuple[np.ndarray, int]]) -> Iterator[tu
             dtype = np.uint8 if p <= 2**8 else np.uint16 if p <= 2**16 else np.uint32
         elif q != p:
             raise ValueError(f"field mismatch: GF({p}) vs GF({q})")
-        _check_integral(a)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        r = _residues_of(a, p).astype(dtype)
+        if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise ValueError("nilpotent_partition requires a square matrix")
-        n = len(a)
-        r = (a % p).astype(dtype)
+        n = len(r)
         keys = []
         for index in _components(r) if n >= SPLIT_SIZE else [range(n)]:
             c = r if len(index) == n else r[index[:, None], index]

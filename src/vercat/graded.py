@@ -12,11 +12,14 @@ arrays of residues mod p:
 
 - `swap`: the permutation v (x) w -> w (x) v, and `minus_swap`, its
   relation 1 - swap applied by transposing two tensor factors;
-- `quotient_tower`: the plain degreewise quotient, used by Rep(Z/pZ)
-  (relation 1 - swap) and sVec_2 (relation 1 + braiding); Ver_p takes
+- `QuotientDegrees`: the plain degreewise quotient, grown one degree at
+  a time, used by Rep(Z/pZ) (relation 1 - swap) and sVec_2 (relation
+  1 + braiding), and `quotient_tower`, one growth of it; Ver_p takes
   its cokernels modulo negligible morphisms instead
   (`verlinde.SymTower`) and shares only `minus_swap` and `mu`;
   `induced` pushes maps through it, on its kept coordinates;
+- `tower_store` and `shared_degrees`: the degree data every tower engine
+  shares by key, held by the running command (see below);
 - `GradedTower.mu`: the recursion above, and `GradedTower.table`, the
   one reading of mu(a, b) as a (da x db x dc) structure tensor;
 - `TruncatedAlgebra`: element arithmetic, where the product of degrees
@@ -25,9 +28,26 @@ arrays of residues mod p:
   `exactlin.contract_mod`; every operation broadcasts over an optional
   leading trial axis, so a seeded identity check runs once over all its
   trials.
+
+Every tower engine (`verlinde.SymTower`, the plain tower behind
+`repzp.sym_power`, `svec2.DGradedAlgebra`) keeps its degree data by a
+key without depth: the prime or the module, and the budget.  A tower
+reads exactly the degrees up to its own depth and grows the data when it
+needs more, each new degree charged once, when it is formed, under the
+key's budget.  Data is shared while it is held.  Inside a `tower_store`
+block, which `cli.main` opens around each command, the block holds it
+until it exits, so a command builds each degree once.  Outside one, an
+engine's weak table holds it only while a tower on the key is alive.
+Products stay with each tower.
 """
 
 from __future__ import annotations
+
+import contextlib
+import contextvars
+import weakref
+from collections.abc import Callable, Iterator
+from typing import TypeVar
 
 import numpy as np
 
@@ -64,36 +84,123 @@ def minus_swap(rows: np.ndarray, n: int) -> np.ndarray:
     return (b - np.swapaxes(b, -1, -2)).reshape(rows.shape)
 
 
-def quotient_tower(
-    rel: np.ndarray, n: int, depth: int, p: int, max_entries: int | None = None
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """S^m = coker(relations into S^(m-1) (x) X) for m = 0..depth.
+def frozen(a: np.ndarray) -> np.ndarray:
+    """`a`, made read-only: degree data is shared between towers."""
+    a.setflags(write=False)
+    return a
 
-    The r columns of `rel` (n^2 x r) span the degree-2 relations inside
-    X (x) X; in degree m they enter S^(m-1) (x) X through (q_(m-1) (x) 1_X)
-    and act on the last two tensor factors, and each degree's relation
-    matrix is checked against `max_entries` before it is formed.
-    Returns (q, keep): q[m] projects S^(m-1) (x) X onto S^m, and the unit
+
+# the store of the running command: id of an engine's weak table -> its
+# key -> degree data; None outside a `tower_store` block
+_STORE: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "vercat_tower_store", default=None
+)
+
+_T = TypeVar("_T")
+
+
+@contextlib.contextmanager
+def tower_store() -> Iterator[None]:
+    """Hold the degree data of every tower built in the block until the
+    block exits: a tower built later in it on a key that an earlier one
+    used reads and grows that one's degrees, whether or not the earlier
+    tower is still alive.  A nested block starts empty, and the store
+    around it is back when it exits."""
+    token = _STORE.set({})
+    try:
+        yield
+    finally:
+        _STORE.reset(token)
+
+
+def shared_degrees(live: weakref.WeakValueDictionary, key, new: Callable[[], _T]) -> _T:
+    """The degree data on `key`, made by `new()` on a miss: from the
+    installed store, else from `live`, the engine's weak table, where it
+    stays only while a tower holds it."""
+    store = _STORE.get()
+    table = live if store is None else store.setdefault(id(live), {})
+    data = table.get(key)
+    if data is None:
+        data = table[key] = new()
+    return data
+
+
+class QuotientDegrees:
+    """S^m = coker(relations into S^(m-1) (x) X), grown on demand: `q`
+    and `keep` hold degrees 0..built.
+
+    The (n^2 x r) columns `rel` span the degree-2 relations inside
+    X (x) X; a subclass that passes none forms them in `_relations`, which
+    is called once, when S^2 is first built, so nothing is formed or
+    charged for them below S^2.  In degree m they enter S^(m-1) (x) X
+    through (q_(m-1) (x) 1_X) and act on the last two tensor factors, and
+    each degree's relation matrix is checked against `max_entries` before
+    it is formed.  q[m] projects S^(m-1) (x) X onto S^m, and the unit
     vectors at the kept coordinates keep[m] are coset representatives,
     q[m][:, keep[m]] = 1.  They are the non-pivot positions of the reduced
     echelon form of the relation span, so the choice is deterministic
     (`exactlin.cokernel`) and does not depend on the spanning set.
+
+    `grow(depth)` builds the missing degrees, then calls `_extend(depth)`,
+    where a subclass appends what it reads off them to the per-degree
+    lists named in `_LISTS`.  A growth that raises cuts every such list
+    back to the length it found, so shared degrees stay as they were.
+    Built arrays are read-only.
     """
-    q, keep = [np.ones((1, 1), dtype=np.int64)], [np.zeros(1, dtype=np.intp)]
-    if depth >= 1:
-        q.append(np.eye(n, dtype=np.int64))
-        keep.append(np.arange(n))
-    r = rel.shape[1]
-    rel3 = rel.reshape(n, n, r)
-    for m in range(2, depth + 1):
-        dv, du = q[m - 1].shape[0], q[m - 2].shape[0]
-        check_budget(dv * n * du * r, max_entries, f"relation matrix of S^{m}")
-        rho = np.tensordot(q[m - 1].reshape(dv, du, n), rel3, axes=(2, 0))
+
+    _LISTS: tuple[str, ...] = ("q", "keep")
+
+    def __init__(self, n: int, p: int, max_entries: int | None, rel: np.ndarray | None = None):
+        self.n, self.p, self.max_entries = n, p, max_entries
+        self._rel = rel
+        self._rel3: np.ndarray | None = None  # the relations as (n, n, r)
+        self.q = [frozen(np.ones((1, 1), dtype=np.int64))]
+        self.keep = [frozen(np.zeros(1, dtype=np.intp))]
+
+    def grow(self, depth: int) -> None:
+        built = [len(getattr(self, name)) for name in self._LISTS]
+        try:
+            for m in range(len(self.q), depth + 1):
+                self._build_degree(m)
+            self._extend(depth)
+        except BaseException:
+            for name, count in zip(self._LISTS, built):
+                del getattr(self, name)[count:]
+            raise
+
+    def _relations(self) -> np.ndarray:
+        return self._rel
+
+    def _extend(self, depth: int) -> None:
+        pass
+
+    def _build_degree(self, m: int) -> None:
+        n, p = self.n, self.p
+        if m == 1:
+            self.q.append(frozen(np.eye(n, dtype=np.int64)))
+            self.keep.append(frozen(np.arange(n, dtype=np.intp)))
+            return
+        if self._rel3 is None:
+            rel = self._relations()
+            self._rel3 = rel.reshape(n, n, rel.shape[1])
+        r = self._rel3.shape[2]
+        dv, du = self.q[m - 1].shape[0], self.q[m - 2].shape[0]
+        check_budget(dv * n * du * r, self.max_entries, f"relation matrix of S^{m}")
+        rho = np.tensordot(self.q[m - 1].reshape(dv, du, n), self._rel3, axes=(2, 0))
         rho = rho.transpose(0, 2, 1, 3).reshape(dv * n, du * r) % p
         qm, free = cokernel(rho, p)
-        q.append(qm)
-        keep.append(np.array(free, dtype=np.intp))
-    return q, keep
+        self.q.append(frozen(qm))
+        self.keep.append(frozen(np.array(free, dtype=np.intp)))
+
+
+def quotient_tower(
+    rel: np.ndarray, n: int, depth: int, p: int, max_entries: int | None = None
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(q, keep) of degrees 0..depth of the `QuotientDegrees` with
+    relation columns `rel` (n^2 x r), in one growth."""
+    tower = QuotientDegrees(n, p, max_entries, rel)
+    tower.grow(depth)
+    return tower.q, tower.keep
 
 
 def induced(q: np.ndarray, keep, a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

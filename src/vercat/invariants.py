@@ -36,12 +36,13 @@ class InvariantAlgebra(graded.TruncatedAlgebra):
     constants over GF(p); elements are those of `graded.TruncatedAlgebra`
     with `dims` the invariant dimensions.
 
-    Its `SymTower` shares the built degrees with every other tower alive
-    on the same (X, depth, max_entries), so the reports of one set
-    (`build_invariant_algebra`, `module_finiteness_check`,
-    `isotypic_stability_check`) build the tower once while the caller
-    holds one algebra.  The products (`tower._mu`), the tables and the
-    (possibly shuffled) invariant offsets belong to this algebra alone.
+    Its `SymTower` shares the built degrees with every other tower on the
+    same (X, max_entries) while they are held, up to its own depth, so
+    the reports of one set (`build_invariant_algebra`,
+    `module_finiteness_check`, `isotypic_stability_check`) build the
+    tower once in a command, or while the caller holds one algebra.  The
+    products (`tower._mu`), the tables and the (possibly shuffled)
+    invariant offsets belong to this algebra alone.
     """
 
     def __init__(

@@ -16,13 +16,14 @@ dense tensor-power quotient.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exactlin import GF, Mat, check_budget, kernel, nilpotent_partitions
-from .graded import check_degree, induced, quotient_tower, swap
+from .graded import QuotientDegrees, check_degree, frozen, induced, shared_degrees, swap
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,6 +135,46 @@ def hom_stack(a: ZpModule, b: ZpModule) -> np.ndarray:
     return k.T.reshape(k.shape[1], b.dim, a.dim)
 
 
+class _SymDegrees(QuotientDegrees):
+    """The plain tower of a module M with relation 1 - swap, and `g[k]`,
+    the generator's action on S^k, for `sym_power`.
+
+    The relation columns e_ij - e_ji, i < j, span the image of 1 - swap,
+    n^2 x n(n-1)/2 of them, charged when S^2 is first built.  g[k] =
+    q_k (g_(S^(k-1)) (x) g) on the kept columns (`graded.induced`); its
+    (dim S^(k-1) * n) x dim S^k action columns are charged against
+    `max_entries` before they are formed.  A growth builds every missing
+    degree of the tower before any missing action, as one fresh build does.
+    """
+
+    _LISTS = QuotientDegrees._LISTS + ("g",)
+
+    def __init__(self, m: ZpModule, max_entries: int | None):
+        super().__init__(m.dim, m.p, max_entries)
+        self.gen = frozen(m.g.a.copy())
+        self.g = [frozen(np.ones((1, 1), dtype=np.int64))]
+
+    def _relations(self) -> np.ndarray:
+        n, r = self.n, self.n * (self.n - 1) // 2
+        check_budget(n * n * r, self.max_entries, "relation matrix of S^2")
+        i, j = np.triu_indices(n, 1)
+        rel = np.zeros((n * n, r), dtype=np.int64)
+        rel[i * n + j, np.arange(r)] = 1
+        rel[j * n + i, np.arange(r)] = self.p - 1
+        return rel
+
+    def _extend(self, depth: int) -> None:
+        for k in range(len(self.g), depth + 1):
+            g, n = self.g[k - 1], self.n
+            check_budget(g.shape[0] * n * len(self.keep[k]), self.max_entries, f"action on S^{k}")
+            self.g.append(frozen(induced(self.q[k], self.keep[k], g, self.gen, self.p)))
+
+
+# (p, dim, generator entries, max_entries) -> the `_SymDegrees` on that
+# key; outside a `graded.tower_store` it goes when `sym_power` returns
+_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def sym_power(m: ZpModule, degree: int, max_entries: int | None = None) -> ZpModule:
     """The symmetric power S^degree(M) with its induced generator action.
 
@@ -141,26 +182,18 @@ def sym_power(m: ZpModule, degree: int, max_entries: int | None = None) -> ZpMod
     1 - swap, acted on by g_S = q (g_(S^(k-1)) (x) g) s, degree by degree
     (`graded.induced`).  Each array is charged against `max_entries`
     before it is formed: the n^2 x n(n-1)/2 relation columns, each
-    degree's relation matrix (`graded.quotient_tower`) and each degree's
-    action columns, (dim S^(k-1) * n) x dim S^k.
+    degree's relation matrix (`graded.QuotientDegrees`) and each degree's
+    action columns, (dim S^(k-1) * n) x dim S^k.  The tower is kept by
+    the module's entries and the budget (`graded.shared_degrees`), so the
+    calls of one command on one module build each degree once.
 
     Correctness anchor: this is the ambient route, S^m taken in
     Rep(Z/pZ) before the quotient functor; `verify --suite
     sympow-comparison` sets it against S^m computed inside Ver_p.
     """
     check_degree(degree)
-    p, n = m.p, m.dim
-    # the columns e_ij - e_ji, i < j, span the image of 1 - swap; they are
-    # read only from degree 2
-    r = n * (n - 1) // 2 if degree >= 2 else 0
-    check_budget(n * n * r, max_entries, "relation matrix of S^2")
-    i, j = np.triu_indices(n if r else 0, 1)
-    rel = np.zeros((n * n, r), dtype=np.int64)
-    rel[i * n + j, np.arange(r)] = 1
-    rel[j * n + i, np.arange(r)] = p - 1
-    q, keep = quotient_tower(rel, n, degree, p, max_entries)
-    g = np.ones((1, 1), dtype=np.int64)
-    for k in range(1, degree + 1):
-        check_budget(g.shape[0] * n * len(keep[k]), max_entries, f"action on S^{k}")
-        g = induced(q[k], keep[k], g, m.g.a, p)
-    return ZpModule(p, g.shape[0], Mat(m.g.field, g))
+    key = (m.p, m.dim, m.g.a.tobytes(), max_entries)
+    tower = shared_degrees(_LIVE, key, lambda: _SymDegrees(m, max_entries))
+    tower.grow(degree)
+    g = tower.g[degree]
+    return ZpModule(m.p, g.shape[0], Mat(m.g.field, g))

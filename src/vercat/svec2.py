@@ -18,6 +18,7 @@ only bounds test grids; no algorithm assumes it.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,15 +49,16 @@ class DModule:
 
 
 def random_dmodule(rng: np.random.Generator, dim: int) -> DModule:
-    """A random DModule, d = P J P^-1 for a random invertible P and J a
-    random number of W blocks: every square-zero d can be drawn.  One
-    elimination of [P | I] gives both the rank of P and P^-1."""
+    """A random DModule, d = P J P^-1 for J a random number of W blocks
+    and P = L S U, L and U unitriangular with uniform entries off the
+    diagonal and S a uniform permutation matrix.  Every invertible matrix
+    takes that form (its LPU decomposition), so every square-zero d can
+    be drawn.  One elimination of [P | I] gives P^-1."""
     eye = np.eye(dim, dtype=np.int64)
-    while True:
-        pm = rng.integers(0, 2, size=(dim, dim))
-        r, piv = rref(np.hstack([pm, eye]), 2)
-        if piv == list(range(dim)):  # no pivot in the I block: P invertible
-            break
+    lower = np.tril(rng.integers(0, 2, size=(dim, dim)), -1) + eye
+    upper = np.triu(rng.integers(0, 2, size=(dim, dim)), 1) + eye
+    pm = lower[:, rng.permutation(dim)] @ upper % 2
+    r, _ = rref(np.hstack([pm, eye]), 2)  # [I | P^-1]
     x = 2 * np.arange(rng.integers(0, dim // 2 + 1))  # J sends each e_x to e_(x+1)
     return DModule(dim, Mat(GF2, pm[:, x + 1] @ r[x, dim:] % 2))
 
@@ -94,16 +96,56 @@ def braiding(a: DModule, b: DModule) -> Mat:
     return Mat(GF2, _braiding(a, b))
 
 
+class _DDegrees(graded.QuotientDegrees):
+    """The degrees of S(X) shared by the algebras on one (X, max_entries):
+    the plain tower with relation 1 + c, passed as its pivot columns (an
+    independent spanning set; the tower reads only their span), and
+    `dmat[m]`, the derivation d (x) 1 + 1 (x) d induced on degree m.  A
+    growth builds every missing degree of the tower before any missing
+    derivation, as one fresh build does."""
+
+    _LISTS = graded.QuotientDegrees._LISTS + ("dmat",)
+
+    def __init__(self, x: DModule, max_entries: int | None):
+        super().__init__(x.dim, 2, max_entries)
+        self.x = DModule(x.dim, Mat(GF2, x.d.a))  # a copy, as the key reads x now
+        self.dmat: list[np.ndarray] = []
+
+    def _relations(self) -> np.ndarray:
+        n = self.n
+        check_budget(n**4, self.max_entries, "relation matrix of S^2")
+        rel = (np.eye(n * n, dtype=np.int64) + _braiding(self.x, self.x)) % 2
+        return rel[:, pivots(rel, 2)]
+
+    def _extend(self, depth: int) -> None:
+        n = self.n
+        for m in range(len(self.dmat), depth + 1):
+            if m == 0:
+                dm = np.zeros((1, 1), dtype=np.int64)
+            elif m == 1:  # q[1] is the identity: degree 1 carries d itself
+                dm = self.x.d.a
+            else:  # d (x) 1 + 1 (x) d on the kept columns
+                qm, km, du = self.q[m], self.keep[m], self.q[m - 1].shape[0]
+                left = graded.induced(qm, km, self.dmat[m - 1], np.identity(n, np.int64), 2)
+                right = graded.induced(qm, km, np.identity(du, np.int64), self.x.d.a, 2)
+                dm = (left + right) % 2
+            self.dmat.append(graded.frozen(dm))
+
+
+# (dim X, entries of d, max_entries) -> the `_DDegrees` on that key
+_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class DGradedAlgebra(graded.GradedTower, graded.TruncatedAlgebra):
     """The symmetric algebra of a DModule, truncated in degree.
 
-    Built by `graded.quotient_tower` with the relation 1 + c, passed as
-    its pivot columns (an independent spanning set; the tower reads only
-    their span): degree m is the quotient of (degree m-1) (x) X by the
-    image of the braiding relations.  Holds per-degree dimensions,
-    quotient maps and kept coordinates, the induced derivation
-    d (x) 1 + 1 (x) d, and (lazily) sections and multiplication maps, all
-    as arrays over GF(2).
+    Degree m is the quotient of (degree m-1) (x) X by the image of the
+    braiding relations.  Holds per-degree dimensions, quotient maps and
+    kept coordinates, the induced derivation d (x) 1 + 1 (x) d, and
+    (lazily) sections and multiplication maps, all as arrays over GF(2).
+    The first four are read, up to this algebra's depth, from the
+    `_DDegrees` kept by X and the budget (`graded.shared_degrees`), grown
+    if it is shallower; sections and products stay with the algebra.
     """
 
     def __init__(self, x: DModule, depth: int, max_entries: int | None = None):
@@ -112,23 +154,14 @@ class DGradedAlgebra(graded.GradedTower, graded.TruncatedAlgebra):
         self.p = 2
         self.depth = depth
         self.max_entries = max_entries
-        n = self.nx = x.dim
-        if depth < 2:  # no relations below S^2: do not form the n^4 matrix
-            rel = np.zeros((n * n, 0), dtype=np.int64)
-        else:
-            check_budget(n**4, max_entries, "relation matrix of S^2")
-            rel = (np.eye(n * n, dtype=np.int64) + _braiding(x, x)) % 2
-            rel = rel[:, pivots(rel, 2)]
-        self.q, self.keep = graded.quotient_tower(rel, n, depth, 2, max_entries)
+        self.nx = x.dim
+        key = (x.dim, x.d.a.tobytes(), max_entries)
+        self._deg = graded.shared_degrees(_LIVE, key, lambda: _DDegrees(x, max_entries))
+        self._deg.grow(depth)
+        self.q, self.keep, self.dmat = (
+            lists[: depth + 1] for lists in (self._deg.q, self._deg.keep, self._deg.dmat)
+        )
         self.dims: list[int] = [qm.shape[0] for qm in self.q]
-        self.dmat: list[np.ndarray] = [np.zeros((1, 1), dtype=np.int64)]
-        if depth >= 1:  # q[1] is the identity: degree 1 carries d itself
-            self.dmat.append(x.d.a)
-        for m in range(2, depth + 1):  # d (x) 1 + 1 (x) d on the kept columns
-            qm, km, du = self.q[m], self.keep[m], self.dims[m - 1]
-            left = graded.induced(qm, km, self.dmat[m - 1], np.identity(n, np.int64), 2)
-            right = graded.induced(qm, km, np.identity(du, np.int64), x.d.a, 2)
-            self.dmat.append((left + right) % 2)
         self._sections: dict[int, np.ndarray] = {}
         self._mu: dict[tuple, np.ndarray] = {}
         self._tables: dict[tuple[int, int], np.ndarray] = {}

@@ -605,7 +605,7 @@ def _triple_tops(p: int, c: int, n: int, n2: int) -> dict[int, np.ndarray]:
         for j, tops in inner.tops_by_size.items():
             cols.setdefault(j, []).append(col[:, :, k : k + len(tops)].reshape(c * n * n2, -1))
             k += len(tops)
-    return {j: _frozen(np.concatenate(c, axis=1)) for j, c in cols.items()}
+    return {j: graded.frozen(np.concatenate(c, axis=1)) for j, c in cols.items()}
 
 
 class _TensorFrame:
@@ -709,44 +709,57 @@ class _TensorFrame:
 
 
 class _Degrees:
-    """The built degree data of one `SymTower`: `sizes`, `q`, `zero_from`,
-    the kernel rows `kernels[m, j]`, the tensor frames, the local top
-    columns `tops[c, n, n']` of the triple products (`_triple_tops`) and
-    the sections.
+    """The degree data of the `SymTower`s on one (p, X, max_entries): the
+    `sizes`, `q` and `zero_from` of the degrees built so far, the kernel
+    rows `kernels[m, j]`, the sections, the tensor frames by block type
+    (`frames`), the local top columns `tops[c, n, n']` of the triple
+    products (`_triple_tops`), and `views[depth]`, what the towers of that
+    depth read.
 
     Every array in it is read-only once formed, so the towers that share
     it cannot write into each other's degrees.  It holds no reference to a
-    tower, so it dies with the last tower that holds it.
+    tower, so outside a `graded.tower_store` it dies with the last tower
+    that holds it.
     """
 
-    __slots__ = ("sizes", "q", "zero_from", "kernels", "frames", "tops", "sections", "__weakref__")
+    __slots__ = (
+        "sizes", "q", "zero_from", "kernels", "frames", "tops", "sections", "views",
+        "__weakref__",
+    )
 
-    def __init__(self, x: VerObject, depth: int, max_entries: int | None):
+    def __init__(self):
         self.sizes: list[tuple[int, ...]] = [(1,)]
         self.q: list[np.ndarray | None] = [None]
         self.zero_from: int | None = None
-        if depth >= 1:
-            # charged from dim X before X's blocks are listed, one int each
-            nx = x.dim
-            check_budget(nx * nx, max_entries, "S^1: projection rows")
-            self.sizes.append(x.block_sizes())
-            self.q.append(_frozen(np.eye(nx, dtype=np.int64)))
-            if nx == 0:
-                self.zero_from = 1
         # (m, j) -> kernel rows whose chains are q_m's size-j rows
         self.kernels: dict[tuple[int, int], np.ndarray] = {}
-        self.frames: dict[int, _TensorFrame] = {}
+        self.frames: dict[tuple[int, ...], _TensorFrame] = {}
         self.tops: dict[tuple[int, int, int], dict[int, np.ndarray]] = {}
         self.sections: dict[int, np.ndarray] = {}
+        self.views: dict[int, tuple[list, list, int | None]] = {}
+
+    def view(self, depth: int) -> tuple[list, list, int | None]:
+        """(sizes, q, zero_from) clipped to degrees 0..depth, which must be
+        built: one per depth, so the towers of one depth read one list."""
+        if depth not in self.views:
+            zero = self.zero_from
+            if zero is not None and zero > depth:
+                zero = None
+            self.views[depth] = (self.sizes[: depth + 1], self.q[: depth + 1], zero)
+        return self.views[depth]
+
+    def truncate(self, built: int) -> None:
+        """Back to degrees 0..built-1: what a growth that raised found."""
+        del self.sizes[built:], self.q[built:]
+        if self.zero_from is not None and self.zero_from >= built:
+            self.zero_from = None
+        for key in [key for key in self.kernels if key[0] >= built]:
+            del self.kernels[key]
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-# (p, multiplicities of X, depth, max_entries) -> the degree data of the
-# towers alive on that key; an entry goes when its last tower does
+# (p, multiplicities of X, max_entries) -> the degree data of the towers on
+# that key: inside a `graded.tower_store` the store holds it, outside it
+# goes when its last tower does
 _LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -762,12 +775,15 @@ class SymTower(graded.GradedTower):
     S^(m-1) (x) X), so construction stops early.
 
     The built degrees (`sizes`, `q`, `zero_from`, kernel rows, frames,
-    triple-product tops and sections: `_Degrees`) are shared among the
-    towers alive on one (p, X, depth, max_entries): a tower built while
-    another on that key is still held reads the other's degrees instead
-    of building its own.  Nothing outlives the last holder, so there is no
-    cache across calls and no setting.  The products `_mu` stay with each
-    tower, so a reader that patches or corrupts `mu` sees its own products
+    triple-product tops and sections: `_Degrees`) are kept by (p, X,
+    max_entries), with no depth (`graded.shared_degrees`).  A tower reads
+    exactly the degrees up to its own depth, and builds those its key
+    lacks onto the shared data; each degree is charged once, when it is
+    formed, and a growth that raises leaves the shared degrees as they
+    were.  Data is shared while it is held: the command that built it
+    holds it (`graded.tower_store`), and outside a command the towers
+    alive on the key do.  The products `_mu` stay with each tower, so a
+    reader that patches or corrupts `mu` sees its own products
     recomputed.  Shared arrays are read-only.
     """
 
@@ -779,31 +795,49 @@ class SymTower(graded.GradedTower):
         self.max_entries = max_entries
         self.nx = x.dim
         self._mu: dict[tuple, np.ndarray] = {}
-        key = (x.p, tuple(x.mult), depth, max_entries)
-        self._deg = _LIVE.get(key)
-        if self._deg is None:
-            self._deg = _Degrees(x, depth, max_entries)
-            for m in range(2, depth + 1):
-                self._build_degree(m)
-            _LIVE[key] = self._deg
+        self._deg = graded.shared_degrees(_LIVE, (x.p, tuple(x.mult), max_entries), _Degrees)
+        self._grow()
+        self._view = self._deg.view(depth)
 
     @property
     def sizes(self) -> list[tuple[int, ...]]:
-        return self._deg.sizes
+        return self._view[0]
 
     @property
     def q(self) -> list[np.ndarray | None]:
-        return self._deg.q
+        return self._view[1]
 
     @property
     def zero_from(self) -> int | None:
-        return self._deg.zero_from
+        return self._view[2]
 
     def dim(self, m: int) -> int:
         return sum(self.sizes[m])
 
     def multiplicities(self, m: int) -> VerObject:
         return VerObject.from_blocks(self.p, self.sizes[m])
+
+    def _grow(self) -> None:
+        """Build the degrees up to this tower's depth that the shared data
+        lacks; if one raises, cut the data back to the degrees it had."""
+        deg = self._deg
+        built = len(deg.sizes)
+        if built > self.depth:
+            return
+        try:
+            if built == 1:  # S^1 = X
+                # charged from dim X before X's blocks are listed, one int each
+                nx = self.nx
+                check_budget(nx * nx, self.max_entries, "S^1: projection rows")
+                deg.sizes.append(self.x.block_sizes())
+                deg.q.append(graded.frozen(np.eye(nx, dtype=np.int64)))
+                if nx == 0:
+                    deg.zero_from = 1
+            for m in range(max(built, 2), self.depth + 1):
+                self._build_degree(m)
+        except BaseException:
+            deg.truncate(built)
+            raise
 
     def _pair_charge(self, m: int) -> Callable[[int, int], None]:
         """The charge of the pair basis of J_a (x) J_b that degree m reads:
@@ -817,19 +851,22 @@ class SymTower(graded.GradedTower):
         return charge
 
     def _frame(self, m: int, charge: Callable[[int, int], None]) -> _TensorFrame:
-        """V_m (x) X in Jordan-normal coordinates; its largest pair basis is
-        charged before the frame is built."""
-        frames = self._deg.frames
-        if m not in frames:
-            if self.sizes[m]:
-                charge(max(self.sizes[m]), max(self.sizes[1]))
-            frames[m] = _TensorFrame(self.p, self.sizes[m], self.sizes[1])
-        return frames[m]
+        """V_m (x) X in Jordan-normal coordinates, one per block type of
+        V_m; its largest pair basis is charged before the frame is built.
+        A frame met again was charged the same when it was built."""
+        deg = self._deg
+        sizes = deg.sizes[m]
+        if sizes not in deg.frames:
+            if sizes:
+                charge(max(sizes), max(deg.sizes[1]))
+            deg.frames[sizes] = _TensorFrame(self.p, sizes, deg.sizes[1])
+        return deg.frames[sizes]
 
     def _build_degree(self, m: int) -> None:
         """V_m and q_m: the cokernel in Ver_p of the degree-m relations
         phi = (q_(m-1) (x) 1_X) (1 (x) (1 - swap)): A -> B, with
-        A = V_(m-2) (x) X (x) X and B = V_(m-1) (x) X, in Jordan coordinates.
+        A = V_(m-2) (x) X (x) X and B = V_(m-1) (x) X, in Jordan coordinates,
+        appended to the shared degrees.
 
         B's classes into J_j are the rows of T_B^-1 at the tops of its
         size-j summands (`_TensorFrame.tops`); the class coordinates of a
@@ -848,13 +885,14 @@ class SymTower(graded.GradedTower):
         deg = self._deg
         if deg.zero_from is not None:
             deg.sizes.append(())
-            deg.q.append(_frozen(np.zeros((0, self.dim(m - 1) * self.nx), dtype=np.int64)))
+            cols = sum(deg.sizes[m - 1]) * self.nx
+            deg.q.append(graded.frozen(np.zeros((0, cols), dtype=np.int64)))
             return
         p, nx, budget = self.p, self.nx, self.max_entries
-        a_dim = self.dim(m - 2) * nx * nx
+        a_dim = sum(deg.sizes[m - 2]) * nx * nx
         charge = self._pair_charge(m)
         a_tops = self._frame(m - 2, charge).tensor_tops(deg.tops, charge)
-        frame, q_prev = self._frame(m - 1, charge), self.q[m - 1]
+        frame, q_prev = self._frame(m - 1, charge), deg.q[m - 1]
         sizes: list[int] = []
         q_rows: list[np.ndarray] = []
         for j in range(p - 1, 0, -1):
@@ -864,11 +902,14 @@ class SymTower(graded.GradedTower):
             check_budget(count * a_dim, budget, f"S^{m}: precomposed class rows")
             # reps @ phi, contracted factor by factor so the relation
             # map is never materialized: (q_(m-1) (x) 1_X) is one
-            # product of the reps, X factor moved to the rows, by q_(m-1)
-            reps = frame.tops(j).reshape(count, -1, nx).transpose(0, 2, 1)
-            pre = matmul_mod(reps.reshape(count * nx, -1), q_prev, p)
+            # product of the reps, X factor moved to the rows, by q_(m-1);
+            # each step lets the array before it go, to keep the peak down
+            reps = frame.tops(j).reshape(count, -1, nx).transpose(0, 2, 1).reshape(count * nx, -1)
+            pre = matmul_mod(reps, q_prev, p)
+            del reps
             pre = pre.reshape(count, nx, -1).transpose(0, 2, 1).reshape(count, a_dim)
-            pre = graded.minus_swap(pre, nx) % p
+            pre = graded.minus_swap(pre, nx)
+            pre %= p
             # q_(m-1) (x) 1_X: A -> B is split epi, so every size-j summand
             # of B has one in A and a_tops[j] exists
             coords = np.concatenate([
@@ -881,15 +922,14 @@ class SymTower(graded.GradedTower):
                 ker = np.ones((int(not coords.any()), 1), dtype=np.int64)
             if ker.shape[0] == 0:
                 continue
-            deg.kernels[m, j] = _frozen(ker)
+            deg.kernels[m, j] = graded.frozen(ker)
             rows = sum(sizes) + j * ker.shape[0]
             check_budget(rows * frame.dim, budget, f"S^{m}: projection rows")
             q_rows.append(frame.chains(j, ker))
             sizes.extend([j] * ker.shape[0])
         deg.sizes.append(tuple(sizes))
-        deg.q.append(
-            _frozen(np.vstack(q_rows) if q_rows else np.zeros((0, frame.dim), dtype=np.int64))
-        )
+        q_m = np.vstack(q_rows) if q_rows else np.zeros((0, frame.dim), dtype=np.int64)
+        deg.q.append(graded.frozen(q_m))
         if not sizes:
             deg.zero_from = m
 
@@ -920,7 +960,7 @@ class SymTower(graded.GradedTower):
             if coeff is None:
                 raise AssertionError("projection classes are not surjective")
             s[:, (offsets[:, None] + np.arange(j)).reshape(-1)] = frame.cols(j, coeff)
-        sections[b] = _frozen(s)
+        sections[b] = graded.frozen(s)
         return s
 
     def block_offsets(self, m: int, j: int) -> list[int]:

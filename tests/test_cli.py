@@ -414,7 +414,7 @@ class TestMutants:
         with pytest.raises(AssertionError, match=vanished) as held:
             self.verify(capsys, monkeypatch, suite, graded, "minus_swap", _plus_swap)
         # while the error's traceback still holds the towers built under the
-        # mutant: they sit in the mutated run's own `verlinde._LIVE`, so no
+        # mutant: they sat in the mutated suite's own tower store, so no
         # tower built on the same key now reads their degrees
         assert self.passes_unmutated(capsys, suite)
         del held

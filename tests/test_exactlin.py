@@ -1,5 +1,6 @@
 """Exact linear algebra: spec examples, enumeration oracles, random grids."""
 
+import math
 import random
 import signal
 from fractions import Fraction
@@ -39,6 +40,15 @@ ARRAY_FUNCTIONS = {
     "solve_array": lambda a, p: solve_array(a, np.zeros((len(a), 1), dtype=np.int64), p),
     "cokernel": cokernel,
 }
+
+
+def plain(answer):
+    """An answer with its arrays as nested lists, comparable by ==."""
+    if isinstance(answer, np.ndarray):
+        return answer.tolist()
+    if isinstance(answer, (tuple, list)):
+        return [plain(x) for x in answer]
+    return answer
 
 
 def within_a_second(call):
@@ -545,6 +555,29 @@ class TestMatmulMod:
             assert got.dtype == np.int64 and got.tolist() == [[k * entry**2 % p]]
 
 
+@pytest.mark.parametrize("p", [2, 11, 65537])
+@pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+@pytest.mark.parametrize("batch", [(), (2,)], ids=["2d", "stacked"])
+def test_matmul_mod_int64_and_blas_paths_agree(monkeypatch, p, side, batch):
+    # products just below TINY_MADDS multiply-adds (batch axes counted) go
+    # through int64, just above through float64 BLAS; forcing either path
+    # gives the exact product, largest entries p - 1 included
+    m, k = 4, 16
+    n = vercat.exactlin.TINY_MADDS // (m * k * math.prod(batch)) + side
+    rng = np.random.default_rng(p + n)
+    a = rng.integers(0, p, (*batch, m, k))
+    b = rng.integers(0, p, (*batch, k, n))
+    a[..., 0, :] = b[..., :, 0] = p - 1
+    madds = math.prod(batch) * m * k * n
+    assert (madds < vercat.exactlin.TINY_MADDS) == (side < 0)
+    want = (a.astype(object) @ b.astype(object)) % p
+    for forced in (None, 0, 2**62):  # as chosen, all BLAS, all int64
+        if forced is not None:
+            monkeypatch.setattr(vercat.exactlin, "TINY_MADDS", forced)
+        got = matmul_mod(a, b, p)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist(), forced
+
+
 @pytest.mark.parametrize("p", [2, 13, 65537])
 @pytest.mark.parametrize("shape", [(3, 2, 4, 5), (4, 1, 1, 1), (2, 0, 3, 2), (2, 3, 0, 2), (0, 2, 2, 2)])
 def test_matmul_mod_stacked_matches_per_slice(p, shape):
@@ -632,6 +665,40 @@ class TestEntries:
         a = np.array(rows)
         (r, piv), (want, want_piv) = rref(a.astype(dtype), p), rref(a, p)
         assert r.dtype == np.int64 and (r.tolist(), piv) == (want.tolist(), want_piv)
+
+    @pytest.mark.parametrize("name", ["rref", "pivots", "rank", "kernel", "cokernel", "jordan"])
+    @pytest.mark.parametrize(
+        "dtype, p, top",
+        [
+            (np.int8, 131, [-128, 127, -1, 5, 0, -77]),
+            (np.uint8, 257, [255, 1, 200, 0, 7, 128]),
+            (np.int16, 40009, [-32768, 32767, -1, 12345, 0, -20000]),
+        ],
+        ids=["int8-131", "uint8-257", "int16-40009"],
+    )
+    def test_every_integer_type_reduces_like_int64(self, name, dtype, p, top):
+        # p does not fit these types: reducing in the input's own type
+        # raised numpy's OverflowError
+        a = np.zeros((4, 4), dtype=np.int64)
+        a[np.triu_indices(4, 1)] = top  # strictly upper: nilpotent too
+        calls = {**ARRAY_FUNCTIONS, "jordan": lambda a, p: list(nilpotent_partitions([(a, p)]))}
+        assert plain(calls[name](a.astype(dtype), p)) == plain(calls[name](a, p))
+
+    def test_uint64_entries_past_int64_reduce_exactly(self):
+        # 2^64 - 1 = 0 mod 5 and 2^63 = 3 mod 5; widened first they wrapped
+        a = np.array([[2**64 - 1, 2**63], [1, 2**63 + 1]], dtype=np.uint64)
+        want = [[x % 5 for x in row] for row in a.tolist()]
+        assert Mat(F5, a).a.tolist() == want == [[0, 3], [1, 4]]
+        assert plain(rref(a, 5)) == plain(rref(np.array(want), 5))
+
+    @pytest.mark.parametrize("name", ["rref", "kernel", "solve_array", "cokernel"])
+    @pytest.mark.parametrize("prime", [np.int64(5), np.uint16(5), np.int8(5)])
+    def test_prime_of_any_integer_type(self, name, prime):
+        # the inverse of a pivot was taken mod the prime as given, which
+        # pow() refuses for a numpy integer
+        a = np.array([[2, 4, 1], [1, 3, 3]])
+        assert plain(ARRAY_FUNCTIONS[name](a, prime)) == plain(ARRAY_FUNCTIONS[name](a, 5))
+        assert GF(prime) is F5 and type(GF(prime).characteristic) is int
 
     def test_jordan_types_reject_floats(self):
         with pytest.raises(ValueError, match="^floating point entries are not allowed$"):

@@ -799,7 +799,7 @@ class TestTensorFrame:
             assert not any(cols.flags.writeable for _, cols in got[j])
 
     def test_triple_tops_are_shared_degree_data(self):
-        # towers alive on one key read one cache of triple-product tops
+        # towers held on one key read one cache of triple-product tops
         x = L(7, 2) + L(7, 2) + L(7, 3)
         first, second = SymTower(x, 5), SymTower(x, 5)
         assert second._deg is first._deg and first._deg.tops
