@@ -73,26 +73,25 @@ from the rows fed past its last level.
 
 GF(p) is accepted only for p <= MAX_PRIME = 65537.  Then (p-1)^2 <= 2^32,
 so a dot product of fewer than 2^31 residues, and hence every int64
-matrix product this package still forms, is exact before it is reduced
-mod p.  The hot products go through two kernels on float64 BLAS
-instead, several times faster than numpy's int64 matmul, which has no
-BLAS, except on tiny operands, and the package forms floating point
-nowhere else.  Both rest on one fact: float64 holds every integer up
-to 2^53, so a sum of nonnegative integer terms whose total is below
-2^53 is exact in any order BLAS adds them (every partial sum, and every
-product plus partial sum of a fused multiply-add, is an integer below
-the total, so nothing is rounded).
+matrix product this package forms, is exact before it is reduced mod p.
+The products go through two kernels on float64 BLAS instead, several
+times faster than numpy's int64 matmul, which has no BLAS, except on
+tiny operands, and the package forms floating point nowhere else.
+Both rest on one fact: float64 holds every integer up to 2^53, so a
+sum of nonnegative integer terms whose total is below 2^53 is exact in
+any order BLAS adds them (every partial sum, and every product plus
+partial sum of a fused multiply-add, is an integer below the total, so
+nothing is rounded).
 
-`matmul_mod` takes both products of a `GradedTower.mu` step, the
-precomposition that builds each degree of `verlinde.SymTower` and its
-class coordinates, the sVec_2 derivation on elements and the Jordan-type
-chain here.  Its terms are products of two residues, at most (p-1)^2, so
-an inner size k below 2^53 / (p-1)^2 is exact (k < 2^21 at p = 65537);
-a larger k is split into chunks below that bound whose residues are
-summed, so it answers every inner size.  A product of fewer than
-TINY_MADDS = 2^12 multiply-adds, counting every batch axis, skips the
-float round trip: it is formed in int64, exact since k (p-1)^2 < 2^63,
-and reduced once, which costs less at that size.
+Every product of residue arrays in the package goes through
+`matmul_mod` or `contract_mod`; only the first-row anchor route of
+`verlinde` and the fusion suite's einsum over integer fusion tables stay
+on plain numpy (`tests/test_tooling.py` lists them).  The terms of
+`matmul_mod` are at most (p-1)^2, so an inner size k below
+2^53 / (p-1)^2 is exact (k < 2^21 at p = 65537); a larger k is split
+into chunks whose residues are summed.  A product of fewer than
+TINY_MADDS = 2^12 multiply-adds, counting every batch axis, is formed in
+int64 instead, exact since k (p-1)^2 < 2^63, and reduced once.
 
 `contract_mod` takes the element products (each output degree of
 `TruncatedAlgebra.mul`): the sum over degree pairs of the contractions
@@ -348,12 +347,12 @@ def _echelon_rounds(
 
 
 #: Most multiply-adds, batch axes included, of a `matmul_mod` product
-#: formed in int64 rather than float64 BLAS: below it the int64 product
-#: and one reduction cost less than the float round trip.  On one
-#: OpenBLAS thread at p = 11, (16 x 16) @ (16 x 16) took 5.9 us in int64
-#: against 6.6 us through float64, and (16 x 32) @ (32 x 32) 13.7 us
-#: against 8.7 us; (1 x 25) @ (25 x 1) took 3.5 against 5.8 us.  On the
-#: three benchmark workloads, 2^12 to 2^14 read the same within noise.
+#: formed in int64 rather than float64 BLAS.  On one OpenBLAS thread at
+#: p = 11 (Xeon, numpy 2.4.6), (16 x 16) @ (16 x 16) took 5.9 us in int64
+#: against 6.6 us through float64, and (16 x 32) @ (32 x 32) 13.7 against
+#: 8.7 us; the benchmark workloads read the same from 2^12 to 2^14.  The
+#: int64 path reduces by `% p`: (1 x 5) @ (5 x 1) takes 1.3 us against
+#: 1.0 us for a bare `(a @ b) % p`, and 2.7 us with the floor division.
 TINY_MADDS = 2**12
 
 
@@ -370,10 +369,8 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     and a chunk holds 2^21 - 1 terms), each chunk's product is reduced
     mod p, and the residues are summed.
     """
-    if max(a.size * b.shape[-1], b.size * a.shape[-2]) < TINY_MADDS:
-        c = np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)
-        c -= p * (c // p)  # c % p: numpy divides by a scalar faster
-        return c
+    if a.size * b.shape[-1] < TINY_MADDS and b.size * a.shape[-2] < TINY_MADDS:
+        return np.matmul(a, b, dtype=np.int64, casting="unsafe") % p
     k, step = a.shape[-1], (2**53 - 1) // (p - 1) ** 2
     if k > step:
         chunks = range(0, k, step)
@@ -575,7 +572,7 @@ class Mat:
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check_same_field(other)
-        return Mat(self.field, self.a @ other.a)
+        return Mat(self.field, matmul_mod(self.a, other.a, self.field.characteristic))
 
     def __add__(self, other: "Mat") -> "Mat":
         self._check_same_field(other)

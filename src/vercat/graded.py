@@ -129,7 +129,7 @@ class QuotientDegrees:
     """S^m = coker(relations into S^(m-1) (x) X), grown on demand: `q`
     and `keep` hold degrees 0..built.
 
-    The (n^2 x r) columns `rel` span the degree-2 relations inside
+    The (n^2 x r) residue columns `rel` span the degree-2 relations inside
     X (x) X; a subclass that passes none forms them in `_relations`, which
     is called once, when S^2 is first built, so nothing is formed or
     charged for them below S^2.  In degree m they enter S^(m-1) (x) X
@@ -186,8 +186,8 @@ class QuotientDegrees:
         r = self._rel3.shape[2]
         dv, du = self.q[m - 1].shape[0], self.q[m - 2].shape[0]
         check_budget(dv * n * du * r, self.max_entries, f"relation matrix of S^{m}")
-        rho = np.tensordot(self.q[m - 1].reshape(dv, du, n), self._rel3, axes=(2, 0))
-        rho = rho.transpose(0, 2, 1, 3).reshape(dv * n, du * r) % p
+        rho = matmul_mod(self.q[m - 1].reshape(dv * du, n), self._rel3.reshape(n, n * r), p)
+        rho = rho.reshape(dv, du, n, r).transpose(0, 2, 1, 3).reshape(dv * n, du * r)
         qm, free = cokernel(rho, p)
         self.q.append(frozen(qm))
         self.keep.append(frozen(np.array(free, dtype=np.intp)))
@@ -210,7 +210,7 @@ def induced(q: np.ndarray, keep, a: np.ndarray, b: np.ndarray, p: int) -> np.nda
     product is formed."""
     u, x = np.divmod(keep, b.shape[1])
     cols = a[:, u][:, None, :] * b[:, x][None, :, :]
-    return (q @ (cols.reshape(a.shape[0] * b.shape[0], len(keep)) % p)) % p
+    return matmul_mod(q, cols.reshape(a.shape[0] * b.shape[0], len(keep)) % p, p)
 
 
 class GradedTower:

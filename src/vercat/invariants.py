@@ -22,7 +22,7 @@ import random
 import numpy as np
 
 from . import graded
-from .exactlin import rank
+from .exactlin import matmul_mod, rank
 from .verlinde import SymTower, VerObject, ver_sym_power
 
 
@@ -236,10 +236,10 @@ def isotypic_stability_check(
         # invariant offsets of V_a, so only those columns of mu(a, b) are read
         mu = alg.tower.mu(a, b, tuple(alg.offsets(a, 1)))
         mu = mu.reshape(alg.tower.dim(m), alg.dims[a], alg.tower.dim(b))
-        s_mu = np.tensordot(mu, ca, axes=(1, 0)) % p
+        s_mu = matmul_mod(mu.transpose(0, 2, 1), ca[:, None], p)[..., 0]
         # t's representative sends column c of J_i to sum_l cb[l] e_(off_l + c)
         cols = np.add.outer(alg.offsets(b, i), np.arange(i))
-        h = np.tensordot(s_mu[:, cols], cb, axes=(1, 0)) % p
+        h = matmul_mod(s_mu[:, cols].transpose(0, 2, 1), cb[:, None], p)[..., 0]
         if not _intertwines(h, ends[m]):
             return False
         got = {m: h[alg.offsets(m, i), 0]}

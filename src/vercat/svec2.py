@@ -44,7 +44,7 @@ class DModule:
         # only k whose row and column of d are both nonzero add to (d d)[r, c]
         d = self.d.a
         k = np.flatnonzero(d.any(axis=0) & d.any(axis=1))
-        if ((d[:, k] @ d[k, :]) % 2).any():
+        if matmul_mod(d[:, k], d[k, :], 2).any():
             raise ValueError("d^2 must vanish")
 
 
@@ -57,10 +57,10 @@ def random_dmodule(rng: np.random.Generator, dim: int) -> DModule:
     eye = np.eye(dim, dtype=np.int64)
     lower = np.tril(rng.integers(0, 2, size=(dim, dim)), -1) + eye
     upper = np.triu(rng.integers(0, 2, size=(dim, dim)), 1) + eye
-    pm = lower[:, rng.permutation(dim)] @ upper % 2
+    pm = matmul_mod(lower[:, rng.permutation(dim)], upper, 2)
     r, _ = rref(np.hstack([pm, eye]), 2)  # [I | P^-1]
     x = 2 * np.arange(rng.integers(0, dim // 2 + 1))  # J sends each e_x to e_(x+1)
-    return DModule(dim, Mat(GF2, pm[:, x + 1] @ r[x, dim:] % 2))
+    return DModule(dim, Mat(GF2, matmul_mod(pm[:, x + 1], r[x, dim:], 2)))
 
 
 def trivial(n: int = 1) -> DModule:
@@ -87,8 +87,9 @@ def tensor(a: DModule, b: DModule) -> DModule:
 
 
 def _braiding(a: DModule, b: DModule) -> np.ndarray:
-    r_action = np.eye(a.dim * b.dim, dtype=np.int64) + np.kron(a.d.a, b.d.a)
-    return (graded.swap(a.dim, b.dim) @ r_action) % 2
+    n = a.dim * b.dim
+    r_action = (np.eye(n, dtype=np.int64) + np.kron(a.d.a, b.d.a)) % 2
+    return r_action.reshape(a.dim, b.dim, n).transpose(1, 0, 2).reshape(n, n)  # swap @ r_action
 
 
 def braiding(a: DModule, b: DModule) -> Mat:
@@ -209,7 +210,7 @@ def injectivity_check(
     incl = inclusion.a
     if inclusion.field != GF2 or incl.shape != (w.dim, u.dim):
         raise ValueError("inclusion must be a GF(2) matrix from U to W")
-    if ((incl @ u.d.a - w.d.a @ incl) % 2).any():
+    if not np.array_equal(matmul_mod(incl, u.d.a, 2), matmul_mod(w.d.a, incl, 2)):
         raise ValueError("inclusion is not an intertwiner of d")
     if rank(incl, 2) != u.dim:
         raise ValueError("inclusion is not injective")

@@ -230,7 +230,8 @@ def quotients(ms: Iterable[ZpModule]) -> Iterator[VerObject]:
 def _trace_gram(fwd: np.ndarray, bwd: np.ndarray, p: int) -> np.ndarray:
     """gram[i, j] = tr(fwd[i] bwd[j]) for stacked maps fwd (h x b x a) and
     bwd (h' x a x b)."""
-    return np.einsum("ikl,jlk->ij", fwd, bwd) % p
+    h, b, a = fwd.shape
+    return matmul_mod(fwd.reshape(h, b * a), bwd.transpose(2, 1, 0).reshape(b * a, len(bwd)), p)
 
 
 def _trace_radical(a: ZpModule, b: ZpModule) -> tuple[np.ndarray, np.ndarray]:
@@ -262,7 +263,7 @@ class VerHom:
         coords = solve_array(h.reshape(len(h), f.a.size).T, f.a.reshape(-1, 1), p)
         if coords is None:
             raise ValueError("f is not an intertwiner")
-        return tuple(int(x) for x in (self._class_proj @ coords)[:, 0] % p)
+        return tuple(int(x) for x in matmul_mod(self._class_proj, coords, p)[:, 0])
 
 
 def ver_hom(a: ZpModule, b: ZpModule) -> VerHom:
@@ -283,7 +284,7 @@ def ver_hom(a: ZpModule, b: ZpModule) -> VerHom:
 def _matpow(a: np.ndarray, k: int, p: int) -> np.ndarray:
     """a^k mod p by repeated products.
 
-    Correctness anchor: part of the first-row route (`_ver_cokernel`)."""
+    Correctness anchor: first-row route (`_ver_cokernel`), plain numpy until ROADMAP item 2."""
     out = np.eye(a.shape[0], dtype=np.int64)
     for _ in range(k):
         out = (out @ a) % p
@@ -345,7 +346,7 @@ class _HomClasses:
     block-diagonal module through powers of N.  `reps` holds one
     full-length row vector per class; `reduce` takes the first rows of
     arbitrary intertwiners into J_j and returns their class coordinates
-    over `reps`.
+    over `reps`.  Plain numpy on purpose, until ROADMAP item 2.
     """
 
     __slots__ = ("j", "p", "reps", "_per_block", "total")
@@ -416,7 +417,7 @@ def _ver_cokernel(
 
     Correctness anchor: this first-row route checks the Jordan-coordinate
     cokernels of `SymTower._build_degree`; only `_ver_sym_power_direct`
-    calls it.
+    calls it.  Plain numpy on purpose, until ROADMAP item 2 deletes it.
     """
     p = b_blk.p
     check_budget(b_blk.dim * b_blk.dim, None, "nilpotent of the cokernel target")
@@ -527,48 +528,47 @@ def _jordan_basis(p: int, a: int, b: int) -> tuple[list[int], np.ndarray, np.nda
     for _ in range(1, depth):
         kc.append(_nil_cols(kc[-1], a, b, p))
         kr.append(_nil_rows(kr[-1], a, b, p))
+    kc, kr = np.stack(kc), np.stack(kr)
     t = np.zeros((n, 0), dtype=np.int64)
     tinv = np.zeros((0, n), dtype=np.int64)
 
-    # projections onto the part not yet split off, along the summands
-    # already found: v -> (1 - t tinv) v for columns, v (1 - t tinv) for rows
+    # projections onto the part not yet split off, along the summands found:
+    # v -> (1 - t tinv) v for columns, v (1 - t tinv) for rows, stacks too
     def split_cols(v: np.ndarray) -> np.ndarray:
-        return (v - t @ ((tinv @ v) % p)) % p
+        return (v - matmul_mod(t, matmul_mod(tinv, v, p), p)) % p
 
     def split_rows(v: np.ndarray) -> np.ndarray:
-        return (v - ((v @ t) % p) @ tinv) % p
+        return (v - matmul_mod(matmul_mod(v, t, p), tinv, p)) % p
 
     sizes: list[int] = []
     for k in range(depth, 0, -1):
-        pairing = (kr[k - 1] @ split_cols(kc[0])) % p
+        pairing = matmul_mod(kr[k - 1], split_cols(kc[0]), p)
         r, piv = rref(np.hstack([pairing, np.eye(h, dtype=np.int64)]), p)
         cols = [c for c in piv if c < h]
         m = len(cols)
         if m == 0:
             continue
         y = r[:m, h:]  # y @ pairing[:, cols] = 1
-        x = [split_cols(kc[d][:, cols]) for d in range(k)]  # N^d x
-        g = [(y @ ((kr[d] @ x[0]) % p)) % p for d in range(k)]  # y R N^d x
+        x = split_cols(kc[:k, :, cols])  # N^d x, stacked over d
+        g = matmul_mod(y, matmul_mod(kr[:k], x[0], p), p)  # y R N^d x
         # u_0 = 1, u_e = -sum_(e'<e) g_(k-1-e+e') u_e': then the corrected
         # generators x' = sum_e N^e x u_e pair with y R N^d to delta_(d,k-1)
         u = [np.eye(m, dtype=np.int64)]
         for e in range(1, k):
-            acc = sum(g[k - 1 - e + f] @ u[f] for f in range(e)) % p
-            u.append((-acc) % p)
-        chain_cols = [
-            sum(x[d + e] @ u[e] for e in range(k - d)) % p for d in range(k)
-        ]  # N^d x'
-        chain_rows = [(y @ split_rows(kr[i])) % p for i in range(k)]  # y R N^i
-        new_t = np.stack(chain_cols[::-1], axis=2).reshape(n, m * k)
-        new_tinv = np.stack(chain_rows, axis=1).reshape(m * k, n)
+            u.append(-matmul_mod(np.hstack(g[k - 1 - e : k - 1]), np.vstack(u), p) % p)
+        u = np.vstack(u)
+        chain_cols = [matmul_mod(np.hstack(x[d:]), u[: (k - d) * m], p) for d in range(k)]
+        chain_rows = matmul_mod(y, split_rows(kr[:k]), p)  # y R N^i, stacked over i
+        new_t = np.stack(chain_cols[::-1], axis=2).reshape(n, m * k)  # N^(k-1) x', ..., x'
+        new_tinv = chain_rows.transpose(1, 0, 2).reshape(m * k, n)
         t = np.hstack([t, new_t])
         tinv = np.vstack([tinv, new_tinv])
         sizes.extend([k] * m)
     jordan = jordan_module(p, sizes).g.a
     g_t = (t + _nil_cols(t, a, b, p)) % p
-    if sum(sizes) != n or not np.array_equal((tinv @ t) % p, np.eye(n, dtype=np.int64)):
+    if sum(sizes) != n or not np.array_equal(matmul_mod(tinv, t, p), np.eye(n, dtype=np.int64)):
         raise AssertionError("pair basis is not invertible")
-    if not np.array_equal((tinv @ g_t) % p, jordan):
+    if not np.array_equal(matmul_mod(tinv, g_t, p), jordan):
         raise AssertionError("pair basis is not a Jordan basis")
     return sizes, t, tinv
 
@@ -599,7 +599,8 @@ def _triple_tops(p: int, c: int, n: int, n2: int) -> dict[int, np.ndarray]:
     for e, starts in basis.tops_by_size.items():
         inner = _pair_basis(p, e, n2)
         chains = basis.col_chains[e].reshape(c * n, e, -1).transpose(0, 2, 1)  # cn x starts x e
-        col = (chains @ inner.top_cols.reshape(e, -1) % p).reshape(c * n, len(starts), n2, -1)
+        col = matmul_mod(chains, inner.top_cols.reshape(e, -1), p)
+        col = col.reshape(c * n, len(starts), n2, -1)
         col = col.transpose(0, 2, 1, 3).reshape(c * n * n2, len(starts), -1)
         k = 0
         for j, tops in inner.tops_by_size.items():
@@ -660,7 +661,7 @@ class _TensorFrame:
         t = coeff.shape[0]
         out = np.zeros((t, j, self.dim), dtype=np.int64)
         for basis, idx, num in self.summands[j]:
-            prod = coeff[:, num].reshape(-1, num.shape[1]) @ basis.row_chains[j] % self.p
+            prod = matmul_mod(coeff[:, num].reshape(-1, num.shape[1]), basis.row_chains[j], self.p)
             out[:, :, idx] = prod.reshape(t, len(idx), j, -1).transpose(0, 2, 1, 3)
         return out.reshape(t * j, self.dim)
 
@@ -671,7 +672,7 @@ class _TensorFrame:
         out = np.zeros((self.dim, t, j), dtype=np.int64)
         for basis, idx, num in self.summands[j]:
             c = coeff[num].transpose(1, 0, 2).reshape(num.shape[1], -1)
-            prod = basis.col_chains[j] @ c % self.p
+            prod = matmul_mod(basis.col_chains[j], c, self.p)
             out[idx] = prod.reshape(idx.shape[1], j, len(idx), t).transpose(2, 0, 3, 1)
         return out.reshape(self.dim, t * j)
 

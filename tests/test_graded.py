@@ -589,3 +589,102 @@ def test_hot_products_run_on_the_exact_kernel(monkeypatch):
     # the answer formed by int64 products before the kernel took them
     assert mu.dtype == np.int64 and mu.shape == (10, 60)
     assert hashlib.sha256(mu.tobytes()).hexdigest()[:16] == "bf27e5d217fc36e9"
+
+
+def _int_induced(q, keep, a, b, p):
+    """`graded.induced` by its defining formula, q (a (x) b) on the kept
+    columns, in Python integers."""
+    rows_a, rows_b, cols_b = a.shape[0], b.shape[0], b.shape[1]
+    out = []
+    for s in range(q.shape[0]):
+        row = []
+        for col in keep.tolist():
+            u, x = divmod(col, cols_b)
+            terms = (
+                int(q[s, i * rows_b + y]) * int(a[i, u]) * int(b[y, x])
+                for i in range(rows_a)
+                for y in range(rows_b)
+            )
+            row.append(sum(terms) % p)
+        out.append(row)
+    return out
+
+
+class TestResidueProducts:
+    """The products `graded` forms through `exactlin.matmul_mod`, against
+    Python-integer evaluations of their formulas, on both of its paths."""
+
+    @pytest.mark.parametrize("p", [2, 11, 65537])
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_induced_matches_python_integers(self, p, side):
+        # (S' x U'X') @ (U'X' x kept) multiply-adds, either side of TINY_MADDS
+        dims = (3, 3, 2, 2, 2, 3) if side == "below" else (16, 8, 6, 6, 5, 30)
+        ds, du2, du, dx2, dx, kept = dims
+        rng = np.random.default_rng(p + kept)
+        q = rng.integers(0, p, (ds, du2 * dx2))
+        a, b = rng.integers(0, p, (du2, du)), rng.integers(0, p, (dx2, dx))
+        keep = rng.permutation(du * dx)[:kept]
+        madds = ds * du2 * dx2 * kept
+        assert (madds < exactlin.TINY_MADDS) == (side == "below")
+        got = graded.induced(q, keep, a, b, p)
+        assert got.dtype == np.int64 and got.tolist() == _int_induced(q, keep, a, b, p)
+
+    @pytest.mark.parametrize("p", [2, 11, 65537])
+    def test_relation_matrix_matches_python_integers(self, monkeypatch, p):
+        # the degree-m relation matrix of `QuotientDegrees` is
+        # rho[v n + x, u r + c] = sum_y q_(m-1)[v, u n + y] rel[y n + x, c]
+        n, r = 4, 3
+        rel = np.random.default_rng(p).integers(0, p, (n * n, r))
+        seen = []
+
+        def recording(rho, p):
+            seen.append(rho.copy())
+            return exactlin.cokernel(rho, p)
+
+        monkeypatch.setattr(graded, "cokernel", recording)
+        tower = graded.QuotientDegrees(n, p, None, rel)
+        tower.grow(4)
+        madds = []
+        for m, rho in zip(range(2, 5), seen, strict=True):
+            q, du = tower.q[m - 1], tower.q[m - 2].shape[0]
+            want = [
+                [
+                    sum(int(q[v, u * n + y]) * int(rel[y * n + x, c]) for y in range(n)) % p
+                    for u in range(du)
+                    for c in range(r)
+                ]
+                for v in range(q.shape[0])
+                for x in range(n)
+            ]
+            assert rho.tolist() == want, m
+            madds.append(q.size * n * r)
+        assert min(madds) < exactlin.TINY_MADDS < max(madds)
+
+
+def _lists_digest(*lists):
+    """sha256 of the shapes and int64 entries of every array in `lists`."""
+    h = hashlib.sha256()
+    for arrays in lists:
+        for a in arrays:
+            h.update(repr(a.shape).encode())
+            h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+def test_plain_towers_are_pinned():
+    # q and keep, and the induced generator and derivation, of the two plain
+    # towers, entry for entry as the int64 products formed them
+    # (`test_literal_tower_is_pinned` holds the Ver_p tower)
+    j4 = repzp.jordan_module(5, [4])
+    tower = repzp._SymDegrees(j4, None)
+    tower.grow(8)
+    assert np.array_equal(repzp.sym_power(j4, 8).g.a, tower.g[8])
+    digests = [_lists_digest(tower.q, tower.keep), _lists_digest(tower.g)]
+    alg = svec2.sym_algebra(svec2.direct_sum(svec2.module_w(), svec2.trivial(1)), 10)
+    digests += [_lists_digest(alg.q, alg.keep), _lists_digest(alg.dmat)]
+    assert digests == [
+        "c460d2c2f4a085083ff5ab13d2c89f7ec59d9faf175bad6799cfa83b462ab666",
+        "3bfecfb3152cc8ce821733e38deb9920d2ec7671b45a8ecd64c5b8321d5a48df",
+        "d2faa3fd647c4ebe5562d065625e8ff8d9cb2b26692d4dd43f85d8349890d5a1",
+        "a49012ad280cbe9f2d05bb73f450a78fbac8188090294c14e07f2be4ecfa35e3",
+    ]

@@ -129,6 +129,15 @@ class TestBraiding:
         v[1] = 1  # x (x) y
         assert ((c.a @ v) % 2).tolist() == [0, 0, 1, 0]  # y (x) x
 
+    def test_rows_reordered_as_the_swap_matrix_permutes_them(self):
+        # c = swap (1 + d (x) d), the swap applied by reordering rows
+        rng = np.random.default_rng(30)
+        for _ in range(50):
+            a, b = (random_dmodule(rng, int(dim)) for dim in rng.integers(0, 5, size=2))
+            r_action = np.eye(a.dim * b.dim, dtype=np.int64) + np.kron(a.d.a, b.d.a)
+            want = graded.swap(a.dim, b.dim) @ r_action % 2
+            assert np.array_equal(braiding(a, b).a, want), (a.dim, b.dim)
+
     def test_symmetric_on_random_pairs(self):
         rng = random.Random(10)
         for _ in range(100):

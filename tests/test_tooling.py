@@ -4,8 +4,10 @@ The benchmark tracer (`perfbench/tracer.py`) wraps vercat functions and
 methods by attribute name; a rename in the package must fail here rather
 than silently break `perfbench/run.py --trace 1`.  The package's own
 correctness checks raise AssertionError explicitly, so `python -O` keeps
-them.  A failing hypothesis test must report its example under CI's
-warning flags."""
+them.  Every product of residue arrays goes through
+`exactlin.matmul_mod` or `exactlin.contract_mod`, apart from the sites
+listed in `PLAIN_PRODUCTS`.  A failing hypothesis test must report its
+example under CI's warning flags."""
 
 import ast
 import glob
@@ -13,6 +15,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import vercat.cli
 
@@ -46,6 +49,65 @@ def test_package_has_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+# functions whose products are formed by plain numpy: qualified name ->
+# (number of product sites, why the site stays off `matmul_mod`)
+FIRST_ROW = "the first-row anchor route keeps plain numpy until ROADMAP item 2 deletes it"
+MAT_PRODUCT = "Mat @ Mat, which `Mat.__matmul__` forms by `matmul_mod`"
+PLAIN_PRODUCTS = {
+    "verlinde._matpow": (1, FIRST_ROW),
+    "verlinde._HomClasses.__init__": (4, FIRST_ROW),
+    "verlinde._HomClasses.reduce": (1, FIRST_ROW),
+    "verlinde._ver_cokernel": (2, FIRST_ROW),
+    "cli.suite_fusion": (2, "einsum over integer fusion tables, not residues mod p"),
+    "cli.suite_sympow": (1, MAT_PRODUCT),
+    "cli.suite_svec2": (1, MAT_PRODUCT),
+    "repzp.ZpModule.validate": (1, MAT_PRODUCT),
+}
+# the product kernels themselves
+KERNELS = {"exactlin.matmul_mod", "exactlin.contract_mod"}
+PRODUCT_CALLS = {"dot", "matmul", "tensordot", "einsum"}
+
+
+def _product_sites(tree, module):
+    """(qualified name of the enclosing function, line) of every `@` and
+    every call of a numpy product in `tree`."""
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        is_product = (
+            isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        ) or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in PRODUCT_CALLS
+        )
+        if is_product:
+            sites.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, module)
+    return sites
+
+
+def test_residue_products_go_through_the_kernels():
+    found, where = Counter(), {}
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "vercat", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        module = os.path.basename(path)[:-3]
+        for scope, line in _product_sites(tree, module):
+            if scope not in KERNELS:
+                found[scope] += 1
+                where.setdefault(scope, []).append(f"{module}.py:{line}")
+    allowed = {name: count for name, (count, _) in PLAIN_PRODUCTS.items()}
+    extra = {name: where.get(name) for name in set(found) | set(allowed)
+             if found[name] != allowed.get(name, 0)}
+    assert extra == {}
 
 
 FAILING_PROPERTY = """
