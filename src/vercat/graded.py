@@ -12,14 +12,14 @@ arrays of residues mod p:
 
 - `swap`: the permutation v (x) w -> w (x) v, and `minus_swap`, its
   relation 1 - swap applied by transposing two tensor factors;
+- `Degrees`: the degree data of the towers on one key, grown on demand,
+  rolled back when a growth raises, read per depth and shared by key
+  (`Degrees.shared`, `tower_store`: see below);
 - `QuotientDegrees`: the plain degreewise quotient, grown one degree at
   a time, used by Rep(Z/pZ) (relation 1 - swap) and sVec_2 (relation
-  1 + braiding), and `quotient_tower`, one growth of it; Ver_p takes
-  its cokernels modulo negligible morphisms instead
-  (`verlinde.SymTower`) and shares only `minus_swap` and `mu`;
-  `induced` pushes maps through it, on its kept coordinates;
-- `tower_store` and `shared_degrees`: the degree data every tower engine
-  shares by key, held by the running command (see below);
+  1 + braiding); Ver_p takes its cokernels modulo negligible morphisms
+  instead (`verlinde._Degrees`) and shares only `Degrees`, `minus_swap`
+  and `mu`; `induced` pushes maps through it, on its kept coordinates;
 - `GradedTower.mu`: the recursion above, and `GradedTower.table`, the
   one reading of mu(a, b) as a (da x db x dc) structure tensor;
 - `TruncatedAlgebra`: element arithmetic, where the product of degrees
@@ -36,9 +36,9 @@ reads exactly the degrees up to its own depth and grows the data when it
 needs more, each new degree charged once, when it is formed, under the
 key's budget.  Data is shared while it is held.  Inside a `tower_store`
 block, which `cli.main` opens around each command, the block holds it
-until it exits, so a command builds each degree once.  Outside one, an
-engine's weak table holds it only while a tower on the key is alive.
-Products stay with each tower.
+until it exits, so a command builds each degree once.  Outside one, the
+weak table `_LIVE` holds it only while a tower on the key is alive.
+Both are keyed by (engine class, key).  Products stay with each tower.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import weakref
-from collections.abc import Callable, Iterator
-from typing import TypeVar
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -90,13 +89,15 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# the store of the running command: id of an engine's weak table -> its
-# key -> degree data; None outside a `tower_store` block
+# the store of the running command: (engine class, key) -> degree data;
+# None outside a `tower_store` block
 _STORE: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "vercat_tower_store", default=None
 )
 
-_T = TypeVar("_T")
+# (engine class, key) -> the degree data a live tower holds, outside a
+# `tower_store` block: it goes when its last tower does
+_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @contextlib.contextmanager
@@ -113,19 +114,63 @@ def tower_store() -> Iterator[None]:
         _STORE.reset(token)
 
 
-def shared_degrees(live: weakref.WeakValueDictionary, key, new: Callable[[], _T]) -> _T:
-    """The degree data on `key`, made by `new()` on a miss: from the
-    installed store, else from `live`, the engine's weak table, where it
-    stays only while a tower holds it."""
-    store = _STORE.get()
-    table = live if store is None else store.setdefault(id(live), {})
-    data = table.get(key)
-    if data is None:
-        data = table[key] = new()
-    return data
+class Degrees:
+    """The degree data of the towers on one key, grown on demand.
+
+    `_LISTS` names the lists that hold one entry per degree, degree m at
+    index m, the first of them the tower's own; a subclass fills them.
+    `grow(depth)` calls `_build_degree(m)` for each degree the first list
+    lacks, then `_extend(depth)`, where a subclass appends what it reads
+    off the built degrees.  A growth that raises cuts every list in
+    `_LISTS` back to the length it found, so shared degrees stay as they
+    were.  `view(depth)` is those lists clipped to degrees 0..depth, which
+    must be built: one tuple per depth, so the towers of one depth read
+    the same lists.  Built arrays are read-only.  The data holds no
+    reference to a tower: outside a `tower_store` it dies with the last
+    tower that holds it.
+    """
+
+    _LISTS: tuple[str, ...] = ()
+
+    def __init__(self):
+        self._views: dict[int, tuple[list, ...]] = {}
+
+    @classmethod
+    def shared(cls, key, *args):
+        """The data of this engine on `key`, made by `cls(*args)` on a miss:
+        from the installed store, else from `_LIVE`, where it stays only
+        while a tower holds it."""
+        store = _STORE.get()
+        table = _LIVE if store is None else store
+        data = table.get((cls, key))
+        if data is None:
+            data = table[cls, key] = cls(*args)
+        return data
+
+    def grow(self, depth: int) -> None:
+        built = [len(getattr(self, name)) for name in self._LISTS]
+        try:
+            for m in range(built[0], depth + 1):
+                self._build_degree(m)
+            self._extend(depth)
+        except BaseException:
+            for name, count in zip(self._LISTS, built):
+                del getattr(self, name)[count:]
+            raise
+
+    def view(self, depth: int) -> tuple[list, ...]:
+        if depth not in self._views:
+            self._views[depth] = tuple(getattr(self, name)[: depth + 1] for name in self._LISTS)
+        return self._views[depth]
+
+    def _build_degree(self, m: int) -> None:
+        raise NotImplementedError
+
+    def _extend(self, depth: int) -> None:
+        pass
 
 
-class QuotientDegrees:
+class QuotientDegrees(Degrees):
     """S^m = coker(relations into S^(m-1) (x) X), grown on demand: `q`
     and `keep` hold degrees 0..built.
 
@@ -140,39 +185,20 @@ class QuotientDegrees:
     q[m][:, keep[m]] = 1.  They are the non-pivot positions of the reduced
     echelon form of the relation span, so the choice is deterministic
     (`exactlin.cokernel`) and does not depend on the spanning set.
-
-    `grow(depth)` builds the missing degrees, then calls `_extend(depth)`,
-    where a subclass appends what it reads off them to the per-degree
-    lists named in `_LISTS`.  A growth that raises cuts every such list
-    back to the length it found, so shared degrees stay as they were.
-    Built arrays are read-only.
     """
 
     _LISTS: tuple[str, ...] = ("q", "keep")
 
     def __init__(self, n: int, p: int, max_entries: int | None, rel: np.ndarray | None = None):
+        super().__init__()
         self.n, self.p, self.max_entries = n, p, max_entries
         self._rel = rel
         self._rel3: np.ndarray | None = None  # the relations as (n, n, r)
         self.q = [frozen(np.ones((1, 1), dtype=np.int64))]
         self.keep = [frozen(np.zeros(1, dtype=np.intp))]
 
-    def grow(self, depth: int) -> None:
-        built = [len(getattr(self, name)) for name in self._LISTS]
-        try:
-            for m in range(len(self.q), depth + 1):
-                self._build_degree(m)
-            self._extend(depth)
-        except BaseException:
-            for name, count in zip(self._LISTS, built):
-                del getattr(self, name)[count:]
-            raise
-
     def _relations(self) -> np.ndarray:
         return self._rel
-
-    def _extend(self, depth: int) -> None:
-        pass
 
     def _build_degree(self, m: int) -> None:
         n, p = self.n, self.p
@@ -193,16 +219,6 @@ class QuotientDegrees:
         self.keep.append(frozen(np.array(free, dtype=np.intp)))
 
 
-def quotient_tower(
-    rel: np.ndarray, n: int, depth: int, p: int, max_entries: int | None = None
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(q, keep) of degrees 0..depth of the `QuotientDegrees` with
-    relation columns `rel` (n^2 x r), in one growth."""
-    tower = QuotientDegrees(n, p, max_entries, rel)
-    tower.grow(depth)
-    return tower.q, tower.keep
-
-
 def induced(q: np.ndarray, keep, a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """q (a (x) b) on the kept columns, S^m(f) for a = S^(m-1)(f), b = f,
     q the target's q_m and `keep` the source's keep[m].  Column j is
@@ -218,7 +234,7 @@ class GradedTower:
 
     Subclasses set `p`, `depth`, `nx` = dim X, `q` (q[m]: S^(m-1) (x) X
     -> S^m as an array), `max_entries` and an empty dict `_mu`, and
-    provide `dim(m)` and either the `keep` of a `quotient_tower` with an
+    provide `dim(m)` and either the `keep` of a `QuotientDegrees` with an
     empty dict `_sections` or their own `section(b)`, a map
     S^b -> S^(b-1) (x) X with q_b s_b = 1 (as classes modulo negligibles
     in Ver_p).  `mu(a, 1)` returns q_(a+1) itself, so readers must not

@@ -16,14 +16,13 @@ dense tensor-power quotient.
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exactlin import GF, Mat, check_budget, kernel, nilpotent_partitions
-from .graded import QuotientDegrees, check_degree, frozen, induced, shared_degrees, swap
+from .graded import QuotientDegrees, check_degree, frozen, induced, swap
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,11 +169,6 @@ class _SymDegrees(QuotientDegrees):
             self.g.append(frozen(induced(self.q[k], self.keep[k], g, self.gen, self.p)))
 
 
-# (p, dim, generator entries, max_entries) -> the `_SymDegrees` on that
-# key; outside a `graded.tower_store` it goes when `sym_power` returns
-_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
 def sym_power(m: ZpModule, degree: int, max_entries: int | None = None) -> ZpModule:
     """The symmetric power S^degree(M) with its induced generator action.
 
@@ -184,8 +178,9 @@ def sym_power(m: ZpModule, degree: int, max_entries: int | None = None) -> ZpMod
     before it is formed: the n^2 x n(n-1)/2 relation columns, each
     degree's relation matrix (`graded.QuotientDegrees`) and each degree's
     action columns, (dim S^(k-1) * n) x dim S^k.  The tower is kept by
-    the module's entries and the budget (`graded.shared_degrees`), so the
-    calls of one command on one module build each degree once.
+    the module's entries and the budget (`graded.Degrees.shared`), so the
+    calls of one command on one module build each degree once; outside a
+    `graded.tower_store` it goes when `sym_power` returns.
 
     Correctness anchor: this is the ambient route, S^m taken in
     Rep(Z/pZ) before the quotient functor; `verify --suite
@@ -193,7 +188,7 @@ def sym_power(m: ZpModule, degree: int, max_entries: int | None = None) -> ZpMod
     """
     check_degree(degree)
     key = (m.p, m.dim, m.g.a.tobytes(), max_entries)
-    tower = shared_degrees(_LIVE, key, lambda: _SymDegrees(m, max_entries))
+    tower = _SymDegrees.shared(key, m, max_entries)
     tower.grow(degree)
     g = tower.g[degree]
     return ZpModule(m.p, g.shape[0], Mat(m.g.field, g))

@@ -18,7 +18,6 @@ only bounds test grids; no algorithm assumes it.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,10 +132,6 @@ class _DDegrees(graded.QuotientDegrees):
             self.dmat.append(graded.frozen(dm))
 
 
-# (dim X, entries of d, max_entries) -> the `_DDegrees` on that key
-_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
 class DGradedAlgebra(graded.GradedTower, graded.TruncatedAlgebra):
     """The symmetric algebra of a DModule, truncated in degree.
 
@@ -145,7 +140,7 @@ class DGradedAlgebra(graded.GradedTower, graded.TruncatedAlgebra):
     kept coordinates, the induced derivation d (x) 1 + 1 (x) d, and
     (lazily) sections and multiplication maps, all as arrays over GF(2).
     The first four are read, up to this algebra's depth, from the
-    `_DDegrees` kept by X and the budget (`graded.shared_degrees`), grown
+    `_DDegrees` kept by X and the budget (`graded.Degrees.shared`), grown
     if it is shallower; sections and products stay with the algebra.
     """
 
@@ -157,11 +152,9 @@ class DGradedAlgebra(graded.GradedTower, graded.TruncatedAlgebra):
         self.max_entries = max_entries
         self.nx = x.dim
         key = (x.dim, x.d.a.tobytes(), max_entries)
-        self._deg = graded.shared_degrees(_LIVE, key, lambda: _DDegrees(x, max_entries))
+        self._deg = _DDegrees.shared(key, x, max_entries)
         self._deg.grow(depth)
-        self.q, self.keep, self.dmat = (
-            lists[: depth + 1] for lists in (self._deg.q, self._deg.keep, self._deg.dmat)
-        )
+        self.q, self.keep, self.dmat = self._deg.view(depth)
         self.dims: list[int] = [qm.shape[0] for qm in self.q]
         self._sections: dict[int, np.ndarray] = {}
         self._mu: dict[tuple, np.ndarray] = {}

@@ -45,7 +45,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import weakref
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
@@ -709,136 +708,29 @@ class _TensorFrame:
 # ---------------------------------------------------------------------------
 
 
-class _Degrees:
-    """The degree data of the `SymTower`s on one (p, X, max_entries): the
-    `sizes`, `q` and `zero_from` of the degrees built so far, the kernel
-    rows `kernels[m, j]`, the sections, the tensor frames by block type
-    (`frames`), the local top columns `tops[c, n, n']` of the triple
-    products (`_triple_tops`), and `views[depth]`, what the towers of that
-    depth read.
+class _Degrees(graded.Degrees):
+    """The degree data of the `SymTower`s on one (p, X, max_entries): per
+    degree m, the block sizes `sizes[m]` of V_m, q_m and the kernel rows
+    `kernels[m][j]` whose chains are q_m's size-j rows; and across
+    degrees, the sections, the tensor frames by block type (`frames`) and
+    the local top columns `tops[c, n, n']` of the triple products
+    (`_triple_tops`).
 
     Every array in it is read-only once formed, so the towers that share
-    it cannot write into each other's degrees.  It holds no reference to a
-    tower, so outside a `graded.tower_store` it dies with the last tower
-    that holds it.
+    it cannot write into each other's degrees.
     """
 
-    __slots__ = (
-        "sizes", "q", "zero_from", "kernels", "frames", "tops", "sections", "views",
-        "__weakref__",
-    )
+    _LISTS = ("sizes", "q", "kernels")
 
-    def __init__(self):
+    def __init__(self, x: VerObject, max_entries: int | None):
+        super().__init__()
+        self.x, self.p, self.nx, self.max_entries = x, x.p, x.dim, max_entries
         self.sizes: list[tuple[int, ...]] = [(1,)]
         self.q: list[np.ndarray | None] = [None]
-        self.zero_from: int | None = None
-        # (m, j) -> kernel rows whose chains are q_m's size-j rows
-        self.kernels: dict[tuple[int, int], np.ndarray] = {}
+        self.kernels: list[dict[int, np.ndarray]] = [{}]
         self.frames: dict[tuple[int, ...], _TensorFrame] = {}
         self.tops: dict[tuple[int, int, int], dict[int, np.ndarray]] = {}
         self.sections: dict[int, np.ndarray] = {}
-        self.views: dict[int, tuple[list, list, int | None]] = {}
-
-    def view(self, depth: int) -> tuple[list, list, int | None]:
-        """(sizes, q, zero_from) clipped to degrees 0..depth, which must be
-        built: one per depth, so the towers of one depth read one list."""
-        if depth not in self.views:
-            zero = self.zero_from
-            if zero is not None and zero > depth:
-                zero = None
-            self.views[depth] = (self.sizes[: depth + 1], self.q[: depth + 1], zero)
-        return self.views[depth]
-
-    def truncate(self, built: int) -> None:
-        """Back to degrees 0..built-1: what a growth that raised found."""
-        del self.sizes[built:], self.q[built:]
-        if self.zero_from is not None and self.zero_from >= built:
-            self.zero_from = None
-        for key in [key for key in self.kernels if key[0] >= built]:
-            del self.kernels[key]
-
-
-# (p, multiplicities of X, max_entries) -> the degree data of the towers on
-# that key: inside a `graded.tower_store` the store holds it, outside it
-# goes when its last tower does
-_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-class SymTower(graded.GradedTower):
-    """Degree-by-degree realization of the symmetric algebra of X in Ver_p.
-
-    For each degree m <= D the tower holds a literal Jordan-block
-    realization V_m of S^m(X), the projection class q_m: V_(m-1) (x) X ->
-    V_m, and, on demand, sections of the projections and the induced
-    multiplication classes mu_(a,b): V_a (x) V_b -> V_(a+b) (the shared
-    recursion `graded.GradedTower.mu` on these sections).  Once a
-    degree vanishes all higher degrees vanish (each S^m is a quotient of
-    S^(m-1) (x) X), so construction stops early.
-
-    The built degrees (`sizes`, `q`, `zero_from`, kernel rows, frames,
-    triple-product tops and sections: `_Degrees`) are kept by (p, X,
-    max_entries), with no depth (`graded.shared_degrees`).  A tower reads
-    exactly the degrees up to its own depth, and builds those its key
-    lacks onto the shared data; each degree is charged once, when it is
-    formed, and a growth that raises leaves the shared degrees as they
-    were.  Data is shared while it is held: the command that built it
-    holds it (`graded.tower_store`), and outside a command the towers
-    alive on the key do.  The products `_mu` stay with each tower, so a
-    reader that patches or corrupts `mu` sees its own products
-    recomputed.  Shared arrays are read-only.
-    """
-
-    def __init__(self, x: VerObject, depth: int, max_entries: int | None = None):
-        graded.check_degree(depth)
-        self.x = x
-        self.p = x.p
-        self.depth = depth
-        self.max_entries = max_entries
-        self.nx = x.dim
-        self._mu: dict[tuple, np.ndarray] = {}
-        self._deg = graded.shared_degrees(_LIVE, (x.p, tuple(x.mult), max_entries), _Degrees)
-        self._grow()
-        self._view = self._deg.view(depth)
-
-    @property
-    def sizes(self) -> list[tuple[int, ...]]:
-        return self._view[0]
-
-    @property
-    def q(self) -> list[np.ndarray | None]:
-        return self._view[1]
-
-    @property
-    def zero_from(self) -> int | None:
-        return self._view[2]
-
-    def dim(self, m: int) -> int:
-        return sum(self.sizes[m])
-
-    def multiplicities(self, m: int) -> VerObject:
-        return VerObject.from_blocks(self.p, self.sizes[m])
-
-    def _grow(self) -> None:
-        """Build the degrees up to this tower's depth that the shared data
-        lacks; if one raises, cut the data back to the degrees it had."""
-        deg = self._deg
-        built = len(deg.sizes)
-        if built > self.depth:
-            return
-        try:
-            if built == 1:  # S^1 = X
-                # charged from dim X before X's blocks are listed, one int each
-                nx = self.nx
-                check_budget(nx * nx, self.max_entries, "S^1: projection rows")
-                deg.sizes.append(self.x.block_sizes())
-                deg.q.append(graded.frozen(np.eye(nx, dtype=np.int64)))
-                if nx == 0:
-                    deg.zero_from = 1
-            for m in range(max(built, 2), self.depth + 1):
-                self._build_degree(m)
-        except BaseException:
-            deg.truncate(built)
-            raise
 
     def _pair_charge(self, m: int) -> Callable[[int, int], None]:
         """The charge of the pair basis of J_a (x) J_b that degree m reads:
@@ -855,45 +747,51 @@ class SymTower(graded.GradedTower):
         """V_m (x) X in Jordan-normal coordinates, one per block type of
         V_m; its largest pair basis is charged before the frame is built.
         A frame met again was charged the same when it was built."""
-        deg = self._deg
-        sizes = deg.sizes[m]
-        if sizes not in deg.frames:
+        sizes = self.sizes[m]
+        if sizes not in self.frames:
             if sizes:
-                charge(max(sizes), max(deg.sizes[1]))
-            deg.frames[sizes] = _TensorFrame(self.p, sizes, deg.sizes[1])
-        return deg.frames[sizes]
+                charge(max(sizes), max(self.sizes[1]))
+            self.frames[sizes] = _TensorFrame(self.p, sizes, self.sizes[1])
+        return self.frames[sizes]
 
     def _build_degree(self, m: int) -> None:
         """V_m and q_m: the cokernel in Ver_p of the degree-m relations
         phi = (q_(m-1) (x) 1_X) (1 (x) (1 - swap)): A -> B, with
-        A = V_(m-2) (x) X (x) X and B = V_(m-1) (x) X, in Jordan coordinates,
-        appended to the shared degrees.
+        A = V_(m-2) (x) X (x) X and B = V_(m-1) (x) X, in Jordan coordinates.
+        V_1 = X, with q_1 = 1_X, and past a zero degree every degree is zero.
 
         B's classes into J_j are the rows of T_B^-1 at the tops of its
         size-j summands (`_TensorFrame.tops`); the class coordinates of a
         first row w over A are w at the top columns of a Jordan basis of A,
-        one product per (c, n, n') on the local columns the tower keeps in
-        `_Degrees.tops`; and the chains [w, wN, ...] of the kernel
-        combinations are the same combinations of the following T_B^-1
-        rows (`_TensorFrame.chains`; the combinations are kept per j for
-        `section`).  Rows of q_m are grouped per block, ordered
-        [w, wN, ..., wN^(j-1)].  The largest pair basis of each new frame
-        and each new triple-product key, the precomposed class rows of each
-        j, and q_m as its rows accumulate, are charged against `max_entries`
-        before they are formed; errors name the degree.  q_m and the kernel
-        rows are read-only once recorded.
+        one product per (c, n, n') on the local columns kept in `tops`;
+        and the chains [w, wN, ...] of the kernel combinations are the same
+        combinations of the following T_B^-1 rows (`_TensorFrame.chains`;
+        the combinations are kept per j for `SymTower.section`).  Rows of
+        q_m are grouped per block, ordered [w, wN, ..., wN^(j-1)].  The
+        largest pair basis of each new frame and each new triple-product
+        key, the precomposed class rows of each j, and q_m as its rows
+        accumulate, are charged against `max_entries` before they are
+        formed; errors name the degree.  q_m and the kernel rows are
+        read-only once recorded.
         """
-        deg = self._deg
-        if deg.zero_from is not None:
-            deg.sizes.append(())
-            cols = sum(deg.sizes[m - 1]) * self.nx
-            deg.q.append(graded.frozen(np.zeros((0, cols), dtype=np.int64)))
-            return
         p, nx, budget = self.p, self.nx, self.max_entries
-        a_dim = sum(deg.sizes[m - 2]) * nx * nx
+        kernels: dict[int, np.ndarray] = {}
+        if m == 1:
+            # charged from dim X before X's blocks are listed, one int each
+            check_budget(nx * nx, budget, "S^1: projection rows")
+            self.sizes.append(self.x.block_sizes())
+            self.q.append(graded.frozen(np.eye(nx, dtype=np.int64)))
+            self.kernels.append(kernels)
+            return
+        if not self.sizes[m - 1]:  # V_m is a quotient of 0 (x) X
+            self.sizes.append(())
+            self.q.append(graded.frozen(np.zeros((0, 0), dtype=np.int64)))
+            self.kernels.append(kernels)
+            return
+        a_dim = sum(self.sizes[m - 2]) * nx * nx
         charge = self._pair_charge(m)
-        a_tops = self._frame(m - 2, charge).tensor_tops(deg.tops, charge)
-        frame, q_prev = self._frame(m - 1, charge), deg.q[m - 1]
+        a_tops = self._frame(m - 2, charge).tensor_tops(self.tops, charge)
+        frame, q_prev = self._frame(m - 1, charge), self.q[m - 1]
         sizes: list[int] = []
         q_rows: list[np.ndarray] = []
         for j in range(p - 1, 0, -1):
@@ -923,16 +821,61 @@ class SymTower(graded.GradedTower):
                 ker = np.ones((int(not coords.any()), 1), dtype=np.int64)
             if ker.shape[0] == 0:
                 continue
-            deg.kernels[m, j] = graded.frozen(ker)
+            kernels[j] = graded.frozen(ker)
             rows = sum(sizes) + j * ker.shape[0]
             check_budget(rows * frame.dim, budget, f"S^{m}: projection rows")
             q_rows.append(frame.chains(j, ker))
             sizes.extend([j] * ker.shape[0])
-        deg.sizes.append(tuple(sizes))
         q_m = np.vstack(q_rows) if q_rows else np.zeros((0, frame.dim), dtype=np.int64)
-        deg.q.append(graded.frozen(q_m))
-        if not sizes:
-            deg.zero_from = m
+        self.sizes.append(tuple(sizes))
+        self.q.append(graded.frozen(q_m))
+        self.kernels.append(kernels)
+
+
+class SymTower(graded.GradedTower):
+    """Degree-by-degree realization of the symmetric algebra of X in Ver_p.
+
+    For each degree m <= D the tower holds a literal Jordan-block
+    realization V_m of S^m(X) (its block sizes `sizes[m]`), the projection
+    class q_m: V_(m-1) (x) X -> V_m, and, on demand, sections of the
+    projections and the induced multiplication classes
+    mu_(a,b): V_a (x) V_b -> V_(a+b) (the shared recursion
+    `graded.GradedTower.mu` on these sections).  Once a degree vanishes
+    all higher degrees vanish (each S^m is a quotient of S^(m-1) (x) X),
+    so construction stops early; `zero_from` is the first degree <= D
+    that vanishes, or None.
+
+    The built degrees (`sizes`, `q`, kernel rows, frames, triple-product
+    tops and sections: `_Degrees`) are kept by (p, X, max_entries), with
+    no depth (`graded.Degrees.shared`).  A tower reads exactly the degrees
+    up to its own depth, and builds those its key lacks onto the shared
+    data; each degree is charged once, when it is formed, and a growth
+    that raises leaves the shared degrees as they were.  Data is shared
+    while it is held: the command that built it holds it
+    (`graded.tower_store`), and outside a command the towers alive on the
+    key do.  The products `_mu` stay with each tower, so a reader that
+    patches or corrupts `mu` sees its own products recomputed.  Shared
+    arrays are read-only.
+    """
+
+    def __init__(self, x: VerObject, depth: int, max_entries: int | None = None):
+        graded.check_degree(depth)
+        self.x = x
+        self.p = x.p
+        self.depth = depth
+        self.max_entries = max_entries
+        self.nx = x.dim
+        self._mu: dict[tuple, np.ndarray] = {}
+        self._deg = _Degrees.shared((x.p, tuple(x.mult), max_entries), x, max_entries)
+        self._deg.grow(depth)
+        self.sizes, self.q, self.kernels = self._deg.view(depth)
+        self.zero_from = next((m for m, s in enumerate(self.sizes) if not s), None)
+
+    def dim(self, m: int) -> int:
+        return sum(self.sizes[m])
+
+    def multiplicities(self, m: int) -> VerObject:
+        return VerObject.from_blocks(self.p, self.sizes[m])
 
     # -- sections and multiplication classes --------------------------------
 
@@ -941,7 +884,7 @@ class SymTower(graded.GradedTower):
 
         The size-j blocks of V_b are sent onto the size-j Jordan summands
         of V_(b-1) (x) X.  Read at the summand tops, q_b's rows at those
-        blocks are the kernel rows `_build_degree` kept for (b, j), and a
+        blocks are the kernel rows `kernels[b][j]` of `_Degrees`, and a
         right inverse of those rows picks the combination.  Sections are
         degree data: built once, read-only, shared with the tower's
         degrees.
@@ -952,12 +895,12 @@ class SymTower(graded.GradedTower):
         if b == 1:
             sections[1] = self.q[1]  # q_1 = 1_X, read-only
             return sections[1]
-        frame = self._frame(b - 1, self._pair_charge(b))
+        frame = self._deg._frame(b - 1, self._deg._pair_charge(b))
         s = np.zeros((frame.dim, self.dim(b)), dtype=np.int64)
         for j in sorted(set(self.sizes[b]), reverse=True):
             offsets = np.asarray(self.block_offsets(b, j))
             eye = np.eye(len(offsets), dtype=np.int64)
-            coeff = solve_array(self._deg.kernels[b, j], eye, self.p)
+            coeff = solve_array(self.kernels[b][j], eye, self.p)
             if coeff is None:
                 raise AssertionError("projection classes are not surjective")
             s[:, (offsets[:, None] + np.arange(j)).reshape(-1)] = frame.cols(j, coeff)

@@ -55,7 +55,9 @@ class TestQuotientTower:
             (2, (eye + svec2.braiding(w1, w1).a) % 2),
         ]
         for p, rel in rels:
-            q, keep = graded.quotient_tower(rel, n, 5, p)
+            tower = graded.QuotientDegrees(n, p, None, rel)
+            tower.grow(5)
+            q, keep = tower.q, tower.keep
             for m in range(6):
                 # the unit vectors at the kept coordinates split q[m]
                 assert np.array_equal(q[m][:, keep[m]], np.eye(q[m].shape[0])), (p, m)
@@ -100,7 +102,7 @@ class TestTowerBudget:
         n, p = 4, 5
         rel = (np.eye(n * n, dtype=np.int64) - graded.swap(n, n)) % p
         with pytest.raises(BudgetExceeded, match=r"matrix of S\^7 needs 301056 "):
-            graded.quotient_tower(rel, n, 9, p, max_entries=4**9)
+            graded.QuotientDegrees(n, p, 4**9, rel).grow(9)
 
     def test_dgraded_algebra_charges_only_formed_arrays(self):
         # the largest array of S(W+2) to depth 11 has 774,400 entries; a
@@ -291,9 +293,19 @@ ALGEBRAS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def algebra(label: str):
-    return ALGEBRAS[label]()
+@pytest.fixture(scope="module")
+def algebra():
+    """`algebra(label)` builds ALGEBRAS[label] once per module; the cache
+    goes at module teardown, and with it what it holds in the weak table."""
+    built = {}
+
+    def get(label: str):
+        if label not in built:
+            built[label] = ALGEBRAS[label]()
+        return built[label]
+
+    yield get
+    built.clear()
 
 
 @settings(max_examples=60, deadline=None)
@@ -303,7 +315,7 @@ def algebra(label: str):
     st.integers(1, 6),
     st.integers(0, 5),
 )
-def test_batched_arithmetic_is_rowwise(label, seed, trials, k):
+def test_batched_arithmetic_is_rowwise(algebra, label, seed, trials, k):
     # every operation on a drawn batch is the stack of its per-row
     # results; about half of the rows are homogeneous
     alg = algebra(label)
@@ -479,7 +491,7 @@ def degrees_per_row(batch, trials: int) -> np.ndarray:
 
 class TestRandomBatch:
     @pytest.mark.parametrize("label", sorted(ALGEBRAS))
-    def test_same_seed_same_batch(self, label):
+    def test_same_seed_same_batch(self, algebra, label):
         alg = algebra(label)
         for homogeneous in (False, True):
             a, b, c = (
@@ -492,7 +504,7 @@ class TestRandomBatch:
 
     @pytest.mark.parametrize("label", sorted(ALGEBRAS))
     @pytest.mark.parametrize("max_degree", [0, 1, 2, 3, 9])
-    def test_homogeneous_rows_have_one_degree(self, label, max_degree):
+    def test_homogeneous_rows_have_one_degree(self, algebra, label, max_degree):
         alg = algebra(label)
         batch = alg.random_batch(np.random.default_rng(1), 200, max_degree, True)
         assert all(c.shape == (200, alg.dims[m]) for m, c in batch.items())
@@ -504,7 +516,7 @@ class TestRandomBatch:
 
     @pytest.mark.parametrize("label", sorted(ALGEBRAS))
     @pytest.mark.parametrize("max_degree", [0, 1, 2, 3, 9])
-    def test_batches_cover_every_degree_up_to_the_truncation(self, label, max_degree):
+    def test_batches_cover_every_degree_up_to_the_truncation(self, algebra, label, max_degree):
         alg = algebra(label)
         batch = alg.random_batch(np.random.default_rng(2), 50, max_degree)
         top = min(max_degree, alg.depth)
@@ -513,14 +525,14 @@ class TestRandomBatch:
         if len(batch) > 1:
             assert (degrees_per_row(batch, 50) > 1).any()
 
-    def test_a_row_mask_makes_only_those_rows_homogeneous(self):
+    def test_a_row_mask_makes_only_those_rows_homogeneous(self, algebra):
         alg = algebra("S(W+1) D=6")
         mask = np.arange(100) % 2 == 1
         batch = alg.random_batch(np.random.default_rng(3), 100, 2, homogeneous=mask)
         counts = degrees_per_row(batch, 100)
         assert (counts[mask] <= 1).all() and (counts[~mask] > 1).any()
 
-    def test_one_draw_per_degree(self):
+    def test_one_draw_per_degree(self, algebra):
         # S(W) at depth 6 has nonzero dims in every degree; the homogeneous
         # batch draws its row degrees with one more call
         alg = algebra("S(W) D=6")
@@ -529,7 +541,7 @@ class TestRandomBatch:
             alg.random_batch(rng, 1000, 3, homogeneous)
             assert rng.calls == calls
 
-    def test_all_zero_degrees_are_dropped(self):
+    def test_all_zero_degrees_are_dropped(self, algebra):
         # degree 0 of the unit draws one residue mod 2 per row: a single
         # row is zero there for some seed, and then has no component
         alg = algebra("S(W) D=6")
@@ -538,7 +550,7 @@ class TestRandomBatch:
         assert {tuple(b) for b in batches} == {(), (0,)}
         assert alg.random_batch(np.random.default_rng(0), 0, 3) == {}
 
-    def test_negative_max_degree_rejected(self):
+    def test_negative_max_degree_rejected(self, algebra):
         with pytest.raises(ValueError, match="nonnegative"):
             algebra("S(W) D=6").random_batch(np.random.default_rng(0), 4, -1)
 

@@ -376,27 +376,14 @@ class TestIsotypicStability:
         assert ok and peak <= 3 * 2**20
 
 
-def count_builds(monkeypatch) -> list[int]:
-    """Record the degree of every `SymTower._build_degree` call."""
-    calls: list[int] = []
-    build = SymTower._build_degree
-
-    def counted(self, m):
-        calls.append(m)
-        return build(self, m)
-
-    monkeypatch.setattr(SymTower, "_build_degree", counted)
-    return calls
-
-
 class TestSharedDegrees:
     """Towers alive on one (p, X, depth, budget) share their built degrees;
     products stay with each tower, and nothing outlives the last holder."""
 
-    def test_live_holders_share_degrees_not_products(self, monkeypatch):
+    def test_live_holders_share_degrees_not_products(self, record_builds):
         x = ver(5, [1, 1, 2])
         a = InvariantAlgebra(x, 5)
-        calls = count_builds(monkeypatch)
+        calls = record_builds(verlinde._Degrees)
         b = InvariantAlgebra(x, 5)
         assert calls == []
         assert b.tower._deg is a.tower._deg
@@ -406,7 +393,7 @@ class TestSharedDegrees:
         a.product_table(2, 2)
         assert a.tower._mu and a._tables and not b.tower._mu and not b._tables
 
-    def test_last_holder_gone_means_rebuild(self, monkeypatch):
+    def test_last_holder_gone_means_rebuild(self, record_builds):
         # with the cycle collector off, the degree data dies with the
         # last holder, products, tables and sections included
         x, depth = ver(5, [1, 1, 2]), 4
@@ -418,10 +405,10 @@ class TestSharedDegrees:
             dead = weakref.ref(alg.tower._deg)
             del alg
             assert dead() is None
-            assert (5, x.mult, None) not in verlinde._LIVE
-            calls = count_builds(monkeypatch)
+            assert (verlinde._Degrees, (5, x.mult, None)) not in graded._LIVE
+            calls = record_builds(verlinde._Degrees)
             InvariantAlgebra(x, depth)
-            assert calls == list(range(2, depth + 1))
+            assert [m for _, m in calls] == list(range(2, depth + 1))
         finally:
             gc.enable()
 
@@ -445,7 +432,7 @@ class TestSharedDegrees:
         assert [plain.offsets(m, 1) for m in range(6)] == canonical
         assert canonical == [plain.tower.block_offsets(m, 1) for m in range(6)]
 
-    def test_corrupted_product_fails_after_another_holder_warmed(self, monkeypatch):
+    def test_corrupted_product_fails_after_another_holder_warmed(self, monkeypatch, record_builds):
         # a holder whose products are already formed must not hand them to
         # a new holder: the corruption reaches the check's own products
         x, depth = ver(3, [1, 2]), 6
@@ -463,16 +450,16 @@ class TestSharedDegrees:
             return out
 
         monkeypatch.setattr(SymTower, "mu", corrupted)
-        calls = count_builds(monkeypatch)
+        calls = record_builds(verlinde._Degrees)
         assert not isotypic_stability_check(x, depth, 40, 0)
         assert calls == []  # the check read the warm holder's degrees
 
-    def test_report_set_builds_its_tower_once_per_run(self, monkeypatch):
+    def test_report_set_builds_its_tower_once_per_run(self, record_builds):
         # the benchmark's invariant reports at p = 11: one tower per run,
         # and a second run in the same process builds it again.  Each run
         # has a store of its own, as each command has, so a tower another
         # test still holds on this key does not answer for it
-        calls = count_builds(monkeypatch)
+        calls = record_builds(verlinde._Degrees)
         x, depth = VerObject(11, (1, 1) + (0,) * 8), 12
         counts = []
         for _ in range(2):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from vercat.exactlin import GF, BudgetExceeded, Mat, cokernel, kernel, pivots, rank
-from vercat.graded import quotient_tower, swap
+from vercat.graded import QuotientDegrees, swap
 from vercat.repzp import (
     ZpModule,
     braiding,
@@ -284,7 +284,9 @@ class TestSymPower:
             mod = jordan_module(p, [n])
             s = sym_power(mod, m)
             rel = (np.eye(n * n, dtype=np.int64) - swap(n, n)) % p
-            q, _ = quotient_tower(rel, n, m, p)
+            tower = QuotientDegrees(n, p, None, rel)
+            tower.grow(m)
+            q = tower.q
             proj = np.ones((1, 1), dtype=np.int64)
             g_m = np.ones((1, 1), dtype=np.int64)
             for k in range(1, m + 1):

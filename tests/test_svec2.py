@@ -238,7 +238,9 @@ class TestSymAlgebra:
         n = mod.dim
         rel = (np.eye(n * n, dtype=np.int64) + braiding(mod, mod).a) % 2
         assert exactlin.rank(rel, 2) == rank < n * n  # dependent columns
-        q, keep = graded.quotient_tower(rel, n, 8, 2)
+        tower = graded.QuotientDegrees(n, 2, None, rel)
+        tower.grow(8)
+        q, keep = tower.q, tower.keep
         assert alg.dims == [qm.shape[0] for qm in q]
         assert all(np.array_equal(a, b) for a, b in zip(alg.q, q, strict=True))
         assert all(np.array_equal(a, b) for a, b in zip(alg.keep, keep, strict=True))

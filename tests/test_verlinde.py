@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vercat import svec2, verlinde
+from vercat import graded, svec2, verlinde
 from vercat.exactlin import GF, BudgetExceeded, Mat, solve_array
 from vercat.repzp import hom_stack, jordan_module, jordan_type, tensor, trivial_module
 from vercat.verlinde import (
@@ -361,6 +361,15 @@ class TestVerSymPower:
         z = VerObject.zero(5)
         assert ver_sym_power(z, 0) == VerObject.unit(5)
         assert ver_sym_power(z, 2).is_zero()
+        # S(0) = S^0 = L1, finite from degree 1, built fresh or grown from
+        # degree 0 on one key
+        for grown in (False, True):
+            with graded.tower_store():
+                if grown:
+                    assert SymTower(z, 0).zero_from is None
+                assert SymTower(z, 3).zero_from == 1
+                series = sym_alg_series(z, 3)
+            assert series.finite and series.total == L(5, 1)
 
     def test_p2(self):
         assert ver_sym_power(L(2, 1), 5) == L(2, 1)
@@ -640,7 +649,7 @@ class TestSymTowerInternals:
         # towers on one key share these arrays, so none of them may write
         tw = SymTower(VerObject(5, (1, 1, 0, 0)), 5)
         shared = [tw.q[m] for m in range(1, 6)] + [tw.section(b) for b in range(1, 6)]
-        shared += list(tw._deg.kernels.values())
+        shared += [ker for kernels in tw._deg.kernels for ker in kernels.values()]
         for a in shared:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
