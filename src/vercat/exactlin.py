@@ -5,14 +5,14 @@ All linear algebra of the package is done by the array functions
 takes integer arrays and a prime p and answers over GF(p) in int64
 residues; `rref` and `pivots`, which the others go through, check p by
 `GF`, which takes any integer type and hands back a Python int.  Every
-array entry point (`rref`, `pivots`, `Mat`, `nilpotent_partitions`)
-reads its entries through one routine, `_residues_of`: it refuses any
-entry that is not an integer and reduces every integer dtype mod p
-exactly, without the wrap-around or overflow of reducing in a type
-that cannot hold p or its entries.  `Field`, `GF` and `Mat`, the
-checked public matrix type, hold the same residues; `Mat.inverse` is
-`solve_array` against the identity.  Every operation is exact and
-deterministic.
+array entry point (`rref`, `pivots`, `Mat`, `nilpotent_partitions` and
+the module types `repzp.ZpModule` and `svec2.DModule`) reads its entries
+through one routine, `_residues_of`: it refuses any entry that is not an
+integer and reduces every integer dtype mod p exactly, without the
+wrap-around or overflow of reducing in a type that cannot hold p or its
+entries.  The package computes on those int64 arrays alone: `Field`,
+`GF` and `Mat` are the checked public wrapper for tests and users, named
+nowhere else in `src/vercat`.  Every operation is exact and deterministic.
 
 There is one Gauss-Jordan, `_rref_mod`: `rref` runs it, one pivot per
 step, because `kernel`, `solve_array` and `cokernel` read the reduced
@@ -113,8 +113,8 @@ p = 65537, where K (p-1)^3 = K 2^48 reaches 2^53 at K = 32.
 
 Basis convention for tensor products: lexicographic with the left factor
 varying slowest, i.e. basis vector (i, j) of X (x) Y sits at index
-i * dim(Y) + j.  `Mat.kron` and every module in this package share this
-convention; cross-module equality tests depend on it.
+i * dim(Y) + j.  `np.kron`, `Mat.kron` and every module in this package
+share it; cross-module equality tests depend on it.
 
 The trace that defines negligible morphisms (`verlinde._trace_gram`) is
 the plain matrix trace.  For representations of a finite group with the

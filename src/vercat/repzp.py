@@ -1,9 +1,10 @@
 """The category Rep_k(Z/pZ) in characteristic p.
 
 Objects are finite dimensional modules given by the unipotent matrix of
-the generator; they decompose into Jordan blocks J_1, ..., J_p and are
-classified up to isomorphism by the partition of block sizes.  The
-braiding is the plain swap of tensor factors.
+the generator, a square int64 array of residues mod p; they decompose
+into Jordan blocks J_1, ..., J_p and are classified up to isomorphism by
+the partition of block sizes.  The braiding is the plain swap of tensor
+factors.  Every map of modules is a residue array too.
 
 Symmetric powers are computed by the relation-quotient definition
 S^m(X) = X^(x)m / sum(im(id - swap_i)), never by the averaging
@@ -21,35 +22,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactlin import GF, Mat, check_budget, kernel, nilpotent_partitions
+from .exactlin import GF, _residues_of, check_budget, kernel, matmul_mod, solve_array
+from .exactlin import nilpotent_partitions
 from .graded import QuotientDegrees, check_degree, frozen, induced, swap
 
 
 @dataclass(frozen=True, eq=False)
 class ZpModule:
-    """A Z/pZ-module in characteristic p: the generator acts by `g`."""
+    """A Z/pZ-module in characteristic p, kept as the Python int `GF` checks:
+    the generator acts by `g`, read once into a read-only array of residues."""
 
     p: int
-    dim: int
-    g: Mat
+    g: np.ndarray
 
     def __post_init__(self):
-        if self.g.rows != self.dim or self.g.cols != self.dim:
-            raise ValueError("generator matrix shape does not match dim")
-        if self.g.field != GF(self.p):
-            raise ValueError("generator matrix must live over GF(p)")
+        p = GF(self.p).characteristic
+        g = _residues_of(self.g, p)
+        if g.ndim != 2 or g.shape[0] != g.shape[1]:
+            raise ValueError("generator matrix must be square")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "g", frozen(g))
 
-    def nilpotent(self) -> Mat:
+    @property
+    def dim(self) -> int:
+        return self.g.shape[0]
+
+    def nilpotent(self) -> np.ndarray:
         """g - 1, the nilpotent part of the generator action."""
-        return self.g - Mat.identity(self.g.field, self.dim)
+        return (self.g - np.eye(self.dim, dtype=np.int64)) % self.p
 
     def validate(self) -> None:
         """Check g^p = 1; O(p dim^3), intended for tests and user input."""
-        n = self.nilpotent()
-        acc = Mat.identity(self.g.field, self.dim)
+        n, acc = self.nilpotent(), np.eye(self.dim, dtype=np.int64)
         for _ in range(self.p):
-            acc = acc @ n
-        if not acc.is_zero():
+            acc = matmul_mod(acc, n, self.p)
+        if acc.any():
             raise ValueError("generator is not unipotent of order dividing p")
 
 
@@ -59,14 +66,10 @@ def jordan_module(p: int, parts: list[int] | tuple[int, ...]) -> ZpModule:
         if not 1 <= x <= p:
             raise ValueError(f"block size {x} out of range [1, {p}]")
     dim = sum(parts)
-    f = GF(p)
-    g = Mat.identity(f, dim)
-    off = 0
-    for x in parts:
-        for i in range(x - 1):
-            g.a[off + i, off + i + 1] = 1
-        off += x
-    return ZpModule(p, dim, g)
+    g = np.eye(dim, dtype=np.int64) + np.eye(dim, k=1, dtype=np.int64)
+    starts = np.cumsum(parts, dtype=np.int64)[:-1]  # of every block but the first
+    g[starts - 1, starts] = 0
+    return ZpModule(p, g)
 
 
 def trivial_module(p: int, n: int = 1) -> ZpModule:
@@ -82,8 +85,8 @@ def jordan_type(m: ZpModule) -> tuple[int, ...]:
 def jordan_types(ms: Iterable[ZpModule]) -> Iterator[tuple[int, ...]]:
     """`jordan_type` of each module of `ms`, in order, eliminated in
     batches by `nilpotent_partitions`; the modules are read lazily and
-    must share one prime.  The chain reads each g - 1 as a plain array."""
-    return nilpotent_partitions((m.g.a - np.eye(m.dim, dtype=np.int64), m.p) for m in ms)
+    must share one prime."""
+    return nilpotent_partitions((m.nilpotent(), m.p) for m in ms)
 
 
 def _check_same_prime(a: ZpModule, b: ZpModule) -> None:
@@ -93,30 +96,31 @@ def _check_same_prime(a: ZpModule, b: ZpModule) -> None:
 
 def tensor(a: ZpModule, b: ZpModule) -> ZpModule:
     """Tensor product; the generator acts diagonally by g_a (x) g_b, one
-    broadcast product in `Mat.kron`'s order (left factor slowest)."""
+    broadcast product in `np.kron`'s order (left factor slowest)."""
     _check_same_prime(a, b)
     n = a.dim * b.dim
-    g = (a.g.a[:, None, :, None] * b.g.a[None, :, None, :]).reshape(n, n)
-    return ZpModule(a.p, n, Mat(a.g.field, g))
+    return ZpModule(a.p, (a.g[:, None, :, None] * b.g[None, :, None, :]).reshape(n, n))
 
 
 def direct_sum(a: ZpModule, b: ZpModule) -> ZpModule:
     _check_same_prime(a, b)
-    g = Mat.zeros(a.g.field, a.dim + b.dim, a.dim + b.dim)
-    g.a[: a.dim, : a.dim] = a.g.a
-    g.a[a.dim :, a.dim :] = b.g.a
-    return ZpModule(a.p, a.dim + b.dim, g)
+    g = np.zeros((a.dim + b.dim,) * 2, dtype=np.int64)
+    g[: a.dim, : a.dim], g[a.dim :, a.dim :] = a.g, b.g
+    return ZpModule(a.p, g)
 
 
 def dual(a: ZpModule) -> ZpModule:
     """Dual module; the generator acts by (g^-1)^T."""
-    return ZpModule(a.p, a.dim, a.g.inverse().T)
+    inverse = solve_array(a.g, np.eye(a.dim, dtype=np.int64), a.p)
+    if inverse is None:
+        raise ValueError("generator matrix is singular")
+    return ZpModule(a.p, inverse.T)
 
 
-def braiding(a: ZpModule, b: ZpModule) -> Mat:
+def braiding(a: ZpModule, b: ZpModule) -> np.ndarray:
     """The braiding of Rep(Z/pZ): the plain swap A (x) B -> B (x) A."""
     _check_same_prime(a, b)
-    return Mat(GF(a.p), swap(a.dim, b.dim))
+    return swap(a.dim, b.dim)
 
 
 def hom_stack(a: ZpModule, b: ZpModule) -> np.ndarray:
@@ -124,11 +128,13 @@ def hom_stack(a: ZpModule, b: ZpModule) -> np.ndarray:
     (h x b.dim x a.dim) array.
 
     T is flattened row-major; the intertwining condition becomes
-    (I (x) g_a^T - g_b (x) I) vec(T) = 0.
+    (I (x) g_a^T - g_b (x) I) vec(T) = 0, a (a.dim b.dim)^2-entry system
+    charged against the default budget before it is formed.
     """
     _check_same_prime(a, b)
-    system = np.kron(np.eye(b.dim, dtype=np.int64), a.g.a.T) - np.kron(
-        b.g.a, np.eye(a.dim, dtype=np.int64)
+    check_budget((a.dim * b.dim) ** 2, None, "intertwining system of hom_stack")
+    system = np.kron(np.eye(b.dim, dtype=np.int64), a.g.T) - np.kron(
+        b.g, np.eye(a.dim, dtype=np.int64)
     )
     k = kernel(system, a.p)
     return k.T.reshape(k.shape[1], b.dim, a.dim)
@@ -150,7 +156,7 @@ class _SymDegrees(QuotientDegrees):
 
     def __init__(self, m: ZpModule, max_entries: int | None):
         super().__init__(m.dim, m.p, max_entries)
-        self.gen = frozen(m.g.a.copy())
+        self.gen = m.g
         self.g = [frozen(np.ones((1, 1), dtype=np.int64))]
 
     def _relations(self) -> np.ndarray:
@@ -187,8 +193,7 @@ def sym_power(m: ZpModule, degree: int, max_entries: int | None = None) -> ZpMod
     sympow-comparison` sets it against S^m computed inside Ver_p.
     """
     check_degree(degree)
-    key = (m.p, m.dim, m.g.a.tobytes(), max_entries)
+    key = (m.p, m.dim, m.g.tobytes(), max_entries)
     tower = _SymDegrees.shared(key, m, max_entries)
     tower.grow(degree)
-    g = tower.g[degree]
-    return ZpModule(m.p, g.shape[0], Mat(m.g.field, g))
+    return ZpModule(m.p, tower.g[degree])

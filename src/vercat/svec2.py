@@ -1,7 +1,8 @@
 """The characteristic-2 supervector category sVec_2 = Rep(k[d]/(d^2)).
 
-Objects are GF(2) spaces with a square-zero endomorphism d; the braiding
-twists the swap by the R-matrix 1 (x) 1 + d (x) d:
+Objects are GF(2) spaces with a square-zero endomorphism d, held as an
+int64 array of residues mod 2, as is every map here; the braiding twists
+the swap by the R-matrix 1 (x) 1 + d (x) d:
 
     c(v (x) w) = w (x) v + d(w) (x) d(v).
 
@@ -23,28 +24,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graded
-from .exactlin import GF, Mat, check_budget, kernel, matmul_mod, pivots, rank, rref
-
-GF2 = GF(2)
+from .exactlin import _residues_of, check_budget, kernel, matmul_mod, pivots, rank, rref
 
 
 @dataclass(frozen=True, eq=False)
 class DModule:
-    """A GF(2) space with a differential d satisfying d^2 = 0."""
+    """A GF(2) space with a differential d satisfying d^2 = 0; `d` is read
+    once into a read-only array of residues mod 2."""
 
-    dim: int
-    d: Mat
+    d: np.ndarray
 
     def __post_init__(self):
-        if self.d.rows != self.dim or self.d.cols != self.dim:
-            raise ValueError("d must be square of size dim")
-        if self.d.field != GF2:
-            raise ValueError("d must live over GF(2)")
+        d = _residues_of(self.d, 2)
+        if d.ndim != 2 or d.shape[0] != d.shape[1]:
+            raise ValueError("d must be square")
         # only k whose row and column of d are both nonzero add to (d d)[r, c]
-        d = self.d.a
         k = np.flatnonzero(d.any(axis=0) & d.any(axis=1))
         if matmul_mod(d[:, k], d[k, :], 2).any():
             raise ValueError("d^2 must vanish")
+        object.__setattr__(self, "d", graded.frozen(d))
+
+    @property
+    def dim(self) -> int:
+        return self.d.shape[0]
 
 
 def random_dmodule(rng: np.random.Generator, dim: int) -> DModule:
@@ -59,41 +61,35 @@ def random_dmodule(rng: np.random.Generator, dim: int) -> DModule:
     pm = matmul_mod(lower[:, rng.permutation(dim)], upper, 2)
     r, _ = rref(np.hstack([pm, eye]), 2)  # [I | P^-1]
     x = 2 * np.arange(rng.integers(0, dim // 2 + 1))  # J sends each e_x to e_(x+1)
-    return DModule(dim, Mat(GF2, matmul_mod(pm[:, x + 1], r[x, dim:], 2)))
+    return DModule(matmul_mod(pm[:, x + 1], r[x, dim:], 2))
 
 
 def trivial(n: int = 1) -> DModule:
-    return DModule(n, Mat.zeros(GF2, n, n))
+    return DModule(np.zeros((n, n), dtype=np.int64))
 
 
 def module_w() -> DModule:
     """The indecomposable W with basis (x, y), d(x) = y, d(y) = 0."""
-    return DModule(2, Mat(GF2, [[0, 0], [1, 0]]))
+    return DModule([[0, 0], [1, 0]])
 
 
 def direct_sum(a: DModule, b: DModule) -> DModule:
-    d = Mat.zeros(GF2, a.dim + b.dim, a.dim + b.dim)
-    d.a[: a.dim, : a.dim] = a.d.a
-    d.a[a.dim :, a.dim :] = b.d.a
-    return DModule(a.dim + b.dim, d)
+    d = np.zeros((a.dim + b.dim,) * 2, dtype=np.int64)
+    d[: a.dim, : a.dim], d[a.dim :, a.dim :] = a.d, b.d
+    return DModule(d)
 
 
 def tensor(a: DModule, b: DModule) -> DModule:
     """Tensor product; d is primitive, acting by d (x) 1 + 1 (x) d."""
-    ia = Mat.identity(GF2, a.dim)
-    ib = Mat.identity(GF2, b.dim)
-    return DModule(a.dim * b.dim, a.d.kron(ib) + ia.kron(b.d))
+    ia, ib = np.eye(a.dim, dtype=np.int64), np.eye(b.dim, dtype=np.int64)
+    return DModule(np.kron(a.d, ib) + np.kron(ia, b.d))
 
 
-def _braiding(a: DModule, b: DModule) -> np.ndarray:
-    n = a.dim * b.dim
-    r_action = (np.eye(n, dtype=np.int64) + np.kron(a.d.a, b.d.a)) % 2
-    return r_action.reshape(a.dim, b.dim, n).transpose(1, 0, 2).reshape(n, n)  # swap @ r_action
-
-
-def braiding(a: DModule, b: DModule) -> Mat:
+def braiding(a: DModule, b: DModule) -> np.ndarray:
     """Matrix of c: A (x) B -> B (x) A, the swap twisted by d (x) d."""
-    return Mat(GF2, _braiding(a, b))
+    n = a.dim * b.dim
+    r_action = (np.eye(n, dtype=np.int64) + np.kron(a.d, b.d)) % 2
+    return r_action.reshape(a.dim, b.dim, n).transpose(1, 0, 2).reshape(n, n)  # swap @ r_action
 
 
 class _DDegrees(graded.QuotientDegrees):
@@ -108,13 +104,13 @@ class _DDegrees(graded.QuotientDegrees):
 
     def __init__(self, x: DModule, max_entries: int | None):
         super().__init__(x.dim, 2, max_entries)
-        self.x = DModule(x.dim, Mat(GF2, x.d.a))  # a copy, as the key reads x now
+        self.x = x
         self.dmat: list[np.ndarray] = []
 
     def _relations(self) -> np.ndarray:
         n = self.n
         check_budget(n**4, self.max_entries, "relation matrix of S^2")
-        rel = (np.eye(n * n, dtype=np.int64) + _braiding(self.x, self.x)) % 2
+        rel = (np.eye(n * n, dtype=np.int64) + braiding(self.x, self.x)) % 2
         return rel[:, pivots(rel, 2)]
 
     def _extend(self, depth: int) -> None:
@@ -123,11 +119,11 @@ class _DDegrees(graded.QuotientDegrees):
             if m == 0:
                 dm = np.zeros((1, 1), dtype=np.int64)
             elif m == 1:  # q[1] is the identity: degree 1 carries d itself
-                dm = self.x.d.a
+                dm = self.x.d
             else:  # d (x) 1 + 1 (x) d on the kept columns
                 qm, km, du = self.q[m], self.keep[m], self.q[m - 1].shape[0]
                 left = graded.induced(qm, km, self.dmat[m - 1], np.identity(n, np.int64), 2)
-                right = graded.induced(qm, km, np.identity(du, np.int64), self.x.d.a, 2)
+                right = graded.induced(qm, km, np.identity(du, np.int64), self.x.d, 2)
                 dm = (left + right) % 2
             self.dmat.append(graded.frozen(dm))
 
@@ -151,7 +147,7 @@ class DGradedAlgebra(graded.GradedTower, graded.TruncatedAlgebra):
         self.depth = depth
         self.max_entries = max_entries
         self.nx = x.dim
-        key = (x.dim, x.d.a.tobytes(), max_entries)
+        key = (x.dim, x.d.tobytes(), max_entries)
         self._deg = _DDegrees.shared(key, x, max_entries)
         self._deg.grow(depth)
         self.q, self.keep, self.dmat = self._deg.view(depth)
@@ -190,7 +186,7 @@ def sym_algebra(x: DModule, depth: int, max_entries: int | None = None) -> DGrad
 def injectivity_check(
     u: DModule,
     w: DModule,
-    inclusion: Mat,
+    inclusion: np.ndarray,
     depth: int,
     max_entries: int | None = None,
 ) -> int | None:
@@ -198,12 +194,12 @@ def injectivity_check(
 
     The inclusion must be an injective map of DModules; the induced maps
     on symmetric powers are compared degree by degree against the source
-    dimensions.
+    dimensions.  The inclusion is an integer array, read mod 2.
     """
-    incl = inclusion.a
-    if inclusion.field != GF2 or incl.shape != (w.dim, u.dim):
+    incl = _residues_of(inclusion, 2)
+    if incl.shape != (w.dim, u.dim):
         raise ValueError("inclusion must be a GF(2) matrix from U to W")
-    if not np.array_equal(matmul_mod(incl, u.d.a, 2), matmul_mod(w.d.a, incl, 2)):
+    if not np.array_equal(matmul_mod(incl, u.d, 2), matmul_mod(w.d, incl, 2)):
         raise ValueError("inclusion is not an intertwiner of d")
     if rank(incl, 2) != u.dim:
         raise ValueError("inclusion is not injective")
@@ -217,14 +213,14 @@ def injectivity_check(
     return None
 
 
-def invariants_d(alg: DGradedAlgebra) -> list[Mat]:
+def invariants_d(alg: DGradedAlgebra) -> list[np.ndarray]:
     """Per-degree bases of the invariant part, the kernel of d.
 
     Subobjects isomorphic to the unit are exactly the lines killed by d,
     so the invariant part of each degree is ker(d); it is closed under
     products by the derivation rule.
     """
-    return [Mat(GF2, kernel(d, 2)) for d in alg.dmat]
+    return [kernel(d, 2) for d in alg.dmat]
 
 
 def fourth_power_checks(

@@ -53,7 +53,6 @@ import numpy as np
 
 from .exactlin import (
     GF,
-    Mat,
     check_budget,
     cokernel,
     kernel,
@@ -73,14 +72,14 @@ from .repzp import ZpModule, hom_stack, jordan_module, jordan_types
 
 @dataclass(frozen=True)
 class VerObject:
-    """An element of the fusion ring: multiplicities of L_1, ..., L_{p-1},
-    stored as a tuple of Python ints (any integer type is accepted)."""
+    """An element of the fusion ring: multiplicities of L_1, ..., L_{p-1}
+    as a tuple of Python ints, and p as one (any integer type is accepted)."""
 
     p: int
     mult: tuple[int, ...]
 
     def __post_init__(self):
-        GF(self.p)  # raises for any p that is not a prime GF accepts
+        object.__setattr__(self, "p", GF(self.p).characteristic)  # raises unless p is a prime
         try:
             mult = tuple(map(operator.index, self.mult))
         except TypeError:
@@ -256,10 +255,10 @@ class VerHom:
     def dim(self) -> int:
         return self._class_proj.shape[0]
 
-    def reduce(self, f: Mat) -> tuple[int, ...]:
-        """Coordinates of the class of f over the class basis."""
-        p, h = self.source.p, self._hom_basis
-        coords = solve_array(h.reshape(len(h), f.a.size).T, f.a.reshape(-1, 1), p)
+    def reduce(self, f: np.ndarray) -> tuple[int, ...]:
+        """Coordinates of the class of the integer array f over the class basis."""
+        p, h, f = self.source.p, self._hom_basis, np.reshape(f, (-1, 1))
+        coords = solve_array(h.reshape(len(h), len(f)).T, f, p)
         if coords is None:
             raise ValueError("f is not an intertwiner")
         return tuple(int(x) for x in matmul_mod(self._class_proj, coords, p)[:, 0])
@@ -306,9 +305,7 @@ class _Blocks:
         blocks = []
         off = 0
         for s in sizes:
-            blocks.append(
-                (np.arange(off, off + s, dtype=np.int64), jordan_module(p, [s]).g.a)
-            )
+            blocks.append((np.arange(off, off + s, dtype=np.int64), jordan_module(p, [s]).g))
             off += s
         return _Blocks(p, off, blocks)
 
@@ -563,7 +560,7 @@ def _jordan_basis(p: int, a: int, b: int) -> tuple[list[int], np.ndarray, np.nda
         t = np.hstack([t, new_t])
         tinv = np.vstack([tinv, new_tinv])
         sizes.extend([k] * m)
-    jordan = jordan_module(p, sizes).g.a
+    jordan = jordan_module(p, sizes).g
     g_t = (t + _nil_cols(t, a, b, p)) % p
     if sum(sizes) != n or not np.array_equal(matmul_mod(tinv, t, p), np.eye(n, dtype=np.int64)):
         raise AssertionError("pair basis is not invertible")

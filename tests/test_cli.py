@@ -342,7 +342,7 @@ def _plus_swap(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def _plain_swap(a: sv.DModule, b: sv.DModule) -> np.ndarray:
-    """`svec2._braiding` without its d (x) d twist."""
+    """`svec2.braiding` without its d (x) d twist."""
     return graded.swap(a.dim, b.dim)
 
 
@@ -379,7 +379,7 @@ class TestMutants:
     @pytest.mark.parametrize(
         "suite, owner, attr, replacement, total, failed",
         [
-            ("svec2", sv, "_braiding", _plain_swap, 19, {
+            ("svec2", sv, "braiding", _plain_swap, 19, {
                 "svec2-noninjectivity <y> in W",
                 "svec2 dim S^2(W) = 2",
                 *(f"svec2 {label} {name}" for label in ("S(W)", "S(W+1)")
@@ -1071,7 +1071,7 @@ def _dmodule_of(parts: str):
 
 
 def _same_dmodule(a, b) -> bool:
-    return a.dim == b.dim and np.array_equal(a.d.a, b.d.a)
+    return a.dim == b.dim and np.array_equal(a.d, b.d)
 
 
 @pytest.mark.parametrize("text,parts", DMODULE_SPECS)

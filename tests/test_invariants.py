@@ -279,7 +279,7 @@ class TestIsotypicStability:
         for trial in range(60):
             i = int(rng.integers(1, p + 1))
             sizes = tuple(int(s) for s in rng.integers(1, p + 1, size=rng.integers(1, 4)))
-            gj, gv = jordan_module(p, [i]).g.a, jordan_module(p, sizes).g.a
+            gj, gv = jordan_module(p, [i]).g, jordan_module(p, sizes).g
             basis = hom_stack(jordan_module(p, [i]), jordan_module(p, sizes))
             h = np.tensordot(rng.integers(0, p, len(basis)), basis, axes=(0, 0)) % p
             if trial % 4 == 1:

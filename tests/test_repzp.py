@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from vercat.exactlin import GF, BudgetExceeded, Mat, cokernel, kernel, pivots, rank
+from vercat.exactlin import BudgetExceeded, cokernel, kernel, matmul_mod, pivots, rank, solve_array
 from vercat.graded import QuotientDegrees, swap
 from vercat.repzp import (
     ZpModule,
@@ -29,49 +29,45 @@ from vercat.repzp import (
 
 def rand_conjugate(rng, m: ZpModule) -> ZpModule:
     """The same module in a scrambled basis."""
-    f = m.g.field
     while True:
-        p_mat = Mat(
-            f, [[rng.randrange(m.p) for _ in range(m.dim)] for _ in range(m.dim)]
-        )
-        if rank(p_mat.a, m.p) == m.dim:
+        p_mat = np.array([[rng.randrange(m.p) for _ in range(m.dim)] for _ in range(m.dim)])
+        if rank(p_mat, m.p) == m.dim:
             break
-    return ZpModule(m.p, m.dim, p_mat @ m.g @ p_mat.inverse())
+    p_inv = solve_array(p_mat, np.eye(m.dim, dtype=np.int64), m.p)
+    return ZpModule(m.p, matmul_mod(matmul_mod(p_mat, m.g, m.p), p_inv, m.p))
 
 
 def brute_sym_power(p: int, parts, m: int):
     """Independent oracle: S^m as the dense quotient of the full tensor power
     by all adjacent-swap relations at once."""
     x = jordan_module(p, parts)
-    f = x.g.field
     n = x.dim
     if m == 0:
         return trivial_module(p, 1)
     g_t = x.g
     for _ in range(m - 1):
-        g_t = g_t.kron(x.g)
+        g_t = np.kron(g_t, x.g) % p
     rel_cols = []
-    eye = Mat.identity(f, n**m)
+    eye = np.eye(n**m, dtype=np.int64)
     for i in range(1, m):
-        swap = Mat.zeros(f, n * n, n * n)
+        swap = np.zeros((n * n, n * n), dtype=np.int64)
         for a in range(n):
             for b in range(n):
-                swap.a[b * n + a, a * n + b] = 1
-        tau = Mat.identity(f, n ** (i - 1)).kron(swap).kron(
-            Mat.identity(f, n ** (m - i - 1))
-        )
-        rel_cols.append(eye - tau)
-    rel = np.hstack([r.a for r in rel_cols])
+                swap[b * n + a, a * n + b] = 1
+        tau = np.kron(np.kron(np.eye(n ** (i - 1), dtype=np.int64), swap),
+                      np.eye(n ** (m - i - 1), dtype=np.int64))
+        rel_cols.append((eye - tau) % p)
+    rel = np.hstack(rel_cols)
     rel = rel[:, pivots(rel, p)]  # a basis of the column span
     # the unit vectors at `free` are the coset representatives
     proj, free = cokernel(rel, p)
-    return ZpModule(p, len(proj), Mat(f, proj @ g_t.a[:, free]))
+    return ZpModule(p, matmul_mod(proj, g_t[:, free], p))
 
 
 class TestJordanModules:
     def test_trivial(self):
         m = jordan_module(5, [1])
-        assert m.dim == 1 and m.g == Mat.identity(GF(5), 1)
+        assert m.dim == 1 and m.g.tolist() == [[1]]
 
     def test_regular(self):
         m = jordan_module(5, [5])
@@ -138,7 +134,7 @@ class TestTensorSumDual:
             tensor(jordan_module(3, [2]), jordan_module(5, [2]))
 
     def test_tensor_generator_is_kron(self):
-        # the broadcast product keeps Mat.kron's left-factor-slowest order;
+        # the broadcast product keeps np.kron's left-factor-slowest order;
         # duals give generators with entries off the two diagonals
         rng = random.Random(17)
         for _ in range(40):
@@ -153,7 +149,7 @@ class TestTensorSumDual:
                 b = dual(b)
             t = tensor(a, b)
             assert t.dim == a.dim * b.dim
-            assert t.g == a.g.kron(b.g)
+            assert np.array_equal(t.g, np.kron(a.g, b.g) % p)
 
     def test_direct_sum(self):
         s = direct_sum(jordan_module(5, [3]), jordan_module(5, [2, 1]))
@@ -189,24 +185,22 @@ class TestHomStack:
             )
             assert len(hs) == want
             for t in hs:
-                t = Mat(a.g.field, t)
-                assert t @ a.g == b.g @ t
+                assert np.array_equal(matmul_mod(t, a.g, p), matmul_mod(b.g, t, p))
             if len(hs):
-                stacked = Mat(a.g.field, hs.reshape(len(hs), -1).T)
-                assert rank(stacked.a, a.p) == len(hs)
+                assert rank(hs.reshape(len(hs), -1).T, a.p) == len(hs)
 
 
 class TestFixedPoints:
     def test_trivial(self):
-        assert kernel(trivial_module(5, 4).nilpotent().a, 5).shape[1] == 4
+        assert kernel(trivial_module(5, 4).nilpotent(), 5).shape[1] == 4
 
     def test_single_block(self):
         for n in (1, 3, 5):
-            assert kernel(jordan_module(5, [n]).nilpotent().a, 5).shape[1] == 1
+            assert kernel(jordan_module(5, [n]).nilpotent(), 5).shape[1] == 1
 
     def test_tensor_square(self):
         t = tensor(jordan_module(3, [2]), jordan_module(3, [2]))
-        assert kernel(t.nilpotent().a, 3).shape[1] == 2
+        assert kernel(t.nilpotent(), 3).shape[1] == 2
 
     def test_counts_parts(self):
         rng = random.Random(4)
@@ -216,7 +210,7 @@ class TestFixedPoints:
                 (rng.randint(1, p) for _ in range(rng.randint(1, 4))), reverse=True
             )
             m = jordan_module(p, parts)
-            assert kernel(m.nilpotent().a, p).shape[1] == len(parts)
+            assert kernel(m.nilpotent(), p).shape[1] == len(parts)
 
 
 class TestBraiding:
@@ -228,23 +222,24 @@ class TestBraiding:
             b = jordan_module(p, [rng.randint(1, p), rng.randint(1, p)])
             c_ab = braiding(a, b)
             c_ba = braiding(b, a)
-            assert c_ba @ c_ab == Mat.identity(GF(p), a.dim * b.dim)
+            assert np.array_equal(matmul_mod(c_ba, c_ab, p), np.eye(a.dim * b.dim))
 
     def test_intertwines(self):
         a = jordan_module(5, [2])
         b = jordan_module(5, [3])
         c = braiding(a, b)
-        assert c @ a.g.kron(b.g) == b.g.kron(a.g) @ c
+        lhs = matmul_mod(c, np.kron(a.g, b.g) % 5, 5)
+        assert np.array_equal(lhs, matmul_mod(np.kron(b.g, a.g) % 5, c, 5))
 
 
 class TestSymPower:
     def test_degree_one_is_module(self):
         m = jordan_module(5, [3, 1])
-        assert sym_power(m, 1).g == m.g
+        assert np.array_equal(sym_power(m, 1).g, m.g)
 
     def test_degree_zero(self):
         s = sym_power(jordan_module(5, [2]), 0)
-        assert s.dim == 1 and s.g == Mat.identity(GF(5), 1)
+        assert s.dim == 1 and s.g.tolist() == [[1]]
 
     def test_binomial_dimension_grid(self):
         # dim S^m(J_n) = C(n+m-1, n-1) across the grid (block sizes capped at p)
@@ -291,10 +286,9 @@ class TestSymPower:
             g_m = np.ones((1, 1), dtype=np.int64)
             for k in range(1, m + 1):
                 proj = q[k] @ np.kron(proj, np.eye(n, dtype=np.int64)) % p
-                g_m = np.kron(g_m, mod.g.a)
+                g_m = np.kron(g_m, mod.g)
             assert rank(proj, p) == s.dim
-            proj = Mat(GF(p), proj)
-            assert proj @ Mat(GF(p), g_m) == s.g @ proj
+            assert np.array_equal(matmul_mod(proj, g_m % p, p), matmul_mod(s.g, proj, p))
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
@@ -310,31 +304,92 @@ class TestCategoricalDimension:
         for p in (3, 5, 7):
             for i in range(1, p + 1):
                 m = jordan_module(p, [i])
-                assert int(np.trace(Mat.identity(GF(p), m.dim).a)) % p == i % p
+                assert int(np.trace(np.eye(m.dim, dtype=np.int64))) % p == i % p
         # J_p has categorical dimension 0: the hallmark of negligibility
-        assert int(np.trace(Mat.identity(GF(5), 5).a)) % 5 == 0
+        assert int(np.trace(np.eye(5, dtype=np.int64))) % 5 == 0
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
         (
-            lambda: ZpModule(3, 2, Mat.identity(GF(3), 3)),
-            "generator matrix shape does not match dim",
+            lambda: ZpModule(3, np.ones((3, 2), dtype=np.int64)),
+            "generator matrix must be square",
         ),
         (
-            lambda: ZpModule(3, 2, Mat.identity(GF(5), 2)),
-            "generator matrix must live over GF(p)",
+            lambda: ZpModule(4, np.eye(2, dtype=np.int64)),
+            "characteristic must be a prime <= 65537, got 4",
         ),
         # g = 2 has order 2, which does not divide 3
         (
-            lambda: ZpModule(3, 1, Mat(GF(3), [[2]])).validate(),
+            lambda: ZpModule(3, [[2]]).validate(),
             "generator is not unipotent of order dividing p",
         ),
     ],
-    ids=["shape", "field", "not-unipotent"],
+    ids=["shape", "prime", "not-unipotent"],
 )
 def test_input_checks(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("p", [2, 5, 65537])
+class TestArrayConstructor:
+    """`ZpModule` reads its generator once into a read-only int64 array
+    of residues mod p: every integer dtype and Python integers of any
+    size reduce exactly, and nothing else is accepted."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            [[-1, -(2**62)], [3 * 65537 + 4, 2**40]],
+            np.array([[-128, 127], [-1, 0]], dtype=np.int8),
+            np.array([[2**64 - 1, 2**63], [2**63 + 5, 0]], dtype=np.uint64),
+            np.array([[10**30 + 1, -(10**40)], [7, -(2**100)]], dtype=object),
+        ],
+        ids=["negative-and-large", "int8", "uint64", "object"],
+    )
+    def test_entries_reduce_exactly(self, p, raw):
+        want = [[int(x) % p for x in row] for row in np.asarray(raw).tolist()]
+        m = ZpModule(np.int32(p), raw)
+        assert type(m.p) is int and m.p == p and m.dim == 2
+        assert m.g.dtype == np.int64 and m.g.tolist() == want
+        assert not m.g.flags.writeable
+
+    def test_reads_its_input_once(self, p):
+        raw = np.eye(3, dtype=np.int64)
+        m = ZpModule(p, raw)
+        raw[0, 1] = 1
+        assert m.g.tolist() == np.eye(3, dtype=np.int64).tolist()
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (np.eye(2), "floating point entries are not allowed"),
+            ([[1.0, 0], [0, 1]], "floating point entries are not allowed"),
+            (np.array([[1, 0.5], [0, 1]], dtype=object), "entries must be integers"),
+            (np.array([["1", 0], [0, 1]], dtype=object), "entries must be integers"),
+            (np.ones((2, 3), dtype=np.int64), "generator matrix must be square"),
+            ([1, 0], "generator matrix must be square"),
+        ],
+        ids=["float64", "float-list", "object-half", "object-str", "2x3", "vector"],
+    )
+    def test_rejects(self, p, raw, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ZpModule(p, raw)
+
+
+class TestHomStackBudget:
+    """The (a.dim b.dim)^2-entry intertwining system is charged against
+    the default budget, 2^20 entries, before it is formed."""
+
+    def test_32_dimensional_modules_answer(self):
+        hs = hom_stack(trivial_module(2, 32), trivial_module(2, 32))
+        assert hs.shape == (1024, 32, 32)
+
+    def test_33_dimensional_modules_raise(self):
+        # (33 * 33)^2 = 1,185,921 entries, over 2^20 = 1,048,576
+        message = "^intertwining system of hom_stack needs 1185921 .*, budget is 1048576;"
+        with pytest.raises(BudgetExceeded, match=message):
+            hom_stack(trivial_module(5, 33), jordan_module(5, [5] * 6 + [3]))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from vercat import exactlin, graded
-from vercat.exactlin import GF, BudgetExceeded, Mat, cokernel, kernel, pivots, rank
+from vercat.exactlin import BudgetExceeded, cokernel, kernel, matmul_mod, pivots, rank
 from vercat.svec2 import (
     DGradedAlgebra,
     DModule,
@@ -27,8 +27,6 @@ from vercat.svec2 import (
     trivial,
 )
 
-F2 = GF(2)
-
 # golden data, frozen after agreeing with the brute-force oracle below
 GOLDEN_SW_DIMS = [1, 2, 2, 2, 2, 2, 2, 2, 2]
 GOLDEN_SW_INV_DIMS = [1, 1, 2, 1, 2, 1, 2, 1, 2]
@@ -36,9 +34,13 @@ GOLDEN_SW_INV_DIMS = [1, 1, 2, 1, 2, 1, 2, 1, 2]
 
 def rand_dmodule(rng, dim):
     while True:
-        d = Mat(F2, [[rng.randrange(2) for _ in range(dim)] for _ in range(dim)])
-        if (d @ d).is_zero():
-            return DModule(dim, d)
+        d = np.array([[rng.randrange(2) for _ in range(dim)] for _ in range(dim)])
+        if not (d @ d % 2).any():
+            return DModule(d)
+
+
+def eye(n):
+    return np.eye(n, dtype=np.int64)
 
 
 def brute_degree(x: DModule, m: int):
@@ -46,48 +48,44 @@ def brute_degree(x: DModule, m: int):
     braiding relations, with the induced differential."""
     n = x.dim
     if m == 0:
-        return 1, Mat.zeros(F2, 1, 1)
+        return 1, np.zeros((1, 1), dtype=np.int64)
     big_d = x.d
-    eye_n = Mat.identity(F2, n)
     for _ in range(m - 1):
-        cur = big_d.rows
-        big_d = big_d.kron(eye_n) + Mat.identity(F2, cur).kron(x.d)
+        big_d = (np.kron(big_d, eye(n)) + np.kron(eye(len(big_d)), x.d)) % 2
     rel_cols = []
     c = braiding(x, x)
-    eye = Mat.identity(F2, n**m)
     for i in range(1, m):
-        tau = Mat.identity(F2, n ** (i - 1)).kron(c).kron(
-            Mat.identity(F2, n ** (m - i - 1))
-        )
-        rel_cols.append(eye + tau)
-    rel = np.hstack([r.a for r in rel_cols]) if rel_cols else np.zeros((n**m, 0), dtype=np.int64)
+        tau = np.kron(np.kron(eye(n ** (i - 1)), c), eye(n ** (m - i - 1)))
+        rel_cols.append((eye(n**m) + tau) % 2)
+    rel = np.hstack(rel_cols) if rel_cols else np.zeros((n**m, 0), dtype=np.int64)
     rel = rel[:, pivots(rel, 2)]  # a basis of the column span
     # the unit vectors at `free` are the coset representatives
     proj, free = cokernel(rel, 2)
-    return len(proj), Mat(F2, proj @ big_d.a[:, free])
+    return len(proj), matmul_mod(proj, big_d[:, free], 2)
 
 
 class TestDModule:
     def test_d_square_enforced(self):
         with pytest.raises(ValueError):
-            DModule(2, Mat(F2, [[0, 1], [1, 0]]))
+            DModule([[0, 1], [1, 0]])
 
     def test_d_square_check_matches_dense_product(self):
         rng = random.Random(3)
         for _ in range(300):
             dim = rng.randint(1, 6)
-            d = Mat(F2, [[rng.random() < 0.3 for _ in range(dim)] for _ in range(dim)])
-            if (d @ d).is_zero():
-                DModule(dim, d)
+            # a bool array, read as 0 and 1
+            d = np.array([[rng.random() < 0.3 for _ in range(dim)] for _ in range(dim)])
+            if not (d.astype(np.int64) @ d % 2).any():
+                DModule(d)
             else:
                 with pytest.raises(ValueError):
-                    DModule(dim, d)
+                    DModule(d)
 
     def test_w(self):
         w = module_w()
         # d(x) = y, d(y) = 0 in the basis (x, y)
-        assert w.d.a[:, 0].tolist() == [0, 1]
-        assert w.d.a[:, 1].tolist() == [0, 0]
+        assert w.d[:, 0].tolist() == [0, 1]
+        assert w.d[:, 1].tolist() == [0, 0]
 
 
 class TestRandomDModule:
@@ -99,7 +97,7 @@ class TestRandomDModule:
             if not (d @ d % 2).any():
                 every.add(d.tobytes())
         rng = np.random.default_rng(0)
-        drawn = {random_dmodule(rng, dim).d.a.tobytes() for _ in range(1000)}
+        drawn = {random_dmodule(rng, dim).d.tobytes() for _ in range(1000)}
         assert len(every) == count and drawn == every
 
 
@@ -111,7 +109,7 @@ class TestBraiding:
             for j in range(3):
                 v = np.zeros(6, dtype=np.int64)
                 v[i * 3 + j] = 1
-                out = (c.a @ v) % 2
+                out = (c @ v) % 2
                 assert out[j * 2 + i] == 1 and out.sum() == 1
 
     def test_x_tensor_x(self):
@@ -120,32 +118,31 @@ class TestBraiding:
         c = braiding(w, w)
         v = np.zeros(4, dtype=np.int64)
         v[0] = 1
-        assert ((c.a @ v) % 2).tolist() == [1, 0, 0, 1]
+        assert ((c @ v) % 2).tolist() == [1, 0, 0, 1]
 
     def test_x_tensor_y(self):
         w = module_w()
         c = braiding(w, w)
         v = np.zeros(4, dtype=np.int64)
         v[1] = 1  # x (x) y
-        assert ((c.a @ v) % 2).tolist() == [0, 0, 1, 0]  # y (x) x
+        assert ((c @ v) % 2).tolist() == [0, 0, 1, 0]  # y (x) x
 
     def test_rows_reordered_as_the_swap_matrix_permutes_them(self):
         # c = swap (1 + d (x) d), the swap applied by reordering rows
         rng = np.random.default_rng(30)
         for _ in range(50):
             a, b = (random_dmodule(rng, int(dim)) for dim in rng.integers(0, 5, size=2))
-            r_action = np.eye(a.dim * b.dim, dtype=np.int64) + np.kron(a.d.a, b.d.a)
+            r_action = np.eye(a.dim * b.dim, dtype=np.int64) + np.kron(a.d, b.d)
             want = graded.swap(a.dim, b.dim) @ r_action % 2
-            assert np.array_equal(braiding(a, b).a, want), (a.dim, b.dim)
+            assert np.array_equal(braiding(a, b), want), (a.dim, b.dim)
 
     def test_symmetric_on_random_pairs(self):
         rng = random.Random(10)
         for _ in range(100):
             a = rand_dmodule(rng, rng.randint(1, 4))
             b = rand_dmodule(rng, rng.randint(1, 4))
-            assert braiding(b, a) @ braiding(a, b) == Mat.identity(
-                F2, a.dim * b.dim
-            )
+            c = matmul_mod(braiding(b, a), braiding(a, b), 2)
+            assert np.array_equal(c, eye(a.dim * b.dim))
 
     def test_natural_for_intertwiners(self):
         rng = random.Random(20)
@@ -154,29 +151,25 @@ class TestBraiding:
             b = rand_dmodule(rng, rng.randint(1, 3))
             # solve for all intertwiners f: a -> a, g: b -> b
             def intertwiners(m):
-                eye = Mat.identity(F2, m.dim)
-                sys = eye.kron(m.d.T) - m.d.kron(eye)
-                ker = kernel(sys.a, 2)
-                return [
-                    Mat(F2, ker[:, t].reshape(m.dim, m.dim).copy())
-                    for t in range(ker.shape[1])
-                ]
+                ker = kernel(np.kron(eye(m.dim), m.d.T) - np.kron(m.d, eye(m.dim)), 2)
+                return [ker[:, t].reshape(m.dim, m.dim) for t in range(ker.shape[1])]
             fs, gs = intertwiners(a), intertwiners(b)
             f = fs[rng.randrange(len(fs))]
             g = gs[rng.randrange(len(gs))]
             c = braiding(a, b)
-            assert g.kron(f) @ c == c @ f.kron(g)
+            lhs = matmul_mod(np.kron(g, f), c, 2)
+            assert np.array_equal(lhs, matmul_mod(c, np.kron(f, g), 2))
 
 
 class TestTensor:
     def test_unit(self):
         w = module_w()
         t = tensor(w, trivial(1))
-        assert t.dim == 2 and t.d == w.d
+        assert t.dim == 2 and np.array_equal(t.d, w.d)
 
     def test_w_tensor_w_rank(self):
         t = tensor(module_w(), module_w())
-        assert rank(t.d.a, 2) == 2
+        assert rank(t.d, 2) == 2
 
     def test_d_square_zero_random(self):
         rng = random.Random(30)
@@ -184,7 +177,7 @@ class TestTensor:
             a = rand_dmodule(rng, rng.randint(1, 3))
             b = rand_dmodule(rng, rng.randint(1, 3))
             t = tensor(a, b)  # constructor asserts d^2 = 0
-            assert (t.d @ t.d).is_zero()
+            assert not matmul_mod(t.d, t.d, 2).any()
 
 
 class TestSymAlgebra:
@@ -236,7 +229,7 @@ class TestSymAlgebra:
         # spans the same relations, so the quotient tower is the same
         alg = sym_algebra(mod, 8)
         n = mod.dim
-        rel = (np.eye(n * n, dtype=np.int64) + braiding(mod, mod).a) % 2
+        rel = (np.eye(n * n, dtype=np.int64) + braiding(mod, mod)) % 2
         assert exactlin.rank(rel, 2) == rank < n * n  # dependent columns
         tower = graded.QuotientDegrees(n, 2, None, rel)
         tower.grow(8)
@@ -276,34 +269,34 @@ class TestSymAlgebra:
 class TestInjectivity:
     def test_identity_inclusion(self):
         w = module_w()
-        assert injectivity_check(w, w, Mat.identity(F2, 2), 5) is None
+        assert injectivity_check(w, w, eye(2), 5) is None
 
     def test_y_line_fails_at_two(self):
         u = trivial(1)
-        incl = Mat(F2, [[0], [1]])
+        incl = [[0], [1]]
         assert injectivity_check(u, module_w(), incl, 5) == 2
 
     def test_y_line_in_w_plus_unit(self):
         u = trivial(1)
         amb = direct_sum(module_w(), trivial(1))
-        incl = Mat(F2, [[0], [1], [0]])
+        incl = [[0], [1], [0]]
         assert injectivity_check(u, amb, incl, 5) == 2
 
     def test_degree_one_injective(self):
         # the failure appears at degree exactly 2, nowhere below
         u = trivial(1)
-        incl = Mat(F2, [[0], [1]])
+        incl = [[0], [1]]
         assert injectivity_check(u, module_w(), incl, 1) is None
 
     def test_rejects_non_intertwiner(self):
         u = trivial(1)
-        incl = Mat(F2, [[1], [0]])  # maps onto x, but d(x) != 0
+        incl = [[1], [0]]  # maps onto x, but d(x) != 0
         with pytest.raises(ValueError):
             injectivity_check(u, module_w(), incl, 3)
 
     def test_rejects_non_injective(self):
         u = trivial(1)
-        incl = Mat(F2, [[0], [0]])
+        incl = [[0], [0]]
         with pytest.raises(ValueError):
             injectivity_check(u, module_w(), incl, 3)
 
@@ -382,26 +375,26 @@ class TestInvariantsD:
     def test_degree_zero(self):
         alg = sym_algebra(module_w(), 6)
         inv = invariants_d(alg)
-        assert inv[0].cols == 1
+        assert inv[0].shape[1] == 1
 
     def test_golden_dims_sw(self):
         alg = sym_algebra(module_w(), 8)
         inv = invariants_d(alg)
-        assert [b.cols for b in inv] == GOLDEN_SW_INV_DIMS
+        assert [b.shape[1] for b in inv] == GOLDEN_SW_INV_DIMS
         # independent check against the oracle differential
         for m in range(5):
             dim, dmat = brute_degree(module_w(), m)
-            assert inv[m].cols == dim - rank(dmat.a, 2)
+            assert inv[m].shape[1] == dim - rank(dmat, 2)
 
     def test_invariants_form_subalgebra(self):
         alg = sym_algebra(module_w(), 6)
         inv = invariants_d(alg)
         for a_deg in range(1, 3):
             for b_deg in range(1, 3):
-                for i in range(inv[a_deg].cols):
-                    for j in range(inv[b_deg].cols):
-                        a = alg.from_vector(a_deg, inv[a_deg].a[:, i])
-                        b = alg.from_vector(b_deg, inv[b_deg].a[:, j])
+                for i in range(inv[a_deg].shape[1]):
+                    for j in range(inv[b_deg].shape[1]):
+                        a = alg.from_vector(a_deg, inv[a_deg][:, i])
+                        b = alg.from_vector(b_deg, inv[b_deg][:, j])
                         assert alg.dmap(alg.mul(a, b)) == {}
 
     def test_fourth_powers_invariant(self):
@@ -413,20 +406,65 @@ class TestInvariantsD:
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: DModule(2, Mat.zeros(F2, 3, 3)), "d must be square of size dim"),
-        (lambda: DModule(1, Mat.zeros(GF(3), 1, 1)), "d must live over GF(2)"),
+        (lambda: DModule(np.zeros((3, 2), dtype=np.int64)), "d must be square"),
+        (lambda: DModule(np.zeros((2, 2))), "floating point entries are not allowed"),
         (
-            lambda: injectivity_check(trivial(1), module_w(), Mat.zeros(GF(3), 2, 1), 2),
-            "inclusion must be a GF(2) matrix from U to W",
+            lambda: injectivity_check(trivial(1), module_w(), np.zeros((2, 1)), 2),
+            "floating point entries are not allowed",
         ),
         (
-            lambda: injectivity_check(trivial(1), module_w(), Mat.zeros(F2, 1, 2), 2),
+            lambda: injectivity_check(trivial(1), module_w(), np.zeros((1, 2), np.int64), 2),
             "inclusion must be a GF(2) matrix from U to W",
         ),
     ],
-    ids=["shape", "field", "inclusion-field", "inclusion-shape"],
+    ids=["shape", "floats", "inclusion-floats", "inclusion-shape"],
 )
 def test_input_checks(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+class TestArrayConstructor:
+    """`DModule` reads d once into a read-only int64 array of residues
+    mod 2: every integer dtype and Python integers of any size reduce
+    exactly, and nothing else is accepted."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            [[4, -6], [-1, 2**62 + 2]],
+            np.array([[-128, 0], [127, -2]], dtype=np.int8),
+            np.array([[2**64 - 2, 0], [2**63 + 1, 2**64 - 4]], dtype=np.uint64),
+            np.array([[10**30, 0], [-(2**100) - 1, -(10**40)]], dtype=object),
+        ],
+        ids=["negative-and-large", "int8", "uint64", "object"],
+    )
+    def test_entries_reduce_exactly(self, raw):
+        m = DModule(raw)
+        assert m.dim == 2 and m.d.dtype == np.int64 and m.d.tolist() == [[0, 0], [1, 0]]
+        assert not m.d.flags.writeable
+
+    def test_reads_its_input_once(self):
+        raw = np.array([[0, 0], [1, 0]])
+        m = DModule(raw)
+        raw[0, 0] = 1
+        assert m.d.tolist() == [[0, 0], [1, 0]]
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (np.zeros((2, 2)), "floating point entries are not allowed"),
+            ([[0.0, 0], [1, 0]], "floating point entries are not allowed"),
+            (np.array([[0, 0], [0.5, 0]], dtype=object), "entries must be integers"),
+            (np.array([["1", 0], [0, 0]], dtype=object), "entries must be integers"),
+            (np.zeros((2, 3), dtype=np.int64), "d must be square"),
+            ([0, 1], "d must be square"),
+            # residues of [[0, 1], [1, 0]], whose square is the identity
+            ([[2, -1], [3, -4]], r"d\^2 must vanish"),
+        ],
+        ids=["float64", "float-list", "object-half", "object-str", "2x3", "vector", "d-squared"],
+    )
+    def test_rejects(self, raw, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DModule(raw)

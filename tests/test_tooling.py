@@ -6,8 +6,9 @@ than silently break `perfbench/run.py --trace 1`.  The package's own
 correctness checks raise AssertionError explicitly, so `python -O` keeps
 them.  Every product of residue arrays goes through
 `exactlin.matmul_mod` or `exactlin.contract_mod`, apart from the sites
-listed in `PLAIN_PRODUCTS`.  A failing hypothesis test must report its
-example under CI's warning flags."""
+listed in `PLAIN_PRODUCTS`, and the package computes on residue arrays:
+only `exactlin` names its checked wrapper `Mat`.  A failing hypothesis
+test must report its example under CI's warning flags."""
 
 import ast
 import glob
@@ -54,16 +55,12 @@ def test_package_has_no_assert_statements():
 # functions whose products are formed by plain numpy: qualified name ->
 # (number of product sites, why the site stays off `matmul_mod`)
 FIRST_ROW = "the first-row anchor route keeps plain numpy until ROADMAP item 2 deletes it"
-MAT_PRODUCT = "Mat @ Mat, which `Mat.__matmul__` forms by `matmul_mod`"
 PLAIN_PRODUCTS = {
     "verlinde._matpow": (1, FIRST_ROW),
     "verlinde._HomClasses.__init__": (4, FIRST_ROW),
     "verlinde._HomClasses.reduce": (1, FIRST_ROW),
     "verlinde._ver_cokernel": (2, FIRST_ROW),
     "cli.suite_fusion": (2, "einsum over integer fusion tables, not residues mod p"),
-    "cli.suite_sympow": (1, MAT_PRODUCT),
-    "cli.suite_svec2": (1, MAT_PRODUCT),
-    "repzp.ZpModule.validate": (1, MAT_PRODUCT),
 }
 # the product kernels themselves
 KERNELS = {"exactlin.matmul_mod", "exactlin.contract_mod"}
@@ -108,6 +105,27 @@ def test_residue_products_go_through_the_kernels():
     extra = {name: where.get(name) for name in set(found) | set(allowed)
              if found[name] != allowed.get(name, 0)}
     assert extra == {}
+
+
+def test_only_exactlin_names_mat():
+    # modules, maps and braidings are int64 residue arrays; `Mat` stays the
+    # public checked wrapper for tests and users
+    found = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "vercat", "*.py"))):
+        if os.path.basename(path) == "exactlin.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            names = (
+                [node.id] if isinstance(node, ast.Name)
+                else [node.attr] if isinstance(node, ast.Attribute)
+                else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                else []
+            )
+            if "Mat" in names:
+                found.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert found == []
 
 
 FAILING_PROPERTY = """

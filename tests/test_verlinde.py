@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vercat import graded, svec2, verlinde
-from vercat.exactlin import GF, BudgetExceeded, Mat, solve_array
+from vercat.exactlin import BudgetExceeded, matmul_mod, solve_array
+from vercat.invariants import build_invariant_algebra
 from vercat.repzp import hom_stack, jordan_module, jordan_type, tensor, trivial_module
 from vercat.verlinde import (
     MultSeries,
@@ -78,6 +79,17 @@ class TestVerObject:
         assert x.mult == (2, 1, 0, 10**20)
         assert all(type(m) is int for m in x.mult)
         assert x == VerObject(5, (2, 1, 0, 10**20)) and hash(x) == hash(VerObject(5, x.mult))
+
+    def test_prime_is_a_python_int(self):
+        # p kept as an np.int32 overflowed contract_mod's exactness bound
+        u = {1: np.array([1]), 2: np.array([3])}
+        answers = []
+        for p in (np.int32(1291), 1291):
+            x = VerObject(p, (1, 1) + (0,) * 1288)
+            assert type(x.p) is int and x == VerObject(1291, x.mult)
+            prod = build_invariant_algebra(x, 4).mul(u, u)
+            answers.append({m: c.tolist() for m, c in prod.items()})
+        assert answers[0] == answers[1] == {2: [1], 3: [6], 4: [9]}
 
     @pytest.mark.parametrize("p", [0, 1, 4, 9])
     def test_rejects_characteristics_that_are_not_primes(self, p):
@@ -261,12 +273,12 @@ class TestNegligibleRadical:
             rad = radical(a, b)
             if not len(rad):
                 continue
-            n = Mat(GF(p), rad[rng.randrange(len(rad))])
+            n = rad[rng.randrange(len(rad))]
             gs = hom_stack(c, d)
-            g = Mat(GF(p), gs[rng.randrange(len(gs))])
-            big = n.kron(g)  # A (x) C -> B (x) D
+            g = gs[rng.randrange(len(gs))]
+            big = np.kron(n, g) % p  # A (x) C -> B (x) D
             for u in hom_stack(tensor(b, d), tensor(a, c)):
-                assert int(np.trace((big @ Mat(GF(p), u)).a)) % p == 0
+                assert int(np.trace(matmul_mod(big, u, p))) % p == 0
 
 
 class TestVerHom:
@@ -299,15 +311,13 @@ class TestVerHom:
         a = jordan_module(p, [2, 1])
         b = jordan_module(p, [5, 3])
         c = jordan_module(p, [3])
-        hom_ab = [Mat(GF(p), f) for f in hom_stack(a, b)]
-        rad_ab = [Mat(GF(p), f) for f in radical(a, b)]
-        hom_bc = [Mat(GF(p), f) for f in hom_stack(b, c)]
+        hom_ab, rad_ab, hom_bc = hom_stack(a, b), radical(a, b), hom_stack(b, c)
         vh = ver_hom(a, c)
         for _ in range(20):
-            # the constructor reduces the scaled entries mod p
-            u = Mat(GF(p), hom_ab[rng.randrange(len(hom_ab))].a * rng.randrange(1, p))
-            f = Mat(GF(p), hom_bc[rng.randrange(len(hom_bc))].a * rng.randrange(1, p))
-            n = Mat(GF(p), rad_ab[rng.randrange(len(rad_ab))].a * rng.randrange(p))
+            # reduce reads the unreduced integer products mod p
+            u = hom_ab[rng.randrange(len(hom_ab))] * rng.randrange(1, p)
+            f = hom_bc[rng.randrange(len(hom_bc))] * rng.randrange(1, p)
+            n = rad_ab[rng.randrange(len(rad_ab))] * rng.randrange(p)
             assert vh.reduce(f @ (u + n)) == vh.reduce(f @ u)
 
 
@@ -581,7 +591,7 @@ class TestClassicalPlethysm:
 
 
 def _g_full(tw, m):
-    return jordan_module(tw.p, tw.sizes[m]).g.a
+    return jordan_module(tw.p, tw.sizes[m]).g
 
 
 def _assert_mu_intertwines(tw, pairs):
@@ -841,8 +851,8 @@ class TestPairBasis:
                 for b in range(1, p + 1):
                     sizes, t, tinv = _jordan_basis(p, a, b)
                     assert tuple(sizes) == _pair_basis(p, a, b).sizes
-                    g = tensor(jordan_module(p, [a]), jordan_module(p, [b])).g.a
-                    jordan = jordan_module(p, sizes).g.a
+                    g = tensor(jordan_module(p, [a]), jordan_module(p, [b])).g
+                    jordan = jordan_module(p, sizes).g
                     assert np.array_equal((t @ tinv) % p, np.eye(a * b))
                     assert np.array_equal((tinv @ g @ t) % p, jordan)
 
