@@ -12,16 +12,18 @@ arrays of residues mod p:
 
 - `swap`: the permutation v (x) w -> w (x) v, and `minus_swap`, its
   relation 1 - swap applied by transposing two tensor factors;
-- `Degrees`: the degree data of the towers on one key, grown on demand,
-  rolled back when a growth raises, read per depth and shared by key
+- `Degrees`: the degree data of the towers on one key (q_m per degree,
+  the sections s_b, p, dim X and the budget), grown on demand, rolled
+  back when a growth raises, read per depth and shared by key
   (`Degrees.shared`, `tower_store`: see below);
 - `QuotientDegrees`: the plain degreewise quotient, grown one degree at
   a time, used by Rep(Z/pZ) (relation 1 - swap) and sVec_2 (relation
   1 + braiding); Ver_p takes its cokernels modulo negligible morphisms
-  instead (`verlinde._Degrees`) and shares only `Degrees`, `minus_swap`
-  and `mu`; `induced` pushes maps through it, on its kept coordinates;
-- `GradedTower.mu`: the recursion above, and `GradedTower.table`, the
-  one reading of mu(a, b) as a (da x db x dc) structure tensor;
+  instead (`verlinde._Degrees`); `induced` pushes maps through it, on
+  its kept coordinates;
+- `GradedTower(deg, depth)`: the one tower holder, reading `deg` up to
+  `depth`; `mu` is the recursion above, and `table` reads mu(a, b) as
+  a (da x db x dc) structure tensor, the one cache of such tables;
 - `TruncatedAlgebra`: element arithmetic, where the product of degrees
   a and b contracts coordinates against a (da x db x dc) structure
   tensor, and the pairs of each output degree are summed by one
@@ -38,7 +40,8 @@ key's budget.  Data is shared while it is held.  Inside a `tower_store`
 block, which `cli.main` opens around each command, the block holds it
 until it exits, so a command builds each degree once.  Outside one, the
 weak table `_LIVE` holds it only while a tower on the key is alive.
-Both are keyed by (engine class, key).  Products stay with each tower.
+Both are keyed by (engine class, key).  Products and tables stay with
+each tower.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .exactlin import check_budget, cokernel, contract_mod, matmul_mod
+from .exactlin import _residues_of, check_budget, cokernel, contract_mod, matmul_mod
 
 Elem = dict[int, np.ndarray]
 
@@ -117,23 +120,28 @@ def tower_store() -> Iterator[None]:
 class Degrees:
     """The degree data of the towers on one key, grown on demand.
 
-    `_LISTS` names the lists that hold one entry per degree, degree m at
-    index m, the first of them the tower's own; a subclass fills them.
+    A tower reads `p`, `nx` = dim X and `max_entries` off it.  `_LISTS`
+    names the lists that hold one entry per degree, degree m at index m,
+    q (q[m]: S^(m-1) (x) X -> S^m) among them; a subclass fills them.
     `grow(depth)` calls `_build_degree(m)` for each degree the first list
     lacks, then `_extend(depth)`, where a subclass appends what it reads
     off the built degrees.  A growth that raises cuts every list in
     `_LISTS` back to the length it found, so shared degrees stay as they
     were.  `view(depth)` is those lists clipped to degrees 0..depth, which
     must be built: one tuple per depth, so the towers of one depth read
-    the same lists.  Built arrays are read-only.  The data holds no
-    reference to a tower: outside a `tower_store` it dies with the last
-    tower that holds it.
+    the same lists.  `section(b)`, s_b: S^b -> S^(b-1) (x) X with
+    q_b s_b = 1 (as classes modulo negligibles in Ver_p), is formed once,
+    by a subclass's `_section(b)`, into `sections`.  Built arrays are
+    read-only.  The data holds no reference to a tower: outside a
+    `tower_store` it dies with the last tower that holds it.
     """
 
     _LISTS: tuple[str, ...] = ()
 
-    def __init__(self):
+    def __init__(self, p: int, nx: int, max_entries: int | None):
+        self.p, self.nx, self.max_entries = p, nx, max_entries
         self._views: dict[int, tuple[list, ...]] = {}
+        self.sections: dict[int, np.ndarray] = {}
 
     @classmethod
     def shared(cls, key, *args):
@@ -163,6 +171,11 @@ class Degrees:
             self._views[depth] = tuple(getattr(self, name)[: depth + 1] for name in self._LISTS)
         return self._views[depth]
 
+    def section(self, b: int) -> np.ndarray:
+        if b not in self.sections:
+            self.sections[b] = frozen(self._section(b))
+        return self.sections[b]
+
     def _build_degree(self, m: int) -> None:
         raise NotImplementedError
 
@@ -174,7 +187,7 @@ class QuotientDegrees(Degrees):
     """S^m = coker(relations into S^(m-1) (x) X), grown on demand: `q`
     and `keep` hold degrees 0..built.
 
-    The (n^2 x r) residue columns `rel` span the degree-2 relations inside
+    The (nx^2 x r) residue columns `rel` span the degree-2 relations inside
     X (x) X; a subclass that passes none forms them in `_relations`, which
     is called once, when S^2 is first built, so nothing is formed or
     charged for them below S^2.  In degree m they enter S^(m-1) (x) X
@@ -189,9 +202,8 @@ class QuotientDegrees(Degrees):
 
     _LISTS: tuple[str, ...] = ("q", "keep")
 
-    def __init__(self, n: int, p: int, max_entries: int | None, rel: np.ndarray | None = None):
-        super().__init__()
-        self.n, self.p, self.max_entries = n, p, max_entries
+    def __init__(self, nx: int, p: int, max_entries: int | None, rel: np.ndarray | None = None):
+        super().__init__(p, nx, max_entries)
         self._rel = rel
         self._rel3: np.ndarray | None = None  # the relations as (n, n, r)
         self.q = [frozen(np.ones((1, 1), dtype=np.int64))]
@@ -201,7 +213,7 @@ class QuotientDegrees(Degrees):
         return self._rel
 
     def _build_degree(self, m: int) -> None:
-        n, p = self.n, self.p
+        n, p = self.nx, self.p
         if m == 1:
             self.q.append(frozen(np.eye(n, dtype=np.int64)))
             self.keep.append(frozen(np.arange(n, dtype=np.intp)))
@@ -218,6 +230,12 @@ class QuotientDegrees(Degrees):
         self.q.append(frozen(qm))
         self.keep.append(frozen(np.array(free, dtype=np.intp)))
 
+    def _section(self, b: int) -> np.ndarray:
+        """The unit columns at keep[b]."""
+        s = np.zeros((self.q[b].shape[1], len(self.keep[b])), dtype=np.int64)
+        s[self.keep[b], np.arange(len(self.keep[b]))] = 1
+        return s
+
 
 def induced(q: np.ndarray, keep, a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """q (a (x) b) on the kept columns, S^m(f) for a = S^(m-1)(f), b = f,
@@ -230,24 +248,33 @@ def induced(q: np.ndarray, keep, a: np.ndarray, b: np.ndarray, p: int) -> np.nda
 
 
 class GradedTower:
-    """Multiplication maps of a tower of degreewise quotients S^0..S^depth.
+    """A tower of degreewise quotients S^0..S^depth, read off its degree
+    data, with its multiplication maps.
 
-    Subclasses set `p`, `depth`, `nx` = dim X, `q` (q[m]: S^(m-1) (x) X
-    -> S^m as an array), `max_entries` and an empty dict `_mu`, and
-    provide `dim(m)` and either the `keep` of a `QuotientDegrees` with an
-    empty dict `_sections` or their own `section(b)`, a map
-    S^b -> S^(b-1) (x) X with q_b s_b = 1 (as classes modulo negligibles
-    in Ver_p).  `mu(a, 1)` returns q_(a+1) itself, so readers must not
-    write into what `mu` returns.
+    `GradedTower(deg, depth)` grows `deg` to `depth`, binds each list of
+    `deg._LISTS` clipped to 0..depth (`Degrees.view`) under its own name,
+    and reads `p`, `nx` = dim X and `max_entries` off `deg`.  Sections
+    are the degree data's (`Degrees.section`), read-only and shared with
+    every tower on the key; the products `mu` and the structure tables
+    `table` belong to this tower alone.  `mu(a, 1)` returns q_(a+1)
+    itself, so readers must not write into what `mu` or `table` return.
     """
 
+    def __init__(self, deg: Degrees, depth: int):
+        check_degree(depth)
+        deg.grow(depth)
+        self._deg, self.depth = deg, depth
+        self.p, self.nx, self.max_entries = deg.p, deg.nx, deg.max_entries
+        for name, values in zip(deg._LISTS, deg.view(depth)):
+            setattr(self, name, values)
+        self._mu: dict[tuple, np.ndarray] = {}
+        self._tables: dict[tuple, np.ndarray] = {}
+
+    def dim(self, m: int) -> int:
+        return self.q[m].shape[0]
+
     def section(self, b: int) -> np.ndarray:
-        """The unit columns at keep[b], built once per degree."""
-        if b not in self._sections:
-            s = np.zeros((self.q[b].shape[1], len(self.keep[b])), dtype=np.int64)
-            s[self.keep[b], np.arange(len(self.keep[b]))] = 1
-            self._sections[b] = s
-        return self._sections[b]
+        return self._deg.section(b)
 
     def mu(self, a: int, b: int, left: tuple[int, ...] | None = None) -> np.ndarray:
         """Multiplication S^a (x) S^b -> S^(a+b), degrees a+b <= depth, as
@@ -288,15 +315,20 @@ class GradedTower:
         return out
 
     def table(self, a: int, b: int, keep=None) -> np.ndarray:
-        """mu(a, b) as the (da x db x dc) structure tensor; `keep`, a
-        triple of coordinate lists for S^a, S^b and S^(a+b), slices it,
-        and only the kept S^a columns of mu(a, b) are formed."""
-        left = None if keep is None else tuple(keep[0])
-        k = self.dim(a) if left is None else len(left)
-        mu = self.mu(a, b, left).reshape(self.dim(a + b), k, self.dim(b))
-        if keep is not None:
-            mu = mu[np.ix_(keep[2], range(k), keep[1])]
-        return np.ascontiguousarray(mu.transpose(1, 2, 0))
+        """mu(a, b) as the (da x db x dc) structure tensor, cached per
+        (a, b, keep); `keep`, a triple of coordinate sequences for S^a,
+        S^b and S^(a+b), slices it, and only the kept S^a columns of
+        mu(a, b) are formed."""
+        keep = None if keep is None else tuple(map(tuple, keep))
+        key = (a, b, keep)
+        if key not in self._tables:
+            left = None if keep is None else keep[0]
+            k = self.dim(a) if left is None else len(left)
+            mu = self.mu(a, b, left).reshape(self.dim(a + b), k, self.dim(b))
+            if keep is not None:
+                mu = mu[np.ix_(keep[2], range(k), keep[1])]
+            self._tables[key] = np.ascontiguousarray(mu.transpose(1, 2, 0))
+        return self._tables[key]
 
 
 def _left_columns(m: np.ndarray, da: int, w: int, left: tuple[int, ...]) -> np.ndarray:
@@ -316,9 +348,11 @@ class TruncatedAlgebra:
     `stack` builds one from per-trial elements, and every operation
     broadcasts over the leading trial axis, a vector (such as
     `one()`) acting on every row.  `equal` is True only if every row
-    agrees.  Subclasses set `p`, `depth`, `dims` (the dimension of each
-    degree) and `max_entries`, and provide `product_table(a, b)`, the
-    (da x db x dc) structure tensor of degrees a and b.
+    agrees.  Components may be given as any integer sequences: each
+    operation reads them as residues mod p (`_read`).  Subclasses have
+    `p`, `depth`, `dims` (the dimension of each degree) and `max_entries`,
+    and provide `product_table(a, b)`, the (da x db x dc) structure
+    tensor of degrees a and b.
     """
 
     def zero(self) -> Elem:
@@ -335,7 +369,7 @@ class TruncatedAlgebra:
             for m, c in u.items():
                 if m not in out:
                     out[m] = np.zeros((len(elems), self.dims[m]), dtype=np.int64)
-                out[m][t] = c
+                out[m][t] = _residues_of(c, self.p)
         return out
 
     def check_batch(self, trials: int) -> None:
@@ -349,20 +383,21 @@ class TruncatedAlgebra:
         )
         check_budget(trials * widest, self.max_entries, f"a batch of {trials} trials")
 
+    def _read(self, u: Elem) -> Elem:
+        """u's components as residues mod p (`exactlin._residues_of`)."""
+        return {m: _residues_of(c, self.p) for m, c in u.items()}
+
     def add(self, u: Elem, v: Elem) -> Elem:
-        out = {}
-        for m in set(u) | set(v):
-            c = (u.get(m, 0) + v.get(m, 0)) % self.p
-            if np.any(c):
-                out[m] = np.asarray(c, dtype=np.int64)
-        return out
+        u, v = self._read(u), self._read(v)
+        sums = {m: (u.get(m, 0) + v.get(m, 0)) % self.p for m in set(u) | set(v)}
+        return {m: c for m, c in sums.items() if np.any(c)}
 
     def mul(self, u: Elem, v: Elem) -> Elem:
         """Product; components above the truncation are dropped.  The
-        coordinates are reduced mod p once, and each output degree is one
-        `exactlin.contract_mod` over its degree pairs."""
+        coordinates are read as residues mod p once (`_read`), and each
+        output degree is one `exactlin.contract_mod` over its degree pairs."""
         p = self.p
-        u, v = ({m: c % p for m, c in w.items()} for w in (u, v))
+        u, v = self._read(u), self._read(v)
         pairs: dict[int, list] = {}
         for a, ca in u.items():
             for b, cb in v.items():
@@ -386,9 +421,8 @@ class TruncatedAlgebra:
         return self.one() if out is None else out
 
     def equal(self, u: Elem, v: Elem) -> bool:
-        return not any(
-            np.any((u.get(m, 0) - v.get(m, 0)) % self.p) for m in set(u) | set(v)
-        )
+        u, v = self._read(u), self._read(v)
+        return not any(np.any(u.get(m, 0) != v.get(m, 0)) for m in set(u) | set(v))
 
     def random_batch(
         self,

@@ -40,9 +40,10 @@ class InvariantAlgebra(graded.TruncatedAlgebra):
     same (X, max_entries) while they are held, up to its own depth, so
     the reports of one set (`build_invariant_algebra`,
     `module_finiteness_check`, `isotypic_stability_check`) build the
-    tower once in a command, or while the caller holds one algebra.  The
-    products (`tower._mu`), the tables and the (possibly shuffled)
-    invariant offsets belong to this algebra alone.
+    tower once in a command, or while the caller holds one algebra.  Its
+    products and structure tables are its tower's (`tower._mu`,
+    `tower._tables`), so they, like the (possibly shuffled) invariant
+    offsets, belong to this algebra alone.
     """
 
     def __init__(
@@ -52,26 +53,24 @@ class InvariantAlgebra(graded.TruncatedAlgebra):
         max_entries: int | None = None,
         basis_seed: int | None = None,
     ):
-        self.x = x
-        self.p = x.p
-        self.depth = depth
-        self.max_entries = max_entries
-        self.tower = SymTower(x, depth, max_entries)
-        self._inv_offsets = [self.tower.block_offsets(m, 1) for m in range(depth + 1)]
+        self.x, self.tower = x, SymTower(x, depth, max_entries)
+        self.p, self.depth, self.max_entries = x.p, depth, max_entries
+        degrees = range(depth + 1)
+        offsets = {(m, i): self.tower.block_offsets(m, i) for m in degrees for i in range(1, x.p)}
         if basis_seed is not None:
             rng = random.Random(basis_seed)
-            for offs in self._inv_offsets:
-                rng.shuffle(offs)
-        self.dims = [len(offs) for offs in self._inv_offsets]
+            for m in degrees:
+                rng.shuffle(offsets[m, 1])
+        self._offsets = {key: tuple(offs) for key, offs in offsets.items()}
+        self.dims = [len(offsets[m, 1]) for m in degrees]
         if self.dims[0] != 1:
             raise AssertionError("degree 0 must be one-dimensional")
-        self._tables: dict[tuple[int, int, int], np.ndarray] = {}
 
     # -- degree data ---------------------------------------------------------
 
-    def offsets(self, m: int, i: int) -> list[int]:
+    def offsets(self, m: int, i: int) -> tuple[int, ...]:
         """Offsets in V_m of the size-i blocks, in class-coordinate order."""
-        return self._inv_offsets[m] if i == 1 else self.tower.block_offsets(m, i)
+        return self._offsets[m, i]
 
     def iso_dim(self, m: int, i: int) -> int:
         return len(self.offsets(m, i))
@@ -86,14 +85,12 @@ class InvariantAlgebra(graded.TruncatedAlgebra):
         first vectors of the blocks, and its class is its entry at the
         first vector of each size-i block of V_(a+b), so the table is
         mu(a, b) sliced to those coordinates.  Only the invariant columns
-        of V_a are formed (`GradedTower.mu` with `left`), and the tower
-        caches them for every i and for `isotypic_stability_check`.
+        of V_a are formed (`GradedTower.mu` with `left`); the tower caches
+        them for every i and for `isotypic_stability_check`, and caches
+        the table (`GradedTower.table`).
         """
-        key = (a, b, i)
-        if key not in self._tables:
-            keep = (self.offsets(a, 1), self.offsets(b, i), self.offsets(a + b, i))
-            self._tables[key] = self.tower.table(a, b, keep)
-        return self._tables[key]
+        keep = (self.offsets(a, 1), self.offsets(b, i), self.offsets(a + b, i))
+        return self.tower.table(a, b, keep)
 
     def product_table(self, a: int, b: int) -> np.ndarray:
         """Structure constants: table[k, l] = coords of (e_k^a) * (e_l^b)."""
@@ -234,7 +231,7 @@ def isotypic_stability_check(
         m = a + b
         # the invariant's representative is sum_k ca[k] e_k over the
         # invariant offsets of V_a, so only those columns of mu(a, b) are read
-        mu = alg.tower.mu(a, b, tuple(alg.offsets(a, 1)))
+        mu = alg.tower.mu(a, b, alg.offsets(a, 1))
         mu = mu.reshape(alg.tower.dim(m), alg.dims[a], alg.tower.dim(b))
         s_mu = matmul_mod(mu.transpose(0, 2, 1), ca[:, None], p)[..., 0]
         # t's representative sends column c of J_i to sum_l cb[l] e_(off_l + c)

@@ -160,7 +160,7 @@ class _SymDegrees(QuotientDegrees):
         self.g = [frozen(np.ones((1, 1), dtype=np.int64))]
 
     def _relations(self) -> np.ndarray:
-        n, r = self.n, self.n * (self.n - 1) // 2
+        n, r = self.nx, self.nx * (self.nx - 1) // 2
         check_budget(n * n * r, self.max_entries, "relation matrix of S^2")
         i, j = np.triu_indices(n, 1)
         rel = np.zeros((n * n, r), dtype=np.int64)
@@ -170,7 +170,7 @@ class _SymDegrees(QuotientDegrees):
 
     def _extend(self, depth: int) -> None:
         for k in range(len(self.g), depth + 1):
-            g, n = self.g[k - 1], self.n
+            g, n = self.g[k - 1], self.nx
             check_budget(g.shape[0] * n * len(self.keep[k]), self.max_entries, f"action on S^{k}")
             self.g.append(frozen(induced(self.q[k], self.keep[k], g, self.gen, self.p)))
 

@@ -108,13 +108,13 @@ class _DDegrees(graded.QuotientDegrees):
         self.dmat: list[np.ndarray] = []
 
     def _relations(self) -> np.ndarray:
-        n = self.n
+        n = self.nx
         check_budget(n**4, self.max_entries, "relation matrix of S^2")
         rel = (np.eye(n * n, dtype=np.int64) + braiding(self.x, self.x)) % 2
         return rel[:, pivots(rel, 2)]
 
     def _extend(self, depth: int) -> None:
-        n = self.n
+        n = self.nx
         for m in range(len(self.dmat), depth + 1):
             if m == 0:
                 dm = np.zeros((1, 1), dtype=np.int64)
@@ -132,40 +132,25 @@ class DGradedAlgebra(graded.GradedTower, graded.TruncatedAlgebra):
     """The symmetric algebra of a DModule, truncated in degree.
 
     Degree m is the quotient of (degree m-1) (x) X by the image of the
-    braiding relations.  Holds per-degree dimensions, quotient maps and
-    kept coordinates, the induced derivation d (x) 1 + 1 (x) d, and
-    (lazily) sections and multiplication maps, all as arrays over GF(2).
-    The first four are read, up to this algebra's depth, from the
-    `_DDegrees` kept by X and the budget (`graded.Degrees.shared`), grown
-    if it is shallower; sections and products stay with the algebra.
+    braiding relations.  Quotient maps `q`, kept coordinates `keep`, the
+    induced derivation `dmat` (d (x) 1 + 1 (x) d) and sections are read,
+    up to this algebra's depth, from the `_DDegrees` kept by X and the
+    budget (`graded.Degrees.shared`), grown if it is shallower; products
+    and structure tables stay with the algebra (`graded.GradedTower`).
     """
 
     def __init__(self, x: DModule, depth: int, max_entries: int | None = None):
-        graded.check_degree(depth)
+        graded.check_degree(depth)  # before any degree data is looked up
         self.x = x
-        self.p = 2
-        self.depth = depth
-        self.max_entries = max_entries
-        self.nx = x.dim
         key = (x.dim, x.d.tobytes(), max_entries)
-        self._deg = _DDegrees.shared(key, x, max_entries)
-        self._deg.grow(depth)
-        self.q, self.keep, self.dmat = self._deg.view(depth)
+        super().__init__(_DDegrees.shared(key, x, max_entries), depth)
         self.dims: list[int] = [qm.shape[0] for qm in self.q]
-        self._sections: dict[int, np.ndarray] = {}
-        self._mu: dict[tuple, np.ndarray] = {}
-        self._tables: dict[tuple[int, int], np.ndarray] = {}
 
-    def dim(self, m: int) -> int:
-        return self.dims[m]
-
-    def product_table(self, a: int, b: int) -> np.ndarray:
-        if (a, b) not in self._tables:
-            self._tables[a, b] = self.table(a, b)
-        return self._tables[a, b]
+    # the structure tensor of degrees a and b, cached by the tower
+    product_table = graded.GradedTower.table
 
     def from_vector(self, degree: int, vec) -> dict[int, np.ndarray]:
-        v = np.asarray(vec, dtype=np.int64) % 2
+        v = _residues_of(vec, 2)
         return {degree: v} if v.any() else {}
 
     def dmap(self, u: dict) -> dict:

@@ -256,7 +256,11 @@ class VerHom:
         return self._class_proj.shape[0]
 
     def reduce(self, f: np.ndarray) -> tuple[int, ...]:
-        """Coordinates of the class of the integer array f over the class basis."""
+        """Coordinates of the class of the integer (b.dim x a.dim) array f
+        over the class basis."""
+        shape = (self.target.dim, self.source.dim)
+        if np.shape(f) != shape:
+            raise ValueError(f"f must be a {shape[0]} x {shape[1]} array, got shape {np.shape(f)}")
         p, h, f = self.source.p, self._hom_basis, np.reshape(f, (-1, 1))
         coords = solve_array(h.reshape(len(h), len(f)).T, f, p)
         if coords is None:
@@ -720,14 +724,13 @@ class _Degrees(graded.Degrees):
     _LISTS = ("sizes", "q", "kernels")
 
     def __init__(self, x: VerObject, max_entries: int | None):
-        super().__init__()
-        self.x, self.p, self.nx, self.max_entries = x, x.p, x.dim, max_entries
+        super().__init__(x.p, x.dim, max_entries)
+        self.x = x
         self.sizes: list[tuple[int, ...]] = [(1,)]
-        self.q: list[np.ndarray | None] = [None]
+        self.q = [graded.frozen(np.ones((1, 1), dtype=np.int64))]
         self.kernels: list[dict[int, np.ndarray]] = [{}]
         self.frames: dict[tuple[int, ...], _TensorFrame] = {}
         self.tops: dict[tuple[int, int, int], dict[int, np.ndarray]] = {}
-        self.sections: dict[int, np.ndarray] = {}
 
     def _pair_charge(self, m: int) -> Callable[[int, int], None]:
         """The charge of the pair basis of J_a (x) J_b that degree m reads:
@@ -763,7 +766,7 @@ class _Degrees(graded.Degrees):
         one product per (c, n, n') on the local columns kept in `tops`;
         and the chains [w, wN, ...] of the kernel combinations are the same
         combinations of the following T_B^-1 rows (`_TensorFrame.chains`;
-        the combinations are kept per j for `SymTower.section`).  Rows of
+        the combinations are kept per j for `_section`).  Rows of
         q_m are grouped per block, ordered [w, wN, ..., wN^(j-1)].  The
         largest pair basis of each new frame and each new triple-product
         key, the precomposed class rows of each j, and q_m as its rows
@@ -828,6 +831,27 @@ class _Degrees(graded.Degrees):
         self.q.append(graded.frozen(q_m))
         self.kernels.append(kernels)
 
+    def _section(self, b: int) -> np.ndarray:
+        """s_b: V_b -> V_(b-1) (x) X, with q_b s_b = 1 as classes.
+
+        The size-j blocks of V_b are sent onto the size-j Jordan summands
+        of V_(b-1) (x) X.  Read at the summand tops, q_b's rows at those
+        blocks are the kernel rows `kernels[b][j]`, and a right inverse of
+        those rows picks the combination.  s_1 is q_1 = 1_X itself.
+        """
+        if b == 1:
+            return self.q[1]
+        frame = self._frame(b - 1, self._pair_charge(b))
+        s = np.zeros((frame.dim, self.q[b].shape[0]), dtype=np.int64)
+        for j in sorted(set(self.sizes[b]), reverse=True):
+            offsets = np.array(_block_offsets(self.sizes[b], j), dtype=np.intp)
+            eye = np.eye(len(offsets), dtype=np.int64)
+            coeff = solve_array(self.kernels[b][j], eye, self.p)
+            if coeff is None:
+                raise AssertionError("projection classes are not surjective")
+            s[:, (offsets[:, None] + np.arange(j)).reshape(-1)] = frame.cols(j, coeff)
+        return s
+
 
 class SymTower(graded.GradedTower):
     """Degree-by-degree realization of the symmetric algebra of X in Ver_p.
@@ -844,75 +868,31 @@ class SymTower(graded.GradedTower):
 
     The built degrees (`sizes`, `q`, kernel rows, frames, triple-product
     tops and sections: `_Degrees`) are kept by (p, X, max_entries), with
-    no depth (`graded.Degrees.shared`).  A tower reads exactly the degrees
-    up to its own depth, and builds those its key lacks onto the shared
-    data; each degree is charged once, when it is formed, and a growth
-    that raises leaves the shared degrees as they were.  Data is shared
-    while it is held: the command that built it holds it
-    (`graded.tower_store`), and outside a command the towers alive on the
-    key do.  The products `_mu` stay with each tower, so a reader that
-    patches or corrupts `mu` sees its own products recomputed.  Shared
-    arrays are read-only.
+    no depth, grown on demand and shared while held, as `graded` says;
+    each degree is charged once, when it is formed.  The products `_mu`
+    and tables `_tables` stay with each tower, so a reader that patches
+    or corrupts `mu` sees its own products recomputed.  Shared arrays
+    are read-only.
     """
 
     def __init__(self, x: VerObject, depth: int, max_entries: int | None = None):
-        graded.check_degree(depth)
+        graded.check_degree(depth)  # before any degree data is looked up
         self.x = x
-        self.p = x.p
-        self.depth = depth
-        self.max_entries = max_entries
-        self.nx = x.dim
-        self._mu: dict[tuple, np.ndarray] = {}
-        self._deg = _Degrees.shared((x.p, tuple(x.mult), max_entries), x, max_entries)
-        self._deg.grow(depth)
-        self.sizes, self.q, self.kernels = self._deg.view(depth)
+        key = (x.p, tuple(x.mult), max_entries)
+        super().__init__(_Degrees.shared(key, x, max_entries), depth)
         self.zero_from = next((m for m, s in enumerate(self.sizes) if not s), None)
-
-    def dim(self, m: int) -> int:
-        return sum(self.sizes[m])
 
     def multiplicities(self, m: int) -> VerObject:
         return VerObject.from_blocks(self.p, self.sizes[m])
 
-    # -- sections and multiplication classes --------------------------------
-
-    def section(self, b: int) -> np.ndarray:
-        """A section s_b: V_b -> V_(b-1) (x) X of q_b, with q_b s_b = 1.
-
-        The size-j blocks of V_b are sent onto the size-j Jordan summands
-        of V_(b-1) (x) X.  Read at the summand tops, q_b's rows at those
-        blocks are the kernel rows `kernels[b][j]` of `_Degrees`, and a
-        right inverse of those rows picks the combination.  Sections are
-        degree data: built once, read-only, shared with the tower's
-        degrees.
-        """
-        sections = self._deg.sections
-        if b in sections:
-            return sections[b]
-        if b == 1:
-            sections[1] = self.q[1]  # q_1 = 1_X, read-only
-            return sections[1]
-        frame = self._deg._frame(b - 1, self._deg._pair_charge(b))
-        s = np.zeros((frame.dim, self.dim(b)), dtype=np.int64)
-        for j in sorted(set(self.sizes[b]), reverse=True):
-            offsets = np.asarray(self.block_offsets(b, j))
-            eye = np.eye(len(offsets), dtype=np.int64)
-            coeff = solve_array(self.kernels[b][j], eye, self.p)
-            if coeff is None:
-                raise AssertionError("projection classes are not surjective")
-            s[:, (offsets[:, None] + np.arange(j)).reshape(-1)] = frame.cols(j, coeff)
-        sections[b] = graded.frozen(s)
-        return s
-
     def block_offsets(self, m: int, j: int) -> list[int]:
         """Offsets of the size-j literal blocks inside V_m."""
-        out = []
-        pos = 0
-        for sz in self.sizes[m]:
-            if sz == j:
-                out.append(pos)
-            pos += sz
-        return out
+        return _block_offsets(self.sizes[m], j)
+
+
+def _block_offsets(sizes: tuple[int, ...], j: int) -> list[int]:
+    """Offsets of the size-j blocks in a sum of Jordan blocks of `sizes`."""
+    return [pos for pos, n in zip(itertools.accumulate(sizes, initial=0), sizes) if n == j]
 
 
 def ver_sym_power(

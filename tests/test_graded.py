@@ -341,6 +341,66 @@ def test_batched_arithmetic_is_rowwise(algebra, label, seed, trials, k):
     assert alg.equal(alg.mul(alg.one(), u), u)
 
 
+# (label, builder, components given as lists, their residues): entries
+# past p, negative or past int64 are read as residues, as arrays are
+ENTRY_CASES = {
+    "A(1+L2) p=5": (
+        functools.partial(invariants_of_1_plus_l2, 5),
+        {1: [6], 2: [-2 + 5 * 2**70]},
+        {1: [1], 2: [3]},
+    ),
+    "S(W+1) D=4": (
+        lambda: svec2.sym_algebra(svec2.direct_sum(svec2.module_w(), svec2.trivial(1)), 4),
+        {1: [3, -2, 2**70 + 1]},
+        {1: [1, 0, 1]},
+    ),
+}
+
+
+def same_elem(u, v) -> bool:
+    return u.keys() == v.keys() and all(np.array_equal(u[m], v[m]) for m in u)
+
+
+class TestElementEntryPoints:
+    """Every element operation reads its components as residues mod p:
+    lists answer as the arrays of their residues, floats are refused."""
+
+    @pytest.mark.parametrize("label", sorted(ENTRY_CASES))
+    def test_list_components_answer_as_arrays(self, label):
+        build, given, residues = ENTRY_CASES[label]
+        alg = build()
+        arrays = {m: np.array(c, dtype=np.int64) for m, c in residues.items()}
+        assert same_elem(alg.mul(given, given), alg.mul(arrays, arrays))
+        assert same_elem(alg.add(given, residues), alg.add(arrays, arrays))
+        assert same_elem(alg.power(given, 3), alg.power(arrays, 3))
+        assert alg.equal(given, arrays) and not alg.equal(given, alg.zero())
+        assert same_elem(alg.stack([given, {}]), alg.stack([arrays, {}]))
+
+    @pytest.mark.parametrize("op", ["mul", "add", "equal", "stack"])
+    @pytest.mark.parametrize("label", sorted(ENTRY_CASES))
+    def test_float_components_are_refused(self, label, op):
+        # they were truncated: at p = 5, 1.5 * 1.5 read as 1 * 1, 1.5 + 1.5 as 3
+        build, _, residues = ENTRY_CASES[label]
+        alg = build()
+        floats = {m: np.full(len(c), 1.5) for m, c in residues.items()}
+        calls = {
+            "mul": lambda: alg.mul(floats, floats),
+            "add": lambda: alg.add(floats, alg.zero()),
+            "equal": lambda: alg.equal(floats, floats),
+            "stack": lambda: alg.stack([floats]),
+        }
+        with pytest.raises(ValueError, match="floating point"):
+            calls[op]()
+
+    def test_svec2_from_vector_reads_residues(self):
+        build, given, residues = ENTRY_CASES["S(W+1) D=4"]
+        alg = build()
+        assert same_elem(alg.from_vector(1, given[1]), {1: np.array(residues[1])})
+        assert alg.from_vector(2, [2, -4, 0, 6, 2**70]) == {}
+        with pytest.raises(ValueError, match="floating point"):
+            alg.from_vector(1, [1.5, 0, 1])
+
+
 def python_int_contract(ca, cb, table, p) -> list[list[int]]:
     """Row-wise sum of ca[i] cb[j] table[i, j, k] in Python integers."""
     o = ca.astype(object)[:, :, None, None] * cb.astype(object)[:, None, :, None]

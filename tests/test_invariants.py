@@ -389,9 +389,9 @@ class TestSharedDegrees:
         assert b.tower._deg is a.tower._deg
         assert b.tower.q is a.tower.q and b.tower.sizes is a.tower.sizes
         assert b.tower.section(3) is a.tower.section(3)
-        assert b.tower._mu is not a.tower._mu and b._tables is not a._tables
+        assert b.tower._mu is not a.tower._mu and b.tower._tables is not a.tower._tables
         a.product_table(2, 2)
-        assert a.tower._mu and a._tables and not b.tower._mu and not b._tables
+        assert a.tower._mu and a.tower._tables and not b.tower._mu and not b.tower._tables
 
     def test_last_holder_gone_means_rebuild(self, record_builds):
         # with the cycle collector off, the degree data dies with the
@@ -430,7 +430,7 @@ class TestSharedDegrees:
         assert shuffled.tower._deg is plain.tower._deg
         assert [shuffled.offsets(m, 1) for m in range(6)] != canonical
         assert [plain.offsets(m, 1) for m in range(6)] == canonical
-        assert canonical == [plain.tower.block_offsets(m, 1) for m in range(6)]
+        assert canonical == [tuple(plain.tower.block_offsets(m, 1)) for m in range(6)]
 
     def test_corrupted_product_fails_after_another_holder_warmed(self, monkeypatch, record_builds):
         # a holder whose products are already formed must not hand them to

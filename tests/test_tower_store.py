@@ -203,3 +203,69 @@ class TestGrowth:
             assert "relation matrix of S^2 needs 256 " in str(grown.value)
             assert [len(held._deg.q), len(held._deg.keep), len(held._deg.dmat)] == [2, 2, 2]
             assert svec2.sym_algebra(w2, 2, max_entries=256)._deg is not held._deg
+
+
+# the two holders of `graded.GradedTower`, by depth: Ver_p's tower of
+# 1 + L2 at p = 5, and S(W + 1) in sVec_2
+HOLDERS = {
+    "SymTower": lambda depth: SymTower(VerObject(5, (1, 1, 0, 0)), depth),
+    "DGradedAlgebra": lambda depth: svec2.sym_algebra(
+        svec2.direct_sum(svec2.module_w(), svec2.trivial(1)), depth
+    ),
+}
+
+
+class TestHolderContract:
+    """A holder is `graded.GradedTower(deg, depth)` plus its own state:
+    sections are degree data, one read-only object per key and degree."""
+
+    @pytest.mark.parametrize("label", sorted(HOLDERS))
+    def test_holders_keep_only_their_own_state(self, label):
+        tower = HOLDERS[label](3)
+        shared = {"_deg", "depth", "p", "nx", "max_entries", "_mu", "_tables"}
+        own = set(vars(tower)) - shared - set(tower._deg._LISTS)
+        assert own == {"SymTower": {"x", "zero_from"}, "DGradedAlgebra": {"x", "dims"}}[label]
+        assert (tower.p, tower.nx) == (tower._deg.p, tower._deg.nx)
+
+    @pytest.mark.parametrize("label", sorted(HOLDERS))
+    def test_sections_are_one_read_only_object_per_key(self, label):
+        with graded.tower_store():
+            shallow = HOLDERS[label](3)
+            deep = HOLDERS[label](6)
+            assert deep._deg is shallow._deg
+            for b in range(1, 4):
+                section = shallow.section(b)
+                assert deep.section(b) is section is shallow._deg.sections[b]
+                with pytest.raises(ValueError, match="read-only"):
+                    section[...] = 0
+
+    @pytest.mark.parametrize("label", sorted(HOLDERS))
+    def test_shallow_section_equals_a_fresh_deep_one(self, label):
+        # sections read before the key grows deeper, against a deep tower
+        # built in a store of its own
+        with graded.tower_store():
+            shallow = HOLDERS[label](3)
+            early = [shallow.section(b) for b in range(1, 4)]
+            HOLDERS[label](6)
+        with graded.tower_store():
+            deep = HOLDERS[label](6)
+            assert digests(early) == digests(deep.section(b) for b in range(1, 4))
+
+    def test_dim_is_the_rows_of_q_on_ver_p(self):
+        # L2 at p = 5: V_0..V_3 are 1, L2, L3, L4, and V_4 = V_5 = 0
+        tower = SymTower(VerObject.simple(5, 2), 5)
+        assert np.array_equal(tower.q[0], [[1]])
+        dims = [tower.dim(m) for m in range(6)]
+        assert dims == [q.shape[0] for q in tower.q] == [sum(s) for s in tower.sizes]
+        assert dims == [1, 2, 3, 4, 0, 0] and tower.zero_from == 4
+
+    @pytest.mark.parametrize("label", sorted(HOLDERS))
+    def test_negative_depth_raises_before_any_degree_data(self, label, monkeypatch):
+        looked_up = []
+        monkeypatch.setattr(
+            graded.Degrees, "shared", classmethod(lambda cls, *args: looked_up.append(cls))
+        )
+        with graded.tower_store():
+            with pytest.raises(ValueError, match="nonnegative"):
+                HOLDERS[label](-1)
+            assert looked_up == [] and graded._STORE.get() == {}

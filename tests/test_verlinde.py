@@ -922,9 +922,19 @@ _J2 = jordan_module(3, [2])
             lambda: ver_hom(_J2, _J2).reduce(_J2.nilpotent().T),
             "f is not an intertwiner",
         ),
+        # a map of the wrong shape is named by the shape Hom(a, b) needs,
+        # b.dim x a.dim, not by numpy's reshape
+        (
+            lambda: ver_hom(_J2, _J2).reduce(np.eye(3, dtype=np.int64)),
+            "f must be a 2 x 2 array, got shape (3, 3)",
+        ),
+        (
+            lambda: ver_hom(jordan_module(3, [1]), _J2).reduce([[0, 1]]),
+            "f must be a 2 x 1 array, got shape (1, 2)",
+        ),
     ],
     ids=["simple-index", "sum-across-primes", "negative-scale", "rule-index",
-         "reduce-non-intertwiner"],
+         "reduce-non-intertwiner", "reduce-square-shape", "reduce-rectangular-shape"],
 )
 def test_input_checks(call, message):
     with pytest.raises(ValueError) as info:
